@@ -16,11 +16,11 @@ BENCHTIME ?= 1x
 COUNT ?= 1
 
 # Benchmarks the regression gate times: the steady-state engine, tick-loop,
-# fleet-stepping, snapshot, and block-KV paths. The macro table/figure
+# fleet-stepping, and block-KV paths. The macro table/figure
 # benchmarks stay in bench/bench-json as one-iteration smoke — they re-run
 # whole experiment fixtures per iteration and carry too much noise to gate
 # at 10%.
-GATEBENCH ?= TickLoop|EventFleet|LiveSnapshot|LiveAdvanceTick|EngineSoak|EngineKV
+GATEBENCH ?= TickLoop|EventFleet|LiveAdvanceTick|EngineSoak|EngineKV
 
 # Committed baseline the perf-regression gate compares against.
 BASE ?= 9
@@ -41,9 +41,8 @@ test:
 	$(GO) test -race -timeout 30m ./...
 
 # The blocking lint gate: vet, gofmt, and the project's own dynamolint
-# analyzers (internal/lint — determinism, snapshot exhaustiveness,
-# conservation laws, steady-state allocation discipline; stdlib-only, so
-# it always runs). staticcheck/govulncheck are external binaries: they
+# analyzers (internal/lint — determinism, conservation laws, steady-state
+# allocation discipline; stdlib-only, so it always runs). staticcheck/govulncheck are external binaries: they
 # run when installed (CI installs pinned versions; offline boxes skip
 # them with a notice rather than failing).
 lint:
@@ -150,9 +149,13 @@ restore-smoke:
 kv-smoke:
 	$(GO) run -race ./cmd/dynamobench -quick -peak 5 kv | tee kv-sweep.txt
 
-# Short coverage-guided fuzz pass over the scenario JSON loader, race
-# detector on. The corpus seeds from the builtin library plus known-nasty
-# inputs; CI runs this budget on every push so new validation gaps fail
-# fast rather than waiting for a long offline campaign.
+# Short coverage-guided fuzz passes over the scenario JSON loader and the
+# restore decoders (WAL, checkpoint), race detector on. The corpora seed
+# from the builtin library, torn and corrupted state files, and other
+# known-nasty inputs; CI runs this budget on every push so new validation
+# gaps fail fast rather than waiting for a long offline campaign. go test
+# accepts one -fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -race -run='^$$' -fuzz='^FuzzReadWAL$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/serve

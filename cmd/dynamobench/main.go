@@ -8,7 +8,6 @@
 //	dynamobench all
 //	dynamobench scenario <name-or-json-file>...
 //	dynamobench scenario -list
-//	dynamobench snapshot {straight|forked}
 //
 // Experiments: table1 table2 table3 table4 table5 table6
 //
@@ -41,11 +40,6 @@
 // of recomputing when the modeled transfer is cheaper — or always, with
 // -swap-policy always. The kv sweep carries its own tier axis and
 // ignores these flags for its tier cells.
-//
-// "snapshot straight" and "snapshot forked" run the same live session to
-// the same horizon — the forked variant through a mid-run checkpoint and
-// resume — and must print byte-identical reports (the CI determinism
-// gate diffs them).
 package main
 
 import (
@@ -161,12 +155,6 @@ func realMain() int {
 		return runScenarios(cfg, args[1:])
 	}
 
-	// Snapshot mode: one live session run straight or through a mid-run
-	// checkpoint+fork; the two reports must be byte-identical.
-	if args[0] == "snapshot" {
-		return runSnapshot(cfg, args[1:])
-	}
-
 	if len(args) == 1 && args[0] == "all" {
 		args = allNames()
 	}
@@ -253,21 +241,6 @@ func runScenarios(cfg expt.Config, args []string) int {
 		fmt.Println(expt.RenderScenario(r))
 	}
 	fmt.Fprintf(os.Stderr, "[%d scenario(s) took %v]\n", len(results), time.Since(start).Round(time.Millisecond))
-	return 0
-}
-
-// runSnapshot renders the snapshot-replay report, either straight through
-// or through a mid-run checkpoint and fork.
-func runSnapshot(cfg expt.Config, args []string) int {
-	mode := "straight"
-	if len(args) > 0 {
-		mode = args[0]
-	}
-	if mode != "straight" && mode != "forked" || len(args) > 1 {
-		fmt.Fprintln(os.Stderr, "dynamobench: usage: snapshot {straight|forked}")
-		return 2
-	}
-	fmt.Print(cfg.SnapshotReplay(mode == "forked"))
 	return 0
 }
 

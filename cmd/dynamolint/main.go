@@ -1,6 +1,6 @@
 // Command dynamolint is the project's static-analysis gate: it runs the
-// four dynamolint analyzers (detrand, snapfields, conserve, steadystate
-// — see internal/lint) over the module and exits nonzero on any
+// three dynamolint analyzers (detrand, conserve, steadystate — see
+// internal/lint) over the module and exits nonzero on any
 // finding. make lint and CI invoke it as
 //
 //	go run ./cmd/dynamolint ./...
@@ -86,7 +86,6 @@ func main() {
 func analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		lint.NewDetrand(),
-		lint.NewSnapfields(),
 		lint.NewConserve(),
 		lint.NewSteadystate(),
 	}

@@ -59,9 +59,9 @@ type Config struct {
 	Fidelity string
 	// StepJobs bounds the worker pool an event-fidelity simulation uses to
 	// step its per-instance engines within each tick (0 or 1 = serial).
-	// Any value produces byte-identical results; on a multi-core host
-	// higher values cut event-mode wall time roughly linearly in the
-	// instance count.
+	// Output is byte-identical for any value. How much wall time it saves
+	// depends on the host's core count and the number of instances; on a
+	// 2-vCPU host a 20-engine fleet runs only ~11% faster at 2 than at 1.
 	StepJobs int
 	// Disagg splits every pool into a prefill pool and a decode pool with
 	// a modeled KV-transfer handoff between them. Implies event fidelity

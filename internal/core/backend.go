@@ -153,10 +153,10 @@ func (b *fluidBackend) Finish(simclock.Time) {}
 // meters' integral; per-class token-level TTFT/TBT land in
 // Result.ClassTTFT/ClassTBT.
 type eventBackend struct {
-	sm  *simulation  //snapshot:ignore re-bound by backend.bind on the cloned simulation
-	c   *Cluster     //snapshot:ignore set by newEventBackend from the clone targets cloneFor receives
-	s   *sharedState //snapshot:ignore set by newEventBackend from the cloned cluster's shared state
-	res *Result      //snapshot:ignore set by newEventBackend from the clone targets cloneFor receives
+	sm  *simulation
+	c   *Cluster
+	s   *sharedState
+	res *Result
 
 	// now is the backend's time: the end of the last RunTo (every live
 	// engine clock stands exactly here between ticks).
@@ -184,16 +184,15 @@ type eventBackend struct {
 	// stepClocks is the reusable scratch listing the distinct clocks the
 	// stepping pool drives this tick (one per engine normally, one per
 	// pool group under disaggregation).
-	stepClocks []*simclock.Clock //snapshot:ignore tick-scoped scratch; rebuilt at the top of every RunTo
+	stepClocks []*simclock.Clock
 	// scratch stages drained requests during migrations.
-	scratch []workload.Request //snapshot:ignore migration-scoped scratch; always empty between ticks
+	scratch []workload.Request
 }
 
 // kvTransfer is one in-flight prefill-to-decode KV handoff: the request,
 // its prefilled context, and the instant the modeled transfer completes.
 // Tracked on the receiving engine so retirement can fail unfinished
-// transfers over to the frontend and snapshot cloning can re-schedule
-// them; done entries are compacted each tick.
+// transfers over to the frontend; done entries are compacted each tick.
 type kvTransfer struct {
 	at   simclock.Time
 	req  workload.Request
@@ -668,7 +667,7 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	}
 	if len(ie.transfers) > 0 {
 		// Compact completed KV transfers (serial phase; the list only
-		// matters for retirement failover and snapshot cloning).
+		// matters for retirement failover).
 		kept := ie.transfers[:0]
 		for _, t := range ie.transfers {
 			if !t.done {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynamollm/internal/profile"
+	"dynamollm/internal/simclock"
 	"dynamollm/internal/trace"
 )
 
@@ -52,6 +53,32 @@ func TestRunWithRepoConcurrent(t *testing.T) {
 		}
 		if con.Reshards != seq.Reshards || con.FreqChanges != seq.FreqChanges {
 			t.Errorf("%s: concurrent reconfig counters differ", name)
+		}
+	}
+}
+
+// TestEventStepJobsDeterministic: the parallel stepping worker pool is
+// invisible in the results — any StepJobs value produces a bit-identical
+// run. Under -race (make test) this also audits the workers for unsynced
+// shared state.
+func TestEventStepJobsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster simulation")
+	}
+	r, _ := fixtures(t)
+	tr := trace.OpenSourceHour(6, 11).Window(0, simclock.Time(6*simclock.Minute))
+
+	var want resultFingerprint
+	for i, jobs := range []int{1, 4, 8} {
+		opts := liveOpts(FidelityEvent)
+		opts.StepJobs = jobs
+		got := fingerprint(RunWithRepo(tr, opts, r))
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("StepJobs=%d diverges from serial:\n got  %+v\n want %+v", jobs, got, want)
 		}
 	}
 }

@@ -243,46 +243,10 @@ func TestLiveKVStats(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotRoundTripsKV: forking a live event run with KV pressure
-// mid-flight (queues, block pool, preempted sequences all captured) and
-// finishing both must land on byte-identical results — the snapshot
-// carries the complete KV state.
-func TestLiveSnapshotRoundTripsKV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster simulation")
-	}
-	repo, _ := fixtures(t)
-	tr := trace.OpenSourceHour(testPeakRPS, 11).Window(0, 600)
-	opts, _ := SystemByName("multipool")
-	opts.Seed = 7
-	opts.Fidelity = FidelityEvent
-	opts.WarmLoad = warmConv
-	opts.KVBlockTokens = 16
-	opts.KVCapacityFactor = 0.002
-
-	l := NewLive(tr, opts, repo)
-	l.AdvanceTo(300)
-	fork := l.Snapshot().Resume()
-	l.AdvanceTo(600)
-	fork.AdvanceTo(600)
-	a, b := l.Finish(), fork.Finish()
-	if fa, fb := kvFingerprint(a), kvFingerprint(b); fa != fb {
-		t.Errorf("fork diverged from original:\norig %s\nfork %s", fa, fb)
-	}
-	if a.KVPreemptions != b.KVPreemptions || a.KVPrefixHits != b.KVPrefixHits {
-		t.Errorf("KV counters diverged: preempt %d/%d hits %d/%d",
-			a.KVPreemptions, b.KVPreemptions, a.KVPrefixHits, b.KVPrefixHits)
-	}
-	if a.KVPreemptions == 0 {
-		t.Error("test exercised no preemptions; shrink KVCapacityFactor")
-	}
-}
-
-// TestLiveSnapshotRoundTripsTier: the fork test again with a spill tier
-// active — the snapshot must carry tier occupancy, the spilled queues, and
-// any in-flight swap transfer, or the fork's swap counters drift. The live
-// stats surface must also report the tier gauges.
-func TestLiveSnapshotRoundTripsTier(t *testing.T) {
+// TestLiveTierStats: a live event run with a spill tier under KV pressure
+// reports in-range tier gauges mid-run, actually swaps, and finishes with
+// the accounting identities intact.
+func TestLiveTierStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster simulation")
 	}
@@ -305,19 +269,12 @@ func TestLiveSnapshotRoundTripsTier(t *testing.T) {
 	if st.TierUsedBlocks < 0 || st.TierUsedBlocks > st.TierTotalBlocks {
 		t.Errorf("tier occupancy out of range: %d used of %d", st.TierUsedBlocks, st.TierTotalBlocks)
 	}
-	fork := l.Snapshot().Resume()
 	l.AdvanceTo(600)
-	fork.AdvanceTo(600)
-	a, b := l.Finish(), fork.Finish()
-	for name, r := range map[string]*Result{"orig": a, "fork": b} {
-		if err := r.CheckInvariants(); err != nil {
-			t.Fatalf("%s invariants: %v", name, err)
-		}
+	res := l.Finish()
+	if err := res.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
-	if fa, fb := kvFingerprint(a), kvFingerprint(b); fa != fb {
-		t.Errorf("tiered fork diverged from original:\norig %s\nfork %s", fa, fb)
-	}
-	if a.KVSwapOuts == 0 {
+	if res.KVSwapOuts == 0 {
 		t.Error("test exercised no swaps; shrink KVCapacityFactor")
 	}
 }

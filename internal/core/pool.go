@@ -196,13 +196,13 @@ type Instance struct {
 	capValid bool
 	// stKeyC/stC memoize instanceSteady for the last steady key.
 	stKeyC  steadyKey
-	stC     perfmodel.Steady //snapshot:ignore memo cache keyed by cloned value inputs; stays valid after the wholesale copy
+	stC     perfmodel.Steady
 	stValid bool
 	// marginalC/marginalEntryC memoize pickInstance's marginal-power
 	// term, which depends only on tick-stable inputs (rate, mix, freq);
 	// marginalTick is the 1-based tick it was computed for (0 = never).
 	marginalC      float64
-	marginalEntryC *profile.Entry //snapshot:ignore points into the shared immutable profile repository
+	marginalEntryC *profile.Entry
 	marginalTick   int
 }
 

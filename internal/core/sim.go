@@ -63,7 +63,7 @@ const (
 
 // Result aggregates everything the evaluation figures need from one run.
 type Result struct {
-	Opts     Options //snapshot:ignore run configuration; the clone deliberately shares hooks and observer with the original
+	Opts     Options
 	Duration float64
 
 	// Request conservation: every routed request reaches exactly one
@@ -636,10 +636,10 @@ type simulation struct {
 	retryQ []retryEntry
 	// retryScratch stages the due prefix during drainRetries so
 	// re-admission may push fresh failures onto retryQ mid-drain.
-	retryScratch []retryEntry //snapshot:ignore drain-scoped scratch; always empty between ticks
+	retryScratch []retryEntry
 	// draining marks the post-horizon backend drain (finish): failures
 	// surfaced there are terminal — a retry could never be served.
-	draining bool //snapshot:ignore only set inside finish(), after the last possible snapshot point
+	draining bool
 }
 
 // retryEntry is one squashed request waiting out its retry backoff.

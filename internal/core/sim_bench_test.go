@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dynamollm/internal/profile"
@@ -69,5 +70,39 @@ func BenchmarkTickLoopRetry(b *testing.B) {
 		if res.Requests == 0 {
 			b.Fatal("empty run")
 		}
+	}
+}
+
+// BenchmarkEventFleet measures a 20-server (TP8, so 20-engine) event-mode
+// fleet over a 10-minute high-load window, stepped with 1..8 workers. The
+// per-tick engine stepping dominates this workload, so ns/op across the
+// sub-benchmarks is the parallel-stepping speedup curve; on a single-core
+// host all rungs collapse to the serial cost (minus pool overhead).
+func BenchmarkEventFleet(b *testing.B) {
+	repo := profile.NewRepository(nil)
+	tr := trace.OpenSourceHour(45, 11).Window(0, 600)
+	mk := func(jobs int) Options {
+		opts := SinglePool()
+		opts.Seed = 7
+		opts.WarmLoad = warmConv
+		opts.Fidelity = FidelityEvent
+		opts.Servers = 20
+		opts.StepJobs = jobs
+		return opts
+	}
+	// Build profiles and caches outside the measurement.
+	RunWithRepo(tr, mk(1), repo)
+	for _, jobs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			opts := mk(jobs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := RunWithRepo(tr, opts, repo)
+				if res.Requests == 0 {
+					b.Fatal("empty run")
+				}
+			}
+		})
 	}
 }

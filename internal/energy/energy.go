@@ -66,16 +66,6 @@ func (m *Meter) Finish(t simclock.Time) float64 {
 // Series returns the bucketed power series (nil if disabled).
 func (m *Meter) Series() *metrics.Series { return m.series }
 
-// Clone returns an independent copy of the meter (the embedded TimeAvg is
-// plain value state; the optional series is deep-copied).
-func (m *Meter) Clone() *Meter {
-	c := *m
-	if m.series != nil {
-		c.series = m.series.Clone()
-	}
-	return &c
-}
-
 // --- Carbon intensity ---------------------------------------------------------
 
 // CarbonTrace maps time to grid carbon intensity in gCO2 per kWh. The

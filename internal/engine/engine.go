@@ -151,7 +151,7 @@ type Engine struct {
 	// Block-granular KV accounting (kv.go). kvBlocksCap == 0 keeps the
 	// legacy token-granular path above bit-for-bit.
 	kv           KVConfig
-	kvBlocksCap  int //snapshot:ignore recomputed by ConfigureKV from the snapshotted KVConfig
+	kvBlocksCap  int
 	kvBlocksUsed int
 	// preempted holds decode sequences evicted under KV pressure; they
 	// re-enter admission (re-prefilling their recomputed context) with
@@ -163,12 +163,12 @@ type Engine struct {
 	// (map iteration order must never drive behaviour).
 	prefixMap  map[uint64]*prefixEntry
 	prefixList []*prefixEntry
-	freePrefix []*prefixEntry //snapshot:ignore free-list scratch; a restored engine starts with empty pools
+	freePrefix []*prefixEntry
 	// Tiered KV spill state (tier.go). kvTierCap == 0 disables the tier
 	// and keeps the recompute-only path above bit-for-bit.
-	kvTierCap  int //snapshot:ignore recomputed by ConfigureKV from the snapshotted KVConfig
+	kvTierCap  int
 	kvTierUsed int
-	tierBW     float64 //snapshot:ignore recomputed by ConfigureKV from the snapshotted KVConfig
+	tierBW     float64
 	// linkFreeAt is when the swap link next idles; transfers serialize
 	// behind it (the bandwidth queue).
 	linkFreeAt simclock.Time
@@ -183,7 +183,7 @@ type Engine struct {
 	swapQ        []*swapIn
 	swapHead     int
 	swapReady    []*seqState
-	freeSwap     []*swapIn //snapshot:ignore free-list scratch; a restored engine starts with empty pools
+	freeSwap     []*swapIn
 	swapInflight int
 	// onSwapDone is the swap-in completion callback, bound once so
 	// scheduling a transfer does not allocate a closure.
@@ -192,22 +192,17 @@ type Engine struct {
 	// prefillOnly marks the prefill side of a disaggregated pair:
 	// sequences hand off (onHandoff) right after their first token.
 	prefillOnly bool
-	onHandoff   func(req workload.Request, ctx int) //snapshot:ignore callback; the owning backend re-binds after restore
-	onReject    func(workload.Request)              //snapshot:ignore callback; the owning backend re-binds after restore
+	onHandoff   func(req workload.Request, ctx int)
+	onReject    func(workload.Request)
 
 	meter *energy.Meter
 
 	// free is the seqState pool; finished or drained sequences return
 	// here instead of garbage.
-	free []*seqState //snapshot:ignore free-list scratch; a restored engine starts with empty pools
+	free []*seqState
 	// iterEnd is the scheduled end of the in-flight iteration, read by
 	// onIterEnd (one iteration is in flight at a time).
 	iterEnd simclock.Time
-	// nextStart is the absolute time of the pending iteration start while
-	// running and not yet mid-iteration. A Freeze arriving after kick does
-	// not reschedule the already-pending start, so the scheduled time —
-	// not max(now, frozenUntil) — is what a snapshot must reproduce.
-	nextStart simclock.Time
 	// onIterStart/onIterEnd are the iteration callbacks, bound once at
 	// construction so scheduling an iteration does not allocate closures.
 	onIterStart func()
@@ -224,11 +219,11 @@ type Engine struct {
 	Counters
 
 	// onComplete, if set, is called as requests finish.
-	onComplete func(*workload.Request) //snapshot:ignore callback; the owning backend re-binds after restore
+	onComplete func(*workload.Request)
 	// onToken, if set, is called for every produced output token.
-	onToken func(req *workload.Request, produced int, now simclock.Time) //snapshot:ignore callback; the owning backend re-binds after restore
+	onToken func(req *workload.Request, produced int, now simclock.Time)
 	// sink, if set, receives per-class latency samples (SetSink).
-	sink LatencySink //snapshot:ignore callback sink; the owning backend re-binds after restore
+	sink LatencySink
 }
 
 // New builds an engine for the configuration on the given clock. The GPUs
@@ -446,7 +441,6 @@ func (e *Engine) kick() {
 	if start < e.frozenUntil {
 		start = e.frozenUntil
 	}
-	e.nextStart = start
 	e.clock.At(start, e.onIterStart)
 }
 

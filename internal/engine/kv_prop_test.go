@@ -10,11 +10,18 @@ import (
 )
 
 // Property suite for block-granular KV accounting: conservation at every
-// event boundary, no blocks leaked past completion, guaranteed progress
-// under the tightest possible pool, and snapshot round-trips that carry
-// the full preemption/prefix state. These are the invariants the cluster
-// layers build on — a violation here surfaces as a deadlocked drain or a
-// silent capacity drift three packages away.
+// event boundary, no blocks leaked past completion, and guaranteed
+// progress under the tightest possible pool. These are the invariants the
+// cluster layers build on — a violation here surfaces as a deadlocked
+// drain or a silent capacity drift three packages away.
+
+// schedule submits each request (by copy) at its arrival instant.
+func schedule(clk *simclock.Clock, eng *Engine, reqs []workload.Request) {
+	for i := range reqs {
+		r := reqs[i]
+		clk.At(r.Arrival, func() { eng.SubmitCopy(r) })
+	}
+}
 
 // heldBlocks sums the GPU blocks attributable to some holder: sequences
 // in every queue (including those staged behind an in-flight or completed
@@ -143,7 +150,7 @@ func TestKVPropConservation(t *testing.T) {
 	eng := New(cfg70(model.TP4, 1600), clk)
 	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 64, PrefixCache: true})
 	reqs := kvPropReqs(80, 17)
-	scheduleFrom(clk, eng, reqs, -1)
+	schedule(clk, eng, reqs)
 	// The check rides a fine periodic event: engine state only mutates
 	// inside iteration events, so every firing observes a boundary. The
 	// periodic event keeps the heap non-empty, so run to a horizon past
@@ -188,7 +195,7 @@ func TestKVPropNoLeakWithoutPrefix(t *testing.T) {
 	eng := New(cfg70(model.TP4, 1600), clk)
 	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 96})
 	reqs := kvPropReqs(60, 29)
-	scheduleFrom(clk, eng, reqs, -1)
+	schedule(clk, eng, reqs)
 	clk.Run()
 	if eng.Completed+eng.KVRejected != len(reqs) {
 		t.Fatalf("requests lost: %d completed + %d rejected of %d",
@@ -255,122 +262,6 @@ func TestKVPropPrefixSelfReference(t *testing.T) {
 	checkKVConservation(t, eng)
 }
 
-// kvFP extends the engine fingerprint with the KV dynamics counters and
-// occupancy two engines must also agree on.
-type kvFP struct {
-	engineFingerprint
-	Preempted, PrefixHits, KVRejected, Handoffs int
-	UsedBlocks                                  int
-	SwapOuts, SwapIns, Recomputes, TierEvicts   int
-	TierUsed                                    int
-}
-
-func kvFingerprint(e *Engine) kvFP {
-	return kvFP{
-		engineFingerprint: engFP(e),
-		Preempted:         e.Preempted,
-		PrefixHits:        e.PrefixHits,
-		KVRejected:        e.KVRejected,
-		Handoffs:          e.Handoffs,
-		UsedBlocks:        e.kvBlocksUsed,
-		SwapOuts:          e.SwapOuts,
-		SwapIns:           e.SwapIns,
-		Recomputes:        e.Recomputes,
-		TierEvicts:        e.TierEvictions,
-		TierUsed:          e.kvTierUsed,
-	}
-}
-
-// TestKVSnapshotRoundTrip: snapshot a pressured engine at cut points that
-// straddle prefix publication, active preemption churn, and the drain
-// tail; each restore must finish bit-identical to the uninterrupted run,
-// preempted queue and prefix cache included.
-func TestKVSnapshotRoundTrip(t *testing.T) {
-	cfg := cfg70(model.TP4, 1600)
-	// Large enough that early prefills publish prefix entries (insertion
-	// needs spare blocks), small enough that the later pile-up preempts.
-	kv := KVConfig{BlockTokens: 16, Blocks: 120, PrefixCache: true}
-	reqs := kvPropReqs(70, 41)
-
-	refClk := simclock.New()
-	ref := New(cfg, refClk)
-	ref.ConfigureKV(kv)
-	scheduleFrom(refClk, ref, reqs, -1)
-	refClk.Run()
-	want := kvFingerprint(ref)
-	if ref.Preempted == 0 || ref.PrefixHits == 0 {
-		t.Fatalf("reference run exercised no pressure: %d preempted, %d hits",
-			ref.Preempted, ref.PrefixHits)
-	}
-
-	for _, cut := range []simclock.Time{0.4, 2.0, 6.5} {
-		clk := simclock.New()
-		eng := New(cfg, clk)
-		eng.ConfigureKV(kv)
-		scheduleFrom(clk, eng, reqs, -1)
-		clk.RunUntil(cut)
-		snap := eng.Snapshot()
-
-		clk2 := simclock.New()
-		clk2.RunUntil(cut)
-		eng2 := FromSnapshot(snap, clk2)
-		scheduleFrom(clk2, eng2, reqs, cut)
-		clk2.Run()
-		if got := kvFingerprint(eng2); got != want {
-			t.Errorf("cut %v: restored != uninterrupted:\n restored %+v\n want     %+v", cut, got, want)
-		}
-
-		clk.Run()
-		if got := kvFingerprint(eng); got != want {
-			t.Errorf("cut %v: snapshotting perturbed the source:\n got  %+v\n want %+v", cut, got, want)
-		}
-	}
-}
-
-// TestKVSnapshotCarriesPreemptedState: a snapshot taken while sequences
-// sit in the preempted queue must restore them — queue order, recompute
-// footprints, and the noPrefix bar included (checked structurally, then
-// behaviourally by running to completion).
-func TestKVSnapshotCarriesPreemptedState(t *testing.T) {
-	cfg := cfg70(model.TP4, 1600)
-	kv := KVConfig{BlockTokens: 16, Blocks: 24, PrefixCache: true}
-	reqs := kvPropReqs(50, 53)
-
-	clk := simclock.New()
-	eng := New(cfg, clk)
-	eng.ConfigureKV(kv)
-	scheduleFrom(clk, eng, reqs, -1)
-	var cut simclock.Time
-	for probe := simclock.Time(0.2); probe < 20 && cut == 0; probe += 0.2 {
-		clk.RunUntil(probe)
-		if eng.preLen() > 0 {
-			cut = probe
-		}
-	}
-	if cut == 0 {
-		t.Fatal("never caught a sequence in the preempted queue; pool too large")
-	}
-	snap := eng.Snapshot()
-	if len(snap.PreemptedQ) != eng.preLen() {
-		t.Fatalf("snapshot carries %d preempted, engine holds %d", len(snap.PreemptedQ), eng.preLen())
-	}
-	for i, q := range snap.PreemptedQ {
-		if !q.NoPrefix {
-			t.Errorf("preempted[%d] lost its noPrefix bar in the snapshot", i)
-		}
-	}
-
-	clk2 := simclock.New()
-	clk2.RunUntil(cut)
-	eng2 := FromSnapshot(snap, clk2)
-	scheduleFrom(clk2, eng2, reqs, cut)
-	clk2.Run()
-	clk.Run()
-	if got, want := kvFingerprint(eng2), kvFingerprint(eng); got != want {
-		t.Errorf("restore-with-preempted diverged:\n restored %+v\n source   %+v", got, want)
-	}
-}
-
 // --- Spill-tier properties ---------------------------------------------------
 
 // kvTierCfg is the pressured tier configuration the tier properties run
@@ -405,7 +296,7 @@ func TestKVTierPropConservation(t *testing.T) {
 		eng := New(cfg70(model.TP4, 1600), clk)
 		eng.ConfigureKV(kvTierCfg(tierBlocks))
 		reqs := kvPropReqs(80, 17)
-		scheduleFrom(clk, eng, reqs, -1)
+		schedule(clk, eng, reqs)
 		cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
 		clk.RunUntil(120)
 		cancel()
@@ -463,7 +354,7 @@ func TestKVTierPropThrash(t *testing.T) {
 			})
 		}
 	}
-	scheduleFrom(clk, eng, reqs, -1)
+	schedule(clk, eng, reqs)
 	cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
 	clk.RunUntil(120)
 	cancel()
@@ -482,70 +373,6 @@ func TestKVTierPropThrash(t *testing.T) {
 	}
 }
 
-// TestKVTierSnapshotRoundTrip: snapshots of a tiered engine — including
-// cuts taken with a swap-in transfer in flight on the link — restore to
-// runs bit-identical to the uninterrupted one, swap counters, tier
-// occupancy, and the re-armed transfer completion included.
-func TestKVTierSnapshotRoundTrip(t *testing.T) {
-	cfg := cfg70(model.TP4, 1600)
-	kv := kvTierSlowCfg(256)
-	reqs := kvPropReqs(70, 41)
-
-	refClk := simclock.New()
-	ref := New(cfg, refClk)
-	ref.ConfigureKV(kv)
-	scheduleFrom(refClk, ref, reqs, -1)
-	refClk.Run()
-	want := kvFingerprint(ref)
-	if ref.SwapOuts == 0 || ref.SwapIns == 0 {
-		t.Fatalf("reference run never swapped (%d out, %d in); tier not exercised",
-			ref.SwapOuts, ref.SwapIns)
-	}
-
-	// Find a cut instant with a transfer mid-flight, so at least one cut
-	// exercises the re-armed swap event.
-	probeClk := simclock.New()
-	probe := New(cfg, probeClk)
-	probe.ConfigureKV(kv)
-	scheduleFrom(probeClk, probe, reqs, -1)
-	var midSwap simclock.Time
-	for at := simclock.Time(0.05); at < 60 && midSwap == 0; at += 0.05 {
-		probeClk.RunUntil(at)
-		if probe.swapInflight > 0 {
-			midSwap = at
-		}
-	}
-	if midSwap == 0 {
-		t.Fatal("never caught a swap-in transfer in flight")
-	}
-
-	for _, cut := range []simclock.Time{0.4, midSwap, 6.5} {
-		clk := simclock.New()
-		eng := New(cfg, clk)
-		eng.ConfigureKV(kv)
-		scheduleFrom(clk, eng, reqs, -1)
-		clk.RunUntil(cut)
-		if cut == midSwap && eng.swapInflight == 0 {
-			t.Fatalf("cut %v: expected an in-flight transfer at the cut", cut)
-		}
-		snap := eng.Snapshot()
-
-		clk2 := simclock.New()
-		clk2.RunUntil(cut)
-		eng2 := FromSnapshot(snap, clk2)
-		scheduleFrom(clk2, eng2, reqs, cut)
-		clk2.Run()
-		if got := kvFingerprint(eng2); got != want {
-			t.Errorf("cut %v: restored != uninterrupted:\n restored %+v\n want     %+v", cut, got, want)
-		}
-
-		clk.Run()
-		if got := kvFingerprint(eng); got != want {
-			t.Errorf("cut %v: snapshotting perturbed the source:\n got  %+v\n want %+v", cut, got, want)
-		}
-	}
-}
-
 // TestKVTierDrainMidSwap: Drain called while sequences sit spilled in the
 // tier and a transfer is mid-flight must release both pools completely,
 // and the orphaned link event must fire harmlessly afterwards.
@@ -554,7 +381,7 @@ func TestKVTierDrainMidSwap(t *testing.T) {
 	eng := New(cfg70(model.TP4, 1600), clk)
 	eng.ConfigureKV(kvTierSlowCfg(256))
 	reqs := kvPropReqs(70, 41)
-	scheduleFrom(clk, eng, reqs, -1)
+	schedule(clk, eng, reqs)
 	var cut simclock.Time
 	for at := simclock.Time(0.05); at < 60 && cut == 0; at += 0.05 {
 		clk.RunUntil(at)
@@ -589,7 +416,7 @@ func TestKVPropDisaggHandoff(t *testing.T) {
 	pre.SetPrefillOnly(true)
 	pre.SetOnHandoff(func(r workload.Request, ctx int) { dec.SubmitDecode(r, ctx) })
 	reqs := kvPropReqs(40, 61)
-	scheduleFrom(clk, pre, reqs, -1)
+	schedule(clk, pre, reqs)
 	cancel := clk.Every(0.01, func() {
 		checkKVConservation(t, pre)
 		checkKVConservation(t, dec)

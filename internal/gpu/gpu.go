@@ -203,13 +203,6 @@ func NewFreqController(resident bool) *FreqController {
 // Current returns the applied clock.
 func (fc *FreqController) Current() Freq { return fc.cur }
 
-// Clone returns an independent copy of the controller (all fields are
-// plain value state).
-func (fc *FreqController) Clone() *FreqController {
-	c := *fc
-	return &c
-}
-
 // Sets returns how many frequency changes were applied.
 func (fc *FreqController) Sets() int { return fc.sets }
 

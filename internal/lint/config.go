@@ -18,9 +18,6 @@ const (
 	// DirAllocOK waives one blacklisted allocation inside a steady-state
 	// function (e.g. a cold error path).
 	DirAllocOK = "dynamolint:alloc-ok"
-	// DirSnapshotIgnore waives one struct field from snapshot/clone
-	// coverage (e.g. a pure-function cache rebuilt on demand).
-	DirSnapshotIgnore = "snapshot:ignore"
 	// DirConserveIgnore waives one counter field from the conservation
 	// invariant suite.
 	DirConserveIgnore = "conserve:ignore"

@@ -32,8 +32,8 @@ func TestParseDirective(t *testing.T) {
 		{"//dynamolint:wallclock: with colon", DirWallclock, "with colon", true},
 		{"// dynamolint:wallclock leading space", DirWallclock, "leading space", true},
 		{"//dynamolint:wallclocked not the marker", DirWallclock, "", false},
-		{"//snapshot:ignore scratch", DirSnapshotIgnore, "scratch", true},
-		{"// plain comment", DirSnapshotIgnore, "", false},
+		{"//conserve:ignore scratch", DirConserveIgnore, "scratch", true},
+		{"// plain comment", DirConserveIgnore, "", false},
 		{"/*conserve:ignore tally*/", DirConserveIgnore, "tally", true},
 	}
 	for _, c := range cases {

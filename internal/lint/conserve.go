@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -122,4 +123,51 @@ func isCounterType(t types.Type) bool {
 		return isCounterType(u.Elem())
 	}
 	return false
+}
+
+// promotedFieldHop returns the direct-field index a selection on the
+// named struct steps through. A single-hop selection counts only when it
+// selects a field; a multi-hop (promoted) selection's first hop is
+// always a field of the outer struct. Direct method selections (whose
+// single index is a method-set position) never count.
+func promotedFieldHop(pass *Pass, sel *ast.SelectorExpr, named *types.Named) (int, bool) {
+	s, ok := pass.Info.Selections[sel]
+	if !ok || namedStructOf(s.Recv()) != named || len(s.Index()) == 0 {
+		return 0, false
+	}
+	if len(s.Index()) == 1 {
+		if _, isField := s.Obj().(*types.Var); !isField {
+			return 0, false
+		}
+	}
+	return s.Index()[0], true
+}
+
+// namedStructOf unwraps pointers and returns the named type when t is a
+// named struct (or pointer to one), else nil.
+func namedStructOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return named
+}
+
+// fileFor returns the syntax file containing pos.
+func fileFor(pass *Pass, pos token.Pos) *ast.File {
+	for _, f := range pass.Files {
+		if f.FileStart <= pos && pos < f.FileEnd {
+			return f
+		}
+	}
+	return nil
 }

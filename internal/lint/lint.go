@@ -1,14 +1,11 @@
 // Package lint is dynamolint: a project-specific static-analysis suite
 // that turns the simulator's load-bearing runtime contracts into
-// compile-time contracts. Four analyzers enforce them:
+// compile-time contracts. Three analyzers enforce them:
 //
 //   - detrand: sim-deterministic packages must not read wall clocks,
 //     global math/rand state, or unordered map iteration, and goroutine
 //     closures must not write shared captured variables (Determinism
 //     rests on byte-identical parallel/sequential runs).
-//   - snapfields: every struct in the snapshot/clone graph must copy all
-//     of its fields (or waive them), killing the silently-dropped-field
-//     bug class that mid-swap snapshot tests can only hunt dynamically.
 //   - conserve: every integer counter on core.Result and engine.Counters
 //     must be referenced by the conservation invariant suite, so new
 //     counters cannot bypass CheckInvariants/CheckLaws.

@@ -86,14 +86,6 @@ func (d *Dist) Add(v float64) {
 // N returns the sample count.
 func (d *Dist) N() int { return int(d.n) }
 
-// Clone returns an independent copy of the distribution. The histogram is
-// a fixed-size array, so a value copy captures everything; the clone and
-// the original diverge freely afterwards.
-func (d *Dist) Clone() *Dist {
-	c := *d
-	return &c
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100): the histogram
 // bin holding the sample at rank ceil(p/100*(n-1)), evaluated at its
 // geometric midpoint and clamped to the exact observed [min, max]. It
@@ -285,16 +277,6 @@ func (s *Series) Accumulate(t, value float64) {
 	i := s.slot(t)
 	s.sums[i] += value
 	s.touched[i] = true
-}
-
-// Clone returns an independent copy of the series: bucket storage is
-// deep-copied so later observations on either side never alias.
-func (s *Series) Clone() *Series {
-	c := *s
-	c.sums = append([]float64(nil), s.sums...)
-	c.counts = append([]float64(nil), s.counts...)
-	c.touched = append([]bool(nil), s.touched...)
-	return &c
 }
 
 // Point is one bucketed observation.

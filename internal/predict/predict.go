@@ -72,16 +72,6 @@ func (p *LengthPredictor) PredictClass(inputTokens, trueOutput int) workload.Cla
 	return workload.MakeClass(workload.BucketInput(inputTokens), p.PredictBucket(trueOutput))
 }
 
-// Clone returns an independent copy of the predictor, including the exact
-// RNG position, so the clone's prediction stream continues bit-identically
-// to what the original would have produced.
-func (p *LengthPredictor) Clone() *LengthPredictor {
-	c := *p
-	rng := *p.rng
-	c.rng = &rng
-	return &c
-}
-
 // ObservedAccuracy reports the realized accuracy so far (1 if no samples).
 func (p *LengthPredictor) ObservedAccuracy() float64 {
 	n := p.correct + p.wrong
@@ -188,17 +178,6 @@ func (p *LoadPredictor) PredictRate(t simclock.Time, c workload.Class) float64 {
 		return p.templates[c][s]
 	}
 	return p.last[c]
-}
-
-// Clone returns an independent copy of the predictor: the weekly template
-// tables are deep-copied so later observations on either side never alias.
-func (p *LoadPredictor) Clone() *LoadPredictor {
-	c := *p
-	for i := range p.templates {
-		c.templates[i] = append([]float64(nil), p.templates[i]...)
-		c.seen[i] = append([]bool(nil), p.seen[i]...)
-	}
-	return &c
 }
 
 // Warm pre-loads the template from a known rate function (e.g. a prior

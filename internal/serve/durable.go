@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -52,12 +53,25 @@ func ReadCheckpoint(dir string) (*CheckpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ck CheckpointFile
-	if err := json.Unmarshal(data, &ck); err != nil {
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", checkpointPath(dir), err)
 	}
+	return ck, nil
+}
+
+// decodeCheckpoint parses checkpoint bytes, rejecting another format
+// version and a boundary no session can reach (negative virtual time).
+func decodeCheckpoint(data []byte) (*CheckpointFile, error) {
+	var ck CheckpointFile
+	if err := json.Unmarshal(data, &ck); err != nil {
+		return nil, err
+	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", checkpointPath(dir), ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("version %d, want %d", ck.Version, checkpointVersion)
+	}
+	if ck.BoundaryVirtualS < 0 {
+		return nil, fmt.Errorf("negative boundary %v", ck.BoundaryVirtualS)
 	}
 	return &ck, nil
 }
@@ -168,12 +182,18 @@ func readWAL(dir string) ([]trace.Entry, uint64, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
+	return decodeWAL(f, walPath(dir))
+}
+
+// decodeWAL parses WAL lines from r (name labels errors) under readWAL's
+// torn-tail rule.
+func decodeWAL(r io.Reader, name string) ([]trace.Entry, uint64, error) {
 	var (
 		entries []trace.Entry
 		maxTag  uint64
 		badLine error
 	)
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
 	for sc.Scan() {
@@ -189,7 +209,7 @@ func readWAL(dir string) ([]trace.Entry, uint64, error) {
 		}
 		var e walEntry
 		if err := json.Unmarshal(raw, &e); err != nil {
-			badLine = fmt.Errorf("wal %s line %d: %w", walPath(dir), line, err)
+			badLine = fmt.Errorf("wal %s line %d: %w", name, line, err)
 			continue
 		}
 		entries = append(entries, trace.Entry{

@@ -1,17 +1,32 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"dynamollm/internal/core"
+	"dynamollm/internal/simclock"
+	"dynamollm/internal/trace"
+	"dynamollm/internal/workload"
+)
+
+// Hand-made WAL files for the decoder tests and fuzz seeds: a crash
+// mid-append (a torn, unacked final line) and real corruption (a bad line
+// with more entries after it).
+const (
+	walTornTail       = `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + `{"tag":2,"at":9,"in":2`
+	walMidFileGarbage = `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + "garbage\n" + `{"tag":3,"at":9,"in":128,"out":16}` + "\n"
 )
 
 // durableConfig builds a durable session config on a fake clock with a
 // small looping base trace.
-func durableConfig(t *testing.T, dir string, clock *fakeClock) Config {
+func durableConfig(t testing.TB, dir string, clock *fakeClock) Config {
 	t.Helper()
 	opts := core.SinglePool()
 	opts.Seed = 7
@@ -148,8 +163,7 @@ func TestDurableDeterministicReplay(t *testing.T) {
 // pre-ack) is dropped silently while earlier entries survive.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
-	wal := `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + `{"tag":2,"at":9,"in":2`
-	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(wal), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(walTornTail), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	entries, maxTag, err := readWAL(dir)
@@ -165,8 +179,7 @@ func TestWALTornTail(t *testing.T) {
 // is treated as corruption, not a torn write.
 func TestWALMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
-	wal := `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + "garbage\n" + `{"tag":3,"at":9,"in":128,"out":16}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(wal), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(walMidFileGarbage), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readWAL(dir); err == nil {
@@ -222,5 +235,169 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("lagging session admitted an injection, want OverloadError")
 	} else if _, ok := err.(*OverloadError); !ok {
 		t.Fatalf("got %v, want OverloadError", err)
+	}
+}
+
+// encodeWAL renders entries as the canonical WAL lines walFile.append
+// writes.
+func encodeWAL(t *testing.T, entries []walEntry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, e := range entries {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadWAL: any byte string either decodes or errors — never panics.
+// Whatever decodes re-encodes to canonical lines that decode back to the
+// same entries, stay intact under a torn final line, and are rejected
+// when a garbage line with more lines after it follows them.
+func FuzzReadWAL(f *testing.F) {
+	f.Add([]byte(walTornTail))
+	f.Add([]byte(walMidFileGarbage))
+	f.Add([]byte(""))
+	f.Add([]byte("\n\n"))
+	f.Add([]byte(`{"tag":18446744073709551615,"at":1e308,"in":-1,"out":0}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, maxTag, err := decodeWAL(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		canon := make([]walEntry, len(entries))
+		var wantMax uint64
+		for i, e := range entries {
+			canon[i] = walEntry{Tag: e.Tag, At: float64(e.At), In: e.InputTokens, Out: e.OutputTokens}
+			wantMax = max(wantMax, e.Tag)
+		}
+		if maxTag != wantMax {
+			t.Fatalf("maxTag %d, entries say %d", maxTag, wantMax)
+		}
+		enc := encodeWAL(t, canon)
+		for _, tail := range []string{"", `{"tag":7,"at":1`} {
+			got, gotMax, err := decodeWAL(bytes.NewReader(append(enc[:len(enc):len(enc)], tail...)), "fuzz")
+			if err != nil {
+				t.Fatalf("canonical WAL + %q rejected: %v", tail, err)
+			}
+			if !reflect.DeepEqual(got, entries) || gotMax != maxTag {
+				t.Fatalf("canonical WAL + %q decoded to %v (max %d), want %v (max %d)", tail, got, gotMax, entries, maxTag)
+			}
+		}
+		corrupt := append(enc[:len(enc):len(enc)], "garbage\n"+`{"tag":1,"at":0,"in":1,"out":1}`+"\n"...)
+		if _, _, err := decodeWAL(bytes.NewReader(corrupt), "fuzz"); err == nil {
+			t.Fatal("mid-file garbage accepted")
+		}
+	})
+}
+
+// FuzzReadCheckpoint: any byte string either decodes or errors — never
+// panics — and whatever decodes is the current version, has a reachable
+// boundary, and survives a write/read round trip unchanged.
+func FuzzReadCheckpoint(f *testing.F) {
+	valid, err := json.MarshalIndent(CheckpointFile{
+		Version: checkpointVersion, System: "dynamollm", Seed: 42, Speed: 60,
+		Fidelity: "event", Loop: true, BoundaryVirtualS: 600, NextTag: 17, Loops: 1,
+		Meta: map[string]string{"peak": "45"},
+	}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2]) // torn write
+	f.Add(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 2`), 1))
+	f.Add(bytes.Replace(valid, []byte(`600`), []byte(`-600`), 1))
+	f.Add([]byte("garbage"))
+	f.Add([]byte("null"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if ck.Version != checkpointVersion || ck.BoundaryVirtualS < 0 {
+			t.Fatalf("accepted checkpoint %+v", ck)
+		}
+		dir := t.TempDir()
+		if err := writeCheckpoint(dir, *ck); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCheckpoint(dir)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v", err)
+		}
+		if len(ck.Meta) == 0 {
+			ck.Meta = nil // omitempty: an empty map is written as absent
+		}
+		if !reflect.DeepEqual(back, ck) {
+			t.Fatalf("round trip changed the checkpoint:\n got %+v\nwant %+v", back, ck)
+		}
+	})
+}
+
+// BenchmarkRestore prices the one recovery path: rebuilding a killed
+// durable session re-simulates from virtual zero to the checkpointed
+// boundary with the WAL re-injected, so its cost grows linearly with the
+// session's virtual uptime. restore-s/virtual-h normalizes by uptime so
+// the rungs compare directly. The session is dynamoserve's default one
+// (dynamollm over the open-source hour at a 45 req/s peak, looping), and
+// one acked injection per virtual minute keeps the WAL replay in the
+// measured path.
+func BenchmarkRestore(b *testing.B) {
+	const peak, seed = 45, 42
+	for _, f := range []core.Fidelity{core.FidelityFluid, core.FidelityEvent} {
+		for _, uptime := range []time.Duration{10 * time.Minute, time.Hour} {
+			b.Run(fmt.Sprintf("%s/uptime=%dm", f, int(uptime.Minutes())), func(b *testing.B) {
+				config := func(dir string, clock *fakeClock) Config {
+					cfg := durableConfig(b, dir, clock)
+					cfg.Name = "dynamollm"
+					cfg.Opts, _ = core.SystemByName(cfg.Name)
+					cfg.Opts.Seed = seed
+					cfg.Opts.Fidelity = f
+					cfg.Opts.WarmLoad = func(t simclock.Time, c workload.Class) float64 {
+						return trace.ExpectedRate(trace.Conversation, peak, t+trace.OpenSourceHourStart, c)
+					}
+					cfg.Trace = trace.OpenSourceHour(peak, seed)
+					cfg.Speed = 60
+					cfg.Logf = nil
+					return cfg
+				}
+				dir := b.TempDir()
+				clock := newFakeClock()
+				cfg := config(dir, clock)
+				s, err := NewDurable(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wallPerMinute := time.Duration(float64(time.Minute) / cfg.Speed)
+				for v := time.Duration(0); v < uptime; v += time.Minute {
+					clock.advance(wallPerMinute)
+					s.Advance()
+					if _, _, err := s.Inject(128, 16, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.mu.Lock()
+				err = s.checkpointLocked()
+				s.mu.Unlock()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.wal.close() // crash: only the state directory survives
+
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := Restore(config(dir, newFakeClock()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					r.wal.close()
+				}
+				b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/uptime.Hours(), "restore-s/virtual-h")
+			})
+		}
 	}
 }

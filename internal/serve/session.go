@@ -539,24 +539,6 @@ func (s *Session) Close() (*core.Result, int) {
 	return res, drained
 }
 
-// Checkpoint advances the session to the present and captures its whole
-// simulation — cluster topology, controller state, and (in event
-// fidelity) every instance engine — as a core.LiveSnapshot. The snapshot
-// is headless: the session's observer and tick-hook agenda are scrubbed
-// from it, because they resolve this session's waiters and live event
-// windows and must not fire from a fork. Resume the snapshot to get an
-// independent core.Live (e.g. to ask "what would the next ten minutes
-// look like" against live traffic) while the session keeps serving.
-func (s *Session) Checkpoint() (*core.LiveSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	s.advanceLocked()
-	return s.live.Snapshot().Headless(), nil
-}
-
 // --- Observer ---------------------------------------------------------------
 
 // sessionObserver adapts Session to core.RequestObserver. Callbacks fire
