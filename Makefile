@@ -28,12 +28,18 @@ BASE ?= 9
 # Budget for the fuzz-smoke target (per fuzz target).
 FUZZTIME ?= 30s
 
-.PHONY: all build test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke
+.PHONY: all build bench-check test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke
 
 all: build lint docs-check test
 
 build:
 	$(GO) build ./...
+
+# The end-to-end benchmark (bench/) is its own module built against this
+# one through a replace directive; nothing else compiles it, so a change to
+# a type it uses would otherwise surface only when the benchmark runs.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Event-fidelity tests push internal/expt past the default 10-minute
 # per-package budget under the race detector; give the suite headroom.

@@ -14,32 +14,13 @@
 //	fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 //	fig13 fig14 fig15 fig16 cost headline scenarios fidelity
 //
-// (fig6..fig10 share one six-system cluster simulation; "scenarios" runs
+// fig6..fig10 share one six-system cluster simulation. "scenarios" runs
 // the whole built-in scenario library across all six systems, and
-// "scenario <name>" runs one — a library name like flashcrowd, or a path
-// to a JSON scenario definition. "fidelity" cross-validates the fluid
-// model against the event-level engine, "chaos" sweeps the fault grid —
-// crash intensity x straggler fraction x retry budget — "kv" sweeps the
-// KV-cache grid — capacity factor x prefix share x disaggregation x
-// spill tier, always event fidelity — and none of the three is part of
-// "all".)
-//
-// -fidelity {fluid,event} selects the instance service model for every
-// cluster simulation: the closed-form fluid model (fast default) or one
-// event-level engine per instance (ground truth, slower). In event mode
-// -jobs also bounds the worker pool stepping instance engines inside each
-// simulation; any value produces byte-identical output.
-//
-// -disagg splits every pool of every cluster simulation into a prefill
-// pool and a decode pool with a modeled KV-transfer handoff between them
-// (implies -fidelity event).
-//
-// -kv-tier {none,cpu,ssd} puts a spill tier below every engine's GPU
-// block pool (implies -fidelity event): preemption victims swap out over
-// a modeled link (cpu ~25 GB/s, ssd ~5 GB/s; -tier-bw overrides) instead
-// of recomputing when the modeled transfer is cheaper — or always, with
-// -swap-policy always. The kv sweep carries its own tier axis and
-// ignores these flags for its tier cells.
+// "scenario <name>" runs one: a library name like flashcrowd, or a path
+// to a JSON scenario definition. "fidelity", "chaos" and "kv" are kept
+// out of "all". Run dynamobench -h for the flags, among them the
+// substrate knobs (-fidelity, -disagg, -kv-tier, -tier-bw,
+// -swap-policy) that apply to every cluster simulation.
 package main
 
 import (
@@ -63,15 +44,16 @@ func main() {
 }
 
 func realMain() int {
-	peak := flag.Float64("peak", 45, "weekly-peak request rate (req/s) for cluster experiments")
-	seed := flag.Uint64("seed", 42, "random seed")
-	quick := flag.Bool("quick", false, "shrink long experiments (2-day weeks, thinner load)")
-	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations per experiment (output is identical for any value)")
-	fidelity := flag.String("fidelity", "fluid", "instance fidelity backend: fluid|event")
-	disagg := flag.Bool("disagg", false, "split pools into prefill/decode with a modeled KV handoff (implies -fidelity event)")
-	kvTier := flag.String("kv-tier", "none", "KV spill tier below each engine's GPU block pool: none|cpu|ssd (implies -fidelity event; the kv sweep carries its own tier axis)")
-	tierBW := flag.Float64("tier-bw", 0, "override the KV spill link bandwidth in bytes/s (0 = tier default: 25e9 cpu, 5e9 ssd)")
-	swapPolicy := flag.String("swap-policy", "auto", "KV swap-vs-recompute policy under a spill tier: auto|always")
+	cfg := expt.Default()
+	flag.Float64Var(&cfg.PeakRPS, "peak", cfg.PeakRPS, "weekly-peak request rate (req/s) for cluster experiments")
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	flag.BoolVar(&cfg.Quick, "quick", false, "shrink long experiments (2-day weeks, thinner load)")
+	flag.IntVar(&cfg.Parallelism, "jobs", runtime.NumCPU(), "max concurrent simulations per experiment, and engine-stepping workers per event simulation (output is identical for any value)")
+	flag.TextVar(&cfg.Fidelity, "fidelity", cfg.Fidelity, "instance fidelity backend: fluid|event")
+	flag.BoolVar(&cfg.Disagg, "disagg", false, "split pools into prefill/decode with a modeled KV handoff (implies -fidelity event)")
+	flag.TextVar(&cfg.KVTier, "kv-tier", cfg.KVTier, "KV spill tier below each engine's GPU block pool: none|cpu|ssd (implies -fidelity event; the kv sweep carries its own tier axis)")
+	flag.Float64Var(&cfg.KVTierBandwidth, "tier-bw", 0, "override the KV spill link bandwidth in bytes/s (0 = tier default: 25e9 cpu, 5e9 ssd)")
+	flag.TextVar(&cfg.KVSwapPolicy, "swap-policy", cfg.KVSwapPolicy, "KV swap-vs-recompute policy under a spill tier: auto|always")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	flag.Usage = func() {
@@ -86,25 +68,7 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-
-	fid, err := core.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynamobench: unknown fidelity %q (want one of %v)\n\n", *fidelity, core.FidelityNames)
-		flag.Usage()
-		return 2
-	}
-	tier, err := core.ParseKVTier(*kvTier)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynamobench: unknown kv tier %q (want one of %v)\n\n", *kvTier, core.KVTierNames)
-		flag.Usage()
-		return 2
-	}
-	policy, err := core.ParseKVSwapPolicy(*swapPolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynamobench: unknown kv swap policy %q (want one of %v)\n\n", *swapPolicy, core.KVSwapPolicyNames)
-		flag.Usage()
-		return 2
-	}
+	cfg.StepJobs = cfg.Parallelism
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -132,21 +96,6 @@ func realMain() int {
 				fmt.Fprintf(os.Stderr, "dynamobench: %v\n", err)
 			}
 		}()
-	}
-
-	cfg := expt.Default()
-	cfg.PeakRPS = *peak
-	cfg.Seed = *seed
-	cfg.Quick = *quick
-	cfg.Parallelism = *jobs
-	cfg.Fidelity = fid
-	cfg.StepJobs = *jobs
-	cfg.Disagg = *disagg
-	cfg.KVTier = tier
-	cfg.KVTierBandwidth = *tierBW
-	cfg.KVSwapPolicy = policy
-	if *disagg || tier != core.KVTierNone {
-		cfg.Fidelity = core.FidelityEvent
 	}
 
 	// Scenario mode: run named (or JSON-defined) scenarios through the

@@ -62,7 +62,8 @@ func realMain() int {
 	peak := flag.Float64("peak", 45, "weekly-peak request rate")
 	speed := flag.Float64("speed", 60, "virtual seconds per wall second")
 	seed := flag.Uint64("seed", 42, "random seed")
-	fidelity := flag.String("fidelity", "event", "instance fidelity backend: fluid|event")
+	fidelity := core.FidelityEvent
+	flag.TextVar(&fidelity, "fidelity", fidelity, "instance fidelity backend: fluid|event")
 	loop := flag.Bool("loop", true, "replay the base trace when its horizon is reached")
 	waitTimeout := flag.Duration("wait-timeout", serve.DefaultWaitTimeout, "max wall time a /request waits for its completion")
 	maxInflight := flag.Int("max-inflight", 0, "shed /request injections (429) once this many are in flight (0 = unlimited)")
@@ -85,7 +86,11 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "dynamoserve: restore: %v\n", err)
 			return 1
 		}
-		*system, *seed, *speed, *fidelity, *loop = ck.System, ck.Seed, ck.Speed, ck.Fidelity, ck.Loop
+		if err := fidelity.UnmarshalText([]byte(ck.Fidelity)); err != nil {
+			fmt.Fprintf(os.Stderr, "dynamoserve: restore: checkpoint in %s: %v\n", *stateDir, err)
+			return 1
+		}
+		*system, *seed, *speed, *loop = ck.System, ck.Seed, ck.Speed, ck.Loop
 		if p, err := strconv.ParseFloat(ck.Meta["peak"], 64); err == nil && p > 0 {
 			*peak = p
 		}
@@ -97,13 +102,7 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
-	fid, err := core.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynamoserve: unknown fidelity %q (want one of %v)\n\n", *fidelity, core.FidelityNames)
-		flag.Usage()
-		return 2
-	}
-	opts.Fidelity = fid
+	opts.Fidelity = fidelity
 	opts.Seed = *seed
 	base := trace.OpenSourceHour(*peak, *seed)
 	// With -loop, the session wraps this curve at its replay period so
@@ -125,12 +124,11 @@ func realMain() int {
 		StateDir:      *stateDir,
 		Meta:          map[string]string{"peak": strconv.FormatFloat(*peak, 'g', -1, 64)},
 	}
-	var session *serve.Session
+	open := serve.NewDurable
 	if *restore {
-		session, err = serve.Restore(cfg)
-	} else {
-		session, err = serve.NewDurable(cfg)
+		open = serve.Restore
 	}
+	session, err := open(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynamoserve: %v\n", err)
 		return 1
@@ -139,7 +137,7 @@ func realMain() int {
 
 	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(session, *waitTimeout)}
 	log.Printf("dynamoserve: %s on %s (x%.0f virtual time, %s fidelity, %d trace requests, loop=%v)",
-		*system, *addr, *speed, fid, len(base), *loop)
+		*system, *addr, *speed, fidelity, len(base), *loop)
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()

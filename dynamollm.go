@@ -19,6 +19,8 @@
 package dynamollm
 
 import (
+	"encoding"
+	"errors"
 	"fmt"
 
 	"dynamollm/internal/core"
@@ -203,35 +205,33 @@ func (cfg Config) coreOptions() (core.Options, error) {
 	if cfg.NumPools > 0 {
 		opts.NumPools = cfg.NumPools
 	}
-	if cfg.Fidelity != "" {
-		fid, err := core.ParseFidelity(cfg.Fidelity)
-		if err != nil {
-			return core.Options{}, fmt.Errorf("dynamollm: unknown fidelity %q (want one of %v)", cfg.Fidelity, Fidelities)
-		}
-		opts.Fidelity = fid
-	}
 	opts.StepJobs = cfg.StepJobs
 	opts.Disagg = cfg.Disagg
 	opts.KVBlockTokens = cfg.KVBlockTokens
 	opts.KVCapacityFactor = cfg.KVCapacityFactor
 	opts.KVPrefixCache = cfg.KVPrefixCache
-	if cfg.KVTier != "" {
-		tier, err := core.ParseKVTier(cfg.KVTier)
-		if err != nil {
-			return core.Options{}, fmt.Errorf("dynamollm: unknown kv tier %q (want one of %v)", cfg.KVTier, KVTiers)
-		}
-		opts.KVTier = tier
-	}
 	opts.KVTierBandwidth = cfg.KVTierBandwidth
-	if cfg.KVSwapPolicy != "" {
-		pol, err := core.ParseKVSwapPolicy(cfg.KVSwapPolicy)
-		if err != nil {
-			return core.Options{}, fmt.Errorf("dynamollm: unknown kv swap policy %q (want one of %v)", cfg.KVSwapPolicy, KVSwapPolicies)
-		}
-		opts.KVSwapPolicy = pol
+	if err := errors.Join(
+		parseName(&opts.Fidelity, cfg.Fidelity),
+		parseName(&opts.KVTier, cfg.KVTier),
+		parseName(&opts.KVSwapPolicy, cfg.KVSwapPolicy),
+	); err != nil {
+		return core.Options{}, err
 	}
 	opts.Seed = cfg.Seed
 	return opts, nil
+}
+
+// parseName resolves a facade enum string into dst; "" keeps dst's
+// default.
+func parseName(dst encoding.TextUnmarshaler, s string) error {
+	if s == "" {
+		return nil
+	}
+	if err := dst.UnmarshalText([]byte(s)); err != nil {
+		return fmt.Errorf("dynamollm: %w", err)
+	}
+	return nil
 }
 
 // wrapResult converts an internal result into the public summary.

@@ -1,6 +1,9 @@
 package dynamollm
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSimulateFacade(t *testing.T) {
 	tr := NewTrace(Conversation, 1, 15, 3).Window(9*3600, 9*3600+1800)
@@ -42,8 +45,18 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(tr, Config{Model: "gpt-5"}); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := Simulate(tr, Config{Fidelity: "warp"}); err == nil {
-		t.Error("unknown fidelity accepted")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Fidelity: "warp"}, "fluid|event"},
+		{Config{KVTier: "tape"}, "none|cpu|ssd"},
+		{Config{KVSwapPolicy: "never"}, "auto|always"},
+	} {
+		_, err := Simulate(tr, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Simulate(%+v) error %v, want one listing %s", c.cfg, err, c.want)
+		}
 	}
 }
 

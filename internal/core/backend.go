@@ -2,13 +2,12 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"dynamollm/internal/energy"
 	"dynamollm/internal/engine"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
+	"dynamollm/internal/order"
 	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
@@ -561,39 +560,23 @@ func (b *eventBackend) stepAll(tickEnd simclock.Time, drain bool) {
 			}
 		}
 	}
-	step := func(clk *simclock.Clock) {
-		if drain {
-			clk.Run()
-		} else {
-			clk.RunUntil(tickEnd)
-		}
-	}
-	jobs := b.s.opts.StepJobs
-	if jobs > len(b.stepClocks) {
-		jobs = len(b.stepClocks)
-	}
-	if jobs <= 1 {
-		for _, clk := range b.stepClocks {
-			step(clk)
-		}
+	if jobs := b.s.opts.StepJobs; jobs > 1 && len(b.stepClocks) > 1 {
+		order.Parallel(len(b.stepClocks), jobs, func(i int) { stepClock(b.stepClocks[i], tickEnd, drain) })
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(b.stepClocks) {
-					return
-				}
-				step(b.stepClocks[i])
-			}
-		}()
+	for _, clk := range b.stepClocks {
+		stepClock(clk, tickEnd, drain)
 	}
-	wg.Wait()
+}
+
+// stepClock runs one clock to tickEnd, or to exhaustion when draining; a
+// plain function, so stepAll's serial path allocates no closure.
+func stepClock(clk *simclock.Clock, tickEnd simclock.Time, drain bool) {
+	if drain {
+		clk.Run()
+	} else {
+		clk.RunUntil(tickEnd)
+	}
 }
 
 // merge folds every engine's buffered results into the shared Result and

@@ -10,9 +10,11 @@
 //	PoolManager     every  5 min  shard-up/down (TP mix within the pool)
 //	InstanceManager every  5 s    scale-up/down (GPU frequency)
 //
-// Baseline systems (SinglePool, MultiPool, ScaleInst, ScaleShard,
-// ScaleFreq) are expressed as Options that disable subsets of the knobs,
-// exactly mirroring §V-A.
+// Baseline systems (singlepool, multipool, scaleinst, scaleshard,
+// scalefreq; see SystemByName) are expressed as Options that disable
+// subsets of the knobs, exactly mirroring §V-A. How each instance is
+// simulated — fidelity, disaggregation, the KV pool and spill tier — is
+// a separate choice, grouped in Substrate.
 //
 // Options.Hook accepts a TickHook (see hooks.go) through which the
 // scenario engine injects mid-run conditions — server outages and
@@ -23,6 +25,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"dynamollm/internal/energy"
 	"dynamollm/internal/gpu"
@@ -53,22 +57,12 @@ const (
 // FidelityNames lists the accepted fidelity names in definition order.
 var FidelityNames = []string{"fluid", "event"}
 
-// String returns the fidelity's CLI name.
-func (f Fidelity) String() string {
-	if f < 0 || int(f) >= len(FidelityNames) {
-		return fmt.Sprintf("Fidelity(%d)", int(f))
-	}
-	return FidelityNames[f]
-}
-
-// ParseFidelity resolves a fidelity name ("fluid", "event").
-func ParseFidelity(s string) (Fidelity, error) {
-	for i, name := range FidelityNames {
-		if s == name {
-			return Fidelity(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown fidelity %q (want fluid|event)", s)
+// String, MarshalText and UnmarshalText map a Fidelity to and from
+// its FidelityNames entry.
+func (f Fidelity) String() string               { return enumName(FidelityNames, "Fidelity", f) }
+func (f Fidelity) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+func (f *Fidelity) UnmarshalText(text []byte) error {
+	return parseEnum(FidelityNames, "fidelity", text, f)
 }
 
 // KVTier selects the KV spill tier below each engine's GPU block pool.
@@ -89,23 +83,11 @@ const (
 // KVTierNames lists the accepted tier names in definition order.
 var KVTierNames = []string{"none", "cpu", "ssd"}
 
-// String returns the tier's CLI name.
-func (t KVTier) String() string {
-	if t < 0 || int(t) >= len(KVTierNames) {
-		return fmt.Sprintf("KVTier(%d)", int(t))
-	}
-	return KVTierNames[t]
-}
-
-// ParseKVTier resolves a KV tier name ("none", "cpu", "ssd").
-func ParseKVTier(s string) (KVTier, error) {
-	for i, name := range KVTierNames {
-		if s == name {
-			return KVTier(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown kv tier %q (want none|cpu|ssd)", s)
-}
+// String, MarshalText and UnmarshalText map a KVTier to and from its
+// KVTierNames entry.
+func (t KVTier) String() string                   { return enumName(KVTierNames, "KVTier", t) }
+func (t KVTier) MarshalText() ([]byte, error)     { return []byte(t.String()), nil }
+func (t *KVTier) UnmarshalText(text []byte) error { return parseEnum(KVTierNames, "kv tier", text, t) }
 
 // KVSwapPolicy picks swap versus recompute for each preemption victim
 // when a spill tier is configured.
@@ -123,31 +105,37 @@ const (
 // order.
 var KVSwapPolicyNames = []string{"auto", "always"}
 
-// String returns the policy's CLI name.
-func (p KVSwapPolicy) String() string {
-	if p < 0 || int(p) >= len(KVSwapPolicyNames) {
-		return fmt.Sprintf("KVSwapPolicy(%d)", int(p))
-	}
-	return KVSwapPolicyNames[p]
+// String, MarshalText and UnmarshalText map a KVSwapPolicy to and from
+// its KVSwapPolicyNames entry.
+func (p KVSwapPolicy) String() string               { return enumName(KVSwapPolicyNames, "KVSwapPolicy", p) }
+func (p KVSwapPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+func (p *KVSwapPolicy) UnmarshalText(text []byte) error {
+	return parseEnum(KVSwapPolicyNames, "kv swap policy", text, p)
 }
 
-// ParseKVSwapPolicy resolves a swap policy name ("auto", "always").
-func ParseKVSwapPolicy(s string) (KVSwapPolicy, error) {
-	for i, name := range KVSwapPolicyNames {
-		if s == name {
-			return KVSwapPolicy(i), nil
-		}
+// enumName returns v's CLI name from names, or typ(v) when out of range.
+func enumName[T ~int](names []string, typ string, v T) string {
+	if v < 0 || int(v) >= len(names) {
+		return fmt.Sprintf("%s(%d)", typ, int(v))
 	}
-	return 0, fmt.Errorf("core: unknown kv swap policy %q (want auto|always)", s)
+	return names[v]
 }
 
-// Options selects the system variant and its parameters.
-type Options struct {
-	// Model is the served LLM (default Llama2-70B).
-	Model *model.Model
-	// SLOScale relaxes the Table IV SLOs (1 = strict 5x).
-	SLOScale float64
+// parseEnum resolves text against names into *dst; an unknown name's
+// error lists every valid one.
+func parseEnum[T ~int](names []string, what string, text []byte, dst *T) error {
+	if i := slices.Index(names, string(text)); i >= 0 {
+		*dst = T(i)
+		return nil
+	}
+	return fmt.Errorf("unknown %s %q (want one of %s)", what, text, strings.Join(names, "|"))
+}
 
+// Substrate selects how each instance is simulated, independent of which
+// control knobs the system scales: the service model, disaggregation,
+// and the KV block pool with its spill tier. Options and expt.Config
+// embed it, so each substrate knob is declared here once.
+type Substrate struct {
 	// Fidelity selects the instance service model: FidelityFluid (the
 	// closed-form default) or FidelityEvent (an event-level engine per
 	// instance). Every controller and scenario works under both; results
@@ -161,25 +149,6 @@ type Options struct {
 	// between controller decisions and their outputs merge in a fixed
 	// instance-ID order.
 	StepJobs int
-
-	// NumPools is the number of request-type pools (9 = paper default;
-	// 1 = SinglePool; Fig. 13 sweeps 2..16).
-	NumPools int
-
-	// The three knobs (§V-A). DynamoLLM enables all three.
-	ScaleInstances bool // scale-out/in server instances with load
-	ScaleSharding  bool // re-shard tensor parallelism with load
-	ScaleFrequency bool // DVFS with load
-
-	// ReducedOverheads enables §IV-C's optimizations: snapshot-based VM
-	// start with pre-warming, background NVLink re-sharding with the
-	// matching planner, and the resident frequency monitor. Disabling it
-	// models the naive paths (Table V, Fig. 3).
-	ReducedOverheads bool
-
-	// PredictorAccuracy is the output-length classifier accuracy
-	// (Fig. 11; 1.0 = oracle).
-	PredictorAccuracy float64
 
 	// Disagg splits every pool into a prefill pool and a decode pool
 	// (prefill/decode disaggregation): requests prefill and produce their
@@ -220,6 +189,36 @@ type Options struct {
 	// KVSwapPolicy picks swap vs recompute per preemption victim
 	// (KVSwapAuto compares modeled costs; KVSwapAlways always spills).
 	KVSwapPolicy KVSwapPolicy
+}
+
+// Options selects the system variant and its parameters.
+type Options struct {
+	// Model is the served LLM (default Llama2-70B).
+	Model *model.Model
+	// SLOScale relaxes the Table IV SLOs (1 = strict 5x).
+	SLOScale float64
+
+	// Substrate selects the instance simulation (fidelity, disagg, KV).
+	Substrate
+
+	// NumPools is the number of request-type pools (9 = paper default;
+	// 1 = SinglePool; Fig. 13 sweeps 2..16).
+	NumPools int
+
+	// The three knobs (§V-A). DynamoLLM enables all three.
+	ScaleInstances bool // scale-out/in server instances with load
+	ScaleSharding  bool // re-shard tensor parallelism with load
+	ScaleFrequency bool // DVFS with load
+
+	// ReducedOverheads enables §IV-C's optimizations: snapshot-based VM
+	// start with pre-warming, background NVLink re-sharding with the
+	// matching planner, and the resident frequency monitor. Disabling it
+	// models the naive paths (Table V, Fig. 3).
+	ReducedOverheads bool
+
+	// PredictorAccuracy is the output-length classifier accuracy
+	// (Fig. 11; 1.0 = oracle).
+	PredictorAccuracy float64
 
 	// RetryBudget is the per-request frontend retry budget (§IV-D): how
 	// many times a squashed request (instance outage, pool with no
@@ -335,75 +334,49 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// System presets mirroring §V-A.
-
-// SinglePool is the state-of-the-practice baseline: one pool, TP8 at the
-// highest GPU frequency, statically provisioned for peak.
-func SinglePool() Options {
-	return Options{NumPools: 1}
-}
-
-// MultiPool separates request types into per-class pools but keeps every
-// knob static at the highest-performance setting.
-func MultiPool() Options {
-	return Options{NumPools: workload.NumClasses}
-}
-
-// ScaleInst adds instance autoscaling to MultiPool.
-func ScaleInst() Options {
-	o := MultiPool()
-	o.ScaleInstances = true
-	return o
-}
-
-// ScaleShard adds tensor-parallelism scaling to MultiPool.
-func ScaleShard() Options {
-	o := MultiPool()
-	o.ScaleSharding = true
-	return o
-}
-
-// ScaleFreq adds DVFS to MultiPool.
-func ScaleFreq() Options {
-	o := MultiPool()
-	o.ScaleFrequency = true
-	return o
-}
-
-// DynamoLLM enables every knob and the overhead reductions.
-func DynamoLLM() Options {
-	return Options{
-		NumPools:         workload.NumClasses,
-		ScaleInstances:   true,
-		ScaleSharding:    true,
-		ScaleFrequency:   true,
-		ReducedOverheads: true,
-	}
-}
-
-// SystemByName resolves the six evaluated systems.
-func SystemByName(name string) (Options, bool) {
-	switch name {
-	case "singlepool":
-		return SinglePool(), true
-	case "multipool":
-		return MultiPool(), true
-	case "scaleinst":
-		return ScaleInst(), true
-	case "scaleshard":
-		return ScaleShard(), true
-	case "scalefreq":
-		return ScaleFreq(), true
-	case "dynamollm":
-		return DynamoLLM(), true
-	}
-	return Options{}, false
+// systems is the preset table mirroring §V-A, in the paper's
+// presentation order (Fig. 6). SinglePool is the state-of-the-practice
+// baseline: one pool, TP8 at the highest GPU frequency, statically
+// provisioned for peak. MultiPool separates request types into per-class
+// pools but keeps every knob static; each Scale* baseline adds one knob
+// to it, and DynamoLLM enables all three plus the overhead reductions.
+var systems = []struct {
+	name string
+	opts Options
+}{
+	{"singlepool", Options{NumPools: 1}},
+	{"multipool", Options{NumPools: workload.NumClasses}},
+	{"scaleinst", Options{NumPools: workload.NumClasses, ScaleInstances: true}},
+	{"scaleshard", Options{NumPools: workload.NumClasses, ScaleSharding: true}},
+	{"scalefreq", Options{NumPools: workload.NumClasses, ScaleFrequency: true}},
+	{"dynamollm", Options{NumPools: workload.NumClasses, ScaleInstances: true,
+		ScaleSharding: true, ScaleFrequency: true, ReducedOverheads: true}},
 }
 
 // SystemNames lists the evaluated systems in the paper's presentation
 // order (Fig. 6).
-var SystemNames = []string{
-	"singlepool", "multipool", "scaleinst", "scaleshard", "scalefreq", "dynamollm",
+var SystemNames = func() []string {
+	names := make([]string, len(systems))
+	for i, sys := range systems {
+		names[i] = sys.name
+	}
+	return names
+}()
+
+// SystemByName resolves one of the six evaluated systems to its options.
+func SystemByName(name string) (Options, bool) {
+	for _, sys := range systems {
+		if sys.name == name {
+			return sys.opts, true
+		}
+	}
+	return Options{}, false
+}
+
+// DynamoLLM enables every knob and the overhead reductions.
+func DynamoLLM() Options {
+	o, _ := SystemByName("dynamollm")
+	return o
 }
 
 // sharedState bundles what all controllers read.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dynamollm/internal/model"
@@ -26,24 +28,35 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// preset resolves a system name that must exist.
+func preset(name string) Options {
+	o, ok := SystemByName(name)
+	if !ok {
+		panic("unknown system " + name)
+	}
+	return o
+}
+
 func TestSystemPresets(t *testing.T) {
-	sp := SinglePool()
+	sp := preset("singlepool")
 	if sp.NumPools != 1 || sp.ScaleInstances || sp.ScaleSharding || sp.ScaleFrequency {
-		t.Errorf("SinglePool = %+v", sp)
+		t.Errorf("singlepool = %+v", sp)
 	}
 	dl := DynamoLLM()
 	if !dl.ScaleInstances || !dl.ScaleSharding || !dl.ScaleFrequency || !dl.ReducedOverheads {
 		t.Errorf("DynamoLLM = %+v", dl)
 	}
-	for _, name := range SystemNames {
-		if _, ok := SystemByName(name); !ok {
-			t.Errorf("SystemByName(%q) failed", name)
-		}
+	if got := preset("dynamollm"); !reflect.DeepEqual(got, dl) {
+		t.Errorf("SystemByName(dynamollm) = %+v, want DynamoLLM() %+v", got, dl)
+	}
+	want := []string{"singlepool", "multipool", "scaleinst", "scaleshard", "scalefreq", "dynamollm"}
+	if !slices.Equal(SystemNames, want) {
+		t.Errorf("SystemNames = %v, want %v", SystemNames, want)
 	}
 	if _, ok := SystemByName("nonsense"); ok {
 		t.Error("unknown system resolved")
 	}
-	// Each Scale* preset enables exactly one knob beyond MultiPool.
+	// Each Scale* preset enables exactly one knob beyond multipool.
 	knobs := func(o Options) int {
 		n := 0
 		for _, b := range []bool{o.ScaleInstances, o.ScaleSharding, o.ScaleFrequency} {
@@ -53,8 +66,10 @@ func TestSystemPresets(t *testing.T) {
 		}
 		return n
 	}
-	if knobs(ScaleInst()) != 1 || knobs(ScaleShard()) != 1 || knobs(ScaleFreq()) != 1 {
-		t.Error("Scale* presets should enable exactly one knob")
+	for _, name := range []string{"scaleinst", "scaleshard", "scalefreq"} {
+		if o := preset(name); knobs(o) != 1 || o.NumPools != preset("multipool").NumPools {
+			t.Errorf("%s should enable exactly one knob beyond multipool: %+v", name, o)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dynamollm/internal/simclock"
@@ -109,18 +112,43 @@ func TestEventModeDeterministic(t *testing.T) {
 	}
 }
 
-// TestParseFidelity pins the CLI name set.
-func TestParseFidelity(t *testing.T) {
-	for i, name := range FidelityNames {
-		f, err := ParseFidelity(name)
-		if err != nil || f != Fidelity(i) {
-			t.Errorf("ParseFidelity(%q) = %v, %v", name, f, err)
-		}
-		if f.String() != name {
-			t.Errorf("Fidelity(%d).String() = %q, want %q", i, f.String(), name)
-		}
+// TestEnumText pins the CLI name sets of the three substrate enums:
+// every name round-trips through UnmarshalText/MarshalText to its own
+// index, and an unknown name's error lists every valid name.
+func TestEnumText(t *testing.T) {
+	type textEnum interface {
+		encoding.TextMarshaler
+		encoding.TextUnmarshaler
 	}
-	if _, err := ParseFidelity("quantum"); err == nil {
-		t.Error("unknown fidelity accepted")
+	for _, c := range []struct {
+		names []string
+		fresh func() textEnum
+	}{
+		{FidelityNames, func() textEnum { return new(Fidelity) }},
+		{KVTierNames, func() textEnum { return new(KVTier) }},
+		{KVSwapPolicyNames, func() textEnum { return new(KVSwapPolicy) }},
+	} {
+		for i, name := range c.names {
+			v := c.fresh()
+			if err := v.UnmarshalText([]byte(name)); err != nil {
+				t.Fatalf("%T.UnmarshalText(%q): %v", v, name, err)
+			}
+			if got := reflect.ValueOf(v).Elem().Int(); got != int64(i) {
+				t.Errorf("%T.UnmarshalText(%q) = %d, want %d", v, name, got, i)
+			}
+			if out, err := v.MarshalText(); err != nil || string(out) != name {
+				t.Errorf("%T(%d).MarshalText() = %q, %v; want %q", v, i, out, err, name)
+			}
+		}
+		v := c.fresh()
+		err := v.UnmarshalText([]byte("quantum"))
+		if err == nil {
+			t.Fatalf("%T accepted an unknown name", v)
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%T error %q does not list %q", v, err, name)
+			}
+		}
 	}
 }

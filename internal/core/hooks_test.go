@@ -45,7 +45,7 @@ func TestTimelineOrderingAndFiring(t *testing.T) {
 // restores them (through provisioning), and counters land in the Result.
 func TestControlsFailAndRecover(t *testing.T) {
 	r, _ := fixtures(t)
-	opts := SinglePool().withDefaults()
+	opts := preset("singlepool").withDefaults()
 	opts.Seed = 1
 	c := NewCluster(opts, r)
 	c.staticProvision(nil)
@@ -92,7 +92,7 @@ func TestControlsFailAndRecover(t *testing.T) {
 // TestControlsPriceAndSLOClamp: non-positive inputs reset to nominal.
 func TestControlsPriceAndSLOClamp(t *testing.T) {
 	r, _ := fixtures(t)
-	c := NewCluster(SinglePool().withDefaults(), r)
+	c := NewCluster(preset("singlepool").withDefaults(), r)
 	ctl := newControls(c, &Result{})
 	ctl.SetPriceMult(4)
 	if ctl.PriceMult() != 4 {
@@ -118,7 +118,7 @@ func TestControlsPriceAndSLOClamp(t *testing.T) {
 // below the 8-GPU server size must not strand failed capacity.
 func TestControlsShardedOutageRecoveryParity(t *testing.T) {
 	r, _ := fixtures(t)
-	opts := MultiPool().withDefaults()
+	opts := preset("multipool").withDefaults()
 	c := NewCluster(opts, r)
 	res := &Result{}
 	for i := 0; i < 3; i++ {

@@ -160,21 +160,22 @@ func (l *Live) ActiveServers() int { return l.sm.ctl.ActiveServers() }
 // usage summed over live event engines plus the run's KV counters. Units
 // are blocks under block-granular accounting (Options.KVBlockTokens > 0)
 // and tokens under the legacy counting path; both are zero under fluid
-// fidelity, which has no per-request KV state.
+// fidelity, which has no per-request KV state. The JSON keys are the
+// ones serve's /stats document carries.
 type KVStats struct {
-	UsedBlocks  int
-	TotalBlocks int
-	Preemptions int
-	PrefixHits  int
-	Rejected    int
-	Handoffs    int
+	UsedBlocks  int `json:"kv_used_blocks"`
+	TotalBlocks int `json:"kv_total_blocks"`
+	Preemptions int `json:"kv_preemptions"`
+	PrefixHits  int `json:"kv_prefix_hits"`
+	Rejected    int `json:"kv_rejected"`
+	Handoffs    int `json:"kv_handoffs"`
 	// Spill-tier occupancy and dynamics (Options.KVTier != KVTierNone).
-	TierUsedBlocks  int
-	TierTotalBlocks int
-	SwapOuts        int
-	SwapIns         int
-	Recomputes      int
-	TierEvictions   int
+	TierUsedBlocks  int `json:"kv_tier_used_blocks"`
+	TierTotalBlocks int `json:"kv_tier_total_blocks"`
+	SwapOuts        int `json:"kv_swap_outs"`
+	SwapIns         int `json:"kv_swap_ins"`
+	Recomputes      int `json:"kv_recomputes"`
+	TierEvictions   int `json:"kv_tier_evictions"`
 }
 
 // KVStats reports current KV occupancy and the run's KV counters. Like

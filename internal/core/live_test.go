@@ -37,7 +37,7 @@ func fingerprint(res *Result) resultFingerprint {
 // from a partial base trace plus injections is comparable to a batch run on
 // the pre-merged trace. WarmLoad is pinned for the same reason.
 func liveOpts(f Fidelity) Options {
-	opts := SinglePool()
+	opts := preset("singlepool")
 	opts.Seed = 7
 	opts.Fidelity = f
 	opts.WarmLoad = warmConv

@@ -82,7 +82,7 @@ func BenchmarkEventFleet(b *testing.B) {
 	repo := profile.NewRepository(nil)
 	tr := trace.OpenSourceHour(45, 11).Window(0, 600)
 	mk := func(jobs int) Options {
-		opts := SinglePool()
+		opts := preset("singlepool")
 		opts.Seed = 7
 		opts.WarmLoad = warmConv
 		opts.Fidelity = FidelityEvent

@@ -40,30 +40,10 @@ type Config struct {
 	// deterministic for any value: each simulation owns its RNG and the
 	// Runner slots results by index, never by completion order.
 	Parallelism int
-	// Fidelity selects the instance service model for every cluster
-	// simulation the harness runs: core.FidelityFluid (default) or
-	// core.FidelityEvent. Event mode owns one virtual clock per
-	// simulation, so results stay deterministic at any Parallelism.
-	Fidelity core.Fidelity
-	// StepJobs bounds the worker pool each event-fidelity simulation uses
-	// to step its instance engines within a tick (core.Options.StepJobs).
-	// Orthogonal to Parallelism — that fans out whole simulations, this
-	// parallelizes inside one — and equally invisible in the results.
-	StepJobs int
-	// Disagg splits every pool of every cluster simulation into a prefill
-	// pool and a decode pool with a modeled KV-transfer handoff
-	// (core.Options.Disagg); implies event fidelity.
-	Disagg bool
-	// KVTier adds a spill tier below every engine's KV block pool
-	// (core.Options.KVTier); implies event fidelity and block accounting.
-	// The kv sweep overrides it per cell (the tier is its own axis).
-	KVTier core.KVTier
-	// KVTierBandwidth overrides the spill link bandwidth in bytes/s
-	// (core.Options.KVTierBandwidth; 0 keeps the tier default).
-	KVTierBandwidth float64
-	// KVSwapPolicy picks swap vs recompute per preemption victim
-	// (core.Options.KVSwapPolicy).
-	KVSwapPolicy core.KVSwapPolicy
+	// Substrate applies to every cluster simulation the harness runs.
+	// StepJobs parallelizes inside one simulation, orthogonal to
+	// Parallelism; the kv sweep overrides the KV fields per cell.
+	core.Substrate
 }
 
 // Default returns the standard harness configuration.
@@ -312,12 +292,7 @@ func (c Config) systemOptions(name string, mutate func(*core.Options)) (core.Opt
 		return core.Options{}, false
 	}
 	opts.Seed = c.Seed
-	opts.Fidelity = c.Fidelity
-	opts.StepJobs = c.StepJobs
-	opts.Disagg = c.Disagg
-	opts.KVTier = c.KVTier
-	opts.KVTierBandwidth = c.KVTierBandwidth
-	opts.KVSwapPolicy = c.KVSwapPolicy
+	opts.Substrate = c.Substrate
 	opts.WarmLoad = c.warm(trace.Conversation, trace.OpenSourceHourStart)
 	if mutate != nil {
 		mutate(&opts)

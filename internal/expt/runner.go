@@ -2,8 +2,8 @@ package expt
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"dynamollm/internal/order"
 )
 
 // Runner fans independent simulations out across a bounded pool of worker
@@ -32,35 +32,7 @@ func (r Runner) limit() int {
 // invocations running concurrently, and returns once all have finished.
 // fn must confine its writes to per-index state (e.g. out[i]).
 func (r Runner) Do(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := r.limit()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	order.Parallel(n, r.limit(), fn)
 }
 
 // Collect runs fn for every index and returns the results in index order,

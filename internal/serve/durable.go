@@ -8,7 +8,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"dynamollm/internal/core"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/trace"
 )
@@ -61,7 +63,8 @@ func ReadCheckpoint(dir string) (*CheckpointFile, error) {
 }
 
 // decodeCheckpoint parses checkpoint bytes, rejecting another format
-// version and a boundary no session can reach (negative virtual time).
+// version, a boundary no session can reach (negative virtual time), and
+// a system or fidelity this build does not know.
 func decodeCheckpoint(data []byte) (*CheckpointFile, error) {
 	var ck CheckpointFile
 	if err := json.Unmarshal(data, &ck); err != nil {
@@ -72,6 +75,13 @@ func decodeCheckpoint(data []byte) (*CheckpointFile, error) {
 	}
 	if ck.BoundaryVirtualS < 0 {
 		return nil, fmt.Errorf("negative boundary %v", ck.BoundaryVirtualS)
+	}
+	if _, ok := core.SystemByName(ck.System); !ok {
+		return nil, fmt.Errorf("unknown system %q (want one of %s)", ck.System, strings.Join(core.SystemNames, "|"))
+	}
+	var fid core.Fidelity
+	if err := fid.UnmarshalText([]byte(ck.Fidelity)); err != nil {
+		return nil, err
 	}
 	return &ck, nil
 }
@@ -104,20 +114,49 @@ func writeCheckpoint(dir string, ck CheckpointFile) error {
 	return os.Rename(tmp, checkpointPath(dir))
 }
 
+// identity is the part of a checkpoint that pins which session it
+// records: the format version plus the configuration a replay must
+// match.
+func (s *Session) identity() CheckpointFile {
+	return CheckpointFile{
+		Version:  checkpointVersion,
+		System:   s.cfg.Name,
+		Seed:     s.cfg.Opts.Seed,
+		Speed:    s.cfg.Speed,
+		Fidelity: s.live.Options().Fidelity.String(),
+		Loop:     s.cfg.Loop,
+	}
+}
+
+// matchCheckpoint reports the first identity field on which ck disagrees
+// with this session. Replaying the WAL into a differently configured
+// cluster would rebuild the wrong session without any error.
+func (s *Session) matchCheckpoint(ck *CheckpointFile) error {
+	id := s.identity()
+	for _, f := range []struct {
+		name     string
+		ck, have any
+	}{
+		{"system", ck.System, id.System},
+		{"seed", ck.Seed, id.Seed},
+		{"speed", ck.Speed, id.Speed},
+		{"fidelity", ck.Fidelity, id.Fidelity},
+		{"loop", ck.Loop, id.Loop},
+	} {
+		if f.ck != f.have {
+			return fmt.Errorf("checkpoint %s is %v, config has %v", f.name, f.ck, f.have)
+		}
+	}
+	return nil
+}
+
 // checkpointLocked writes the current progress marker. Caller holds mu.
 func (s *Session) checkpointLocked() error {
-	ck := CheckpointFile{
-		Version:          checkpointVersion,
-		System:           s.cfg.Name,
-		Seed:             s.cfg.Opts.Seed,
-		Speed:            s.cfg.Speed,
-		Fidelity:         s.live.Options().Fidelity.String(),
-		Loop:             s.cfg.Loop,
-		BoundaryVirtualS: float64(s.live.Boundary()),
-		NextTag:          s.nextTag,
-		Loops:            s.loops,
-		Meta:             s.cfg.Meta,
-	}
+	ck := s.identity()
+	ck.BoundaryVirtualS = float64(s.live.Boundary())
+	ck.NextTag = s.nextTag
+	ck.Loops = s.loops
+	ck.Meta = s.cfg.Meta
 	if err := writeCheckpoint(s.cfg.StateDir, ck); err != nil {
 		return err
 	}
@@ -263,10 +302,11 @@ func NewDurable(cfg Config) (*Session, error) {
 
 // Restore rebuilds a killed session from its state directory. cfg must
 // describe the same session the checkpoint was taken from (cmd/dynamoserve
-// reconstructs it from ReadCheckpoint): the simulation is deterministic,
-// so replaying the same base trace plus the WAL's injections at their
-// original virtual instants, then fast-forwarding to the checkpointed
-// boundary, reproduces the pre-crash state exactly. Requests acked after
+// reconstructs it from ReadCheckpoint); a system, seed, speed, resolved
+// fidelity or loop setting that disagrees is an error. The simulation is
+// deterministic, so replaying the same base trace plus the WAL's
+// injections at their original virtual instants, then fast-forwarding to
+// the checkpointed boundary, reproduces the pre-crash state exactly. Requests acked after
 // the final checkpoint sit in the restored session's near future and are
 // served normally — no acked request is lost. Their original waiters are
 // gone with the old process, so their completions resolve without
@@ -284,6 +324,9 @@ func Restore(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
 	s := New(cfg)
+	if err := s.matchCheckpoint(ck); err != nil {
+		return nil, fmt.Errorf("serve: restore: %w", err)
+	}
 	resume := simclock.Time(ck.BoundaryVirtualS)
 	s.pacer = simclock.NewPacerAt(s.cfg.Speed, resume, cfg.WallClock)
 	s.nextTag = ck.NextTag

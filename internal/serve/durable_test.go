@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ const (
 // small looping base trace.
 func durableConfig(t testing.TB, dir string, clock *fakeClock) Config {
 	t.Helper()
-	opts := core.SinglePool()
+	opts := singlePool()
 	opts.Seed = 7
 	opts.Fidelity = core.FidelityEvent
 	return Config{
@@ -121,6 +123,41 @@ func TestDurableRestore(t *testing.T) {
 	}
 }
 
+// TestDurableRestoreMismatch: a Restore whose configuration disagrees
+// with the checkpoint in system, seed, speed, resolved fidelity or loop
+// must fail and name the field, instead of replaying the WAL into a
+// different cluster.
+func TestDurableRestoreMismatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDurable(durableConfig(t, dir, newFakeClock()))
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	s.wal.close()
+	for _, c := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"system", func(c *Config) { c.Name = "multipool" }},
+		{"seed", func(c *Config) { c.Opts.Seed++ }},
+		{"speed", func(c *Config) { c.Speed *= 2 }},
+		{"fidelity", func(c *Config) { c.Opts.Fidelity = core.FidelityFluid }},
+		{"loop", func(c *Config) { c.Loop = false }},
+	} {
+		cfg := durableConfig(t, dir, newFakeClock())
+		c.mutate(&cfg)
+		_, err := Restore(cfg)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint "+c.field+" ") {
+			t.Errorf("%s mismatch: Restore error %v, want one naming %q", c.field, err, c.field)
+		}
+	}
+	r, err := Restore(durableConfig(t, dir, newFakeClock()))
+	if err != nil {
+		t.Fatalf("matching Restore: %v", err)
+	}
+	r.wal.close()
+}
+
 // TestDurableDeterministicReplay pins that restoring twice from the same
 // state directory yields identical sessions: same boundary, same request
 // counts after the same advance.
@@ -191,7 +228,7 @@ func TestWALMidFileCorruption(t *testing.T) {
 // both shed with OverloadError and count in Stats.AdmissionShed.
 func TestAdmissionControl(t *testing.T) {
 	clock := newFakeClock()
-	opts := core.SinglePool()
+	opts := singlePool()
 	opts.Seed = 7
 	opts.Fidelity = core.FidelityEvent
 	s := New(Config{
@@ -297,7 +334,7 @@ func FuzzReadWAL(f *testing.F) {
 
 // FuzzReadCheckpoint: any byte string either decodes or errors — never
 // panics — and whatever decodes is the current version, has a reachable
-// boundary, and survives a write/read round trip unchanged.
+// boundary, names a known system and fidelity, and survives a write/read round trip unchanged.
 func FuzzReadCheckpoint(f *testing.F) {
 	valid, err := json.MarshalIndent(CheckpointFile{
 		Version: checkpointVersion, System: "dynamollm", Seed: 42, Speed: 60,
@@ -313,12 +350,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`600`), []byte(`-600`), 1))
 	f.Add([]byte("garbage"))
 	f.Add([]byte("null"))
+	f.Add(bytes.Replace(valid, []byte(`"dynamollm"`), []byte(`"warpdrive"`), 1)) // unknown system
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		if err != nil {
 			return
 		}
-		if ck.Version != checkpointVersion || ck.BoundaryVirtualS < 0 {
+		_, known := core.SystemByName(ck.System)
+		if ck.Version != checkpointVersion || ck.BoundaryVirtualS < 0 || !known ||
+			!slices.Contains(core.FidelityNames, ck.Fidelity) {
 			t.Fatalf("accepted checkpoint %+v", ck)
 		}
 		dir := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +220,57 @@ func TestHTTPMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestStatsWireFormat pins the /stats document's keys and their order:
+// the KV block embeds core.KVStats, and moving or retagging it must not
+// reshuffle the wire format. A zero Stats emits the 43 always-present
+// keys; the two omitempty restore/checkpoint keys follow them when set.
+func TestStatsWireFormat(t *testing.T) {
+	want := []string{
+		"virtual_seconds", "fidelity", "requests", "squashed", "completed",
+		"inflight", "retried", "retry_success", "shed", "admission_shed",
+		"energy_kwh", "energy_cost_usd", "avg_servers", "active_servers",
+		"slo_attainment", "ttft_p50_s", "ttft_p99_s", "tbt_p50_s", "tbt_p99_s",
+		"reshards", "scale_outs", "scale_ins", "emergencies", "outages",
+		"recoveries", "price_mult", "slo_factor", "trace_loops",
+		"horizon_reached", "sim_lag_virtual_s", "pending_arrivals",
+		"kv_used_blocks", "kv_total_blocks", "kv_preemptions",
+		"kv_prefix_hits", "kv_rejected", "kv_handoffs",
+		"kv_tier_used_blocks", "kv_tier_total_blocks", "kv_swap_outs",
+		"kv_swap_ins", "kv_recomputes", "kv_tier_evictions",
+	}
+	restored := append(want[:len(want):len(want)], "restored_at_virtual_s", "last_checkpoint_virtual_s")
+	for _, c := range []struct {
+		st   Stats
+		want []string
+	}{
+		{Stats{}, want},
+		{Stats{RestoredAtS: 1, LastCheckpointS: 2}, restored},
+	} {
+		data, err := json.Marshal(c.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(strings.NewReader(string(data)))
+		var got []string
+		if _, err := dec.Token(); err != nil { // opening brace
+			t.Fatal(err)
+		}
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, key.(string))
+			if _, err := dec.Token(); err != nil { // scalar value
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%d keys:\n got %v\nwant %v", len(got), got, c.want)
 		}
 	}
 }

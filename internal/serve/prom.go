@@ -67,18 +67,18 @@ func (s *Session) renderMetrics(w *bytes.Buffer) {
 	c("shed_total", "requests dropped after exhausting their retry budget", float64(st.Shed))
 	c("admission_shed_total", "injections rejected by admission control (HTTP 429)", float64(st.AdmissionShed))
 	c("trace_loops_total", "base-trace replays", float64(st.TraceLoops))
-	g("kv_used_blocks", "KV-cache occupancy summed over live event engines", float64(st.KVUsedBlocks))
-	g("kv_total_blocks", "KV-cache capacity summed over live event engines", float64(st.KVTotalBlocks))
-	c("kv_preemptions_total", "decode sequences preempted under KV pressure", float64(st.KVPreemptions))
-	c("kv_prefix_hits_total", "prompt-prefix cache hits", float64(st.KVPrefixHits))
-	c("kv_rejected_total", "admissions rejected as oversize for an empty KV pool", float64(st.KVRejected))
+	g("kv_used_blocks", "KV-cache occupancy summed over live event engines", float64(st.UsedBlocks))
+	g("kv_total_blocks", "KV-cache capacity summed over live event engines", float64(st.TotalBlocks))
+	c("kv_preemptions_total", "decode sequences preempted under KV pressure", float64(st.Preemptions))
+	c("kv_prefix_hits_total", "prompt-prefix cache hits", float64(st.PrefixHits))
+	c("kv_rejected_total", "admissions rejected as oversize for an empty KV pool", float64(st.Rejected))
 	c("kv_handoffs_total", "prefill-to-decode handoffs under disaggregation", float64(st.Handoffs))
-	g("kv_tier_used_blocks", "spill-tier occupancy summed over live event engines", float64(st.KVTierUsedBlocks))
-	g("kv_tier_total_blocks", "spill-tier capacity summed over live event engines", float64(st.KVTierTotalBlocks))
-	c("kv_swap_outs_total", "sequences swapped out to the spill tier", float64(st.KVSwapOuts))
-	c("kv_swap_ins_total", "sequences swapped back in from the spill tier", float64(st.KVSwapIns))
-	c("kv_recomputes_total", "preempted sequences resolved by prefill recompute", float64(st.KVRecomputes))
-	c("kv_tier_evictions_total", "spilled sequences evicted from a full tier to recompute", float64(st.KVTierEvictions))
+	g("kv_tier_used_blocks", "spill-tier occupancy summed over live event engines", float64(st.TierUsedBlocks))
+	g("kv_tier_total_blocks", "spill-tier capacity summed over live event engines", float64(st.TierTotalBlocks))
+	c("kv_swap_outs_total", "sequences swapped out to the spill tier", float64(st.SwapOuts))
+	c("kv_swap_ins_total", "sequences swapped back in from the spill tier", float64(st.SwapIns))
+	c("kv_recomputes_total", "preempted sequences resolved by prefill recompute", float64(st.Recomputes))
+	c("kv_tier_evictions_total", "spilled sequences evicted from a full tier to recompute", float64(st.TierEvictions))
 
 	writeSummary(w, "ttft_seconds", "time to first token", "", res.TTFT)
 	writeSummary(w, "tbt_seconds", "time between tokens", "", res.TBT)

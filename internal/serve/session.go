@@ -720,22 +720,10 @@ type Stats struct {
 	HorizonReached bool    `json:"horizon_reached"`
 	SimLagSeconds  float64 `json:"sim_lag_virtual_s"`
 	PendingArrival int     `json:"pending_arrivals"`
-	// KV-cache occupancy and dynamics (event fidelity; blocks under
-	// block-granular accounting, tokens under the legacy path).
-	KVUsedBlocks  int `json:"kv_used_blocks"`
-	KVTotalBlocks int `json:"kv_total_blocks"`
-	KVPreemptions int `json:"kv_preemptions"`
-	KVPrefixHits  int `json:"kv_prefix_hits"`
-	KVRejected    int `json:"kv_rejected"`
-	Handoffs      int `json:"kv_handoffs"`
-	// Spill-tier occupancy and swap dynamics (zero when no tier is
-	// configured).
-	KVTierUsedBlocks  int `json:"kv_tier_used_blocks"`
-	KVTierTotalBlocks int `json:"kv_tier_total_blocks"`
-	KVSwapOuts        int `json:"kv_swap_outs"`
-	KVSwapIns         int `json:"kv_swap_ins"`
-	KVRecomputes      int `json:"kv_recomputes"`
-	KVTierEvictions   int `json:"kv_tier_evictions"`
+	// KV-cache occupancy and dynamics, spill tier included (event
+	// fidelity; blocks under block-granular accounting, tokens under the
+	// legacy path; the tier fields are zero when no tier is configured).
+	core.KVStats
 	// RestoredAtS is the virtual instant a crash-restored session resumed
 	// from (0 for a fresh session); LastCheckpointS is the virtual instant
 	// of the latest durable checkpoint (0 when durability is off).
@@ -784,22 +772,10 @@ func (s *Session) statsLocked() Stats {
 		TraceLoops:      s.loops,
 		HorizonReached:  s.horizonReached,
 		PendingArrival:  s.live.PendingArrivals(),
+		KVStats:         s.live.KVStats(),
 		RestoredAtS:     float64(s.restoredAt),
 		LastCheckpointS: float64(s.lastCkptAt),
 	}
-	kv := s.live.KVStats()
-	st.KVUsedBlocks = kv.UsedBlocks
-	st.KVTotalBlocks = kv.TotalBlocks
-	st.KVPreemptions = kv.Preemptions
-	st.KVPrefixHits = kv.PrefixHits
-	st.KVRejected = kv.Rejected
-	st.Handoffs = kv.Handoffs
-	st.KVTierUsedBlocks = kv.TierUsedBlocks
-	st.KVTierTotalBlocks = kv.TierTotalBlocks
-	st.KVSwapOuts = kv.SwapOuts
-	st.KVSwapIns = kv.SwapIns
-	st.KVRecomputes = kv.Recomputes
-	st.KVTierEvictions = kv.TierEvictions
 	if boundary > 0 {
 		st.AvgServers = res.GPUSeconds / 8 / boundary
 	}

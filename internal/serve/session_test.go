@@ -55,12 +55,19 @@ func testTrace(n int, spacing float64) trace.Trace {
 	return tr
 }
 
+// singlePool is the singlepool preset the session tests run: a fixed
+// fleet, so runs stay small and comparable.
+func singlePool() core.Options {
+	opts, _ := core.SystemByName("singlepool")
+	return opts
+}
+
 // testSession builds an unstarted session on a fake clock; tests drive it
 // with clock.advance + session.Advance (or Stats, which advances).
 func testSession(t *testing.T, f core.Fidelity, tr trace.Trace, loop bool, speed float64) (*Session, *fakeClock) {
 	t.Helper()
 	clock := newFakeClock()
-	opts := core.SinglePool()
+	opts := singlePool()
 	opts.Seed = 7
 	opts.Fidelity = f
 	s := New(Config{
