@@ -155,13 +155,15 @@ restore-smoke:
 kv-smoke:
 	$(GO) run -race ./cmd/dynamobench -quick -peak 5 kv | tee kv-sweep.txt
 
-# Short coverage-guided fuzz passes over the scenario JSON loader and the
-# restore decoders (WAL, checkpoint), race detector on. The corpora seed
-# from the builtin library, torn and corrupted state files, and other
-# known-nasty inputs; CI runs this budget on every push so new validation
+# Short coverage-guided fuzz passes over the scenario JSON loader, the
+# /events body decoder and the restore decoders (WAL, checkpoint), race
+# detector on. The corpora seed from the builtin library, the /events
+# test bodies, torn and corrupted state files, and other known-nasty
+# inputs; CI runs this budget on every push so new validation
 # gaps fail fast rather than waiting for a long offline campaign. go test
 # accepts one -fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadWAL$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -race -run='^$$' -fuzz='^FuzzDecodeEvents$$' -fuzztime=$(FUZZTIME) ./internal/serve

@@ -248,9 +248,9 @@ type Options struct {
 
 	// Hook, when non-nil, fires at the start of every tick and may
 	// perturb the run through the Controls facade (outages, price
-	// signals, SLO windows). The scenario engine installs a Timeline
-	// here; hooks are per-run state and must never be shared across
-	// concurrent simulations.
+	// signals, SLO windows). The scenario engine installs a
+	// scenario.Agenda here; hooks are per-run state and must never be
+	// shared across concurrent simulations.
 	Hook TickHook
 
 	// EnergyPriceUSDPerKWh is the nominal electricity price integrated

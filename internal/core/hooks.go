@@ -12,8 +12,8 @@ import (
 //
 // Implementations on the steady path must not allocate: the tick loop's
 // zero-allocation invariant (TestTickLoopAllocationFree) is asserted with
-// a hook installed. Timeline, the standard implementation, costs one slice
-// bounds check per tick between events.
+// a hook installed. scenario.Agenda, the standard implementation, costs
+// one bounds check plus a scan of its open windows per tick.
 type TickHook interface {
 	OnTick(now simclock.Time, ctl *Controls)
 }
@@ -285,42 +285,4 @@ func (ct *Controls) killInstance(in *Instance) {
 	in.state = stateOff
 	ct.s.retire(in, ct.now, false)
 	ct.res.Outages++
-}
-
-// TimelineEvent is one scheduled perturbation: Do fires through the
-// Controls facade the first tick whose time reaches At.
-type TimelineEvent struct {
-	At simclock.Time
-	Do func(ctl *Controls)
-}
-
-// Timeline is the standard TickHook: a time-sorted list of events applied
-// as the simulation reaches them. Between events the per-tick cost is one
-// index comparison and no allocations, preserving the steady-state
-// zero-alloc invariant. A Timeline is single-run state — give every
-// simulation its own instance.
-type Timeline struct {
-	events []TimelineEvent
-	idx    int
-}
-
-// NewTimeline builds a hook from events; the slice is sorted by At
-// (stable, so equal-time events apply in insertion order).
-func NewTimeline(events []TimelineEvent) *Timeline {
-	sorted := make([]TimelineEvent, len(events))
-	copy(sorted, events)
-	for i := 1; i < len(sorted); i++ { // insertion sort: stable, tiny n
-		for j := i; j > 0 && sorted[j].At < sorted[j-1].At; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return &Timeline{events: sorted}
-}
-
-// OnTick applies every event due at or before now.
-func (tl *Timeline) OnTick(now simclock.Time, ctl *Controls) {
-	for tl.idx < len(tl.events) && tl.events[tl.idx].At <= now {
-		tl.events[tl.idx].Do(ctl)
-		tl.idx++
-	}
 }

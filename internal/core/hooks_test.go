@@ -7,36 +7,25 @@ import (
 	"dynamollm/internal/simclock"
 )
 
-// TestTimelineOrderingAndFiring: events fire in time order regardless of
-// construction order, exactly once, and equal-time events keep insertion
-// order.
-func TestTimelineOrderingAndFiring(t *testing.T) {
-	var fired []int
-	mk := func(id int) func(*Controls) {
-		return func(*Controls) { fired = append(fired, id) }
-	}
-	tl := NewTimeline([]TimelineEvent{
-		{At: 30, Do: mk(3)},
-		{At: 10, Do: mk(1)},
-		{At: 30, Do: mk(4)}, // same time as id 3, added after
-		{At: 20, Do: mk(2)},
-	})
-	for now := simclock.Time(0); now <= 50; now += 5 {
-		tl.OnTick(now, nil)
-	}
-	want := []int{1, 2, 3, 4}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-	// Already past: nothing fires twice.
-	tl.OnTick(100, nil)
-	if len(fired) != 4 {
-		t.Errorf("events re-fired: %v", fired)
+// hookEvent is one scheduled perturbation of a testHook.
+type hookEvent struct {
+	at simclock.Time
+	do func(*Controls)
+}
+
+// testHook is the minimal TickHook core's own tests install: events,
+// given in time order, each fire once on the first tick reaching them.
+// (The production hook, scenario.Agenda, lives in a package that imports
+// core.)
+type testHook struct {
+	events []hookEvent
+	next   int
+}
+
+func (h *testHook) OnTick(now simclock.Time, ctl *Controls) {
+	for h.next < len(h.events) && h.events[h.next].at <= now {
+		h.events[h.next].do(ctl)
+		h.next++
 	}
 }
 

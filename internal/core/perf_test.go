@@ -13,10 +13,11 @@ import (
 // integration, and every metrics sink; ScaleFreq adds the DVFS instance
 // manager. Neither runs epoch reconfigurations inside the measured window.
 //
-// A scenario-style event hook is installed: one price event fires during
-// warm-up and another stays pending forever, so the measured window pays
-// the Timeline's real steady-state cost (a bounds check against the next
-// pending event) and it must still be zero allocations.
+// An event hook is installed: one price event fires during warm-up and
+// another stays pending forever, so the measured window pays a hook's
+// steady-state cost (a bounds check against the next pending event) and
+// it must still be zero allocations. The scenario package asserts the same
+// of its own Agenda.
 func TestTickLoopAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster simulation")
@@ -27,11 +28,11 @@ func TestTickLoopAllocationFree(t *testing.T) {
 		opts, _ := SystemByName(system)
 		opts.Seed = 7
 		opts.WarmLoad = warmConv
-		opts.Hook = NewTimeline([]TimelineEvent{
-			{At: 50, Do: func(ctl *Controls) { ctl.SetPriceMult(1.5) }},
-			{At: 400, Do: func(ctl *Controls) { ctl.SetPriceMult(1) }},
-			{At: 1e9, Do: func(ctl *Controls) { ctl.SetPriceMult(2) }}, // never reached
-		})
+		opts.Hook = &testHook{events: []hookEvent{
+			{at: 50, do: func(ctl *Controls) { ctl.SetPriceMult(1.5) }},
+			{at: 400, do: func(ctl *Controls) { ctl.SetPriceMult(1) }},
+			{at: 1e9, do: func(ctl *Controls) { ctl.SetPriceMult(2) }}, // never reached
+		}}
 		sm := newSimulation(tr, opts, r)
 		tick := 0
 		for ; tick < 200; tick++ { // warm caches, buffers, and rate EWMAs

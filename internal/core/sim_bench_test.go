@@ -51,12 +51,12 @@ func BenchmarkTickLoopRetry(b *testing.B) {
 	opts.Fidelity = FidelityEvent
 	opts.WarmLoad = warmConv
 	hook := func() TickHook {
-		return NewTimeline([]TimelineEvent{
-			{At: 200, Do: func(ctl *Controls) { ctl.FailServers(2) }},
-			{At: 400, Do: func(ctl *Controls) { ctl.RecoverServers(2) }},
-			{At: 600, Do: func(ctl *Controls) { ctl.FailServers(2) }},
-			{At: 700, Do: func(ctl *Controls) { ctl.RecoverServers(2) }},
-		})
+		return &testHook{events: []hookEvent{
+			{at: 200, do: func(ctl *Controls) { ctl.FailServers(2) }},
+			{at: 400, do: func(ctl *Controls) { ctl.RecoverServers(2) }},
+			{at: 600, do: func(ctl *Controls) { ctl.FailServers(2) }},
+			{at: 700, do: func(ctl *Controls) { ctl.RecoverServers(2) }},
+		}}
 	}
 	opts.Hook = hook()
 	if res := RunWithRepo(tr, opts, repo); res.Retried == 0 {
@@ -65,7 +65,7 @@ func BenchmarkTickLoopRetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts.Hook = hook() // timelines carry cursor state: fresh per run
+		opts.Hook = hook() // hooks carry cursor state: fresh per run
 		res := RunWithRepo(tr, opts, repo)
 		if res.Requests == 0 {
 			b.Fatal("empty run")

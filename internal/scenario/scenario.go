@@ -9,12 +9,13 @@
 // (Load/LoadFile). Its events split into two groups at compile time:
 // trace-level events (spike, mix-shift) become composable trace.Modifier
 // transforms applied before the simulation starts, and runtime events
-// (outage, recovery, rack, straggler, blip, price, slo) become a
-// core.Timeline hook that fires inside the tick loop through the
+// (outage, recovery, rack, straggler, blip, price, slo) go into an Agenda,
+// the tick hook that fires them inside the tick loop through the
 // core.Controls facade without disturbing its zero-allocation steady
 // state. The stochastic faults kind sits in between: ExpandFaults draws
 // its MTBF-driven crashes and repairs into a concrete, seeded FaultPlan
-// before the hook is compiled, so fault runs replay exactly.
+// before the agenda is built, so fault runs replay exactly. A live
+// serving session appends operator-posted events to its own Agenda.
 //
 // Library returns the named built-in scenarios (flashcrowd, blackfriday,
 // gpu-failures, price-surge, slo-crunch, mixed-week, chaos-monkey) that
@@ -27,6 +28,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"dynamollm/internal/core"
@@ -139,16 +141,14 @@ func (e Event) window() (from, to simclock.Time) {
 	return from, to
 }
 
-// Runtime reports whether the kind fires inside a running simulation
-// (through the tick hook) rather than rewriting the trace before it
-// starts. Only runtime kinds can be injected into a live serving session.
-func (k Kind) Runtime() bool {
-	switch k {
-	case Outage, Recovery, Price, SLO, Faults, Rack, Straggler, Blip:
-		return true
-	}
-	return false
-}
+// RuntimeKinds lists, in documentation order, the kinds that fire inside
+// a running simulation (through the tick hook) rather than rewriting the
+// trace before it starts. Only these can be injected into a live serving
+// session.
+var RuntimeKinds = []Kind{Outage, Recovery, Rack, Straggler, Blip, Faults, Price, SLO}
+
+// Runtime reports whether the kind is one of RuntimeKinds.
+func (k Kind) Runtime() bool { return slices.Contains(RuntimeKinds, k) }
 
 // badNum reports a value no field may carry: NaN slips through one-sided
 // comparisons (NaN <= 0 is false), and infinities turn window arithmetic
@@ -452,24 +452,27 @@ func (s *Scenario) ApplyTrace(tr trace.Trace, seed uint64) trace.Trace {
 }
 
 // Hook compiles the scenario's runtime events (outages, recoveries, rack
-// failures, stragglers, blips, price signals, SLO windows) into a
-// core.Timeline tick hook, or nil if there are none. Stochastic faults
-// events are first expanded into concrete crash/repair instants with the
-// seed (see ExpandFaults), so the same (scenario, seed) always yields the
-// same hook. Every call returns a fresh hook: a Timeline carries per-run
-// cursor state and must never be shared between simulations.
+// failures, stragglers, blips, price signals, SLO windows) into an Agenda
+// tick hook, or nil if there are none. Stochastic faults events are first
+// expanded into concrete crash/repair instants with the seed (see
+// ExpandFaults), so the same (scenario, seed) always yields the same hook.
+// Every call returns a fresh hook: an Agenda carries per-run state and
+// must never be shared between simulations.
 func (s *Scenario) Hook(seed uint64) core.TickHook {
-	events := RuntimeTimeline(expandedEvents(s.Events, s.Days*24, seed), 0)
-	if len(events) == 0 {
+	a := NewAgenda()
+	a.Add(ExpandTimeline(s.Events, s.Days*24, seed), 0)
+	if a.empty() {
 		return nil
 	}
-	return core.NewTimeline(events)
+	return a
 }
 
-// expandedEvents returns the timeline with every stochastic faults event
-// replaced by its seeded concrete expansion; timelines without faults
-// events are returned unchanged (same backing array).
-func expandedEvents(timeline []Event, horizonHours float64, seed uint64) []Event {
+// ExpandTimeline returns the timeline with every stochastic faults event
+// replaced by its seeded concrete expansion (ExpandFaults against
+// horizonHours); timelines without faults events are returned unchanged
+// (same backing array). Scenario runs and live sessions both expand
+// through it before adding to their Agenda.
+func ExpandTimeline(timeline []Event, horizonHours float64, seed uint64) []Event {
 	plan := ExpandFaults(timeline, horizonHours, seed)
 	if len(plan.Events) == 0 {
 		return timeline
@@ -536,117 +539,6 @@ func ExpandFaults(timeline []Event, horizonHours float64, seed uint64) FaultPlan
 // own trace horizon.
 func (s *Scenario) FaultPlan(seed uint64) FaultPlan {
 	return ExpandFaults(s.Events, s.Days*24, seed)
-}
-
-// RuntimeTimeline compiles the runtime-kind events of a timeline (outage,
-// recovery, rack, straggler, blip, price, slo) into core timeline events,
-// each firing through the Controls facade at offset plus its scheduled
-// instant. Trace-level kinds (spike, mix-shift) are skipped: they rewrite
-// arrivals before a simulation starts and have no runtime form. Faults
-// events are skipped too — they are stochastic and must be expanded into
-// concrete outages and recoveries first (ExpandFaults; Scenario.Hook and
-// the live session's injector both do). The offset lets the live serving
-// session schedule an operator-posted timeline relative to the current
-// virtual time instead of the trace start.
-//
-// Price and SLO windows may overlap or abut; at any instant the value in
-// force is that of the most recently started window still open (1 when
-// none is). Windows are compiled to boundary events carrying the active
-// value, so a window ending can never clobber another that is still
-// running.
-func RuntimeTimeline(timeline []Event, offset simclock.Time) []core.TimelineEvent {
-	var events []core.TimelineEvent
-	var priceWins, sloWins, delayWins []valueWindow
-	for _, e := range timeline {
-		e := e
-		from, to := e.window()
-		switch e.Kind {
-		case Outage:
-			events = append(events, core.TimelineEvent{At: from,
-				Do: func(ctl *core.Controls) { ctl.FailServers(e.Servers) }})
-		case Recovery:
-			events = append(events, core.TimelineEvent{At: from,
-				Do: func(ctl *core.Controls) { ctl.RecoverServers(e.Servers) }})
-		case Rack:
-			events = append(events, core.TimelineEvent{At: from,
-				Do: func(ctl *core.Controls) { ctl.FailRack(e.Servers) }})
-			if e.RepairHours > 0 {
-				repairAt := from + simclock.Time(e.RepairHours*3600)
-				events = append(events, core.TimelineEvent{At: repairAt,
-					Do: func(ctl *core.Controls) { ctl.RecoverServers(e.Servers) }})
-			}
-		case Straggler:
-			events = append(events, core.TimelineEvent{At: from,
-				Do: func(ctl *core.Controls) { ctl.StraggleServers(e.Servers, e.SlowFactor) }})
-			events = append(events, core.TimelineEvent{At: to,
-				Do: func(ctl *core.Controls) { ctl.RepairStragglers(e.Servers) }})
-		case Blip:
-			delayWins = append(delayWins, valueWindow{from: from, to: to, val: e.DelaySeconds})
-		case Price:
-			priceWins = append(priceWins, valueWindow{from: from, to: to, val: e.PriceMult})
-		case SLO:
-			sloWins = append(sloWins, valueWindow{from: from, to: to, val: e.SLOFactor})
-		}
-	}
-	events = append(events, boundaryEvents(priceWins, 1, (*core.Controls).SetPriceMult)...)
-	events = append(events, boundaryEvents(sloWins, 1, (*core.Controls).SetSLOFactor)...)
-	events = append(events, boundaryEvents(delayWins, 0, (*core.Controls).SetSubmitDelay)...)
-	if offset != 0 {
-		for i := range events {
-			events[i].At += offset
-		}
-	}
-	return events
-}
-
-// valueWindow is a half-open [from, to) interval during which a price,
-// SLO, or submission-delay value holds.
-type valueWindow struct {
-	from, to simclock.Time
-	val      float64
-}
-
-// activeValue returns the value in force at t: the value of the most
-// recently started window containing t (ties broken by list order, later
-// wins), or def when no window is open (1 for multipliers, 0 for the
-// additive submission delay).
-func activeValue(ws []valueWindow, t simclock.Time, def float64) float64 {
-	v := def
-	started := simclock.Time(math.Inf(-1))
-	for _, w := range ws {
-		if w.from <= t && t < w.to && w.from >= started {
-			started, v = w.from, w.val
-		}
-	}
-	return v
-}
-
-// boundaryEvents compiles value windows into timeline events: one event
-// per boundary where the active value changes, each setting the value
-// that holds from that instant on.
-func boundaryEvents(ws []valueWindow, def float64, set func(*core.Controls, float64)) []core.TimelineEvent {
-	if len(ws) == 0 {
-		return nil
-	}
-	bounds := make([]simclock.Time, 0, 2*len(ws))
-	for _, w := range ws {
-		bounds = append(bounds, w.from, w.to)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	var out []core.TimelineEvent
-	prev := def
-	for i, t := range bounds {
-		if i > 0 && t == bounds[i-1] {
-			continue
-		}
-		v := activeValue(ws, t, def) // fresh per iteration; safe to capture
-		if v == prev {
-			continue
-		}
-		prev = v
-		out = append(out, core.TimelineEvent{At: t, Do: func(ctl *core.Controls) { set(ctl, v) }})
-	}
-	return out
 }
 
 // Load parses a JSON scenario and validates it.

@@ -329,96 +329,3 @@ func TestMixShiftChangesClassShares(t *testing.T) {
 		t.Errorf("mix shift did not raise long-input share: %.2f <= %.2f", a, b)
 	}
 }
-
-// TestWindowCompilation: overlapping and abutting price/SLO windows must
-// compile to boundary events carrying the value actually in force — a
-// window's end never resets a sibling that is still open, and abutting
-// windows hand over without a dip to the nominal value.
-func TestWindowCompilation(t *testing.T) {
-	h := func(hours float64) simclock.Time { return simclock.Time(hours * 3600) }
-	wins := []valueWindow{
-		{from: h(14), to: h(18), val: 4},   // listed before the window that abuts it
-		{from: h(11), to: h(14), val: 0.4}, // abuts at 14h
-		{from: h(20), to: h(30), val: 2},   // enclosing
-		{from: h(22), to: h(25), val: 3},   // nested inside it
-	}
-	cases := []struct {
-		atHours float64
-		want    float64
-	}{
-		{10, 1}, {11, 0.4}, {13.9, 0.4},
-		{14, 4}, // abutting handover, no dip to 1
-		{17.9, 4}, {18, 1},
-		{20, 2}, {22, 3}, {24.9, 3},
-		{25, 2}, // nested window ends, enclosing value restored
-		{29.9, 2}, {30, 1},
-	}
-	for _, tc := range cases {
-		if got := activeValue(wins, h(tc.atHours), 1); got != tc.want {
-			t.Errorf("activeValue at %vh = %v, want %v", tc.atHours, got, tc.want)
-		}
-	}
-
-	var fired []float64
-	evs := boundaryEvents(wins, 1, func(_ *core.Controls, v float64) { fired = append(fired, v) })
-	for i, e := range evs {
-		if i > 0 && e.At < evs[i-1].At {
-			t.Fatalf("boundary events out of order")
-		}
-		e.Do(nil)
-	}
-	want := []float64{0.4, 4, 1, 2, 3, 2, 1}
-	if len(fired) != len(want) {
-		t.Fatalf("fired values %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired values %v, want %v", fired, want)
-		}
-	}
-}
-
-// TestRuntimeTimeline covers the live-injection entry point: trace-level
-// kinds are skipped, runtime kinds compile, and the offset shifts every
-// firing instant (the serving session schedules relative to "now").
-func TestRuntimeTimeline(t *testing.T) {
-	events := []Event{
-		{Kind: Spike, AtHours: 0, DurationHours: 1, RateMult: 3}, // trace-level: skipped
-		{Kind: Outage, AtHours: 1, Servers: 2},
-		{Kind: Price, AtHours: 2, DurationHours: 1, PriceMult: 5},
-	}
-	const offset = simclock.Time(500)
-	evs := RuntimeTimeline(events, offset)
-	// outage + price window start + price window end
-	if len(evs) != 3 {
-		t.Fatalf("compiled %d events, want 3 (spike must be skipped)", len(evs))
-	}
-	if evs[0].At != offset+simclock.Time(3600) {
-		t.Errorf("outage fires at %v, want %v", evs[0].At, offset+simclock.Time(3600))
-	}
-	for _, e := range evs {
-		if e.At < offset {
-			t.Errorf("event at %v fires before the offset %v", e.At, offset)
-		}
-	}
-
-	for _, k := range []Kind{Outage, Recovery, Price, SLO} {
-		if !k.Runtime() {
-			t.Errorf("%s.Runtime() = false, want true", k)
-		}
-	}
-	for _, k := range []Kind{Spike, MixShift, Kind("bogus")} {
-		if k.Runtime() {
-			t.Errorf("%s.Runtime() = true, want false", k)
-		}
-	}
-	if err := ValidateEvent(Event{Kind: Outage}); err == nil {
-		t.Error("outage without servers validated")
-	}
-	if err := ValidateEvent(Event{Kind: Kind("bogus")}); err == nil {
-		t.Error("unknown kind validated")
-	}
-	if err := ValidateEvent(Event{Kind: Price, DurationHours: 2, PriceMult: 3}); err != nil {
-		t.Errorf("valid price event rejected: %v", err)
-	}
-}

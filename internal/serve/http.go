@@ -3,6 +3,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,10 @@ import (
 // backstop against requests the simulation can only resolve in aggregate
 // (a fluid-mode backlog squash has no per-request identity).
 const DefaultWaitTimeout = 2 * time.Minute
+
+// maxBodyBytes caps a /request or /events body; a larger one is answered
+// 413 without being buffered past the cap.
+const maxBodyBytes = 1 << 20
 
 // Handler is the control-plane HTTP API over one session.
 type Handler struct {
@@ -80,10 +85,10 @@ type requestBody struct {
 
 func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
 	var body requestBody
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), badBodyStatus(err))
 		return
 	}
 	if body.InputTokens <= 0 || body.InputTokens > workload.InputLongMax ||
@@ -203,9 +208,9 @@ func (h *Handler) streamSSE(w http.ResponseWriter, r *http.Request, acc Accepted
 }
 
 func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
-	events, err := decodeEvents(r.Body)
+	events, err := decodeEvents(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), badBodyStatus(err))
 		return
 	}
 	at, err := h.s.InjectEvents(events)
@@ -226,16 +231,13 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 // decodeEvents accepts either one scenario event object or an array of
 // them.
 func decodeEvents(r io.Reader) ([]scenario.Event, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	trimmed := strings.TrimSpace(string(raw))
-	if strings.HasPrefix(trimmed, "[") {
+	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
 		var events []scenario.Event
-		if err := strictUnmarshal(raw, &events); err != nil {
+		if err := strictUnmarshal(data, &events); err != nil {
 			return nil, err
 		}
 		if len(events) == 0 {
@@ -244,16 +246,26 @@ func decodeEvents(r io.Reader) ([]scenario.Event, error) {
 		return events, nil
 	}
 	var e scenario.Event
-	if err := strictUnmarshal(raw, &e); err != nil {
+	if err := strictUnmarshal(data, &e); err != nil {
 		return nil, err
 	}
 	return []scenario.Event{e}, nil
 }
 
 func strictUnmarshal(data []byte, v interface{}) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// badBodyStatus maps a body decode error to its status: 413 when the body
+// ran past maxBodyBytes, 400 otherwise.
+func badBodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

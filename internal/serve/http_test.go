@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dynamollm/internal/core"
+	"dynamollm/internal/scenario"
 )
 
 func testHandler(t *testing.T, f core.Fidelity) (*Handler, *fakeClock) {
@@ -31,23 +33,27 @@ func do(h http.Handler, method, target, body string, header ...string) *httptest
 }
 
 // TestHTTPRequestValidation: malformed JSON and non-positive token counts
-// are rejected with 400 before touching the simulation.
+// are rejected with 400, and a body past the size cap with 413, before
+// touching the simulation.
 func TestHTTPRequestValidation(t *testing.T) {
 	h, _ := testHandler(t, core.FidelityFluid)
 	cases := []struct {
 		name, body string
+		code       int
 	}{
-		{"malformed", `{"input_tokens": 12`},
-		{"unknown field", `{"input_tokens":12,"output_tokens":9,"bogus":1}`},
-		{"zero input", `{"input_tokens":0,"output_tokens":9}`},
-		{"negative output", `{"input_tokens":12,"output_tokens":-3}`},
-		{"missing fields", `{}`},
-		{"input over cap", `{"input_tokens":100000,"output_tokens":9}`},
-		{"output over cap", `{"input_tokens":12,"output_tokens":1000000000}`},
+		{"malformed", `{"input_tokens": 12`, http.StatusBadRequest},
+		{"unknown field", `{"input_tokens":12,"output_tokens":9,"bogus":1}`, http.StatusBadRequest},
+		{"zero input", `{"input_tokens":0,"output_tokens":9}`, http.StatusBadRequest},
+		{"negative output", `{"input_tokens":12,"output_tokens":-3}`, http.StatusBadRequest},
+		{"missing fields", `{}`, http.StatusBadRequest},
+		{"input over cap", `{"input_tokens":100000,"output_tokens":9}`, http.StatusBadRequest},
+		{"output over cap", `{"input_tokens":12,"output_tokens":1000000000}`, http.StatusBadRequest},
+		{"oversize body", `{"input_tokens":12,"output_tokens":9,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		if w := do(h, "POST", "/request", tc.body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %q)", tc.name, w.Code, w.Body.String())
+		if w := do(h, "POST", "/request", tc.body); w.Code != tc.code {
+			t.Errorf("%s: status %d, want %d (body %.200q)", tc.name, w.Code, tc.code, w.Body.String())
 		}
 	}
 }
@@ -275,18 +281,34 @@ func TestStatsWireFormat(t *testing.T) {
 	}
 }
 
-// TestHTTPEvents: live scenario events are validated and applied; trace
-// kinds and malformed payloads get 400.
+// eventBodies are /events payloads with the status each must get: both
+// accepted forms, then rejections (trace kinds and malformed payloads get
+// 400, a body past the size cap 413). FuzzDecodeEvents seeds from them.
+var eventBodies = []struct {
+	name, body string
+	code       int
+}{
+	{"single object", `{"kind":"outage","servers":2}`, http.StatusOK},
+	{"array", `[{"kind":"price","price_mult":4,"duration_hours":1}]`, http.StatusOK},
+	{"trace-level kind", `{"kind":"spike","rate_mult":3,"duration_hours":1}`, http.StatusBadRequest},
+	{"unknown kind", `{"kind":"meteor"}`, http.StatusBadRequest},
+	{"missing servers", `{"kind":"outage"}`, http.StatusBadRequest},
+	{"malformed", `{"kind":`, http.StatusBadRequest},
+	{"unknown field", `{"kind":"outage","servers":1,"bogus":true}`, http.StatusBadRequest},
+	{"empty array", `[]`, http.StatusBadRequest},
+	{"oversize body", `{"kind":"outage","servers":1,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+		http.StatusRequestEntityTooLarge},
+}
+
+// TestHTTPEvents: live scenario events are validated and applied; invalid
+// payloads are rejected whole.
 func TestHTTPEvents(t *testing.T) {
 	h, clock := testHandler(t, core.FidelityFluid)
 	clock.advance(time.Second)
-
-	// Single-object and array forms both work.
-	if w := do(h, "POST", "/events", `{"kind":"outage","servers":2}`); w.Code != http.StatusOK {
-		t.Fatalf("outage: %d %s", w.Code, w.Body.String())
-	}
-	if w := do(h, "POST", "/events", `[{"kind":"price","price_mult":4,"duration_hours":1}]`); w.Code != http.StatusOK {
-		t.Fatalf("price array: %d %s", w.Code, w.Body.String())
+	for _, tc := range eventBodies {
+		if w := do(h, "POST", "/events", tc.body); w.Code != tc.code {
+			t.Errorf("%s: status %d, want %d (body %.200q)", tc.name, w.Code, tc.code, w.Body.String())
+		}
 	}
 	clock.advance(time.Second)
 	var st Stats
@@ -296,17 +318,36 @@ func TestHTTPEvents(t *testing.T) {
 	if st.Outages < 2 || st.PriceMult != 4 {
 		t.Errorf("events not applied: outages %d price %v", st.Outages, st.PriceMult)
 	}
+}
 
-	for name, body := range map[string]string{
-		"trace-level kind": `{"kind":"spike","rate_mult":3,"duration_hours":1}`,
-		"unknown kind":     `{"kind":"meteor"}`,
-		"missing servers":  `{"kind":"outage"}`,
-		"malformed":        `{"kind":`,
-		"unknown field":    `{"kind":"outage","servers":1,"bogus":true}`,
-		"empty array":      `[]`,
-	} {
-		if w := do(h, "POST", "/events", body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, w.Code)
+// FuzzDecodeEvents: any /events body either decodes or errors — never
+// panics. Whatever decodes and passes the live validation is runtime
+// kinds only and schedules into a fresh agenda after fault expansion,
+// exactly as InjectEvents does.
+func FuzzDecodeEvents(f *testing.F) {
+	for _, tc := range eventBodies {
+		if len(tc.body) <= maxBodyBytes { // the cap is the handler's, not decodeEvents'
+			f.Add([]byte(tc.body))
 		}
 	}
+	f.Add([]byte(`[{"kind":"faults","duration_hours":2,"mtbf_hours":0.5,"repair_hours":0.25},` +
+		`{"kind":"blip","at_hours":1,"duration_hours":1,"delay_seconds":2}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := decodeEvents(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(events) == 0 {
+			t.Fatal("decoded no events without an error")
+		}
+		if validateLive(events) != nil {
+			return
+		}
+		for _, e := range events {
+			if !e.Kind.Runtime() {
+				t.Fatalf("accepted non-runtime kind %q", e.Kind)
+			}
+		}
+		scenario.NewAgenda().Add(scenario.ExpandTimeline(events, 0, 1), 0)
+	})
 }

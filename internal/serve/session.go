@@ -15,7 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,8 +35,9 @@ type Config struct {
 	Name string
 	// Opts is the control system under test; Fidelity selects the
 	// instance backend (the live server defaults to event fidelity
-	// upstream, in cmd/dynamoserve). Opts.Observer is owned by the
-	// session; Opts.Hook, if set, still fires before injected events.
+	// upstream, in cmd/dynamoserve). The session owns Opts.Hook and
+	// Opts.Observer: it installs its own runtime-event agenda and request
+	// observer, replacing any value set here.
 	Opts core.Options
 	// Trace is the time-ordered base arrival trace (t = 0 is session
 	// start in virtual time).
@@ -146,12 +148,12 @@ type Waiter struct {
 // mu; observer callbacks fire inside advances (under mu) and resolve
 // waiters without re-entering the simulation.
 type Session struct {
-	mu    sync.Mutex
-	cfg   Config
-	live  *core.Live
-	hook  *liveHook
-	pacer *simclock.Pacer
-	logf  func(string, ...interface{})
+	mu     sync.Mutex
+	cfg    Config
+	live   *core.Live
+	agenda *scenario.Agenda
+	pacer  *simclock.Pacer
+	logf   func(string, ...interface{})
 
 	base           trace.Trace
 	baseHorizon    simclock.Time
@@ -192,7 +194,7 @@ func New(cfg Config) *Session {
 	}
 	s := &Session{
 		cfg:     cfg,
-		hook:    &liveHook{static: cfg.Opts.Hook},
+		agenda:  scenario.NewAgenda(),
 		logf:    logf,
 		base:    cfg.Trace,
 		waiters: map[uint64]*Waiter{},
@@ -200,7 +202,7 @@ func New(cfg Config) *Session {
 	}
 	s.baseHorizon = traceEnd(cfg.Trace)
 	opts := cfg.Opts
-	opts.Hook = s.hook
+	opts.Hook = s.agenda
 	opts.Observer = (*sessionObserver)(s)
 	if cfg.Loop && s.baseHorizon > 0 {
 		// The base window replays forever: wrap the predictor's warm
@@ -424,27 +426,18 @@ func (s *Session) Abandon(tag uint64) {
 
 // InjectEvents schedules scenario runtime events relative to the current
 // virtual time (an event's AtHours is "hours from now"). Only runtime
-// kinds are accepted; they are validated, then outages and recoveries are
-// compiled through the scenario timeline machinery into the session's
-// tick-hook agenda, while price and SLO windows join the session's
-// window sets — evaluated per tick across every window posted so far, so
-// windows from separate calls compose exactly like windows within one
-// scenario (most recently started open window wins; a window ending can
-// never clobber another still running). Once any live price (or SLO)
-// window has been posted, the session owns that multiplier; a static
-// scenario hook's same-kind windows are overridden from then on. Returns
-// the virtual time the timeline is anchored at.
+// kinds are accepted, and a call is validated whole before anything is
+// scheduled. Stochastic faults events are expanded into concrete crashes
+// and repairs, each call drawing from a fresh seed stream so repeated
+// identical posts yield different (but logged) instants; then every event
+// joins the session's agenda, the same scenario.Agenda a batch scenario
+// run installs. Windows posted in separate calls therefore compose exactly
+// like windows within one scenario: the most recently started open
+// window wins, and a window ending never clobbers another still running.
+// Returns the virtual time the timeline is anchored at.
 func (s *Session) InjectEvents(events []scenario.Event) (simclock.Time, error) {
-	for i, e := range events {
-		if !e.Kind.Runtime() {
-			return 0, fmt.Errorf("serve: event %d (%s): only runtime events (outage, recovery, rack, straggler, blip, faults, price, slo) can be injected live", i, e.Kind)
-		}
-		if e.AtHours < 0 {
-			return 0, fmt.Errorf("serve: event %d (%s): at_hours must be >= 0 (hours from now)", i, e.Kind)
-		}
-		if err := scenario.ValidateEvent(e); err != nil {
-			return 0, fmt.Errorf("serve: event %d (%s): %v", i, e.Kind, err)
-		}
+	if err := validateLive(events); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -453,37 +446,39 @@ func (s *Session) InjectEvents(events []scenario.Event) (simclock.Time, error) {
 	}
 	s.advanceLocked()
 	now := s.pacer.Now()
-	// Stochastic faults events expand into concrete crashes and repairs
-	// first, each /events call drawing from a fresh seed stream so
-	// repeated identical posts yield different (but logged) instants.
 	s.eventsPosted++
 	seed := s.cfg.Opts.Seed ^ (s.eventsPosted * 0x9e3779b97f4a7c15)
-	if plan := scenario.ExpandFaults(events, 0, seed); len(plan.Events) > 0 {
-		kept := make([]scenario.Event, 0, len(events)+len(plan.Events))
-		for _, e := range events {
-			if e.Kind != scenario.Faults {
-				kept = append(kept, e)
-			}
-		}
-		events = append(kept, plan.Events...)
-		s.logf("serve: expanded faults into %d crash/repair event(s) (seed %d)", len(plan.Events), seed)
+	if slices.ContainsFunc(events, func(e scenario.Event) bool { return e.Kind == scenario.Faults }) {
+		s.logf("serve: expanding faults with seed %d", seed)
 	}
-	var instant []scenario.Event
+	events = scenario.ExpandTimeline(events, 0, seed)
+	s.agenda.Add(events, now)
 	for _, e := range events {
-		from := now + simclock.Time(e.AtHours*3600)
-		to := from + simclock.Time(e.DurationHours*3600)
-		switch e.Kind {
-		case scenario.Price:
-			s.hook.priceWins = append(s.hook.priceWins, valueWindow{from: from, to: to, val: e.PriceMult})
-		case scenario.SLO:
-			s.hook.sloWins = append(s.hook.sloWins, valueWindow{from: from, to: to, val: e.SLOFactor})
-		default:
-			instant = append(instant, e)
-		}
-		s.logf("serve: scheduled %s event at virtual t=%.0fs", e.Kind, float64(from))
+		s.logf("serve: scheduled %s event at virtual t=%.0fs", e.Kind, float64(now+simclock.Time(e.AtHours*3600)))
 	}
-	s.hook.add(scenario.RuntimeTimeline(instant, now))
 	return now, nil
+}
+
+// validateLive checks a posted timeline: runtime kinds only, anchored at
+// or after now, each event valid for its kind.
+func validateLive(events []scenario.Event) error {
+	for i, e := range events {
+		if !e.Kind.Runtime() {
+			kinds := make([]string, len(scenario.RuntimeKinds))
+			for j, k := range scenario.RuntimeKinds {
+				kinds[j] = string(k)
+			}
+			return fmt.Errorf("serve: event %d (%s): only runtime events (%s) can be injected live",
+				i, e.Kind, strings.Join(kinds, ", "))
+		}
+		if e.AtHours < 0 {
+			return fmt.Errorf("serve: event %d (%s): at_hours must be >= 0 (hours from now)", i, e.Kind)
+		}
+		if err := scenario.ValidateEvent(e); err != nil {
+			return fmt.Errorf("serve: event %d (%s): %v", i, e.Kind, err)
+		}
+	}
+	return nil
 }
 
 // Close stops the pacer, advances through every pending arrival, drains
@@ -592,93 +587,6 @@ func (o *sessionObserver) RequestDone(req *workload.Request, ttft, tbt float64, 
 		SLOMet:     met,
 		Squashed:   req.Squashed,
 	}
-}
-
-// --- Live tick-hook agenda ---------------------------------------------------
-
-// liveHook is the session's mutable core.TickHook: a time-sorted agenda
-// of instantaneous runtime events (outages, recoveries) plus the live
-// price/SLO window sets, applied while the session runs. All access
-// happens under the session lock (OnTick fires inside advances, mutation
-// inside InjectEvents), so it needs no locking of its own. static, when
-// set, is the caller-provided hook fired before the live state each tick.
-type liveHook struct {
-	static core.TickHook
-	agenda []core.TimelineEvent
-	head   int
-
-	// priceWins/sloWins accumulate every live-posted window. The value
-	// in force is recomputed each tick across all of them (most recently
-	// started open window wins, 1 when none is), so windows posted in
-	// separate /events calls can never clobber each other the way
-	// independently compiled boundary events would.
-	priceWins []valueWindow
-	sloWins   []valueWindow
-}
-
-// valueWindow is a half-open [from, to) interval during which a price or
-// SLO multiplier holds.
-type valueWindow struct {
-	from, to simclock.Time
-	val      float64
-}
-
-func (h *liveHook) OnTick(now simclock.Time, ctl *core.Controls) {
-	if h.static != nil {
-		h.static.OnTick(now, ctl)
-	}
-	for h.head < len(h.agenda) && h.agenda[h.head].At <= now {
-		h.agenda[h.head].Do(ctl)
-		h.agenda[h.head] = core.TimelineEvent{}
-		h.head++
-	}
-	if h.head == len(h.agenda) {
-		h.agenda = h.agenda[:0]
-		h.head = 0
-	}
-	if len(h.priceWins) > 0 {
-		ctl.SetPriceMult(activeValue(h.priceWins, now))
-		h.priceWins = pruneExpired(h.priceWins, now)
-	}
-	if len(h.sloWins) > 0 {
-		ctl.SetSLOFactor(activeValue(h.sloWins, now))
-		h.sloWins = pruneExpired(h.sloWins, now)
-	}
-}
-
-// activeValue returns the multiplier in force at t: the value of the most
-// recently started window containing t (ties broken by posting order,
-// later wins), or 1 when no window is open.
-func activeValue(ws []valueWindow, t simclock.Time) float64 {
-	v := 1.0
-	started := simclock.Time(math.Inf(-1))
-	for _, w := range ws {
-		if w.from <= t && t < w.to && w.from >= started {
-			started, v = w.from, w.val
-		}
-	}
-	return v
-}
-
-// pruneExpired drops windows that ended at or before now. The value they
-// stopped contributing was already applied this tick (activeValue runs
-// before pruning), so an expiring last window still resets to 1.
-func pruneExpired(ws []valueWindow, now simclock.Time) []valueWindow {
-	live := ws[:0]
-	for _, w := range ws {
-		if w.to > now {
-			live = append(live, w)
-		}
-	}
-	return live
-}
-
-// add merges events (already time-sorted among themselves) into the
-// pending agenda, keeping it sorted by firing time.
-func (h *liveHook) add(events []core.TimelineEvent) {
-	h.agenda = append(h.agenda, events...)
-	pending := h.agenda[h.head:]
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].At < pending[j].At })
 }
 
 // --- Snapshots ---------------------------------------------------------------

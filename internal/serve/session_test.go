@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -227,9 +228,16 @@ func TestSessionEvents(t *testing.T) {
 		t.Errorf("price_mult = %v, want 3 during the injected surge", st.PriceMult)
 	}
 
-	// Trace-level kinds cannot be injected live.
-	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Spike, RateMult: 2, DurationHours: 1}}); err == nil {
-		t.Error("spike event accepted for live injection")
+	// Trace-level kinds cannot be injected live, and the error names
+	// every kind that can.
+	_, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Spike, RateMult: 2, DurationHours: 1}})
+	if err == nil {
+		t.Fatal("spike event accepted for live injection")
+	}
+	for _, k := range scenario.RuntimeKinds {
+		if !strings.Contains(err.Error(), string(k)) {
+			t.Errorf("rejection %q does not name runtime kind %s", err, k)
+		}
 	}
 	// Invalid runtime events are rejected whole.
 	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Outage}}); err == nil {
@@ -268,33 +276,51 @@ func TestSessionCloseDrains(t *testing.T) {
 	}
 }
 
-// TestSessionWindowsCompose: price windows posted in separate /events
-// calls compose exactly like windows inside one scenario — when a
+// TestSessionWindowsCompose: price and SLO windows posted in separate
+// /events calls compose exactly like windows inside one scenario — when a
 // later-posted window ends, the earlier still-open window's value is
 // restored (not clobbered to 1), and only after every window closes does
-// the multiplier return to nominal.
+// the value return to nominal.
 func TestSessionWindowsCompose(t *testing.T) {
-	// speed 3600: one wall second is one virtual hour.
-	s, clock := testSession(t, core.FidelityFluid, testTrace(10, 5), false, 3600)
-	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Price, PriceMult: 5, DurationHours: 2}}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		kind  scenario.Kind
+		event func(val, hours float64) scenario.Event
+		read  func(Stats) float64
+	}{
+		{scenario.Price,
+			func(v, h float64) scenario.Event {
+				return scenario.Event{Kind: scenario.Price, PriceMult: v, DurationHours: h}
+			},
+			func(st Stats) float64 { return st.PriceMult }},
+		{scenario.SLO,
+			func(v, h float64) scenario.Event {
+				return scenario.Event{Kind: scenario.SLO, SLOFactor: v, DurationHours: h}
+			},
+			func(st Stats) float64 { return st.SLOFactor }},
 	}
-	clock.advance(500 * time.Millisecond) // t = 0.5 h
-	s.Advance()
-	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Price, PriceMult: 3, DurationHours: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(100 * time.Millisecond) // t = 0.6 h: both open, B started later
-	if st := s.Stats(); st.PriceMult != 3 {
-		t.Errorf("price at 0.6 h = %v, want 3 (most recently started window)", st.PriceMult)
-	}
-	clock.advance(600 * time.Millisecond) // t = 1.2 h: B ended, A still open
-	if st := s.Stats(); st.PriceMult != 5 {
-		t.Errorf("price at 1.2 h = %v, want 5 (A must survive B's end)", st.PriceMult)
-	}
-	clock.advance(1100 * time.Millisecond) // t = 2.3 h: all windows closed
-	if st := s.Stats(); st.PriceMult != 1 {
-		t.Errorf("price at 2.3 h = %v, want 1 (nominal after the last window)", st.PriceMult)
+	for _, tc := range cases {
+		// speed 3600: one wall second is one virtual hour.
+		s, clock := testSession(t, core.FidelityFluid, testTrace(10, 5), false, 3600)
+		if _, err := s.InjectEvents([]scenario.Event{tc.event(5, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		clock.advance(500 * time.Millisecond) // t = 0.5 h
+		s.Advance()
+		if _, err := s.InjectEvents([]scenario.Event{tc.event(3, 0.5)}); err != nil {
+			t.Fatal(err)
+		}
+		clock.advance(100 * time.Millisecond) // t = 0.6 h: both open, B started later
+		if got := tc.read(s.Stats()); got != 3 {
+			t.Errorf("%s at 0.6 h = %v, want 3 (most recently started window)", tc.kind, got)
+		}
+		clock.advance(600 * time.Millisecond) // t = 1.2 h: B ended, A still open
+		if got := tc.read(s.Stats()); got != 5 {
+			t.Errorf("%s at 1.2 h = %v, want 5 (A must survive B's end)", tc.kind, got)
+		}
+		clock.advance(1100 * time.Millisecond) // t = 2.3 h: all windows closed
+		if got := tc.read(s.Stats()); got != 1 {
+			t.Errorf("%s at 2.3 h = %v, want 1 (nominal after the last window)", tc.kind, got)
+		}
 	}
 }
 

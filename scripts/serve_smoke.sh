@@ -32,7 +32,7 @@ curl -sf "http://$addr/config" >/dev/null
 # event-fidelity cluster; dynamoload exits non-zero on failures.
 "$bin/dynamoload" -url "http://$addr" -rps 500 -duration 3s -mix
 
-# Live runtime event injection through the scenario timeline machinery.
+# Live runtime event injection through the session's runtime-event agenda.
 curl -sf -X POST "http://$addr/events" \
 	-d '{"kind":"price","price_mult":3,"duration_hours":1}' >/dev/null
 sleep 0.5
