@@ -28,7 +28,7 @@ BASE ?= 9
 # Budget for the fuzz-smoke target (per fuzz target).
 FUZZTIME ?= 30s
 
-.PHONY: all build bench-check test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke
+.PHONY: all build bench-check test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke parity
 
 all: build lint docs-check test
 
@@ -155,15 +155,22 @@ restore-smoke:
 kv-smoke:
 	$(GO) run -race ./cmd/dynamobench -quick -peak 5 kv | tee kv-sweep.txt
 
+# Byte-identity gate for refactors: dynamobench stdout at BASE (a git
+# revision here, e.g. `make parity BASE=HEAD~1`) vs the working tree over
+# the experiment list in scripts/parity.sh.
+parity:
+	./scripts/parity.sh $(BASE)
+
 # Short coverage-guided fuzz passes over the scenario JSON loader, the
-# /events body decoder and the restore decoders (WAL, checkpoint), race
-# detector on. The corpora seed from the builtin library, the /events
-# test bodies, torn and corrupted state files, and other known-nasty
-# inputs; CI runs this budget on every push so new validation
-# gaps fail fast rather than waiting for a long offline campaign. go test
-# accepts one -fuzz target per invocation.
+# /events body decoder, the restore decoders (WAL, checkpoint) and the
+# trace CSV reader, race detector on. The corpora seed from the builtin
+# library, the /events test bodies, torn and corrupted state files, and
+# other known-nasty inputs; CI runs this budget on every push so new
+# validation gaps fail fast rather than waiting for a long offline
+# campaign. go test accepts one -fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadWAL$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzDecodeEvents$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace

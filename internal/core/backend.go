@@ -184,7 +184,7 @@ type eventBackend struct {
 	// stepping pool drives this tick (one per engine normally, one per
 	// pool group under disaggregation).
 	stepClocks []*simclock.Clock
-	// scratch stages drained requests during migrations.
+	// scratch is drain's reusable output buffer.
 	scratch []workload.Request
 }
 
@@ -246,12 +246,9 @@ type instEngine struct {
 	// the post-horizon drain tail in Finish.
 	cls workload.Class
 
-	// lastPre/lastHits/lastRej/lastHand (and the tier quartet) are the
-	// engine KV counter values already folded into the Result; settleKV
-	// books the deltas.
-	lastPre, lastHits, lastRej, lastHand int
-	lastSwapOut, lastSwapIn, lastRecomp  int
-	lastTierEvict                        int
+	// settled is the engine's KV counter bank as last folded into the
+	// Result; settleKV books the movement since.
+	settled engine.KVCounters
 
 	// handoffsIn counts KV handoffs received this tick; Advance folds it
 	// into the decode instance's rate EWMA (handed-off work never passes
@@ -606,7 +603,11 @@ func (b *eventBackend) merge() {
 		}
 		ie.toks = ie.toks[:0]
 		for i := range ie.dones {
-			b.complete(&ie.dones[i])
+			// TTFT/TBT come from the request's own timestamps; Arrival
+			// survives retries, so a retried request's TTFT spans every
+			// failed attempt and backoff.
+			d := &ie.dones[i]
+			b.sm.complete(d, d.TTFT(), d.AvgTBT(), d.MeetsSLO())
 		}
 		ie.dones = ie.dones[:0]
 		// Requests the engine rejected (oversize for its KV pool) or
@@ -673,17 +674,8 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 // into the run totals (delta-based, so it is safe to call from both
 // Advance and the retirement/finish paths).
 func (b *eventBackend) settleKV(ie *instEngine) {
-	e := ie.eng
-	b.res.KVPreemptions += e.Preempted - ie.lastPre
-	b.res.KVPrefixHits += e.PrefixHits - ie.lastHits
-	b.res.KVRejected += e.KVRejected - ie.lastRej
-	b.res.Handoffs += e.Handoffs - ie.lastHand
-	ie.lastPre, ie.lastHits, ie.lastRej, ie.lastHand = e.Preempted, e.PrefixHits, e.KVRejected, e.Handoffs
-	b.res.KVSwapOuts += e.SwapOuts - ie.lastSwapOut
-	b.res.KVSwapIns += e.SwapIns - ie.lastSwapIn
-	b.res.KVRecomputes += e.Recomputes - ie.lastRecomp
-	b.res.KVTierEvictions += e.TierEvictions - ie.lastTierEvict
-	ie.lastSwapOut, ie.lastSwapIn, ie.lastRecomp, ie.lastTierEvict = e.SwapOuts, e.SwapIns, e.Recomputes, e.TierEvictions
+	b.res.AddSince(ie.eng.KVCounters, ie.settled)
+	ie.settled = ie.eng.KVCounters
 }
 
 func (b *eventBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
@@ -706,38 +698,26 @@ func (b *eventBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
 		}
 	}
 	ie.transfers = nil
-	if !graceful {
-		// Outage: in-flight work dies with the machine, but the frontend
-		// notices and retries each request against whatever capacity is
-		// left (§IV-D) — terminal squash only past the retry budget.
-		b.scratch = b.scratch[:0]
-		ie.eng.Drain(func(r workload.Request) { b.scratch = append(b.scratch, r) })
-		b.settleEnergy(ie, b.now)
-		for i := range b.scratch {
-			b.sm.frontendFail(b.scratch[i], now)
-		}
-		b.scratch = b.scratch[:0]
-		return
-	}
-	// Planned departure: drain and migrate to the sibling that will
-	// serve soonest; with no sibling left the frontend retry path takes
-	// over.
-	b.scratch = b.scratch[:0]
-	ie.eng.Drain(func(r workload.Request) { b.scratch = append(b.scratch, r) })
+	drained := b.drain(ie)
 	b.settleEnergy(ie, b.now)
-	target := earliestReady(b.c.pools[in.Pool]) // in is stateOff: skipped
-	if target == nil || target == in {
-		for i := range b.scratch {
-			b.sm.frontendFail(b.scratch[i], now)
+	// A planned departure migrates its work to the sibling that will
+	// serve soonest. An outage's in-flight work dies with the machine, but
+	// the frontend notices and retries each request against whatever
+	// capacity is left (§IV-D) — terminal squash only past the retry
+	// budget; a planned departure with no sibling left takes the same path.
+	var te *instEngine
+	if graceful {
+		if target := earliestReady(b.c.pools[in.Pool]); target != nil && target != in { // in is stateOff: skipped
+			te = b.engineFor(target)
 		}
-		b.scratch = b.scratch[:0]
-		return
 	}
-	te := b.engineFor(target)
-	for _, r := range b.scratch {
-		te.eng.SubmitCopy(r)
+	for _, r := range drained {
+		if te != nil {
+			te.eng.SubmitCopy(r)
+		} else {
+			b.sm.frontendFail(r, now)
+		}
 	}
-	b.scratch = b.scratch[:0]
 }
 
 func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
@@ -751,8 +731,7 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 	// Drain-and-migrate onto the new shard layout: resident sequences
 	// cannot survive the layout change, so they restart on the
 	// reconfigured engine after the transition stall.
-	b.scratch = b.scratch[:0]
-	ie.eng.Drain(func(r workload.Request) { b.scratch = append(b.scratch, r) })
+	drained := b.drain(ie)
 	ie.eng.Reconfigure(perfmodel.Config{Model: b.s.opts.Model, TP: in.TP, Freq: in.effFreq()})
 	stallEnd := b.now
 	if in.readyAt > now {
@@ -768,7 +747,7 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 	// Resubmit after the stall window, not before: an iteration event
 	// scheduled before this reshard would otherwise find the requeued
 	// work and serve it inside the transition.
-	for _, r := range b.scratch {
+	for _, r := range drained {
 		b.submitAt(in, r, stallEnd)
 	}
 	in.backlog = 0
@@ -787,12 +766,22 @@ func (b *eventBackend) Finish(end simclock.Time) {
 		if ie == nil {
 			continue
 		}
-		b.res.Squashed += ie.eng.Drain(b.squashSink())
+		for _, r := range b.drain(ie) {
+			b.sm.drop(r, false)
+		}
 		// The drain tail runs past the horizon; book its energy at the
 		// horizon so the series (and carbon pricing) stays inside the
 		// simulated window.
 		b.settleEnergy(ie, end)
 	}
+}
+
+// drain empties an engine of its incomplete requests into the reusable
+// scratch buffer, valid until the next drain.
+func (b *eventBackend) drain(ie *instEngine) []workload.Request {
+	b.scratch = b.scratch[:0]
+	ie.eng.Drain(func(r workload.Request) { b.scratch = append(b.scratch, r) })
+	return b.scratch
 }
 
 // settleEnergy folds an engine's unaccounted joules (since its last tick
@@ -811,45 +800,4 @@ func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 	b.res.EnergyCostUSD += energy.KWh(tickJ) * b.s.opts.EnergyPriceUSDPerKWh * b.s.priceMult
 	b.res.EnergyByClassJ[ie.cls] += tickJ
 	b.res.EnergySeries.Accumulate(float64(at), tickJ)
-}
-
-// complete judges one finished request against its true class's SLO.
-// TTFT/TBT come from the request's own timestamps; Arrival survives
-// retries, so a retried request's TTFT spans every failed attempt and
-// backoff — retry-aware SLO accounting needs no extra term here.
-func (b *eventBackend) complete(req *workload.Request) {
-	res := b.res
-	res.Completed++
-	if req.Retries > 0 {
-		res.RetrySuccess++
-	}
-	cls := req.Class()
-	res.ClassRequests[cls]++
-	res.TTFT.Add(req.TTFT())
-	if tbt := req.AvgTBT(); tbt >= 0 {
-		res.TBT.Add(tbt)
-	}
-	met := req.MeetsSLO()
-	if met {
-		res.SLOMet++
-	} else {
-		res.ClassViolations[cls]++
-	}
-	if obs := b.s.opts.Observer; obs != nil {
-		obs.RequestDone(req, req.TTFT(), req.AvgTBT(), met)
-	}
-}
-
-// squashSink returns the Drain callback that reports each dropped request
-// to the run observer, or nil when no observer is installed (the batch
-// path keeps its allocation-free Drain(nil)).
-func (b *eventBackend) squashSink() func(workload.Request) {
-	obs := b.s.opts.Observer
-	if obs == nil {
-		return nil
-	}
-	return func(r workload.Request) {
-		r.Squashed = true
-		obs.RequestDone(&r, -1, -1, false)
-	}
 }

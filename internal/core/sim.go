@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dynamollm/internal/energy"
+	"dynamollm/internal/engine"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
@@ -145,24 +146,10 @@ type Result struct {
 	ClassViolations [workload.NumClasses]int
 
 	// KV-cache dynamics (event fidelity with block-granular accounting):
-	// decode sequences preempted under KV pressure, prompt-prefix cache
-	// hits, admissions rejected because the request cannot fit even an
-	// empty pool, and prefill-to-decode handoffs under disaggregation.
-	KVPreemptions int
-	KVPrefixHits  int
-	KVRejected    int
-	Handoffs      int
-
-	// Tiered-KV dynamics (KVTier != KVTierNone): sequences swapped out to
-	// the spill tier, swapped back in, preemptions resolved by recompute-
-	// on-resume, and spilled sequences evicted from a full tier (forced
-	// recompute). Every preemption resolves as a swap-out or a recompute,
-	// and every tier eviction converts a swap-out into a recompute, so
-	// KVSwapOuts + KVRecomputes == KVPreemptions + KVTierEvictions.
-	KVSwapOuts      int
-	KVSwapIns       int
-	KVRecomputes    int
-	KVTierEvictions int
+	// the engines' counter bank summed over the run — preemptions, prefix
+	// hits, rejections, handoffs and the spill tier's swaps, recomputes and
+	// evictions — under the same names and laws as engine.KVCounters.
+	engine.KVCounters
 }
 
 // SLOAttainment returns the fraction of completed requests meeting SLOs.
@@ -192,25 +179,8 @@ func (r *Result) CheckInvariants() error {
 	if r.RetrySuccess > r.Completed {
 		return fmt.Errorf("core: RetrySuccess=%d exceeds Completed=%d", r.RetrySuccess, r.Completed)
 	}
-	if r.KVPreemptions < 0 || r.KVPrefixHits < 0 || r.KVRejected < 0 || r.Handoffs < 0 {
-		return fmt.Errorf("core: negative KV counter: preemptions=%d hits=%d rejected=%d handoffs=%d",
-			r.KVPreemptions, r.KVPrefixHits, r.KVRejected, r.Handoffs)
-	}
-	if r.KVSwapOuts < 0 || r.KVSwapIns < 0 || r.KVRecomputes < 0 || r.KVTierEvictions < 0 {
-		return fmt.Errorf("core: negative KV tier counter: swapouts=%d swapins=%d recomputes=%d evictions=%d",
-			r.KVSwapOuts, r.KVSwapIns, r.KVRecomputes, r.KVTierEvictions)
-	}
-	// Tier conservation: a sequence swaps in at most once per swap-out (a
-	// sequence is never simultaneously resident and spilled, so the link
-	// only ever carries it one way at a time)...
-	if r.KVSwapIns > r.KVSwapOuts {
-		return fmt.Errorf("core: KVSwapIns=%d exceeds KVSwapOuts=%d", r.KVSwapIns, r.KVSwapOuts)
-	}
-	// ...and every preemption resolves as exactly one swap-out or one
-	// recompute, with tier evictions converting swap-outs into recomputes.
-	if r.KVSwapOuts+r.KVRecomputes != r.KVPreemptions+r.KVTierEvictions {
-		return fmt.Errorf("core: KV preemption conservation violated: SwapOuts=%d + Recomputes=%d != Preemptions=%d + TierEvictions=%d",
-			r.KVSwapOuts, r.KVRecomputes, r.KVPreemptions, r.KVTierEvictions)
+	if err := r.KVCounters.CheckLaws(); err != nil {
+		return err
 	}
 	// Retry accounting: every completed-after-retry request had at least
 	// one retry attempt scheduled, so RetrySuccess can never pass Retried.
@@ -233,11 +203,10 @@ func (r *Result) CheckInvariants() error {
 	if r.Recoveries > 0 && r.Outages == 0 {
 		return fmt.Errorf("core: %d recoveries with no outage", r.Recoveries)
 	}
-	// Per-class SLO accounting: ClassRequests counts completions that
-	// reached the class-level SLO judgement (the fluid saturated path
-	// skips it, so the sum is bounded by Completed, not equal to it), and
-	// each judged request lands in exactly one of SLOMet or its class's
-	// violation bucket.
+	// Per-class SLO accounting: every completion is judged against its
+	// true class, so ClassRequests sums to Completed, and each judged
+	// request lands in exactly one of SLOMet or its class's violation
+	// bucket.
 	classReqs, classViol := 0, 0
 	for cls := range r.ClassRequests {
 		if r.ClassViolations[cls] > r.ClassRequests[cls] {
@@ -247,8 +216,8 @@ func (r *Result) CheckInvariants() error {
 		classReqs += r.ClassRequests[cls]
 		classViol += r.ClassViolations[cls]
 	}
-	if classReqs > r.Completed {
-		return fmt.Errorf("core: sum(ClassRequests)=%d exceeds Completed=%d", classReqs, r.Completed)
+	if classReqs != r.Completed {
+		return fmt.Errorf("core: sum(ClassRequests)=%d != Completed=%d", classReqs, r.Completed)
 	}
 	if r.SLOMet+classViol != classReqs {
 		return fmt.Errorf("core: SLO judgement not exhaustive: SLOMet=%d + violations=%d != judged=%d",
@@ -829,36 +798,7 @@ func (sm *simulation) step(tick int) {
 		// An injected submission-delay blip holds every arrival at the
 		// frontend; the request pays it like a steering detour.
 		req.SteerPenalty += s.submitDelay
-		in := pool.pickInstance(s, now)
-		if in == nil {
-			// Every instance is transitioning: queue on the one
-			// that returns first rather than dropping (the request
-			// pays the wait in its TTFT).
-			in = earliestReady(pool)
-		}
-		if in == nil {
-			// Pool has nothing at all: hand the request to the frontend
-			// retry path (§IV-D) — it re-enters the router after a
-			// backoff, or is terminally squashed once out of budget.
-			r := *req
-			sm.reqs = sm.reqs[:len(sm.reqs)-1]
-			sm.frontendFail(r, now)
-			continue
-		}
-		a := sm.assignFor(in.ID)
-		a.n++
-		a.inTok += float64(e.InputTokens)
-		a.outTok += float64(e.OutputTokens)
-		a.reqs = append(a.reqs, int32(len(sm.reqs)-1))
-		in.tickAssigned++
-		s.backend.Admit(in, req, now)
-		pool.arrivalsThisTick++
-		if pool.observedSince == 0 {
-			pool.observedSince = now
-			if pool.observedSince == 0 {
-				pool.observedSince = simclock.Time(1e-9)
-			}
-		}
+		sm.place(pool, now)
 	}
 
 	// The event backend serves the tick's arrivals here (engines advance
@@ -895,49 +835,117 @@ func (sm *simulation) nextArrival(tickEnd simclock.Time) (trace.Entry, bool) {
 	return trace.Entry{}, false
 }
 
+// place admits the tick's newest request (the last entry of sm.reqs) on
+// the pool: on the instance the pool picks, or — when every instance is
+// transitioning — on the one returning first (the request pays the wait
+// in its TTFT). A pool with nothing at all pops the request and hands it
+// to the frontend retry path (§IV-D): it re-enters the router after a
+// backoff, or is terminally squashed once out of budget.
+//
+//dynamolint:steadystate
+func (sm *simulation) place(pool *Pool, now simclock.Time) {
+	s := sm.s
+	in := pool.pickInstance(s, now)
+	if in == nil {
+		in = earliestReady(pool)
+	}
+	last := len(sm.reqs) - 1
+	req := &sm.reqs[last]
+	if in == nil {
+		r := *req
+		sm.reqs = sm.reqs[:last]
+		sm.frontendFail(r, now)
+		return
+	}
+	a := sm.assignFor(in.ID)
+	a.n++
+	a.inTok += float64(req.InputTokens)
+	a.outTok += float64(req.OutputTokens)
+	a.reqs = append(a.reqs, int32(last))
+	in.tickAssigned++
+	s.backend.Admit(in, req, now)
+	pool.arrivalsThisTick++
+	if pool.observedSince == 0 {
+		pool.observedSince = now
+		if pool.observedSince == 0 {
+			pool.observedSince = simclock.Time(1e-9)
+		}
+	}
+}
+
 // frontendFail is the single choke point for a request that lost its
 // instance (outage drain, dead-target delivery, pool with no capacity).
 // With budget left it schedules a retry after an exponential backoff in
 // virtual time (Result.Retried); past the budget — or past the bounded
 // retry queue — the request is terminal: Squashed, or Shed on overflow.
-// Callers are all serial phases, so retry order is StepJobs-independent.
+// Once the run is over (the final drain) a retry could never be served,
+// so every failure is terminal. Callers are all serial phases, so retry
+// order is StepJobs-independent.
 func (sm *simulation) frontendFail(r workload.Request, now simclock.Time) {
-	if sm.draining {
-		// The run is over: a retry scheduled now could never be served,
-		// so failures surfaced by the final drain are terminal.
-		sm.res.Squashed++
-		sm.terminalDrop(r)
+	if budget := sm.opts.RetryBudget; sm.draining || budget <= 0 || r.Retries >= budget {
+		sm.drop(r, false)
 		return
 	}
-	if budget := sm.opts.RetryBudget; budget > 0 && r.Retries < budget {
-		if len(sm.retryQ) < retryQueueCap {
-			r.Retries++
-			sm.res.Retried++
-			// A fresh attempt: any partial progress died with the
-			// instance. Arrival is preserved so TTFT keeps measuring
-			// from the original submission.
-			r.FirstToken, r.Finish = 0, 0
-			delay := retryBackoffBase * math.Pow(2, float64(r.Retries-1))
-			if delay > retryBackoffCap {
-				delay = retryBackoffCap
-			}
-			sm.retryQ = append(sm.retryQ, retryEntry{due: now + simclock.Time(delay), req: r})
-			return
-		}
+	if len(sm.retryQ) >= retryQueueCap {
 		// Retry queue full: shed instead of amplifying the failure burst.
-		sm.res.Shed++
-		sm.terminalDrop(r)
+		sm.drop(r, true)
 		return
 	}
-	sm.res.Squashed++
-	sm.terminalDrop(r)
+	r.Retries++
+	sm.res.Retried++
+	// A fresh attempt: any partial progress died with the instance.
+	// Arrival is preserved so TTFT keeps measuring from the original
+	// submission.
+	r.FirstToken, r.Finish = 0, 0
+	delay := retryBackoffBase * math.Pow(2, float64(r.Retries-1))
+	if delay > retryBackoffCap {
+		delay = retryBackoffCap
+	}
+	sm.retryQ = append(sm.retryQ, retryEntry{due: now + simclock.Time(delay), req: r})
 }
 
-// terminalDrop marks a request terminally squashed and tells the observer.
-func (sm *simulation) terminalDrop(r workload.Request) {
+// drop ends a request that will never complete — counted Shed when the
+// retry queue overflowed, Squashed otherwise — and tells the observer.
+// With complete it is one of the two terminal writes to the request
+// ledger (Requests == Completed + Squashed + Shed).
+func (sm *simulation) drop(r workload.Request, shed bool) {
+	if shed {
+		sm.res.Shed++
+	} else {
+		sm.res.Squashed++
+	}
 	r.Squashed = true
 	if obs := sm.opts.Observer; obs != nil {
 		obs.RequestDone(&r, -1, -1, false)
+	}
+}
+
+// complete books one finished request: Completed, retry success, the
+// latency distributions (a negative tbt — no inter-token gap, as for a
+// single-token request — adds no TBT sample), the true-class SLO
+// judgement met, and the observer. Both backends finish requests
+// through it.
+//
+//dynamolint:steadystate
+func (sm *simulation) complete(req *workload.Request, ttft, tbt float64, met bool) {
+	res := sm.res
+	res.Completed++
+	if req.Retries > 0 {
+		res.RetrySuccess++
+	}
+	res.TTFT.Add(ttft)
+	if tbt >= 0 {
+		res.TBT.Add(tbt)
+	}
+	cls := req.Class()
+	res.ClassRequests[cls]++
+	if met {
+		res.SLOMet++
+	} else {
+		res.ClassViolations[cls]++
+	}
+	if obs := sm.opts.Observer; obs != nil {
+		obs.RequestDone(req, ttft, tbt, met)
 	}
 }
 
@@ -970,38 +978,14 @@ func (sm *simulation) drainRetries(now simclock.Time) {
 // rate/mix estimators like any other admission, because a retry is real
 // load. A failed re-admission goes straight back through frontendFail.
 func (sm *simulation) readmit(r workload.Request, now simclock.Time) {
-	c, s := sm.c, sm.s
 	// Time already burned between the original arrival and this attempt;
 	// the fluid latency model adds it to the sampled TTFT.
 	r.RetryDelay = float64(now - r.Arrival)
 	if r.RetryDelay < 0 {
 		r.RetryDelay = 0
 	}
-	pool := c.route(&r, now)
-	in := pool.pickInstance(s, now)
-	if in == nil {
-		in = earliestReady(pool)
-	}
-	if in == nil {
-		sm.frontendFail(r, now)
-		return
-	}
 	sm.reqs = append(sm.reqs, r)
-	req := &sm.reqs[len(sm.reqs)-1]
-	a := sm.assignFor(in.ID)
-	a.n++
-	a.inTok += float64(r.InputTokens)
-	a.outTok += float64(r.OutputTokens)
-	a.reqs = append(a.reqs, int32(len(sm.reqs)-1))
-	in.tickAssigned++
-	s.backend.Admit(in, req, now)
-	pool.arrivalsThisTick++
-	if pool.observedSince == 0 {
-		pool.observedSince = now
-		if pool.observedSince == 0 {
-			pool.observedSince = simclock.Time(1e-9)
-		}
-	}
+	sm.place(sm.c.route(&sm.reqs[len(sm.reqs)-1], now), now)
 }
 
 // accountTick closes one tick: per-instance rate updates, instance
@@ -1104,8 +1088,7 @@ func (sm *simulation) finish() {
 	// be served: they are terminally squashed so the conservation
 	// identity closes.
 	for i := range sm.retryQ {
-		res.Squashed++
-		sm.terminalDrop(sm.retryQ[i].req)
+		sm.drop(sm.retryQ[i].req, false)
 	}
 	sm.retryQ = sm.retryQ[:0]
 	res.AvgServers = res.GPUSeconds / 8 / res.Duration
@@ -1398,7 +1381,7 @@ func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) 
 // state and judges SLOs against each request's true class. reqIdx indexes
 // the tick's pooled request buffer.
 func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx []int32) {
-	c, res := sm.c, sm.res
+	c := sm.c
 	rng := c.shared.rng
 	saturated := !st.Feasible || st.IterTime == 0
 	if saturated {
@@ -1408,19 +1391,13 @@ func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx 
 		st = c.steadyLookup(steadyKeyFor(in.TP, in.effFreq(),
 			math.Max(capRate, 0.01), avgOr(in.mixIn, 512), avgOr(in.mixOut, 200)))
 	}
-	obs := sm.opts.Observer
 	for _, ri := range reqIdx {
 		req := &sm.reqs[ri]
-		res.Completed++
-		if req.Retries > 0 {
-			res.RetrySuccess++
-		}
+		slo := req.SLO()
 		if st.IterTime == 0 {
-			res.TTFT.Add(req.SLO().TTFT * 3)
-			res.TBT.Add(req.SLO().TBT * 2)
-			if obs != nil {
-				obs.RequestDone(req, req.SLO().TTFT*3, req.SLO().TBT*2, false)
-			}
+			// No operating point even at capacity: the request is
+			// served late and judged a violation.
+			sm.complete(req, slo.TTFT*3, slo.TBT*2, false)
 			continue
 		}
 		// TTFT: own prompt's chunks at this instance's pace, plus
@@ -1441,8 +1418,8 @@ func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx 
 			tail = 1 + (u-0.9)/0.09*2.2 // up to ~3.2x at P99+
 		}
 		// RetryDelay charges the whole pre-retry history (backoff plus
-		// failed attempts) so the SLO judgement below measures TTFT from
-		// the ORIGINAL arrival, not the latest re-admission.
+		// failed attempts) so the SLO judgement measures TTFT from the
+		// ORIGINAL arrival, not the latest re-admission.
 		ttft := base + wait*tail + req.SteerPenalty + req.RetryDelay
 		// TBT: mean iteration time; the tail sees chunk-carrying
 		// iterations.
@@ -1450,21 +1427,7 @@ func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx 
 		if rng.Float64() < 0.02 {
 			tbt = math.Max(st.TBTP99, tbt)
 		}
-		res.TTFT.Add(ttft)
-		res.TBT.Add(tbt)
-
-		slo := req.SLO()
-		cls := req.Class()
-		res.ClassRequests[cls]++
-		met := ttft <= slo.TTFT && tbt <= slo.TBT
-		if met {
-			res.SLOMet++
-		} else {
-			res.ClassViolations[cls]++
-		}
-		if obs != nil {
-			obs.RequestDone(req, ttft, tbt, met)
-		}
+		sm.complete(req, ttft, tbt, ttft <= slo.TTFT && tbt <= slo.TBT)
 	}
 }
 
@@ -1621,12 +1584,6 @@ func (c *Cluster) resizePool(p *Pool, nodes int, now simclock.Time, res *Result)
 // scale-out and draining on scale-in.
 func (c *Cluster) resizePoolNodes(p *Pool, nodes int, now simclock.Time, res *Result) {
 	p.targetGPUs = nodes * 8
-	cur := 0
-	for _, in := range p.Instances {
-		if in.state != stateOff {
-			cur++
-		}
-	}
 	// The pool may be sharded into multiple instances per node; compare
 	// GPU totals instead of instance counts.
 	curGPUs := p.gpusInUse()
@@ -1651,7 +1608,6 @@ func (c *Cluster) resizePoolNodes(p *Pool, nodes int, now simclock.Time, res *Re
 		c.shared.retire(victim, now, true)
 		res.ScaleIns++
 	}
-	_ = cur
 }
 
 func provisioningCount(p *Pool) int {

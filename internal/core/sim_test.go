@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -282,5 +283,42 @@ func TestSLOScaleRelaxation(t *testing.T) {
 	if rl.EnergyJ > rs.EnergyJ*1.05 {
 		t.Errorf("20x SLO energy (%v kWh) should not exceed 5x SLO (%v kWh)",
 			rl.EnergyKWh(), rs.EnergyKWh())
+	}
+}
+
+// TestCheckInvariantsRejects mutates one field of a balanced Result per
+// row; every mutation must break the law the row names.
+func TestCheckInvariantsRejects(t *testing.T) {
+	valid := func() Result {
+		r := Result{Requests: 10, Completed: 7, Squashed: 2, Shed: 1, SLOMet: 5, Retried: 3, RetrySuccess: 2}
+		r.ClassRequests[workload.SS], r.ClassRequests[workload.LL] = 4, 3
+		r.ClassViolations[workload.SS], r.ClassViolations[workload.LL] = 1, 1
+		// 4 swap-outs + 2 recomputes == 5 preemptions + 1 tier eviction.
+		r.KVPreemptions, r.KVSwapOuts, r.KVSwapIns, r.KVRecomputes, r.KVTierEvictions = 5, 4, 3, 2, 1
+		return r
+	}
+	base := valid()
+	if err := base.CheckInvariants(); err != nil {
+		t.Fatalf("balanced result rejected: %v", err)
+	}
+	for _, c := range []struct {
+		law    string
+		mutate func(*Result)
+	}{
+		{"request conservation", func(r *Result) { r.Requests++ }},
+		{"SLOMet=8 exceeds Completed", func(r *Result) { r.SLOMet = 8 }},
+		{"retry accounting", func(r *Result) { r.RetrySuccess = 4 }},
+		{"ClassViolations=4 exceeds ClassRequests", func(r *Result) { r.ClassViolations[workload.LL] = 4 }},
+		{"sum(ClassRequests)=8 != Completed", func(r *Result) { r.ClassRequests[workload.SS] = 5 }},
+		{"KVSwapIns=5 exceeds KVSwapOuts", func(r *Result) { r.KVSwapIns = 5 }},
+		{"KV preemption conservation", func(r *Result) { r.KVRecomputes = 3 }},
+		{"negative KV counter", func(r *Result) { r.KVRejected = -1 }},
+	} {
+		r := valid()
+		c.mutate(&r)
+		err := r.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), c.law) {
+			t.Errorf("%s: CheckInvariants() = %v, want an error naming it", c.law, err)
+		}
 	}
 }

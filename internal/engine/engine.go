@@ -77,58 +77,88 @@ type LatencySink interface {
 	ObserveTBT(cls workload.Class, seconds float64)
 }
 
-// Counters is the engine's monotonic event-counter bank. The fields are
-// plain ints bumped on the event paths; the algebra relating them is
-// asserted by CheckLaws after every clock event in the property suite,
-// and the conserve analyzer (internal/lint) refuses any new integer
-// field here that CheckLaws does not reference.
+// KVCounters is the KV-cache event-counter bank (block accounting only):
+// the engine bumps it on its event paths, and the cluster result embeds
+// the same struct to carry the run totals, so the eight counters and
+// their algebra are declared once. The conserve analyzer (internal/lint)
+// refuses any new integer field here that CheckLaws does not reference.
+type KVCounters struct {
+	KVPreemptions int // decode sequences evicted under KV pressure
+	KVPrefixHits  int // admissions that reused a cached prompt prefix
+	KVRejected    int // requests whose KV footprint can never fit
+	Handoffs      int // prefill→decode migrations (disaggregated mode)
+	// Tier counters (tier.go). Every preemption resolves as a swap-out or
+	// a recompute, and every tier eviction converts a swap-out into a
+	// recompute, so KVSwapOuts + KVRecomputes == KVPreemptions +
+	// KVTierEvictions.
+	KVSwapOuts      int // sequences spilled to the tier
+	KVSwapIns       int // spilled sequences swapped back in
+	KVRecomputes    int // preemptions resolved by recompute-on-resume
+	KVTierEvictions int // spilled sequences evicted from a full tier
+}
+
+// CheckLaws verifies the KV counter algebra that holds at every instant:
+// non-negativity, the one-way swap link (a sequence is never resident
+// and spilled at once, so KVSwapIns can never pass KVSwapOuts), and
+// preemption conservation (every preemption resolves as exactly one
+// swap-out or one recompute, with tier evictions converting swap-outs
+// into recomputes). A non-nil error means a counter was bumped off its
+// event path.
+func (c *KVCounters) CheckLaws() error {
+	if c.KVPreemptions < 0 || c.KVPrefixHits < 0 || c.KVRejected < 0 || c.Handoffs < 0 {
+		return fmt.Errorf("engine: negative KV counter: preemptions=%d hits=%d rejected=%d handoffs=%d",
+			c.KVPreemptions, c.KVPrefixHits, c.KVRejected, c.Handoffs)
+	}
+	if c.KVSwapOuts < 0 || c.KVSwapIns < 0 || c.KVRecomputes < 0 || c.KVTierEvictions < 0 {
+		return fmt.Errorf("engine: negative tier counter: swapouts=%d swapins=%d recomputes=%d evictions=%d",
+			c.KVSwapOuts, c.KVSwapIns, c.KVRecomputes, c.KVTierEvictions)
+	}
+	if c.KVSwapIns > c.KVSwapOuts {
+		return fmt.Errorf("engine: KVSwapIns=%d exceeds KVSwapOuts=%d", c.KVSwapIns, c.KVSwapOuts)
+	}
+	if c.KVSwapOuts+c.KVRecomputes != c.KVPreemptions+c.KVTierEvictions {
+		return fmt.Errorf("engine: KV preemption conservation violated: SwapOuts=%d + Recomputes=%d != Preemptions=%d + TierEvictions=%d",
+			c.KVSwapOuts, c.KVRecomputes, c.KVPreemptions, c.KVTierEvictions)
+	}
+	return nil
+}
+
+// AddSince adds the movement from prev to cur to c: a consumer that
+// folds several engines' banks into one total keeps the last value it
+// settled per engine and books only the delta.
+func (c *KVCounters) AddSince(cur, prev KVCounters) {
+	c.KVPreemptions += cur.KVPreemptions - prev.KVPreemptions
+	c.KVPrefixHits += cur.KVPrefixHits - prev.KVPrefixHits
+	c.KVRejected += cur.KVRejected - prev.KVRejected
+	c.Handoffs += cur.Handoffs - prev.Handoffs
+	c.KVSwapOuts += cur.KVSwapOuts - prev.KVSwapOuts
+	c.KVSwapIns += cur.KVSwapIns - prev.KVSwapIns
+	c.KVRecomputes += cur.KVRecomputes - prev.KVRecomputes
+	c.KVTierEvictions += cur.KVTierEvictions - prev.KVTierEvictions
+}
+
+// Counters is the engine's monotonic event-counter bank: the throughput
+// counters plus the embedded KV bank. The fields are plain ints bumped on
+// the event paths; the algebra relating them is asserted by CheckLaws
+// after every clock event in the property suite, and the conserve
+// analyzer refuses any new integer field here that CheckLaws does not
+// reference.
 type Counters struct {
 	// Completed counts requests finished by this engine.
 	Completed int
 	// TokensIn/TokensOut audit token conservation across handoffs.
 	TokensIn, TokensOut int
-	// KV dynamics counters (block accounting only).
-	Preempted  int // decode sequences evicted under KV pressure
-	PrefixHits int // admissions that reused a cached prompt prefix
-	KVRejected int // requests whose KV footprint can never fit
-	Handoffs   int // prefill→decode migrations (disaggregated mode)
-	// Tier counters (tier.go). Every preemption resolves as a swap-out or
-	// a recompute, and every tier eviction converts a swap-out into a
-	// recompute, so SwapOuts + Recomputes == Preempted + TierEvictions.
-	SwapOuts      int // sequences spilled to the tier
-	SwapIns       int // spilled sequences swapped back in
-	Recomputes    int // preemptions resolved by recompute-on-resume
-	TierEvictions int // spilled sequences evicted from a full tier
+	KVCounters
 }
 
-// CheckLaws verifies the counter algebra that holds at every instant:
-// non-negativity, the one-way swap link (a sequence is never resident
-// and spilled at once, so SwapIns can never pass SwapOuts), and
-// preemption conservation (every preemption resolves as exactly one
-// swap-out or one recompute, with tier evictions converting swap-outs
-// into recomputes). A non-nil error means a counter was bumped off its
-// event path.
+// CheckLaws verifies the counter algebra: non-negative throughput
+// counters and the KV bank's own laws.
 func (c *Counters) CheckLaws() error {
 	if c.Completed < 0 || c.TokensIn < 0 || c.TokensOut < 0 {
 		return fmt.Errorf("engine: negative throughput counter: completed=%d in=%d out=%d",
 			c.Completed, c.TokensIn, c.TokensOut)
 	}
-	if c.Preempted < 0 || c.PrefixHits < 0 || c.KVRejected < 0 || c.Handoffs < 0 {
-		return fmt.Errorf("engine: negative KV counter: preempted=%d hits=%d rejected=%d handoffs=%d",
-			c.Preempted, c.PrefixHits, c.KVRejected, c.Handoffs)
-	}
-	if c.SwapOuts < 0 || c.SwapIns < 0 || c.Recomputes < 0 || c.TierEvictions < 0 {
-		return fmt.Errorf("engine: negative tier counter: swapouts=%d swapins=%d recomputes=%d evictions=%d",
-			c.SwapOuts, c.SwapIns, c.Recomputes, c.TierEvictions)
-	}
-	if c.SwapIns > c.SwapOuts {
-		return fmt.Errorf("engine: SwapIns=%d exceeds SwapOuts=%d", c.SwapIns, c.SwapOuts)
-	}
-	if c.SwapOuts+c.Recomputes != c.Preempted+c.TierEvictions {
-		return fmt.Errorf("engine: preemption conservation violated: SwapOuts=%d + Recomputes=%d != Preempted=%d + TierEvictions=%d",
-			c.SwapOuts, c.Recomputes, c.Preempted, c.TierEvictions)
-	}
-	return nil
+	return c.KVCounters.CheckLaws()
 }
 
 // Engine is one simulated inference server instance.
@@ -212,7 +242,7 @@ type Engine struct {
 	TTFT *metrics.Dist
 	TBT  *metrics.Dist
 	// Counters is the engine's integer counter bank, embedded so call
-	// sites keep reading e.Completed, e.Preempted, ... unchanged. It is
+	// sites keep reading e.Completed, e.KVPreemptions, ... unchanged. It is
 	// a separate struct so the counter algebra lives in one place
 	// (CheckLaws) and the conserve analyzer (internal/lint) can require
 	// every field to be checked there.
@@ -331,10 +361,9 @@ func (e *Engine) Reconfigure(cfg perfmodel.Config) {
 
 // Drain removes every incomplete request from the engine, handing each to
 // fn by value (fn may be nil to drop them), and resets the queues and KV
-// state. It returns the number of requests drained. An iteration already
-// in flight finishes against an empty batch and produces nothing.
-func (e *Engine) Drain(fn func(workload.Request)) int {
-	n := 0
+// state. An iteration already in flight finishes against an empty batch
+// and produces nothing.
+func (e *Engine) Drain(fn func(workload.Request)) {
 	for i := e.waitHead; i < len(e.waiting); i++ {
 		st := e.waiting[i]
 		if fn != nil {
@@ -342,7 +371,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		}
 		e.waiting[i] = nil
 		e.putState(st)
-		n++
 	}
 	e.waiting = e.waiting[:0]
 	e.waitHead = 0
@@ -353,7 +381,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		}
 		e.preempted[i] = nil
 		e.putState(st)
-		n++
 	}
 	e.preempted = e.preempted[:0]
 	e.preHead = 0
@@ -363,7 +390,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		}
 		e.active[i] = nil
 		e.putState(st)
-		n++
 	}
 	e.active = e.active[:0]
 	for i := e.spillHead; i < len(e.spilled); i++ {
@@ -373,7 +399,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		}
 		e.spilled[i] = nil
 		e.putState(st)
-		n++
 	}
 	e.spilled = e.spilled[:0]
 	e.spillHead = 0
@@ -383,7 +408,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		}
 		e.swapReady[i] = nil
 		e.putState(st)
-		n++
 	}
 	e.swapReady = e.swapReady[:0]
 	// In-flight swap-ins: the transfer event is still scheduled; the
@@ -398,7 +422,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 			e.putState(t.st)
 			t.st = nil
 			e.swapInflight--
-			n++
 		}
 	}
 	e.kvTokens = 0
@@ -407,7 +430,6 @@ func (e *Engine) Drain(fn func(workload.Request)) int {
 		e.kvBlocksUsed = 0
 		e.kvTierUsed = 0
 	}
-	return n
 }
 
 // Energy returns joules consumed so far (closing the meter at now).

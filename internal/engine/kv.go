@@ -267,7 +267,7 @@ func (e *Engine) rejectSeq(st *seqState) {
 // produced tokens). TTFT was already recorded; the TBT gap spanning the
 // preemption is charged honestly.
 func (e *Engine) preemptSeq(st *seqState) {
-	e.Preempted++
+	e.KVPreemptions++
 	if e.trySpill(st) {
 		return
 	}
@@ -290,7 +290,7 @@ func (e *Engine) requeueRecompute(st *seqState) {
 	st.prefillLeft = st.req.InputTokens + st.produced
 	st.ctx = 0
 	st.noPrefix = true
-	e.Recomputes++
+	e.KVRecomputes++
 	e.preempted = append(e.preempted, st)
 }
 
@@ -403,7 +403,7 @@ func (e *Engine) admitQueue(q *[]*seqState, head *int, budget *int, steal func()
 					st.ctx += skip
 					st.prefixTokens = skip
 					pe.refs++
-					e.PrefixHits++
+					e.KVPrefixHits++
 				}
 			}
 		}

@@ -71,8 +71,8 @@ func BenchmarkEngineKV(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(eng.Completed), "completed-reqs")
-	b.ReportMetric(float64(eng.Preempted), "preemptions")
-	b.ReportMetric(float64(eng.PrefixHits), "prefix-hits")
+	b.ReportMetric(float64(eng.KVPreemptions), "preemptions")
+	b.ReportMetric(float64(eng.KVPrefixHits), "prefix-hits")
 }
 
 // kvSoakTiered is kvSoakPressured with a CPU-class spill tier under it:
@@ -101,8 +101,8 @@ func BenchmarkEngineKVTiered(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(eng.Completed), "completed-reqs")
-	b.ReportMetric(float64(eng.SwapOuts), "swap-outs")
-	b.ReportMetric(float64(eng.SwapIns), "swap-ins")
+	b.ReportMetric(float64(eng.KVSwapOuts), "swap-outs")
+	b.ReportMetric(float64(eng.KVSwapIns), "swap-ins")
 }
 
 // mallocsDuring counts heap allocations performed by f, with the world
@@ -143,13 +143,13 @@ func TestEngineKVSteadyStateAllocs(t *testing.T) {
 	if legacy.Completed == 0 || kv.Completed == 0 {
 		t.Fatalf("soak completed nothing: legacy %d, kv %d", legacy.Completed, kv.Completed)
 	}
-	if kv.Preempted == 0 || kv.PrefixHits == 0 {
-		t.Fatalf("KV soak exercised no pressure: %d preemptions, %d prefix hits", kv.Preempted, kv.PrefixHits)
+	if kv.KVPreemptions == 0 || kv.KVPrefixHits == 0 {
+		t.Fatalf("KV soak exercised no pressure: %d preemptions, %d prefix hits", kv.KVPreemptions, kv.KVPrefixHits)
 	}
 	perLegacy := float64(legacyAllocs) / float64(legacySteps)
 	perKV := float64(kvAllocs) / float64(kvSteps)
 	t.Logf("allocs per clock event: legacy %.2f (%d events, %d reqs), kv %.2f (%d events, %d reqs, %d preemptions, %d hits)",
-		perLegacy, legacySteps, legacy.Completed, perKV, kvSteps, kv.Completed, kv.Preempted, kv.PrefixHits)
+		perLegacy, legacySteps, legacy.Completed, perKV, kvSteps, kv.Completed, kv.KVPreemptions, kv.KVPrefixHits)
 	// 15% headroom covers the one-time pool/queue/prefix-map growth; a
 	// real per-preemption allocation costs a multiple of the floor.
 	if perKV > perLegacy*1.15 {
@@ -178,13 +178,13 @@ func TestEngineKVTieredSteadyStateAllocs(t *testing.T) {
 	if legacy.Completed == 0 || tiered.Completed == 0 {
 		t.Fatalf("soak completed nothing: legacy %d, tiered %d", legacy.Completed, tiered.Completed)
 	}
-	if tiered.SwapOuts == 0 || tiered.SwapIns == 0 {
-		t.Fatalf("tiered soak exercised no swap traffic: %d out, %d in", tiered.SwapOuts, tiered.SwapIns)
+	if tiered.KVSwapOuts == 0 || tiered.KVSwapIns == 0 {
+		t.Fatalf("tiered soak exercised no swap traffic: %d out, %d in", tiered.KVSwapOuts, tiered.KVSwapIns)
 	}
 	perLegacy := float64(legacyAllocs) / float64(legacySteps)
 	perTiered := float64(tieredAllocs) / float64(tieredSteps)
 	t.Logf("allocs per clock event: legacy %.2f (%d events), tiered %.2f (%d events, %d swap-outs, %d swap-ins, %d evictions)",
-		perLegacy, legacySteps, perTiered, tieredSteps, tiered.SwapOuts, tiered.SwapIns, tiered.TierEvictions)
+		perLegacy, legacySteps, perTiered, tieredSteps, tiered.KVSwapOuts, tiered.KVSwapIns, tiered.KVTierEvictions)
 	if perTiered > perLegacy*1.15 {
 		t.Errorf("tiered path allocates %.2f per clock event vs legacy %.2f (limit 1.15x): swap records must pool",
 			perTiered, perLegacy)

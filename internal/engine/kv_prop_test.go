@@ -168,7 +168,7 @@ func TestKVPropConservation(t *testing.T) {
 	if eng.QueueLen() != 0 {
 		t.Fatalf("queue not drained: %d", eng.QueueLen())
 	}
-	if eng.Preempted == 0 {
+	if eng.KVPreemptions == 0 {
 		t.Error("64-block pool produced no preemptions; workload not pressuring")
 	}
 	// All sequences gone: only prefix-cache entries may still hold blocks.
@@ -256,7 +256,7 @@ func TestKVPropPrefixSelfReference(t *testing.T) {
 	if eng.Completed+eng.KVRejected != 2 {
 		t.Fatalf("requests lost: %d completed + %d rejected of 2", eng.Completed, eng.KVRejected)
 	}
-	if eng.PrefixHits == 0 {
+	if eng.KVPrefixHits == 0 {
 		t.Error("follower never hit the prefix cache; scenario not exercised")
 	}
 	checkKVConservation(t, eng)
@@ -307,14 +307,14 @@ func TestKVTierPropConservation(t *testing.T) {
 			t.Fatalf("tier %d: requests lost: %d completed + %d rejected of %d",
 				tierBlocks, eng.Completed, eng.KVRejected, len(reqs))
 		}
-		if tierBlocks >= 16 && eng.SwapOuts == 0 {
+		if tierBlocks >= 16 && eng.KVSwapOuts == 0 {
 			t.Errorf("tier %d: swap-always run never swapped; tier not exercised", tierBlocks)
 		}
 		// Every swap-out resolved: swapped back in, or evicted to recompute.
 		// A force-recomputed sequence must never also swap in.
-		if eng.SwapIns != eng.SwapOuts-eng.TierEvictions {
+		if eng.KVSwapIns != eng.KVSwapOuts-eng.KVTierEvictions {
 			t.Errorf("tier %d: at drain %d swap-ins != %d swap-outs - %d evictions",
-				tierBlocks, eng.SwapIns, eng.SwapOuts, eng.TierEvictions)
+				tierBlocks, eng.KVSwapIns, eng.KVSwapOuts, eng.KVTierEvictions)
 		}
 		eng.Drain(nil)
 		if eng.kvBlocksUsed != 0 || eng.kvTierUsed != 0 {
@@ -365,8 +365,8 @@ func TestKVTierPropThrash(t *testing.T) {
 		t.Fatalf("requests lost: %d completed + %d rejected of %d",
 			eng.Completed, eng.KVRejected, len(reqs))
 	}
-	if eng.SwapOuts == 0 || eng.SwapIns == 0 {
-		t.Errorf("thrash exercised neither direction: %d out, %d in", eng.SwapOuts, eng.SwapIns)
+	if eng.KVSwapOuts == 0 || eng.KVSwapIns == 0 {
+		t.Errorf("thrash exercised neither direction: %d out, %d in", eng.KVSwapOuts, eng.KVSwapIns)
 	}
 	if eng.kvTierUsed != 0 {
 		t.Errorf("%d tier blocks held after the backlog drained", eng.kvTierUsed)

@@ -150,7 +150,7 @@ func (e *Engine) trySpill(st *seqState) bool {
 	e.derefPrefix(st)
 	st.tierBlocks = need
 	e.kvTierUsed += need
-	e.SwapOuts++
+	e.KVSwapOuts++
 	e.linkOccupy(e.swapSeconds(st.ctx))
 	e.spilled = append(e.spilled, st)
 	return true
@@ -184,7 +184,7 @@ func (e *Engine) tierReclaim(need int) bool {
 		e.spillHead++
 		e.kvTierUsed -= v.tierBlocks
 		v.tierBlocks = 0
-		e.TierEvictions++
+		e.KVTierEvictions++
 		e.requeueRecompute(v)
 	}
 	if e.spillHead == len(e.spilled) {
@@ -244,7 +244,7 @@ func (e *Engine) admitSwapIns() (blocked bool) {
 		st.kvBlocks = need
 		e.kvTierUsed -= st.tierBlocks
 		st.tierBlocks = 0
-		e.SwapIns++
+		e.KVSwapIns++
 		end := e.linkOccupy(e.swapSeconds(st.ctx))
 		t := e.getSwap()
 		t.st, t.end = st, end

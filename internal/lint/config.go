@@ -82,6 +82,7 @@ func DefaultConfig() *Config {
 		Conserve: []ConserveTarget{
 			{Pkg: "dynamollm/internal/core", Struct: "Result", Invariant: "CheckInvariants"},
 			{Pkg: "dynamollm/internal/engine", Struct: "Counters", Invariant: "CheckLaws"},
+			{Pkg: "dynamollm/internal/engine", Struct: "KVCounters", Invariant: "CheckLaws"},
 		},
 	}
 }

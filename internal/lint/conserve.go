@@ -7,10 +7,11 @@ import (
 )
 
 // NewConserve builds the conserve analyzer: every integer counter field
-// on the configured counter structs (core.Result, engine.Counters) must
-// be referenced by that struct's conservation-invariant function
-// (CheckInvariants / CheckLaws) or carry //conserve:ignore <reason>, so
-// a newly added counter cannot silently bypass the invariant suite.
+// on the configured counter structs (core.Result, engine.Counters,
+// engine.KVCounters) must be referenced by that struct's
+// conservation-invariant function (CheckInvariants / CheckLaws) or carry
+// //conserve:ignore <reason>, so a newly added counter cannot silently
+// bypass the invariant suite.
 func NewConserve() *Analyzer {
 	a := &Analyzer{
 		Name: "conserve",

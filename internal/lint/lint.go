@@ -6,9 +6,10 @@
 //     global math/rand state, or unordered map iteration, and goroutine
 //     closures must not write shared captured variables (Determinism
 //     rests on byte-identical parallel/sequential runs).
-//   - conserve: every integer counter on core.Result and engine.Counters
-//     must be referenced by the conservation invariant suite, so new
-//     counters cannot bypass CheckInvariants/CheckLaws.
+//   - conserve: every integer counter on core.Result, engine.Counters
+//     and engine.KVCounters must be referenced by the conservation
+//     invariant suite, so new counters cannot bypass
+//     CheckInvariants/CheckLaws.
 //   - steadystate: functions annotated //dynamolint:steadystate (the
 //     tick loop, the engine clock-event path, the KV swap path) are
 //     checked against an allocation blacklist, extending the single

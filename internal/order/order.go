@@ -28,18 +28,6 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 	return ks
 }
 
-// SortedFunc returns m's keys sorted by the given comparison function,
-// for key types without a natural order.
-func SortedFunc[K comparable, V any](m map[K]V, less func(a, b K) int) []K {
-	ks := make([]K, 0, len(m))
-	//dynamolint:order-independent collecting keys into a slice that is sorted before use
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.SortFunc(ks, less)
-	return ks
-}
-
 // Parallel calls fn(0) .. fn(n-1), each exactly once, with at most
 // workers calls running concurrently, and returns once all have finished.
 // workers <= 1 (or n <= 1) runs every call serially on the caller's

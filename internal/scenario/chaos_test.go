@@ -17,20 +17,20 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	if !ok {
 		t.Fatal("chaos-monkey missing from library")
 	}
-	a := s.FaultPlan(99)
-	if len(a.Events) == 0 {
+	horizon := s.Days * 24
+	a := ExpandFaults(s.Events, horizon, 99)
+	if len(a) == 0 {
 		t.Fatal("chaos-monkey expanded to no crash events")
 	}
-	if b := s.FaultPlan(99); !reflect.DeepEqual(a, b) {
+	if b := ExpandFaults(s.Events, horizon, 99); !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different fault plans")
 	}
-	if c := s.FaultPlan(100); reflect.DeepEqual(a.Events, c.Events) {
+	if c := ExpandFaults(s.Events, horizon, 100); reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical fault plans")
 	}
-	horizon := s.Days * 24
-	for i, e := range a.Events {
-		if i > 0 && e.AtHours < a.Events[i-1].AtHours {
-			t.Errorf("plan not time-sorted at %d: %.3f < %.3f", i, e.AtHours, a.Events[i-1].AtHours)
+	for i, e := range a {
+		if i > 0 && e.AtHours < a[i-1].AtHours {
+			t.Errorf("plan not time-sorted at %d: %.3f < %.3f", i, e.AtHours, a[i-1].AtHours)
 		}
 		if e.Kind != Outage && e.Kind != Recovery {
 			t.Errorf("plan event %d has kind %s, want outage/recovery", i, e.Kind)

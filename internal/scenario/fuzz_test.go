@@ -56,6 +56,6 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 		_ = s.ApplyTrace(tr, 1)
 		_ = s.Hook(1)
-		_ = s.FaultPlan(1)
+		_ = ExpandFaults(s.Events, s.Days*24, 1)
 	})
 }

@@ -71,7 +71,7 @@ func Library() []*Scenario {
 			Events: []Event{
 				// Random single-server crashes (mean one per 1.5 h, mean
 				// repair 45 min) over the whole window; the concrete
-				// instants come from the seeded FaultPlan expansion.
+				// instants come from the seeded ExpandFaults expansion.
 				{Kind: Faults, AtHours: 0, DurationHours: 6, MTBFHours: 1.5, RepairHours: 0.75},
 				// A placement group loses two co-located instances at once.
 				{Kind: Rack, AtHours: 2, Servers: 2, RepairHours: 1},

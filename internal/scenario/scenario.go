@@ -13,7 +13,7 @@
 // the tick hook that fires them inside the tick loop through the
 // core.Controls facade without disturbing its zero-allocation steady
 // state. The stochastic faults kind sits in between: ExpandFaults draws
-// its MTBF-driven crashes and repairs into a concrete, seeded FaultPlan
+// its MTBF-driven crashes and repairs into concrete, seeded events
 // before the agenda is built, so fault runs replay exactly. A live
 // serving session appends operator-posted events to its own Agenda.
 //
@@ -66,8 +66,8 @@ const (
 	// failures MTBFHours; each crash fails Servers servers (default 1)
 	// and schedules its recovery an Exp(RepairHours)-distributed delay
 	// later. ExpandFaults draws the concrete crash/repair instants from a
-	// seed, so a FaultPlan is reproducible and independent of simulation
-	// parallelism.
+	// seed, so the expansion is reproducible and independent of
+	// simulation parallelism.
 	Faults Kind = "faults"
 	// Rack is a correlated failure: Servers co-located instances (one
 	// placement group, all serving the same request type) die at the
@@ -473,41 +473,33 @@ func (s *Scenario) Hook(seed uint64) core.TickHook {
 // (same backing array). Scenario runs and live sessions both expand
 // through it before adding to their Agenda.
 func ExpandTimeline(timeline []Event, horizonHours float64, seed uint64) []Event {
-	plan := ExpandFaults(timeline, horizonHours, seed)
-	if len(plan.Events) == 0 {
+	faults := ExpandFaults(timeline, horizonHours, seed)
+	if len(faults) == 0 {
 		return timeline
 	}
-	merged := make([]Event, 0, len(timeline)+len(plan.Events))
+	merged := make([]Event, 0, len(timeline)+len(faults))
 	for _, e := range timeline {
 		if e.Kind != Faults { // replaced by the expansion
 			merged = append(merged, e)
 		}
 	}
-	return append(merged, plan.Events...)
+	return append(merged, faults...)
 }
 
-// FaultPlan is the concrete, seed-deterministic expansion of a timeline's
-// stochastic faults events: every crash and its matching recovery pinned
-// to an instant. Expanding once, before the simulation starts, is what
-// makes fault runs replayable — the plan depends only on (timeline,
-// horizon, seed), never on fidelity, parallelism, or tick order.
-type FaultPlan struct {
-	// Seed is the seed the plan was drawn from.
-	Seed uint64 `json:"seed"`
-	// Events are concrete outage/recovery events, sorted by time.
-	Events []Event `json:"events,omitempty"`
-}
-
-// ExpandFaults draws the stochastic faults events of a timeline into a
-// concrete FaultPlan. Crashes arrive as a Poisson process (exponential
-// gaps, mean MTBFHours) inside each event's window; each crash fails
-// Servers servers (default 1) and is followed by a recovery after an
-// exponential repair delay (mean RepairHours), dropped when it would land
-// past horizonHours. Each faults event draws from its own RNG stream
+// ExpandFaults draws the stochastic faults events of a timeline into
+// concrete outage/recovery events, sorted by time: every crash and its
+// matching recovery pinned to an instant. Expanding once, before the
+// simulation starts, is what makes fault runs replayable — the expansion
+// depends only on (timeline, horizon, seed), never on fidelity,
+// parallelism, or tick order. Crashes arrive as a Poisson process
+// (exponential gaps, mean MTBFHours) inside each event's window; each
+// crash fails Servers servers (default 1) and is followed by a recovery
+// after an exponential repair delay (mean RepairHours), dropped when it
+// would land past horizonHours. Each faults event draws from its own RNG stream
 // derived from (seed, event index), so adding or editing one event never
 // reshuffles another's instants.
-func ExpandFaults(timeline []Event, horizonHours float64, seed uint64) FaultPlan {
-	plan := FaultPlan{Seed: seed}
+func ExpandFaults(timeline []Event, horizonHours float64, seed uint64) []Event {
+	var out []Event
 	for i, e := range timeline {
 		if e.Kind != Faults {
 			continue
@@ -522,23 +514,17 @@ func ExpandFaults(timeline []Event, horizonHours float64, seed uint64) FaultPlan
 			to = horizonHours
 		}
 		for t := e.AtHours + rng.Exp(1/e.MTBFHours); t < to; t += rng.Exp(1 / e.MTBFHours) {
-			plan.Events = append(plan.Events, Event{Kind: Outage, AtHours: t, Servers: servers})
+			out = append(out, Event{Kind: Outage, AtHours: t, Servers: servers})
 			repair := t + rng.Exp(1/e.RepairHours)
 			if horizonHours <= 0 || repair < horizonHours {
-				plan.Events = append(plan.Events, Event{Kind: Recovery, AtHours: repair, Servers: servers})
+				out = append(out, Event{Kind: Recovery, AtHours: repair, Servers: servers})
 			}
 		}
 	}
-	sort.SliceStable(plan.Events, func(i, j int) bool {
-		return plan.Events[i].AtHours < plan.Events[j].AtHours
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].AtHours < out[j].AtHours
 	})
-	return plan
-}
-
-// FaultPlan expands the scenario's stochastic faults events against its
-// own trace horizon.
-func (s *Scenario) FaultPlan(seed uint64) FaultPlan {
-	return ExpandFaults(s.Events, s.Days*24, seed)
+	return out
 }
 
 // Load parses a JSON scenario and validates it.

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"dynamollm/internal/core"
+	"dynamollm/internal/scenario"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/trace"
 )
@@ -18,13 +19,15 @@ import (
 // Crash durability. The simulation itself is deterministic: given the base
 // trace, the options, and the set of injected arrivals, replaying from
 // virtual zero reproduces the exact pre-crash state. So the durable record
-// is small — a write-ahead log of every acked injection (synced before the
-// ack leaves the process) plus a periodic checkpoint of the session's
-// progress marker (how far virtual time got, the next tag). Restore
-// rebuilds the session from its configuration, re-injects the WAL at the
-// original virtual instants, fast-forwards to the checkpointed boundary,
-// and resumes the pacer from there. Requests acked after the last
-// checkpoint are still in the WAL and simply land in the session's future.
+// is small — a write-ahead log of every acked injection and every acked
+// /events post (synced before the ack leaves the process) plus a periodic
+// checkpoint of the session's progress marker (how far virtual time got,
+// the next tag). Restore rebuilds the session from its configuration,
+// re-injects the WAL's requests at their original virtual instants,
+// re-schedules its event posts at their original anchors, fast-forwards
+// to the checkpointed boundary, and resumes the pacer from there. Requests
+// and events acked after the last checkpoint are still in the WAL and
+// simply land in the session's future.
 
 // CheckpointFile is the on-disk checkpoint: enough to rebuild an identical
 // session (via Meta, the caller's own flags) plus the progress marker the
@@ -166,16 +169,37 @@ func (s *Session) checkpointLocked() error {
 
 // --- Write-ahead log ---------------------------------------------------------
 
-// walEntry is one acked injection, as a JSON line.
+// walEntry is one WAL line: an acked injection, or — when Events is
+// present — an acked /events post whose events are anchored at At
+// (request lines omit the field, so WALs written before event posts were
+// journaled still decode). The pointer distinguishes an empty post from
+// a request line.
 type walEntry struct {
-	Tag uint64  `json:"tag"`
-	At  float64 `json:"at"`
-	In  int     `json:"in"`
-	Out int     `json:"out"`
+	Tag    uint64            `json:"tag"`
+	At     float64           `json:"at"`
+	In     int               `json:"in"`
+	Out    int               `json:"out"`
+	Events *[]scenario.Event `json:"events,omitempty"`
 }
 
-// walFile appends acked injections; every append is synced before it
-// returns, because Inject acks only after the entry is durable.
+// eventPost is one acked /events call as journaled: its runtime events,
+// already expanded (faults drawn into concrete crashes and repairs, so a
+// replay never re-draws them), and the virtual time they are anchored at.
+type eventPost struct {
+	at     simclock.Time
+	events []scenario.Event
+}
+
+// walLog is a decoded WAL.
+type walLog struct {
+	requests []trace.Entry // acked injections, in ack order
+	posts    []eventPost   // acked /events posts, in post order
+	maxTag   uint64        // highest request tag
+}
+
+// walFile appends acked injections and event posts; every append is
+// synced before it returns, because Inject and InjectEvents ack only after
+// the entry is durable.
 type walFile struct {
 	f *os.File
 }
@@ -193,7 +217,20 @@ func openWAL(dir string, truncate bool) (*walFile, error) {
 }
 
 func (w *walFile) append(e trace.Entry) error {
-	data, err := json.Marshal(walEntry{Tag: e.Tag, At: float64(e.At), In: e.InputTokens, Out: e.OutputTokens})
+	return w.write(walEntry{Tag: e.Tag, At: float64(e.At), In: e.InputTokens, Out: e.OutputTokens})
+}
+
+// appendEvents journals one /events post: its expanded events, anchored
+// at the virtual time at.
+func (w *walFile) appendEvents(at simclock.Time, events []scenario.Event) error {
+	if events == nil {
+		events = []scenario.Event{}
+	}
+	return w.write(walEntry{At: float64(at), Events: &events})
+}
+
+func (w *walFile) write(e walEntry) error {
+	data, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
@@ -208,28 +245,28 @@ func (w *walFile) close() {
 	w.f.Close()
 }
 
-// readWAL parses the log back into trace entries. A torn final line (the
-// process died mid-write, before the ack) is skipped: the client never got
-// an ack for it, so dropping it is correct. A malformed line anywhere else
-// is real corruption and errors out.
-func readWAL(dir string) ([]trace.Entry, uint64, error) {
+// readWAL parses the log back into requests and event posts. A torn final
+// line (the process died mid-write, before the ack) is skipped: the client
+// never got an ack for it, so dropping it is correct. A malformed line
+// anywhere else is real corruption and errors out.
+func readWAL(dir string) (walLog, error) {
 	f, err := os.Open(walPath(dir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil
+			return walLog{}, nil
 		}
-		return nil, 0, err
+		return walLog{}, err
 	}
 	defer f.Close()
 	return decodeWAL(f, walPath(dir))
 }
 
 // decodeWAL parses WAL lines from r (name labels errors) under readWAL's
-// torn-tail rule.
-func decodeWAL(r io.Reader, name string) ([]trace.Entry, uint64, error) {
+// torn-tail rule. An event post must pass the same checks /events applies
+// and be anchored at a virtual time >= 0.
+func decodeWAL(r io.Reader, name string) (walLog, error) {
 	var (
-		entries []trace.Entry
-		maxTag  uint64
+		out     walLog
 		badLine error
 	)
 	sc := bufio.NewScanner(r)
@@ -240,7 +277,7 @@ func decodeWAL(r io.Reader, name string) ([]trace.Entry, uint64, error) {
 		if badLine != nil {
 			// A parse failure followed by more lines is corruption, not a
 			// torn tail.
-			return nil, 0, badLine
+			return walLog{}, badLine
 		}
 		raw := sc.Bytes()
 		if len(raw) == 0 {
@@ -251,20 +288,30 @@ func decodeWAL(r io.Reader, name string) ([]trace.Entry, uint64, error) {
 			badLine = fmt.Errorf("wal %s line %d: %w", name, line, err)
 			continue
 		}
-		entries = append(entries, trace.Entry{
+		if e.Events != nil {
+			// A complete line that /events would refuse is corruption,
+			// never a torn tail.
+			if err := validateLive(*e.Events); err != nil {
+				return walLog{}, fmt.Errorf("wal %s line %d: %w", name, line, err)
+			}
+			if e.At < 0 {
+				return walLog{}, fmt.Errorf("wal %s line %d: event post anchored at negative time %v", name, line, e.At)
+			}
+			out.posts = append(out.posts, eventPost{at: simclock.Time(e.At), events: *e.Events})
+			continue
+		}
+		out.requests = append(out.requests, trace.Entry{
 			At:           simclock.Time(e.At),
 			Tag:          e.Tag,
 			InputTokens:  e.In,
 			OutputTokens: e.Out,
 		})
-		if e.Tag > maxTag {
-			maxTag = e.Tag
-		}
+		out.maxTag = max(out.maxTag, e.Tag)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, err
+		return walLog{}, err
 	}
-	return entries, maxTag, nil
+	return out, nil
 }
 
 // --- Constructors ------------------------------------------------------------
@@ -305,10 +352,11 @@ func NewDurable(cfg Config) (*Session, error) {
 // reconstructs it from ReadCheckpoint); a system, seed, speed, resolved
 // fidelity or loop setting that disagrees is an error. The simulation is
 // deterministic, so replaying the same base trace plus the WAL's
-// injections at their original virtual instants, then fast-forwarding to
-// the checkpointed boundary, reproduces the pre-crash state exactly. Requests acked after
-// the final checkpoint sit in the restored session's near future and are
-// served normally — no acked request is lost. Their original waiters are
+// injections at their original virtual instants and its event posts at
+// their original anchors, then fast-forwarding to the checkpointed
+// boundary, reproduces the pre-crash state exactly. Requests and events
+// acked after the final checkpoint sit in the restored session's near
+// future and take effect normally — no acked request or event is lost. Their original waiters are
 // gone with the old process, so their completions resolve without
 // delivery.
 func Restore(cfg Config) (*Session, error) {
@@ -319,7 +367,7 @@ func Restore(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
-	entries, maxTag, err := readWAL(cfg.StateDir)
+	wal, err := readWAL(cfg.StateDir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
@@ -329,13 +377,14 @@ func Restore(cfg Config) (*Session, error) {
 	}
 	resume := simclock.Time(ck.BoundaryVirtualS)
 	s.pacer = simclock.NewPacerAt(s.cfg.Speed, resume, cfg.WallClock)
-	s.nextTag = ck.NextTag
-	if maxTag > s.nextTag {
-		s.nextTag = maxTag
-	}
+	s.nextTag = max(ck.NextTag, wal.maxTag)
 	s.mu.Lock()
 	s.extendLocked(resume)
-	for _, e := range entries {
+	for _, p := range wal.posts {
+		s.agenda.Add(p.events, p.at)
+	}
+	s.eventsPosted = uint64(len(wal.posts))
+	for _, e := range wal.requests {
 		at, err := s.live.Inject(e)
 		if err != nil {
 			s.mu.Unlock()
@@ -354,7 +403,7 @@ func Restore(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("serve: restore: wal: %w", err)
 	}
 	s.wal = w
-	s.logf("serve: restored at virtual t=%.0fs (%d WAL request(s) replayed, next tag %d)",
-		float64(resume), len(entries), s.nextTag+1)
+	s.logf("serve: restored at virtual t=%.0fs (%d WAL request(s) replayed, %d event post(s), next tag %d)",
+		float64(resume), len(wal.requests), len(wal.posts), s.nextTag+1)
 	return s, nil
 }

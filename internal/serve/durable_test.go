@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dynamollm/internal/core"
+	"dynamollm/internal/scenario"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/trace"
 	"dynamollm/internal/workload"
@@ -24,6 +26,13 @@ import (
 const (
 	walTornTail       = `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + `{"tag":2,"at":9,"in":2`
 	walMidFileGarbage = `{"tag":1,"at":5,"in":128,"out":16}` + "\n" + "garbage\n" + `{"tag":3,"at":9,"in":128,"out":16}` + "\n"
+	// walWithEvents interleaves requests with /events posts: a price
+	// window, an expanded crash and repair, and an empty post.
+	walWithEvents = `{"tag":1,"at":5,"in":128,"out":16}` + "\n" +
+		`{"tag":0,"at":7.5,"in":0,"out":0,"events":[{"kind":"price","at_hours":0,"duration_hours":1,"price_mult":3}]}` + "\n" +
+		`{"tag":2,"at":9,"in":64,"out":8}` + "\n" +
+		`{"tag":0,"at":12,"in":0,"out":0,"events":[{"kind":"outage","at_hours":0.25,"servers":1},{"kind":"recovery","at_hours":1.5,"servers":1}]}` + "\n" +
+		`{"tag":0,"at":15,"in":0,"out":0,"events":[]}` + "\n"
 )
 
 // durableConfig builds a durable session config on a fake clock with a
@@ -123,6 +132,72 @@ func TestDurableRestore(t *testing.T) {
 	}
 }
 
+// TestDurableRestoreReplaysEvents: acked /events posts survive a crash
+// like acked requests. A price window posted before the final checkpoint
+// is still in force after Restore, an SLO window posted after it (in the
+// WAL only) opens on schedule, and the post count that salts the
+// fault-expansion seed continues where the crashed session left it.
+func TestDurableRestoreReplaysEvents(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	s, err := NewDurable(durableConfig(t, dir, clock))
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	clock.advance(time.Second) // 10 virtual s
+	s.Advance()
+	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.Price, DurationHours: 1, PriceMult: 3}}); err != nil {
+		t.Fatalf("price post: %v", err)
+	}
+	clock.advance(time.Second)
+	if got := s.Stats().PriceMult; got != 3 {
+		t.Fatalf("pre-crash price multiplier %v, want 3", got)
+	}
+	s.mu.Lock()
+	if err := s.checkpointLocked(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	s.mu.Unlock()
+	if _, err := s.InjectEvents([]scenario.Event{{Kind: scenario.SLO, AtHours: 10.0 / 3600, DurationHours: 1, SLOFactor: 0.5}}); err != nil {
+		t.Fatalf("slo post: %v", err)
+	}
+	// Crash: no Close, no drain.
+
+	restoreClock := newFakeClock()
+	r, err := Restore(durableConfig(t, dir, restoreClock))
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer r.wal.close()
+	if got := r.Stats().PriceMult; got != 3 {
+		t.Errorf("restored price multiplier %v, want 3", got)
+	}
+	if r.eventsPosted != 2 {
+		t.Errorf("restored eventsPosted %d, want 2", r.eventsPosted)
+	}
+	restoreClock.advance(2 * time.Second) // 20 virtual s: past the SLO window's start
+	if got := r.Stats().SLOFactor; got != 0.5 {
+		t.Errorf("restored SLO factor %v, want 0.5 from the post-checkpoint window", got)
+	}
+}
+
+// TestEventsWALFailure: a post that cannot be journaled is not acked —
+// /events answers 503, not 400 — and does not count toward the seed salt.
+func TestEventsWALFailure(t *testing.T) {
+	s, err := NewDurable(durableConfig(t, t.TempDir(), newFakeClock()))
+	if err != nil {
+		t.Fatalf("NewDurable: %v", err)
+	}
+	s.wal.close() // every later append fails
+	w := do(NewHandler(s, time.Second), "POST", "/events", `{"kind":"price","duration_hours":1,"price_mult":2}`)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("/events with a dead WAL: status %d, want 503", w.Code)
+	}
+	if s.eventsPosted != 0 {
+		t.Errorf("eventsPosted %d after a refused post, want 0", s.eventsPosted)
+	}
+}
+
 // TestDurableRestoreMismatch: a Restore whose configuration disagrees
 // with the checkpoint in system, seed, speed, resolved fidelity or loop
 // must fail and name the field, instead of replaying the WAL into a
@@ -203,12 +278,12 @@ func TestWALTornTail(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(walTornTail), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, maxTag, err := readWAL(dir)
+	wal, err := readWAL(dir)
 	if err != nil {
 		t.Fatalf("readWAL: %v", err)
 	}
-	if len(entries) != 1 || entries[0].Tag != 1 || maxTag != 1 {
-		t.Errorf("got %d entries (maxTag %d), want the 1 complete entry", len(entries), maxTag)
+	if len(wal.requests) != 1 || wal.requests[0].Tag != 1 || wal.maxTag != 1 {
+		t.Errorf("got %d entries (maxTag %d), want the 1 complete entry", len(wal.requests), wal.maxTag)
 	}
 }
 
@@ -219,7 +294,7 @@ func TestWALMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(walMidFileGarbage), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readWAL(dir); err == nil {
+	if _, err := readWAL(dir); err == nil {
 		t.Error("readWAL accepted mid-file corruption")
 	}
 }
@@ -291,42 +366,85 @@ func encodeWAL(t *testing.T, entries []walEntry) []byte {
 	return buf.Bytes()
 }
 
+// TestWALEventPosts: event lines decode into posts in post order, apart
+// from the requests, and an event line that /events itself would refuse
+// is corruption even as the final line.
+func TestWALEventPosts(t *testing.T) {
+	wal, err := decodeWAL(strings.NewReader(walWithEvents), "test")
+	if err != nil {
+		t.Fatalf("decodeWAL: %v", err)
+	}
+	if len(wal.requests) != 2 || wal.maxTag != 2 {
+		t.Errorf("got %d requests (maxTag %d), want 2 (maxTag 2)", len(wal.requests), wal.maxTag)
+	}
+	if len(wal.posts) != 3 || wal.posts[0].at != 7.5 || len(wal.posts[1].events) != 2 || len(wal.posts[2].events) != 0 {
+		t.Errorf("posts = %+v, want price@7.5, outage+recovery@12, empty@15", wal.posts)
+	}
+	for _, bad := range []string{
+		`{"at":1,"events":[{"kind":"spike","rate_mult":2,"duration_hours":1}]}`, // trace-level kind
+		`{"at":1,"events":[{"kind":"price","at_hours":-1,"duration_hours":1,"price_mult":2}]}`,
+		`{"at":-1,"events":[]}`,
+	} {
+		if _, err := decodeWAL(strings.NewReader(bad+"\n"), "test"); err == nil {
+			t.Errorf("decodeWAL accepted %s", bad)
+		}
+	}
+}
+
+// encodeLog renders a decoded WAL as canonical lines: every request, then
+// every event post, each the way walFile writes it.
+func encodeLog(t *testing.T, wal walLog) []byte {
+	t.Helper()
+	var lines []walEntry
+	for _, e := range wal.requests {
+		lines = append(lines, walEntry{Tag: e.Tag, At: float64(e.At), In: e.InputTokens, Out: e.OutputTokens})
+	}
+	for _, p := range wal.posts {
+		events := p.events
+		lines = append(lines, walEntry{At: float64(p.at), Events: &events})
+	}
+	return encodeWAL(t, lines)
+}
+
 // FuzzReadWAL: any byte string either decodes or errors — never panics.
 // Whatever decodes re-encodes to canonical lines that decode back to the
-// same entries, stay intact under a torn final line, and are rejected
-// when a garbage line with more lines after it follows them.
+// same requests and event posts (also with a torn tail appended), whose
+// own encoding is a fixed point, and a garbage line followed by more
+// entries is always corruption.
 func FuzzReadWAL(f *testing.F) {
 	f.Add([]byte(walTornTail))
 	f.Add([]byte(walMidFileGarbage))
+	f.Add([]byte(walWithEvents))
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n"))
 	f.Add([]byte(`{"tag":18446744073709551615,"at":1e308,"in":-1,"out":0}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, maxTag, err := decodeWAL(bytes.NewReader(data), "fuzz")
+		wal, err := decodeWAL(bytes.NewReader(data), "fuzz")
 		if err != nil {
 			return
 		}
-		canon := make([]walEntry, len(entries))
 		var wantMax uint64
-		for i, e := range entries {
-			canon[i] = walEntry{Tag: e.Tag, At: float64(e.At), In: e.InputTokens, Out: e.OutputTokens}
+		for _, e := range wal.requests {
 			wantMax = max(wantMax, e.Tag)
 		}
-		if maxTag != wantMax {
-			t.Fatalf("maxTag %d, entries say %d", maxTag, wantMax)
+		if wal.maxTag != wantMax {
+			t.Fatalf("maxTag %d, entries say %d", wal.maxTag, wantMax)
 		}
-		enc := encodeWAL(t, canon)
+		enc := encodeLog(t, wal)
 		for _, tail := range []string{"", `{"tag":7,"at":1`} {
-			got, gotMax, err := decodeWAL(bytes.NewReader(append(enc[:len(enc):len(enc)], tail...)), "fuzz")
+			got, err := decodeWAL(bytes.NewReader(append(enc[:len(enc):len(enc)], tail...)), "fuzz")
 			if err != nil {
 				t.Fatalf("canonical WAL + %q rejected: %v", tail, err)
 			}
-			if !reflect.DeepEqual(got, entries) || gotMax != maxTag {
-				t.Fatalf("canonical WAL + %q decoded to %v (max %d), want %v (max %d)", tail, got, gotMax, entries, maxTag)
+			if !reflect.DeepEqual(got.requests, wal.requests) || got.maxTag != wal.maxTag || len(got.posts) != len(wal.posts) {
+				t.Fatalf("canonical WAL + %q decoded to %+v, want %+v", tail, got, wal)
+			}
+			if again := encodeLog(t, got); !bytes.Equal(again, enc) {
+				t.Fatalf("canonical encoding is not a fixed point:\n%s\n%s", enc, again)
 			}
 		}
 		corrupt := append(enc[:len(enc):len(enc)], "garbage\n"+`{"tag":1,"at":0,"in":1,"out":1}`+"\n"...)
-		if _, _, err := decodeWAL(bytes.NewReader(corrupt), "fuzz"); err == nil {
+		if _, err := decodeWAL(bytes.NewReader(corrupt), "fuzz"); err == nil {
 			t.Fatal("mid-file garbage accepted")
 		}
 	})

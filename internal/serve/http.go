@@ -214,7 +214,7 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	at, err := h.s.InjectEvents(events)
-	if errors.Is(err, ErrClosed) {
+	if errors.Is(err, ErrClosed) || errors.Is(err, errWALAppend) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}

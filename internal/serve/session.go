@@ -88,6 +88,10 @@ type Config struct {
 // down — a transient condition (503), not a bad request.
 var ErrClosed = errors.New("serve: session closed")
 
+// errWALAppend marks an /events post refused because it could not be
+// made durable: a server fault, not a bad request.
+var errWALAppend = errors.New("serve: wal append")
+
 // OverloadError reports an injection shed by admission control: the
 // session is over its inflight cap or the simulation has fallen too far
 // behind the wall clock. Clients should back off and retry after
@@ -446,12 +450,20 @@ func (s *Session) InjectEvents(events []scenario.Event) (simclock.Time, error) {
 	}
 	s.advanceLocked()
 	now := s.pacer.Now()
-	s.eventsPosted++
-	seed := s.cfg.Opts.Seed ^ (s.eventsPosted * 0x9e3779b97f4a7c15)
+	seed := s.cfg.Opts.Seed ^ ((s.eventsPosted + 1) * 0x9e3779b97f4a7c15)
 	if slices.ContainsFunc(events, func(e scenario.Event) bool { return e.Kind == scenario.Faults }) {
 		s.logf("serve: expanding faults with seed %d", seed)
 	}
 	events = scenario.ExpandTimeline(events, 0, seed)
+	// Durability: like a request, the post is on disk before it is acked.
+	// The WAL carries the expanded events, so a restore replays the same
+	// crash instants without re-drawing them.
+	if s.wal != nil {
+		if err := s.wal.appendEvents(now, events); err != nil {
+			return 0, fmt.Errorf("%w: %w", errWALAppend, err)
+		}
+	}
+	s.eventsPosted++
 	s.agenda.Add(events, now)
 	for _, e := range events {
 		s.logf("serve: scheduled %s event at virtual t=%.0fs", e.Kind, float64(now+simclock.Time(e.AtHours*3600)))

@@ -34,9 +34,6 @@ const (
 	Week        Duration = 7 * Day
 )
 
-// Std converts a virtual duration to a time.Duration for display purposes.
-func Std(d Duration) time.Duration { return time.Duration(d * float64(time.Second)) }
-
 // event is a scheduled callback.
 type event struct {
 	at   Time
@@ -85,17 +82,6 @@ func New() *Clock {
 
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
-
-// Pending reports the number of scheduled (non-cancelled) events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, ev := range c.events {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
 
 // Steps reports the number of events executed so far.
 func (c *Clock) Steps() uint64 { return c.steps }

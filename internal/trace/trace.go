@@ -145,16 +145,6 @@ func (p Profile) LoadShape(t simclock.Time) float64 {
 	return diurnal * weekend
 }
 
-// avgShape integrates the load shape over a week.
-func (p Profile) avgShape() float64 {
-	sum := 0.0
-	const steps = 7 * 24 * 4
-	for i := 0; i < steps; i++ {
-		sum += p.LoadShape(simclock.Time(float64(i) / steps * 7 * 24 * 3600))
-	}
-	return sum / steps
-}
-
 // ClassWeights returns the class mix at time t. Popularity drifts slowly
 // (period ~31 h so it never aligns with the diurnal cycle), shifting mass
 // between input-heavy and output-heavy classes as Fig. 1 shows.
@@ -393,7 +383,12 @@ func (tr Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a trace written by WriteCSV (header optional).
+// ReadCSV parses a trace written by WriteCSV (header optional) and
+// returns it sorted by arrival time. A line is rejected, with its line
+// number, unless its timestamp is a finite number of seconds >= 0 and
+// both token counts are >= 1: every consumer of a trace assumes
+// non-negative arrival times and requests with at least one prompt and
+// one output token.
 func ReadCSV(r io.Reader) (Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -413,6 +408,9 @@ func ReadCSV(r io.Reader) (Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad timestamp: %v", line, err)
 		}
+		if math.IsNaN(at) || math.IsInf(at, 0) || at < 0 {
+			return nil, fmt.Errorf("trace: line %d: timestamp %s, want a finite value >= 0", line, parts[0])
+		}
 		in, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad input tokens: %v", line, err)
@@ -420,6 +418,9 @@ func ReadCSV(r io.Reader) (Trace, error) {
 		out, err := strconv.Atoi(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad output tokens: %v", line, err)
+		}
+		if in < 1 || out < 1 {
+			return nil, fmt.Errorf("trace: line %d: token counts %d,%d, want both >= 1", line, in, out)
 		}
 		tr = append(tr, Entry{At: simclock.Time(at), InputTokens: in, OutputTokens: out})
 	}

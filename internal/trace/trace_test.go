@@ -209,14 +209,27 @@ func TestReadCSVErrors(t *testing.T) {
 		"x,2,3\n",
 		"1.0,x,3\n",
 		"1.0,2,x\n",
+		// Values that parse but no trace can carry.
+		"NaN,2,3\n",
+		"+Inf,2,3\n",
+		"-Inf,2,3\n",
+		"-0.5,2,3\n",
+		"1.0,0,3\n",
+		"1.0,2,0\n",
+		"1.0,-4,3\n",
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("ReadCSV(%q) succeeded, want error", c)
 		}
 	}
-	tr, err := ReadCSV(strings.NewReader("timestamp_s,input_tokens,output_tokens\n\n1.5,10,20\n"))
-	if err != nil || len(tr) != 1 {
+	// The error names the offending line (header and blank lines count).
+	_, err := ReadCSV(strings.NewReader("timestamp_s,input_tokens,output_tokens\n\n1.5,10,20\nNaN,1,1\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 4:") {
+		t.Errorf("NaN on line 4: got %v, want a line 4 error", err)
+	}
+	tr, err := ReadCSV(strings.NewReader("timestamp_s,input_tokens,output_tokens\n\n1.5,10,20\n0,1,1\n"))
+	if err != nil || len(tr) != 2 || tr[0].At != 0 {
 		t.Errorf("header+blank handling: %v, %v", tr, err)
 	}
 }
@@ -260,4 +273,35 @@ func TestGeneratePanicsWithoutRate(t *testing.T) {
 		}
 	}()
 	Generate(GenConfig{Service: Coding, Duration: 10})
+}
+
+// FuzzReadCSV: any input either decodes or errors — never panics — and
+// every accepted entry has a finite arrival time >= 0 and at least one
+// input and one output token, with entries sorted by arrival.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("timestamp_s,input_tokens,output_tokens\n0.000,512,200\n1.250,64,8\n")
+	f.Add("3,1,1\n1,1,1\n2,1,1\n")
+	f.Add("NaN,1,1\n")
+	f.Add("-Inf,1,1\n")
+	f.Add("1e308,1,1\n")
+	f.Add("1,0,1\n")
+	f.Add("1,2\n")
+	f.Add("\n\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := ReadCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, e := range tr {
+			if at := float64(e.At); math.IsNaN(at) || math.IsInf(at, 0) || at < 0 {
+				t.Fatalf("entry %d: accepted timestamp %v", i, e.At)
+			}
+			if e.InputTokens < 1 || e.OutputTokens < 1 {
+				t.Fatalf("entry %d: accepted token counts %d,%d", i, e.InputTokens, e.OutputTokens)
+			}
+			if i > 0 && e.At < tr[i-1].At {
+				t.Fatalf("entry %d: %v sorts before %v", i, e.At, tr[i-1].At)
+			}
+		}
+	})
 }
