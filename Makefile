@@ -23,7 +23,7 @@ COUNT ?= 1
 GATEBENCH ?= TickLoop|EventFleet|LiveAdvanceTick|EngineSoak|EngineKV
 
 # Committed baseline the perf-regression gate compares against.
-BASE ?= 9
+BASE ?= 10
 
 # Budget for the fuzz-smoke target (per fuzz target).
 FUZZTIME ?= 30s

@@ -797,7 +797,7 @@ func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 		return
 	}
 	b.res.EnergyJ += tickJ
-	b.res.EnergyCostUSD += energy.KWh(tickJ) * b.s.opts.EnergyPriceUSDPerKWh * b.s.priceMult
+	b.res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * b.s.priceMult
 	b.res.EnergyByClassJ[ie.cls] += tickJ
 	b.res.EnergySeries.Accumulate(float64(at), tickJ)
 }

@@ -28,7 +28,6 @@ import (
 	"slices"
 	"strings"
 
-	"dynamollm/internal/energy"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
@@ -232,11 +231,11 @@ type Options struct {
 	Servers int
 
 	// Epochs (seconds). Zeros take the paper defaults.
-	InstanceEpoch float64 // 5 s
-	PoolEpoch     float64 // 5 min
-	ClusterEpoch  float64 // 30 min
+	PoolEpoch    float64 // 5 min
+	ClusterEpoch float64 // 30 min
 
-	// Tick is the simulation step (default = InstanceEpoch).
+	// Tick is the simulation step and the instance-manager epoch
+	// (default 5 s, the paper's instance epoch).
 	Tick float64
 
 	// Seed drives all stochastic elements.
@@ -252,11 +251,6 @@ type Options struct {
 	// scenario.Agenda here; hooks are per-run state and must never be
 	// shared across concurrent simulations.
 	Hook TickHook
-
-	// EnergyPriceUSDPerKWh is the nominal electricity price integrated
-	// into Result.EnergyCostUSD (scaled by any hook-injected price
-	// multiplier). Zero takes the §V-F default (ERCOT-like $0.03/kWh).
-	EnergyPriceUSDPerKWh float64
 
 	// Observer, when non-nil, receives per-request terminal notifications
 	// (and, under FidelityEvent, per-token events for tagged requests)
@@ -316,9 +310,6 @@ func (o Options) withDefaults() Options {
 	if o.Servers <= 0 {
 		o.Servers = 12
 	}
-	if o.InstanceEpoch <= 0 {
-		o.InstanceEpoch = 5
-	}
 	if o.PoolEpoch <= 0 {
 		o.PoolEpoch = 5 * simclock.Minute
 	}
@@ -326,10 +317,7 @@ func (o Options) withDefaults() Options {
 		o.ClusterEpoch = 30 * simclock.Minute
 	}
 	if o.Tick <= 0 {
-		o.Tick = o.InstanceEpoch
-	}
-	if o.EnergyPriceUSDPerKWh <= 0 {
-		o.EnergyPriceUSDPerKWh = energy.DefaultCost.EnergyUSDPerKWh
+		o.Tick = 5
 	}
 	return o
 }

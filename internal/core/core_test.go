@@ -17,8 +17,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.NumPools != workload.NumClasses {
 		t.Errorf("default pools = %d, want 9", o.NumPools)
 	}
-	if o.InstanceEpoch != 5 || o.PoolEpoch != 300 || o.ClusterEpoch != 1800 {
-		t.Errorf("default epochs = %v/%v/%v", o.InstanceEpoch, o.PoolEpoch, o.ClusterEpoch)
+	if o.Tick != 5 || o.PoolEpoch != 300 || o.ClusterEpoch != 1800 {
+		t.Errorf("default tick/epochs = %v/%v/%v", o.Tick, o.PoolEpoch, o.ClusterEpoch)
 	}
 	if o.Servers != 12 {
 		t.Errorf("default servers = %d, want 12", o.Servers)

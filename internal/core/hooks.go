@@ -220,7 +220,8 @@ func (ct *Controls) SetSubmitDelay(d float64) {
 func (ct *Controls) SubmitDelay() float64 { return ct.s.submitDelay }
 
 // SetPriceMult sets the electricity-price multiplier applied on top of
-// Options.EnergyPriceUSDPerKWh from this tick on (1 = nominal). The
+// the nominal electricity price (energy.DefaultCost, the §V-F
+// ERCOT-like $0.03/kWh) from this tick on (1 = nominal). The
 // multiplier feeds Result.EnergyCostUSD and the price-aware controllers:
 // expensive energy tightens the DVFS headroom and the re-sharding
 // hysteresis, and routes the pool manager through the cost-objective

@@ -503,7 +503,7 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 	priceAware := s.priceMult != 1
 	weights := solver.CostWeights{
 		GPUHourUSD:      energy.DefaultCost.GPUHourUSD,
-		EnergyUSDPerKWh: s.opts.EnergyPriceUSDPerKWh * s.priceMult,
+		EnergyUSDPerKWh: energy.DefaultCost.EnergyUSDPerKWh * s.priceMult,
 	}
 	if priceAware {
 		// Price signal active: solve the full cost objective (GPU rental

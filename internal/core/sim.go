@@ -1038,7 +1038,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 			// Attribute energy to classes by served mix.
 			tickJ := watts * opts.Tick
 			res.EnergyJ += tickJ
-			res.EnergyCostUSD += energy.KWh(tickJ) * opts.EnergyPriceUSDPerKWh * s.priceMult
+			res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * s.priceMult
 			cls := workload.Classify(int(in.mixIn), int(in.mixOut))
 			res.EnergyByClassJ[cls] += tickJ
 			res.EnergySeries.Accumulate(float64(now), tickJ)

@@ -54,9 +54,6 @@ func (m *Meter) SetPower(t simclock.Time, watts float64) {
 	m.lastW = watts
 }
 
-// Joules returns the energy integrated so far.
-func (m *Meter) Joules() float64 { return m.avg.Area() }
-
 // Finish closes the signal at t and returns total joules.
 func (m *Meter) Finish(t simclock.Time) float64 {
 	m.avg.Set(float64(t), m.lastW)

@@ -15,10 +15,10 @@
 // LatencySink.
 //
 // The engine honours the repository's steady-state allocation discipline:
-// seqState records are pooled and the per-iteration scratch (the active
-// batch, the waiting queue, the iteration-end callback) is reused, so a
-// long soak allocates only the clock's event records and the per-arrival
-// submission closures (BenchmarkEngineSoak tracks this).
+// seqState records are pooled, the per-iteration scratch (the active
+// batch, the waiting queue, the iteration-end callback) is reused, and
+// the clock stores events by value, so a long soak allocates only the
+// per-arrival submission closures (BenchmarkEngineSoak tracks this).
 package engine
 
 import (
@@ -62,8 +62,6 @@ type seqState struct {
 	// re-hitting an entry only it kept alive would cycle forever at the
 	// block boundary it already could not cross).
 	noPrefix bool
-	// enqueued is when the request entered the engine.
-	enqueued simclock.Time
 	// lastToken is when the sequence's most recent token was produced;
 	// TBT gaps are measured against it.
 	lastToken simclock.Time
@@ -76,6 +74,13 @@ type LatencySink interface {
 	ObserveTTFT(cls workload.Class, seconds float64)
 	ObserveTBT(cls workload.Class, seconds float64)
 }
+
+// pooledSink is a LatencySink that pools every class into one TTFT and
+// one TBT distribution: the single-engine view Measure reports.
+type pooledSink struct{ ttft, tbt metrics.Dist }
+
+func (s *pooledSink) ObserveTTFT(_ workload.Class, v float64) { s.ttft.Add(v) }
+func (s *pooledSink) ObserveTBT(_ workload.Class, v float64)  { s.tbt.Add(v) }
 
 // KVCounters is the KV-cache event-counter bank (block accounting only):
 // the engine bumps it on its event paths, and the cluster result embeds
@@ -166,12 +171,9 @@ type Engine struct {
 	Cfg   perfmodel.Config
 	clock *simclock.Clock
 
-	// waiting is the FIFO admission queue (prefill not yet finished);
-	// waitHead indexes its first live entry so dequeuing never reslices
-	// the backing array away.
-	waiting  []*seqState
-	waitHead int
-	active   []*seqState // in the running batch
+	// waiting is the FIFO admission queue (prefill not yet finished).
+	waiting fifo[*seqState]
+	active  []*seqState // in the running batch
 
 	kvTokens    float64
 	kvCapacity  float64
@@ -185,15 +187,14 @@ type Engine struct {
 	kvBlocksUsed int
 	// preempted holds decode sequences evicted under KV pressure; they
 	// re-enter admission (re-prefilling their recomputed context) with
-	// strict priority over the waiting queue. preHead mirrors waitHead.
-	preempted []*seqState
-	preHead   int
+	// strict priority over the waiting queue.
+	preempted fifo[*seqState]
 	// prefixMap/prefixList are the prompt-prefix cache: map for lookup,
 	// list in insertion order for deterministic oldest-first eviction
 	// (map iteration order must never drive behaviour).
 	prefixMap  map[uint64]*prefixEntry
 	prefixList []*prefixEntry
-	freePrefix []*prefixEntry
+	prefixes   pool[prefixEntry]
 	// Tiered KV spill state (tier.go). kvTierCap == 0 disables the tier
 	// and keeps the recompute-only path above bit-for-bit.
 	kvTierCap  int
@@ -202,21 +203,19 @@ type Engine struct {
 	// linkFreeAt is when the swap link next idles; transfers serialize
 	// behind it (the bandwidth queue).
 	linkFreeAt simclock.Time
-	// spilled holds swapped-out sequences in spill order (head-indexed
-	// FIFO): the head is both the next to swap back in and the LRU
-	// eviction victim when the tier itself fills.
-	spilled   []*seqState
-	spillHead int
-	// swapQ holds in-flight swap-in transfers in link order; completions
-	// pop the head (the link serializes, so FIFO order is end order).
+	// spilled holds swapped-out sequences in spill order: the head is
+	// both the next to swap back in and the LRU eviction victim when the
+	// tier itself fills.
+	spilled fifo[*seqState]
+	// swapQ holds the sequences of in-flight swap-in transfers in link
+	// order; completions pop the head (the link serializes, so FIFO order
+	// is end order), and a drained transfer leaves a nil slot behind.
 	// swapReady stages completed swap-ins until the next iteration start.
-	swapQ        []*swapIn
-	swapHead     int
+	swapQ        fifo[*seqState]
 	swapReady    []*seqState
-	freeSwap     []*swapIn
 	swapInflight int
 	// onSwapDone is the swap-in completion callback, bound once so
-	// scheduling a transfer does not allocate a closure.
+	// scheduling a transfer needs no per-transfer closure or record.
 	onSwapDone func()
 
 	// prefillOnly marks the prefill side of a disaggregated pair:
@@ -227,9 +226,9 @@ type Engine struct {
 
 	meter *energy.Meter
 
-	// free is the seqState pool; finished or drained sequences return
+	// states is the seqState pool; finished or drained sequences return
 	// here instead of garbage.
-	free []*seqState
+	states pool[seqState]
 	// iterEnd is the scheduled end of the in-flight iteration, read by
 	// onIterEnd (one iteration is in flight at a time).
 	iterEnd simclock.Time
@@ -238,9 +237,6 @@ type Engine struct {
 	onIterStart func()
 	onIterEnd   func()
 
-	// Measurements.
-	TTFT *metrics.Dist
-	TBT  *metrics.Dist
 	// Counters is the engine's integer counter bank, embedded so call
 	// sites keep reading e.Completed, e.KVPreemptions, ... unchanged. It is
 	// a separate struct so the counter algebra lives in one place
@@ -265,8 +261,6 @@ func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
 		clock:      clock,
 		kvCapacity: cfg.Model.KVCapacityTokens(cfg.TP),
 		meter:      energy.NewMeter(0),
-		TTFT:       metrics.NewDist(),
-		TBT:        metrics.NewDist(),
 	}
 	e.onIterStart = e.iterate
 	e.onIterEnd = e.finishIteration
@@ -275,51 +269,32 @@ func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
 	return e
 }
 
-// getState takes a seqState from the pool (or allocates one) and resets it
-// for a new request.
-func (e *Engine) getState() *seqState {
-	if n := len(e.free); n > 0 {
-		st := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return st
-	}
-	return &seqState{}
-}
-
-// putState returns a finished or drained seqState to the pool.
-func (e *Engine) putState(st *seqState) {
-	*st = seqState{}
-	e.free = append(e.free, st)
-}
-
 // Submit enqueues a request; the engine starts iterating if idle. The
 // pointer must stay valid until the request completes or is drained — use
 // SubmitCopy when the caller's storage is reused.
 func (e *Engine) Submit(req *workload.Request) {
-	st := e.getState()
-	st.req = req
-	st.prefillLeft = req.InputTokens
-	st.enqueued = e.clock.Now()
-	e.TokensIn += req.InputTokens
-	e.enqueue(st)
+	e.submit(e.states.get(), req)
 }
 
 // SubmitCopy enqueues a by-value copy of the request, stored inside the
 // engine's pooled seqState. The cluster backend uses it because its
 // per-tick request buffer is recycled while requests are still in flight.
 func (e *Engine) SubmitCopy(req workload.Request) {
-	st := e.getState()
+	st := e.states.get()
 	st.owned = req
-	st.req = &st.owned
+	e.submit(st, &st.owned)
+}
+
+// submit starts a fresh sequence for req on a pooled state.
+func (e *Engine) submit(st *seqState, req *workload.Request) {
+	st.req = req
 	st.prefillLeft = req.InputTokens
-	st.enqueued = e.clock.Now()
 	e.TokensIn += req.InputTokens
 	e.enqueue(st)
 }
 
 func (e *Engine) enqueue(st *seqState) {
-	e.waiting = append(e.waiting, st)
+	e.waiting.push(st)
 	e.kick()
 }
 
@@ -364,72 +339,44 @@ func (e *Engine) Reconfigure(cfg perfmodel.Config) {
 // state. An iteration already in flight finishes against an empty batch
 // and produces nothing.
 func (e *Engine) Drain(fn func(workload.Request)) {
-	for i := e.waitHead; i < len(e.waiting); i++ {
-		st := e.waiting[i]
-		if fn != nil {
-			fn(*st.req)
-		}
-		e.waiting[i] = nil
-		e.putState(st)
-	}
-	e.waiting = e.waiting[:0]
-	e.waitHead = 0
-	for i := e.preHead; i < len(e.preempted); i++ {
-		st := e.preempted[i]
-		if fn != nil {
-			fn(*st.req)
-		}
-		e.preempted[i] = nil
-		e.putState(st)
-	}
-	e.preempted = e.preempted[:0]
-	e.preHead = 0
-	for i, st := range e.active {
-		if fn != nil {
-			fn(*st.req)
-		}
-		e.active[i] = nil
-		e.putState(st)
-	}
+	e.drainSeqs(e.waiting.items(), fn)
+	e.waiting.reset()
+	e.drainSeqs(e.preempted.items(), fn)
+	e.preempted.reset()
+	e.drainSeqs(e.active, fn)
 	e.active = e.active[:0]
-	for i := e.spillHead; i < len(e.spilled); i++ {
-		st := e.spilled[i]
-		if fn != nil {
-			fn(*st.req)
-		}
-		e.spilled[i] = nil
-		e.putState(st)
-	}
-	e.spilled = e.spilled[:0]
-	e.spillHead = 0
-	for i, st := range e.swapReady {
-		if fn != nil {
-			fn(*st.req)
-		}
-		e.swapReady[i] = nil
-		e.putState(st)
-	}
+	e.drainSeqs(e.spilled.items(), fn)
+	e.spilled.reset()
+	e.drainSeqs(e.swapReady, fn)
 	e.swapReady = e.swapReady[:0]
 	// In-flight swap-ins: the transfer event is still scheduled; the
-	// record stays queued with a nil sequence so swapDone pops and
-	// discards it without delivering anything.
-	for i := e.swapHead; i < len(e.swapQ); i++ {
-		t := e.swapQ[i]
-		if t.st != nil {
-			if fn != nil {
-				fn(*t.st.req)
-			}
-			e.putState(t.st)
-			t.st = nil
-			e.swapInflight--
-		}
-	}
+	// slot stays queued as nil so swapDone pops and discards it without
+	// delivering anything.
+	e.swapInflight -= e.drainSeqs(e.swapQ.items(), fn)
 	e.kvTokens = 0
 	if e.kvBlocksCap > 0 {
 		e.clearPrefix()
 		e.kvBlocksUsed = 0
 		e.kvTierUsed = 0
 	}
+}
+
+// drainSeqs hands each queued sequence to fn (if non-nil) and returns its
+// state to the pool, clearing the slots, and reports how many it drained.
+// Nil slots (swap-ins already cancelled) are skipped.
+func (e *Engine) drainSeqs(seqs []*seqState, fn func(workload.Request)) (n int) {
+	for i, st := range seqs {
+		if st == nil {
+			continue
+		}
+		if fn != nil {
+			fn(*st.req)
+		}
+		seqs[i] = nil
+		e.states.put(st)
+		n++
+	}
+	return n
 }
 
 // Energy returns joules consumed so far (closing the meter at now).
@@ -439,8 +386,7 @@ func (e *Engine) Energy() float64 {
 
 // QueueLen reports requests not yet finished.
 func (e *Engine) QueueLen() int {
-	return len(e.waiting) - e.waitHead + e.preLen() + len(e.active) +
-		e.spillLen() + len(e.swapReady) + e.swapInflight
+	return e.WaitingLen() + len(e.active) + e.swapInflight
 }
 
 // WaitingLen reports requests whose (re-)prefill or swap-in has not
@@ -448,7 +394,7 @@ func (e *Engine) QueueLen() int {
 // including preempted and spilled sequences awaiting re-admission (but not
 // transfers already on the link, whose completion event carries them).
 func (e *Engine) WaitingLen() int {
-	return len(e.waiting) - e.waitHead + e.preLen() + e.spillLen() + len(e.swapReady)
+	return e.waiting.len() + e.preempted.len() + e.spilled.len() + len(e.swapReady)
 }
 
 // kick schedules the next iteration if the engine is idle and has work.
@@ -514,8 +460,8 @@ func (e *Engine) iterate() {
 			}
 		}
 	} else {
-		for e.waitHead < len(e.waiting) && budget > 0 {
-			st := e.waiting[e.waitHead]
+		for e.waiting.len() > 0 && budget > 0 {
+			st := e.waiting.peek()
 			chunk := st.prefillLeft
 			if chunk > budget {
 				chunk = budget
@@ -532,14 +478,8 @@ func (e *Engine) iterate() {
 				// Prompt fully processed: joins the decode batch; first
 				// token appears at the end of this iteration.
 				e.active = append(e.active, st)
-				e.waiting[e.waitHead] = nil
-				e.waitHead++
+				e.waiting.pop()
 			}
-		}
-		if e.waitHead == len(e.waiting) {
-			// Queue empty: rewind so the backing array is reused.
-			e.waiting = e.waiting[:0]
-			e.waitHead = 0
 		}
 	}
 
@@ -596,17 +536,13 @@ func (e *Engine) finishIteration() {
 			// then and is not re-recorded.
 			if st.req.FirstToken == 0 {
 				st.req.FirstToken = end
-				ttft := float64(end - st.req.Arrival)
-				e.TTFT.Add(ttft)
 				if e.sink != nil {
-					e.sink.ObserveTTFT(st.req.Class(), ttft)
+					e.sink.ObserveTTFT(st.req.Class(), float64(end-st.req.Arrival))
 				}
 			}
 		} else {
-			gap := float64(end - st.lastToken)
-			e.TBT.Add(gap)
 			if e.sink != nil {
-				e.sink.ObserveTBT(st.req.Class(), gap)
+				e.sink.ObserveTBT(st.req.Class(), float64(end-st.lastToken))
 			}
 		}
 		st.lastToken = end
@@ -622,7 +558,7 @@ func (e *Engine) finishIteration() {
 			if e.onHandoff != nil {
 				e.onHandoff(*st.req, st.ctx)
 			}
-			e.putState(st)
+			e.states.put(st)
 			continue
 		}
 		if st.produced >= st.req.OutputTokens {
@@ -639,7 +575,7 @@ func (e *Engine) finishIteration() {
 				// recycled immediately after.
 				e.onComplete(st.req)
 			}
-			e.putState(st)
+			e.states.put(st)
 			continue
 		}
 		live = append(live, st)
@@ -670,6 +606,8 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	clock := simclock.New()
 	rng := simclock.NewRNG(uint64(lambda*1e6) ^ uint64(inTokens)<<20 ^ uint64(outTokens))
 	eng := New(cfg, clock)
+	var lat pooledSink
+	eng.SetSink(&lat)
 
 	t := 0.0
 	for {
@@ -689,8 +627,8 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	clock.RunUntil(simclock.Time(MeasureSeconds))
 
 	obs.Power = eng.Energy() / MeasureSeconds
-	obs.TTFTP99 = eng.TTFT.Percentile(99)
-	obs.TBTP99 = eng.TBT.Percentile(99)
+	obs.TTFTP99 = lat.ttft.Percentile(99)
+	obs.TBTP99 = lat.tbt.Percentile(99)
 	// Saturation check: the queue must not grow without bound.
 	backlog := eng.QueueLen()
 	obs.Feasible = float64(backlog) < math.Max(10, lambda*MeasureSeconds*0.05) &&

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkEngineSoak drives a sustained Poisson load through one engine —
 // the steady-state shape of an event-fidelity cluster run. With pooled
-// seqStates and reused per-iteration scratch, the surviving allocations
-// are the clock's event records and the per-arrival submission closures,
-// so allocs/op grows with the request count, not with tokens produced
+// seqStates, reused per-iteration scratch and a by-value clock agenda,
+// the surviving allocations are the per-arrival submission closures, so
+// allocs/op grows with the request count, not with tokens produced
 // (tracked in BENCH_<n>.json via cmd/benchjson).
 func BenchmarkEngineSoak(b *testing.B) {
 	cfg := perfmodel.Config{Model: model.Llama2_70B, TP: model.TP4, Freq: 1600}

@@ -93,14 +93,16 @@ func TestEnergyAccrues(t *testing.T) {
 func TestTBTGapsRecorded(t *testing.T) {
 	clock := simclock.New()
 	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
+	var lat pooledSink
+	eng.SetSink(&lat)
 	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 50})
 	clock.Run()
-	if eng.TBT.N() != 49 {
-		t.Errorf("TBT gaps = %d, want 49", eng.TBT.N())
+	if lat.tbt.N() != 49 {
+		t.Errorf("TBT gaps = %d, want 49", lat.tbt.N())
 	}
 	// Gaps near the analytic single-sequence iteration time.
 	want := cfg70(model.TP8, gpu.MaxFreq).IsolatedTBT(150)
-	if got := eng.TBT.Percentile(50); got < want*0.5 || got > want*2 {
+	if got := lat.tbt.Percentile(50); got < want*0.5 || got > want*2 {
 		t.Errorf("median gap = %v, analytic = %v", got, want)
 	}
 }
@@ -194,6 +196,8 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 	clock := simclock.New()
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
 	eng := New(cfg, clock)
+	var lat pooledSink
+	eng.SetSink(&lat)
 	// A decoding victim first, then a long-prompt arrival.
 	victim := &workload.Request{Arrival: 0, InputTokens: 64, OutputTokens: 400}
 	eng.Submit(victim)
@@ -201,7 +205,7 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 		eng.Submit(&workload.Request{Arrival: 1, InputTokens: 3072, OutputTokens: 5})
 	})
 	clock.Run()
-	maxGap := eng.TBT.Max()
+	maxGap := lat.tbt.Max()
 	chunkIter := cfg.Iter(perfmodel.Batch{
 		PrefillTokens: perfmodel.PrefillChunk,
 		DecodeSeqs:    2,
@@ -209,6 +213,32 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 	}).Time
 	if maxGap > chunkIter*1.6 {
 		t.Errorf("max decode gap %v exceeds chunk iteration %v: prefill not chunked", maxGap, chunkIter)
+	}
+}
+
+// TestEngineDecodeAllocationFree: once a long-output batch decodes
+// steadily, each clock event (an iteration start or end) reuses the
+// pooled states, the active batch, the bound callbacks and the clock's
+// agenda, so stepping the clock allocates nothing.
+func TestEngineDecodeAllocationFree(t *testing.T) {
+	clock := simclock.New()
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
+	var lat pooledSink
+	eng.SetSink(&lat)
+	for i := 0; i < 8; i++ {
+		eng.SubmitCopy(workload.Request{InputTokens: 256, OutputTokens: 1 << 20})
+	}
+	for i := 0; i < 200; i++ {
+		clock.Step()
+	}
+	if len(eng.active) != 8 {
+		t.Fatalf("batch not decoding steadily: %d active", len(eng.active))
+	}
+	if allocs := testing.AllocsPerRun(500, func() { clock.Step() }); allocs != 0 {
+		t.Fatalf("steady decoding allocates %v per clock event, want 0", allocs)
+	}
+	if lat.tbt.N() == 0 {
+		t.Fatal("no decode gaps observed")
 	}
 }
 

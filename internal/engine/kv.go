@@ -148,13 +148,12 @@ func (e *Engine) SubmitDecode(req workload.Request, ctx int) {
 	if e.kvBlocksCap == 0 {
 		panic("engine: SubmitDecode requires block-granular KV (ConfigureKV)")
 	}
-	st := e.getState()
+	st := e.states.get()
 	st.owned = req
 	st.req = &st.owned
 	st.prefillLeft = 0
 	st.produced = 1
 	st.ctx = ctx
-	st.enqueued = e.clock.Now()
 	st.lastToken = req.FirstToken
 	e.enqueue(st)
 }
@@ -166,9 +165,6 @@ func blocksFor(tokens, blockTokens int) int {
 	}
 	return (tokens + blockTokens - 1) / blockTokens
 }
-
-// preLen is the number of preempted sequences awaiting re-admission.
-func (e *Engine) preLen() int { return len(e.preempted) - e.preHead }
 
 // takeBlocks allocates n blocks, evicting unreferenced prefix-cache
 // entries if the pool is short. It reports whether the allocation fit.
@@ -203,30 +199,13 @@ func (e *Engine) reclaimBlocks(n int) bool {
 			continue
 		}
 		delete(e.prefixMap, pe.group)
-		e.putPrefix(pe)
+		e.prefixes.put(pe)
 	}
 	for i := len(kept); i < len(e.prefixList); i++ {
 		e.prefixList[i] = nil
 	}
 	e.prefixList = kept
 	return e.kvBlocksCap-e.kvBlocksUsed >= n
-}
-
-// getPrefix takes a prefixEntry from the pool (or allocates one).
-func (e *Engine) getPrefix() *prefixEntry {
-	if n := len(e.freePrefix); n > 0 {
-		pe := e.freePrefix[n-1]
-		e.freePrefix[n-1] = nil
-		e.freePrefix = e.freePrefix[:n-1]
-		return pe
-	}
-	return &prefixEntry{}
-}
-
-// putPrefix returns an evicted prefixEntry to the pool.
-func (e *Engine) putPrefix(pe *prefixEntry) {
-	*pe = prefixEntry{}
-	e.freePrefix = append(e.freePrefix, pe)
 }
 
 // derefPrefix drops a sequence's reference on its prefix-cache entry.
@@ -256,7 +235,7 @@ func (e *Engine) rejectSeq(st *seqState) {
 	if e.onReject != nil {
 		e.onReject(*st.req)
 	}
-	e.putState(st)
+	e.states.put(st)
 }
 
 // preemptSeq evicts an active decode sequence under KV pressure. With a
@@ -291,7 +270,7 @@ func (e *Engine) requeueRecompute(st *seqState) {
 	st.ctx = 0
 	st.noPrefix = true
 	e.KVRecomputes++
-	e.preempted = append(e.preempted, st)
+	e.preempted.push(st)
 }
 
 // rollbackSeq releases the blocks a queued sequence holds for a chunked
@@ -312,22 +291,11 @@ func (e *Engine) rollbackSeq(st *seqState) bool {
 	return true
 }
 
-// rollbackWaitingHead reclaims the waiting queue head's partial
-// admission, if any — the lowest-priority block holder.
-func (e *Engine) rollbackWaitingHead() bool {
-	if e.waitHead < len(e.waiting) {
-		return e.rollbackSeq(e.waiting[e.waitHead])
-	}
-	return false
-}
-
-// rollbackPreemptedHead reclaims the preempted queue head's partial
-// re-admission; only active sequences outrank it.
-func (e *Engine) rollbackPreemptedHead() bool {
-	if e.preHead < len(e.preempted) {
-		return e.rollbackSeq(e.preempted[e.preHead])
-	}
-	return false
+// rollbackHead reclaims the partial admission of a queue's head, if any.
+// The waiting head is the lowest-priority block holder; only active
+// sequences outrank the preempted head.
+func (e *Engine) rollbackHead(q *fifo[*seqState]) bool {
+	return q.len() > 0 && e.rollbackSeq(q.peek())
 }
 
 // removeActive splices index i out of the active batch, preserving order
@@ -354,7 +322,7 @@ func (e *Engine) maybeInsertPrefix(st *seqState) {
 		return
 	}
 	e.kvBlocksUsed += blocks
-	pe := e.getPrefix()
+	pe := e.prefixes.get()
 	pe.group, pe.tokens, pe.blocks = st.req.PromptGroup, st.req.InputTokens, blocks
 	e.prefixMap[pe.group] = pe
 	e.prefixList = append(e.prefixList, pe)
@@ -369,23 +337,24 @@ func (e *Engine) admitBlocks(budget *int) int {
 	// admission (steal): resuming sequences outrank new prefills, and
 	// without the rollback a blocked resume would starve forever behind
 	// blocks the lower-priority head already grabbed.
-	prefill, blocked := e.admitQueue(&e.preempted, &e.preHead, budget, e.rollbackWaitingHead)
+	prefill, blocked := e.admitQueue(&e.preempted, budget, &e.waiting)
 	if !blocked {
-		more, _ := e.admitQueue(&e.waiting, &e.waitHead, budget, nil)
+		more, _ := e.admitQueue(&e.waiting, budget, nil)
 		prefill += more
 	}
 	return prefill
 }
 
 // admitQueue admits from one FIFO queue under the shared chunk budget,
-// allocating blocks as context grows. steal, if non-nil, reclaims blocks
-// from a lower-priority holder when the pool is full. It returns the
+// allocating blocks as context grows. steal, if non-nil, is the
+// lower-priority queue whose head's blocks may be reclaimed when the pool
+// is full. It returns the
 // prefill tokens scheduled and whether it stopped on a full pool
 // (head-of-line blocking: later queues must not steal the blocks the
 // head is waiting for).
-func (e *Engine) admitQueue(q *[]*seqState, head *int, budget *int, steal func() bool) (prefill int, blocked bool) {
-	for *head < len(*q) && *budget > 0 {
-		st := (*q)[*head]
+func (e *Engine) admitQueue(q *fifo[*seqState], budget *int, steal *fifo[*seqState]) (prefill int, blocked bool) {
+	for q.len() > 0 && *budget > 0 {
+		st := q.peek()
 		// Lazily apply a prefix-cache hit before the first chunk: skip
 		// the covered prompt tokens, sharing the entry's blocks.
 		if e.kv.PrefixCache && st.ctx == 0 && st.req.PromptGroup != 0 && !st.noPrefix {
@@ -415,14 +384,13 @@ func (e *Engine) admitQueue(q *[]*seqState, head *int, budget *int, steal func()
 		if need > e.kvBlocksCap {
 			// Can never fit, even with the whole pool free: reject
 			// rather than deadlock behind an unsatisfiable head.
-			(*q)[*head] = nil
-			*head++
+			q.pop()
 			e.rejectSeq(st)
 			continue
 		}
 		if alloc := need - st.kvBlocks; alloc > 0 {
 			ok := e.takeBlocks(alloc)
-			for !ok && steal != nil && steal() {
+			for !ok && steal != nil && e.rollbackHead(steal) {
 				ok = e.takeBlocks(alloc)
 			}
 			if !ok {
@@ -438,13 +406,8 @@ func (e *Engine) admitQueue(q *[]*seqState, head *int, budget *int, steal func()
 		if st.prefillLeft == 0 {
 			e.maybeInsertPrefix(st)
 			e.active = append(e.active, st)
-			(*q)[*head] = nil
-			*head++
+			q.pop()
 		}
-	}
-	if *head == len(*q) {
-		*q = (*q)[:0]
-		*head = 0
 	}
 	return prefill, blocked
 }
@@ -472,7 +435,7 @@ func (e *Engine) reserveDecode() {
 		}
 		selfGone := false
 		for !e.takeBlocks(need - st.kvBlocks) {
-			if e.rollbackWaitingHead() || e.rollbackPreemptedHead() {
+			if e.rollbackHead(&e.waiting) || e.rollbackHead(&e.preempted) {
 				continue
 			}
 			j := len(e.active) - 1
@@ -497,7 +460,7 @@ func (e *Engine) reserveDecode() {
 func (e *Engine) clearPrefix() {
 	for i, pe := range e.prefixList {
 		delete(e.prefixMap, pe.group)
-		e.putPrefix(pe)
+		e.prefixes.put(pe)
 		e.prefixList[i] = nil
 	}
 	e.prefixList = e.prefixList[:0]

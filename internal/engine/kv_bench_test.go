@@ -14,7 +14,7 @@ import (
 // given KV config (zero = legacy path), with every request tagged into
 // one shared prompt group so the prefix cache sees hits when enabled.
 // Request lengths are fixed at in/out tokens; returns the engine and the
-// number of clock events executed (the per-event alloc floor's unit).
+// number of clock events executed (the unit the alloc ratios divide by).
 func kvSoak(kv KVConfig, lambda, dur float64, in, out int) (*Engine, uint64) {
 	cfg := perfmodel.Config{Model: model.Llama2_70B, TP: model.TP4, Freq: 1600}
 	clock := simclock.New()
@@ -59,8 +59,9 @@ var kvSoakPressured = KVConfig{BlockTokens: 16, Blocks: 72, PrefixCache: true}
 // (preemptions and re-admissions every few iterations) with the prefix
 // cache enabled. The KV bookkeeping itself is alloc-free in steady state —
 // seqStates, prefix entries, and the queues are pooled — so allocs/op
-// tracks BenchmarkEngineSoak's clock-and-closure floor rather than growing
-// with preemption traffic (TestEngineKVSteadyStateAllocs pins this).
+// tracks BenchmarkEngineSoak's submission-closure floor rather than
+// growing with preemption traffic (TestEngineKVSteadyStateAllocs pins
+// this).
 func BenchmarkEngineKV(b *testing.B) {
 	b.ReportAllocs()
 	var eng *Engine
@@ -87,10 +88,10 @@ var kvSoakTiered = KVConfig{
 }
 
 // BenchmarkEngineKVTiered times the spill-tier hot path: the pressured KV
-// soak with every preemption resolved through the swap link. Transfer
-// records are pooled and the completion callback is bound once, so
-// allocs/op stays on the clock-event floor just like the recompute path
-// (TestEngineKVTieredSteadyStateAllocs pins this).
+// soak with every preemption resolved through the swap link. Transfers
+// queue the sequence itself and the completion callback is bound once, so
+// allocs/op stays on the submission-closure floor just like the recompute
+// path (TestEngineKVTieredSteadyStateAllocs pins this).
 func BenchmarkEngineKVTiered(b *testing.B) {
 	b.ReportAllocs()
 	var eng *Engine
@@ -121,13 +122,14 @@ func mallocsDuring(f func()) uint64 {
 // contract for the block-KV machinery: a pressured KV soak (constant
 // preemption + prefix churn) may not allocate meaningfully more per
 // executed clock event than the legacy token-bucket path on the same
-// workload. Clock events are the engine's unavoidable alloc floor (one
-// event record per scheduled iteration boundary), and preemption churn
-// multiplies the event count — so normalizing per event isolates the KV
-// bookkeeping itself: with pooled seqStates, prefix entries, and queues,
-// its steady-state contribution must be zero, and any per-preemption or
-// per-admission allocation would separate the two ratios immediately
-// (preemptions outnumber completions 7:1 under this pool size).
+// workload. The clock stores events by value, so the unavoidable alloc
+// floor is the per-arrival submission closure (one per request, a few
+// hundredths of an allocation per event); preemption churn multiplies
+// the event count but not the arrivals. With pooled seqStates, prefix
+// entries, and queues, the KV bookkeeping's steady-state contribution
+// must be zero, and any per-preemption, per-admission or per-event
+// allocation would separate the two ratios immediately (preemptions
+// outnumber completions 7:1 under this pool size).
 func TestEngineKVSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc-ratio soak")
@@ -159,10 +161,11 @@ func TestEngineKVSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineKVTieredSteadyStateAllocs extends the contract to the spill
-// tier: sustained swap traffic — a pooled transfer record and one clock
-// event per swap-in — must hold the same per-event alloc floor as the
-// legacy path. An allocation per transfer (an unpooled record, a fresh
-// completion closure) would separate the ratios immediately.
+// tier: sustained swap traffic — one queued sequence and one clock event
+// per swap-in — must hold the same per-event alloc ratio as the legacy
+// path, whose only steady allocations are the per-arrival submission
+// closures. An allocation per transfer (a fresh record or completion
+// closure) would separate the ratios immediately.
 func TestEngineKVTieredSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc-ratio soak")
@@ -186,7 +189,7 @@ func TestEngineKVTieredSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs per clock event: legacy %.2f (%d events), tiered %.2f (%d events, %d swap-outs, %d swap-ins, %d evictions)",
 		perLegacy, legacySteps, perTiered, tieredSteps, tiered.KVSwapOuts, tiered.KVSwapIns, tiered.KVTierEvictions)
 	if perTiered > perLegacy*1.15 {
-		t.Errorf("tiered path allocates %.2f per clock event vs legacy %.2f (limit 1.15x): swap records must pool",
+		t.Errorf("tiered path allocates %.2f per clock event vs legacy %.2f (limit 1.15x): swap transfers must not allocate",
 			perTiered, perLegacy)
 	}
 }

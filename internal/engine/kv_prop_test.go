@@ -34,17 +34,17 @@ func heldBlocks(e *Engine) int {
 	for _, st := range e.active {
 		held += st.kvBlocks
 	}
-	for i := e.waitHead; i < len(e.waiting); i++ {
-		held += e.waiting[i].kvBlocks
+	for _, st := range e.waiting.items() {
+		held += st.kvBlocks
 	}
-	for i := e.preHead; i < len(e.preempted); i++ {
-		held += e.preempted[i].kvBlocks
+	for _, st := range e.preempted.items() {
+		held += st.kvBlocks
 	}
 	for _, st := range e.swapReady {
 		held += st.kvBlocks
 	}
-	for i := e.swapHead; i < len(e.swapQ); i++ {
-		if st := e.swapQ[i].st; st != nil {
+	for _, st := range e.swapQ.items() {
+		if st != nil {
 			held += st.kvBlocks
 		}
 	}
@@ -60,8 +60,8 @@ func heldBlocks(e *Engine) int {
 // spilled sequences awaiting swap-in plus spilled prefix entries.
 func tierHeldBlocks(e *Engine) int {
 	held := 0
-	for i := e.spillHead; i < len(e.spilled); i++ {
-		held += e.spilled[i].tierBlocks
+	for _, st := range e.spilled.items() {
+		held += st.tierBlocks
 	}
 	for _, pe := range e.prefixList {
 		if pe.spilled {
@@ -98,8 +98,8 @@ func checkKVConservation(t *testing.T, e *Engine) {
 	for _, st := range e.active {
 		checkSeq(st)
 	}
-	for i := e.spillHead; i < len(e.spilled); i++ {
-		checkSeq(e.spilled[i])
+	for _, st := range e.spilled.items() {
+		checkSeq(st)
 	}
 	for _, st := range e.swapReady {
 		checkSeq(st)
@@ -385,7 +385,7 @@ func TestKVTierDrainMidSwap(t *testing.T) {
 	var cut simclock.Time
 	for at := simclock.Time(0.05); at < 60 && cut == 0; at += 0.05 {
 		clk.RunUntil(at)
-		if eng.swapInflight > 0 && eng.spillLen() > 0 {
+		if eng.swapInflight > 0 && eng.spilled.len() > 0 {
 			cut = at
 		}
 	}
@@ -399,7 +399,7 @@ func TestKVTierDrainMidSwap(t *testing.T) {
 	if eng.QueueLen() != 0 {
 		t.Fatalf("drain left queue length %d", eng.QueueLen())
 	}
-	clk.Run() // pending swap event fires against a cancelled record
+	clk.Run() // pending swap event fires against a cancelled (nil) slot
 	checkKVConservation(t, eng)
 }
 

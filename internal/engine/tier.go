@@ -55,14 +55,6 @@ const DefaultTierBytesPerSec = 25e9
 // pinning) charged on top of the bandwidth term.
 const tierSetupSeconds = 1e-4
 
-// swapIn is one in-flight swap-in transfer. Records are pooled; the link
-// serializes transfers, so completions pop the queue head in FIFO order
-// and the single bound onSwapDone callback needs no per-transfer closure.
-type swapIn struct {
-	st  *seqState // nil after a drain cancelled the transfer
-	end simclock.Time
-}
-
 // KVTierUsage reports spill-tier occupancy: blocks used and tier size
 // (both zero without a configured tier).
 func (e *Engine) KVTierUsage() (used, capacity int) {
@@ -105,9 +97,6 @@ func (e *Engine) linkOccupy(secs float64) simclock.Time {
 	e.linkFreeAt = end
 	return end
 }
-
-// spillLen is the number of spilled sequences awaiting swap-in.
-func (e *Engine) spillLen() int { return len(e.spilled) - e.spillHead }
 
 // policySaysSwap decides swap versus recompute for one victim: always
 // under SwapAlways, otherwise by comparing the modeled swap round-trip
@@ -152,7 +141,7 @@ func (e *Engine) trySpill(st *seqState) bool {
 	e.kvTierUsed += need
 	e.KVSwapOuts++
 	e.linkOccupy(e.swapSeconds(st.ctx))
-	e.spilled = append(e.spilled, st)
+	e.spilled.push(st)
 	return true
 }
 
@@ -171,25 +160,19 @@ func (e *Engine) tierReclaim(need int) bool {
 			}
 			e.kvTierUsed -= pe.blocks
 			delete(e.prefixMap, pe.group)
-			e.putPrefix(pe)
+			e.prefixes.put(pe)
 		}
 		for i := len(kept); i < len(e.prefixList); i++ {
 			e.prefixList[i] = nil
 		}
 		e.prefixList = kept
 	}
-	for e.spillHead < len(e.spilled) && e.kvTierCap-e.kvTierUsed < need {
-		v := e.spilled[e.spillHead]
-		e.spilled[e.spillHead] = nil
-		e.spillHead++
+	for e.spilled.len() > 0 && e.kvTierCap-e.kvTierUsed < need {
+		v := e.spilled.pop()
 		e.kvTierUsed -= v.tierBlocks
 		v.tierBlocks = 0
 		e.KVTierEvictions++
 		e.requeueRecompute(v)
-	}
-	if e.spillHead == len(e.spilled) {
-		e.spilled = e.spilled[:0]
-		e.spillHead = 0
 	}
 	return e.kvTierCap-e.kvTierUsed >= need
 }
@@ -215,8 +198,8 @@ func (e *Engine) flushSwapReady() {
 //
 //dynamolint:steadystate
 func (e *Engine) admitSwapIns() (blocked bool) {
-	for e.spillHead < len(e.spilled) {
-		st := e.spilled[e.spillHead]
+	for e.spilled.len() > 0 {
+		st := e.spilled.peek()
 		// Reserve headroom for the token after the resume (+1): a sequence
 		// spilled at an exact block boundary would otherwise swap back in,
 		// fail its decode reservation before producing anything, and spill
@@ -226,15 +209,14 @@ func (e *Engine) admitSwapIns() (blocked bool) {
 		if need > e.kvBlocksCap {
 			// The sequence's next token can never fit the pool (or a
 			// re-shard shrank it below the context): it can never resume.
-			e.spilled[e.spillHead] = nil
-			e.spillHead++
+			e.spilled.pop()
 			e.kvTierUsed -= st.tierBlocks
 			st.tierBlocks = 0
 			e.rejectSeq(st)
 			continue
 		}
 		ok := e.takeBlocks(need)
-		for !ok && (e.rollbackPreemptedHead() || e.rollbackWaitingHead()) {
+		for !ok && (e.rollbackHead(&e.preempted) || e.rollbackHead(&e.waiting)) {
 			ok = e.takeBlocks(need)
 		}
 		if !ok {
@@ -246,17 +228,10 @@ func (e *Engine) admitSwapIns() (blocked bool) {
 		st.tierBlocks = 0
 		e.KVSwapIns++
 		end := e.linkOccupy(e.swapSeconds(st.ctx))
-		t := e.getSwap()
-		t.st, t.end = st, end
-		e.swapQ = append(e.swapQ, t)
+		e.swapQ.push(st)
 		e.swapInflight++
 		e.clock.At(end, e.onSwapDone)
-		e.spilled[e.spillHead] = nil
-		e.spillHead++
-	}
-	if e.spillHead == len(e.spilled) {
-		e.spilled = e.spilled[:0]
-		e.spillHead = 0
+		e.spilled.pop()
 	}
 	return blocked
 }
@@ -267,15 +242,7 @@ func (e *Engine) admitSwapIns() (blocked bool) {
 //
 //dynamolint:steadystate
 func (e *Engine) swapDone() {
-	t := e.swapQ[e.swapHead]
-	e.swapQ[e.swapHead] = nil
-	e.swapHead++
-	if e.swapHead == len(e.swapQ) {
-		e.swapQ = e.swapQ[:0]
-		e.swapHead = 0
-	}
-	st := t.st
-	e.putSwap(t)
+	st := e.swapQ.pop()
 	if st == nil {
 		return // drained while the transfer was in flight
 	}
@@ -296,21 +263,4 @@ func (e *Engine) unspillPrefix(pe *prefixEntry) bool {
 	pe.spilled = false
 	e.linkOccupy(e.swapSeconds(pe.tokens))
 	return true
-}
-
-// getSwap takes a swapIn record from the pool (or allocates one).
-func (e *Engine) getSwap() *swapIn {
-	if n := len(e.freeSwap); n > 0 {
-		t := e.freeSwap[n-1]
-		e.freeSwap[n-1] = nil
-		e.freeSwap = e.freeSwap[:n-1]
-		return t
-	}
-	return &swapIn{}
-}
-
-// putSwap returns a completed swapIn record to the pool.
-func (e *Engine) putSwap(t *swapIn) {
-	*t = swapIn{}
-	e.freeSwap = append(e.freeSwap, t)
 }

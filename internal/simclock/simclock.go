@@ -10,7 +10,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -34,44 +33,31 @@ const (
 	Week        Duration = 7 * Day
 )
 
-// event is a scheduled callback.
+// event is a scheduled callback, stored by value in the agenda.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal times
-	fn   func()
-	dead bool
+	at  Time
+	seq uint64 // tie-break: FIFO among equal times
+	fn  func()
 }
 
-// EventID identifies a scheduled event so that it can be cancelled.
-type EventID struct{ ev *event }
-
-// eventHeap implements container/heap ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). seq is unique, so this is a strict
+// total order and the firing sequence does not depend on heap layout.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Clock is a discrete-event simulation clock. The zero value is not usable;
 // construct with New.
 type Clock struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now Time
+	seq uint64
+	// events is the agenda: a binary min-heap under event.before. Events
+	// live in it by value, so once the backing array has grown to the
+	// peak agenda size scheduling allocates nothing.
+	events []event
 	steps  uint64
 }
 
@@ -88,19 +74,27 @@ func (c *Clock) Steps() uint64 { return c.steps }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a logic error in a discrete-event program.
-func (c *Clock) At(t Time, fn func()) EventID {
+//
+//dynamolint:steadystate
+func (c *Clock) At(t Time, fn func()) {
 	if t < c.now {
+		//dynamolint:alloc-ok cold path: the panic message for a logic error
 		panic(fmt.Sprintf("simclock: scheduling at %v before now %v", t, c.now))
 	}
 	c.seq++
-	ev := &event{at: t, seq: c.seq, fn: fn}
-	heap.Push(&c.events, ev)
-	return EventID{ev: ev}
+	ev := event{at: t, seq: c.seq, fn: fn}
+	c.events = append(c.events, ev)
+	// Sift up: move parents down into the hole until ev fits.
+	h, i := c.events, len(c.events)-1
+	for p := (i - 1) / 2; i > 0 && ev.before(&h[p]); p = (i - 1) / 2 {
+		h[i], i = h[p], p
+	}
+	h[i] = ev
 }
 
 // After schedules fn to run d seconds from now.
-func (c *Clock) After(d Duration, fn func()) EventID {
-	return c.At(c.now+Time(d), fn)
+func (c *Clock) After(d Duration, fn func()) {
+	c.At(c.now+Time(d), fn)
 }
 
 // Every schedules fn to run now+d, then repeatedly every d seconds, until the
@@ -124,39 +118,44 @@ func (c *Clock) Every(d Duration, fn func()) (cancel func()) {
 	return func() { stopped = true }
 }
 
-// Cancel removes a scheduled event. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (c *Clock) Cancel(id EventID) {
-	if id.ev != nil {
-		id.ev.dead = true
-	}
-}
-
 // Step executes the next event, advancing the clock. It reports false when
 // the agenda is empty.
+//
+//dynamolint:steadystate
 func (c *Clock) Step() bool {
-	for len(c.events) > 0 {
-		ev := heap.Pop(&c.events).(*event)
-		if ev.dead {
-			continue
-		}
-		c.now = ev.at
-		c.steps++
-		ev.fn()
-		return true
+	n := len(c.events) - 1
+	if n < 0 {
+		return false
 	}
-	return false
+	ev, last := c.events[0], c.events[n]
+	c.events[n] = event{} // drop the callback reference
+	c.events = c.events[:n]
+	// Sift down: move the smaller child up into the hole until the
+	// displaced last event fits.
+	h, i := c.events, 0
+	for m := 1; m < n; m = 2*i + 1 {
+		if m+1 < n && h[m+1].before(&h[m]) {
+			m++
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i], i = h[m], m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	c.now = ev.at
+	c.steps++
+	ev.fn()
+	return true
 }
 
 // RunUntil executes events until the agenda is exhausted or the next event
 // lies strictly beyond t; the clock finishes positioned at t (or at the last
 // event time if that is later than t, which cannot happen by construction).
 func (c *Clock) RunUntil(t Time) {
-	for {
-		ev := c.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
+	for len(c.events) > 0 && c.events[0].at <= t {
 		c.Step()
 	}
 	if c.now < t {
@@ -168,17 +167,6 @@ func (c *Clock) RunUntil(t Time) {
 func (c *Clock) Run() {
 	for c.Step() {
 	}
-}
-
-func (c *Clock) peek() *event {
-	for len(c.events) > 0 {
-		ev := c.events[0]
-		if !ev.dead {
-			return ev
-		}
-		heap.Pop(&c.events)
-	}
-	return nil
 }
 
 // --- Wall-clock pacing ------------------------------------------------------

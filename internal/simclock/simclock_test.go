@@ -1,7 +1,9 @@
 package simclock
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -64,14 +66,73 @@ func TestClockSchedulePastPanics(t *testing.T) {
 	c.At(5, func() {})
 }
 
-func TestClockCancel(t *testing.T) {
+// TestClockAgendaAllocationFree: events live in the agenda by value, so
+// once the backing array has grown, scheduling an already-bound callback
+// and firing it allocate nothing.
+func TestClockAgendaAllocationFree(t *testing.T) {
 	c := New()
-	ran := false
-	id := c.At(1, func() { ran = true })
-	c.Cancel(id)
+	var k counter
+	fire := k.inc // method value bound once, as the engine binds its callbacks
+	for i := 0; i < 64; i++ {
+		c.After(Duration(i), fire)
+	}
 	c.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.After(1, fire)
+		c.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocates %v per event, want 0", allocs)
+	}
+	if k == 0 {
+		t.Fatal("callback never fired")
+	}
+}
+
+type counter int
+
+func (k *counter) inc() { *k++ }
+
+// TestClockOrderMatchesStableSort is the reference for the agenda heap:
+// with times drawn from a small set (many ties) and callbacks scheduling
+// nested events, the firing order must equal a stable sort of the
+// scheduling log by time — (at, seq) order, FIFO among equal times.
+func TestClockOrderMatchesStableSort(t *testing.T) {
+	type entry struct {
+		id int
+		at Time
+	}
+	rng := NewRNG(17)
+	c := New()
+	var log []entry
+	var fired []int
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		id := len(log)
+		log = append(log, entry{id, at})
+		c.At(at, func() {
+			fired = append(fired, id)
+			for depth < 3 && rng.Intn(3) > 0 {
+				schedule(c.Now()+Time(rng.Intn(4)), depth+1)
+			}
+		})
+	}
+	for i := 0; i < 400; i++ {
+		schedule(Time(rng.Intn(6)), 0)
+	}
+	c.Run()
+	want := slices.Clone(log)
+	slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, scheduled %d", len(fired), len(want))
+	}
+	for i, w := range want {
+		if fired[i] != w.id {
+			t.Fatalf("firing %d: event %d, want %d (stable sort of the scheduling log)", i, fired[i], w.id)
+		}
+	}
+	if len(log) < 800 {
+		t.Fatalf("only %d events scheduled: nesting too shallow to exercise the heap", len(log))
 	}
 }
 
