@@ -28,7 +28,7 @@ BASE ?= 10
 # Budget for the fuzz-smoke target (per fuzz target).
 FUZZTIME ?= 30s
 
-.PHONY: all build bench-check test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke parity
+.PHONY: all build bench-check test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke parity loc
 
 all: build lint docs-check test
 
@@ -160,6 +160,11 @@ kv-smoke:
 # the experiment list in scripts/parity.sh.
 parity:
 	./scripts/parity.sh $(BASE)
+
+# Non-test Go lines per package directory and in total (tracked files,
+# outside bench/ and testdata/): the one count the simplicity bar cites.
+loc:
+	./scripts/loc.sh
 
 # Short coverage-guided fuzz passes over the scenario JSON loader, the
 # /events body decoder, the restore decoders (WAL, checkpoint) and the

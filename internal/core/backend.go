@@ -19,8 +19,9 @@ import (
 // signals (rate EWMAs, capacity, backlog) whichever backend is installed,
 // and the backend decides how an instance actually serves its work — the
 // closed-form fluid model (fluidBackend, Options.Fidelity=FidelityFluid)
-// or one event-level engine per instance on a shared virtual clock
-// (eventBackend, FidelityEvent).
+// or one event-level engine per instance, each on a private virtual clock
+// that only a disaggregated pool group shares (eventBackend,
+// FidelityEvent).
 //
 // Call protocol, per tick: Admit for every routed request, then RunTo once
 // at the end of routing, then Advance once per live instance. Retire fires
@@ -48,18 +49,14 @@ type InstanceBackend interface {
 	Reconfigure(in *Instance, now simclock.Time)
 	// Finish closes the run after the last tick (drain in-flight work).
 	Finish(end simclock.Time)
-
-	// bind attaches the backend to the running simulation's scratch
-	// state; the interface is internal to the package by construction.
-	bind(sm *simulation)
 }
 
-// newBackend builds the backend for the options.
-func newBackend(f Fidelity, c *Cluster, res *Result) InstanceBackend {
-	if f == FidelityEvent {
-		return newEventBackend(c, res)
+// newBackend builds the backend the run's options select.
+func newBackend(sm *simulation) InstanceBackend {
+	if sm.opts.Fidelity == FidelityEvent {
+		return &eventBackend{sm: sm}
 	}
-	return &fluidBackend{res: res}
+	return &fluidBackend{sm: sm}
 }
 
 // --- Fluid backend ----------------------------------------------------------------
@@ -70,11 +67,8 @@ func newBackend(f Fidelity, c *Cluster, res *Result) InstanceBackend {
 // respect to the pre-refactor tick loop: same arithmetic, same RNG draw
 // order, zero allocations per steady-state tick.
 type fluidBackend struct {
-	sm  *simulation
-	res *Result
+	sm *simulation
 }
-
-func (b *fluidBackend) bind(sm *simulation) { b.sm = sm }
 
 func (b *fluidBackend) Admit(*Instance, *workload.Request, simclock.Time) {}
 
@@ -82,10 +76,9 @@ func (b *fluidBackend) RunTo(simclock.Time) {}
 
 func (b *fluidBackend) Advance(in *Instance, a *assign, now simclock.Time) float64 {
 	sm := b.sm
-	c, s, opts := sm.c, sm.s, sm.opts
 
 	// Steady state for this tick.
-	st := c.instanceSteady(in)
+	st := sm.instanceSteady(in)
 	if in.rate > 0.01 && st.Rho > 0.01 {
 		in.capEst = in.rate / st.Rho * maxCapFraction
 	} else {
@@ -93,11 +86,11 @@ func (b *fluidBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	}
 
 	// Backlog dynamics: demand beyond capacity queues.
-	cap := in.capacity(s)
+	cap := in.capacity(sm)
 	if in.rate > cap {
-		in.backlog += (in.rate - cap) * opts.Tick
+		in.backlog += (in.rate - cap) * sm.opts.Tick
 	} else if in.backlog > 0 {
-		drain := (cap - in.rate) * opts.Tick
+		drain := (cap - in.rate) * sm.opts.Tick
 		in.backlog = math.Max(0, in.backlog-drain)
 	}
 
@@ -124,9 +117,7 @@ func (b *fluidBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
 		return
 	}
 	if in.backlog > 0 {
-		if b.res != nil {
-			b.res.SquashedLoad += in.backlog
-		}
+		b.sm.res.SquashedLoad += in.backlog
 		in.backlog = 0
 	}
 }
@@ -152,10 +143,7 @@ func (b *fluidBackend) Finish(simclock.Time) {}
 // meters' integral; per-class token-level TTFT/TBT land in
 // Result.ClassTTFT/ClassTBT.
 type eventBackend struct {
-	sm  *simulation
-	c   *Cluster
-	s   *sharedState
-	res *Result
+	sm *simulation
 
 	// now is the backend's time: the end of the last RunTo (every live
 	// engine clock stands exactly here between ticks).
@@ -294,12 +282,6 @@ func (ie *instEngine) ObserveTBT(cls workload.Class, v float64) {
 	ie.lats = append(ie.lats, latSample{cls: cls, tbt: true, v: v})
 }
 
-func newEventBackend(c *Cluster, res *Result) *eventBackend {
-	return &eventBackend{c: c, s: c.shared, res: res}
-}
-
-func (b *eventBackend) bind(sm *simulation) { b.sm = sm }
-
 // engineFor returns the instance's engine, building it on first touch
 // (frozen until readyAt while the instance is still provisioning or mid
 // transition). The engine lives on a fresh private clock fast-forwarded to
@@ -314,7 +296,7 @@ func (b *eventBackend) engineFor(in *Instance) *instEngine {
 	ie := b.engines[in.ID]
 	if ie == nil {
 		clk := b.clockFor(in)
-		cfg := perfmodel.Config{Model: b.s.opts.Model, TP: in.TP, Freq: in.effFreq()}
+		cfg := perfmodel.Config{Model: b.sm.opts.Model, TP: in.TP, Freq: in.effFreq()}
 		ie = &instEngine{eng: engine.New(cfg, clk), clock: clk, pool: in.Pool, cls: workload.Classify(int(avgOr(in.mixIn, 512)), int(avgOr(in.mixOut, 200)))}
 		b.configureKV(ie)
 		b.wire(ie)
@@ -332,12 +314,12 @@ func (b *eventBackend) engineFor(in *Instance) *instEngine {
 // clock under disaggregation (prefill and decode twins exchange mid-tick
 // handoff events, so they must share an event heap).
 func (b *eventBackend) clockFor(in *Instance) *simclock.Clock {
-	if !b.s.opts.Disagg {
+	if !b.sm.opts.Disagg {
 		clk := simclock.New()
 		clk.RunUntil(b.now)
 		return clk
 	}
-	gi := in.Pool % b.c.pooling.NumPools
+	gi := in.Pool % b.sm.pooling.NumPools
 	for gi >= len(b.groupClocks) {
 		b.groupClocks = append(b.groupClocks, nil)
 	}
@@ -353,7 +335,7 @@ func (b *eventBackend) clockFor(in *Instance) *simclock.Clock {
 // engine (no-op when KVBlockTokens is zero — the legacy token-counting
 // path stays byte-identical).
 func (b *eventBackend) configureKV(ie *instEngine) {
-	opts := b.s.opts
+	opts := b.sm.opts
 	if opts.KVBlockTokens <= 0 {
 		return
 	}
@@ -393,19 +375,19 @@ func (b *eventBackend) wire(ie *instEngine) {
 		ie.dones = append(ie.dones, *req)
 	})
 	ie.eng.SetSink(ie)
-	if b.s.opts.Observer != nil {
+	if b.sm.opts.Observer != nil {
 		ie.eng.SetOnToken(func(req *workload.Request, produced int, now simclock.Time) {
 			if req.Tag != 0 {
 				ie.toks = append(ie.toks, tokenEvent{req: *req, produced: produced, at: now})
 			}
 		})
 	}
-	if b.s.opts.KVBlockTokens > 0 {
+	if b.sm.opts.KVBlockTokens > 0 {
 		ie.eng.SetOnReject(func(r workload.Request) {
 			ie.fails = append(ie.fails, r)
 		})
 	}
-	if b.s.opts.Disagg && b.c.pools[ie.pool].Role == RolePrefill {
+	if b.sm.opts.Disagg && b.sm.pools[ie.pool].Role == RolePrefill {
 		ie.eng.SetPrefillOnly(true)
 		ie.eng.SetOnHandoff(func(r workload.Request, ctx int) {
 			b.handoff(ie, r, ctx)
@@ -427,7 +409,7 @@ func (b *eventBackend) handoff(ie *instEngine, r workload.Request, ctx int) {
 		return
 	}
 	te.handoffsIn++
-	t := &kvTransfer{at: ie.clock.Now() + simclock.Time(kvTransferSeconds(b.s.opts.Model, ctx)), req: r, ctx: ctx}
+	t := &kvTransfer{at: ie.clock.Now() + simclock.Time(kvTransferSeconds(b.sm.opts.Model, ctx)), req: r, ctx: ctx}
 	te.transfers = append(te.transfers, t)
 	te.clock.At(t.at, func() {
 		if t.done {
@@ -443,7 +425,7 @@ func (b *eventBackend) handoff(ie *instEngine, r workload.Request, ctx int) {
 // stepping, so a missing engine here means the twin pool has no usable
 // instance). Slice order breaks ties, keeping the choice deterministic.
 func (b *eventBackend) decodeTarget(pool int) *instEngine {
-	tw := b.c.pools[pool+b.c.pooling.NumPools]
+	tw := b.sm.pools[pool+b.sm.pooling.NumPools]
 	var best *instEngine
 	bestQ := 0
 	for _, in := range tw.Instances {
@@ -494,7 +476,7 @@ func (b *eventBackend) deliver(horizon simclock.Time) {
 		}
 		target := p.in
 		if target.state == stateOff {
-			target = earliestReady(b.c.pools[target.Pool])
+			target = earliestReady(b.sm.pools[target.Pool])
 			if target == nil || target == p.in {
 				// The pool died while the request was in transit: the
 				// frontend retries it after a backoff (terminal squash
@@ -515,11 +497,11 @@ func (b *eventBackend) deliver(horizon simclock.Time) {
 // merge of the buffered results in instance-ID order.
 func (b *eventBackend) RunTo(tickEnd simclock.Time) {
 	b.deliver(tickEnd)
-	if b.s.opts.Disagg {
+	if b.sm.opts.Disagg {
 		// Handoff callbacks fire while engines step (possibly on pool
 		// workers) and must not build engines — b.engines is shared
 		// state. Materialize every live decode engine serially first.
-		for _, p := range b.c.pools {
+		for _, p := range b.sm.pools {
 			if p.Role != RoleDecode {
 				continue
 			}
@@ -544,7 +526,7 @@ func (b *eventBackend) RunTo(tickEnd simclock.Time) {
 // result is byte-identical to the serial pass.
 func (b *eventBackend) stepAll(tickEnd simclock.Time, drain bool) {
 	b.stepClocks = b.stepClocks[:0]
-	if b.s.opts.Disagg {
+	if b.sm.opts.Disagg {
 		for _, clk := range b.groupClocks {
 			if clk != nil {
 				b.stepClocks = append(b.stepClocks, clk)
@@ -557,7 +539,7 @@ func (b *eventBackend) stepAll(tickEnd simclock.Time, drain bool) {
 			}
 		}
 	}
-	if jobs := b.s.opts.StepJobs; jobs > 1 && len(b.stepClocks) > 1 {
+	if jobs := b.sm.opts.StepJobs; jobs > 1 && len(b.stepClocks) > 1 {
 		order.Parallel(len(b.stepClocks), jobs, func(i int) { stepClock(b.stepClocks[i], tickEnd, drain) })
 		return
 	}
@@ -583,19 +565,20 @@ func stepClock(clk *simclock.Clock, tickEnd simclock.Time, drain bool) {
 // deterministic event order, so each request's token events still precede
 // its completion.
 func (b *eventBackend) merge() {
+	res := b.sm.res
 	for _, ie := range b.engines {
 		if ie == nil {
 			continue
 		}
 		for _, ls := range ie.lats {
 			if ls.tbt {
-				b.res.ClassTBT[ls.cls].Add(ls.v)
+				res.ClassTBT[ls.cls].Add(ls.v)
 			} else {
-				b.res.ClassTTFT[ls.cls].Add(ls.v)
+				res.ClassTTFT[ls.cls].Add(ls.v)
 			}
 		}
 		ie.lats = ie.lats[:0]
-		if obs := b.s.opts.Observer; obs != nil {
+		if obs := b.sm.opts.Observer; obs != nil {
 			for i := range ie.toks {
 				t := &ie.toks[i]
 				obs.RequestToken(&t.req, t.produced, t.at)
@@ -629,7 +612,7 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	// here as an effective-clock change.
 	if f := in.effFreq(); f != ie.eng.Cfg.Freq {
 		stall := gpu.SlowSetOverhead
-		if b.s.opts.ReducedOverheads {
+		if b.sm.opts.ReducedOverheads {
 			stall = gpu.FastSetOverhead
 		}
 		ie.eng.SetFreq(f, stall)
@@ -646,7 +629,7 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 		// EWMA — the load signal every controller reads — would decay to
 		// zero on decode instances. Fold the tick's received handoffs in
 		// at the same EWMA weight accountTick applies to routed work.
-		in.rate += 0.3 * float64(ie.handoffsIn) / b.s.opts.Tick
+		in.rate += 0.3 * float64(ie.handoffsIn) / b.sm.opts.Tick
 		ie.handoffsIn = 0
 	}
 	if len(ie.transfers) > 0 {
@@ -667,14 +650,14 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	j := ie.eng.Energy()
 	tickJ := j - ie.lastJ
 	ie.lastJ = j
-	return tickJ / b.s.opts.Tick
+	return tickJ / b.sm.opts.Tick
 }
 
 // settleKV folds the engine's KV counter movement since the last settle
 // into the run totals (delta-based, so it is safe to call from both
 // Advance and the retirement/finish paths).
 func (b *eventBackend) settleKV(ie *instEngine) {
-	b.res.AddSince(ie.eng.KVCounters, ie.settled)
+	b.sm.res.AddSince(ie.eng.KVCounters, ie.settled)
 	ie.settled = ie.eng.KVCounters
 }
 
@@ -707,7 +690,7 @@ func (b *eventBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
 	// budget; a planned departure with no sibling left takes the same path.
 	var te *instEngine
 	if graceful {
-		if target := earliestReady(b.c.pools[in.Pool]); target != nil && target != in { // in is stateOff: skipped
+		if target := earliestReady(b.sm.pools[in.Pool]); target != nil && target != in { // in is stateOff: skipped
 			te = b.engineFor(target)
 		}
 	}
@@ -732,7 +715,7 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 	// cannot survive the layout change, so they restart on the
 	// reconfigured engine after the transition stall.
 	drained := b.drain(ie)
-	ie.eng.Reconfigure(perfmodel.Config{Model: b.s.opts.Model, TP: in.TP, Freq: in.effFreq()})
+	ie.eng.Reconfigure(perfmodel.Config{Model: b.sm.opts.Model, TP: in.TP, Freq: in.effFreq()})
 	stallEnd := b.now
 	if in.readyAt > now {
 		stallEnd = in.readyAt
@@ -796,8 +779,9 @@ func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 	if tickJ <= 0 {
 		return
 	}
-	b.res.EnergyJ += tickJ
-	b.res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * b.s.priceMult
-	b.res.EnergyByClassJ[ie.cls] += tickJ
-	b.res.EnergySeries.Accumulate(float64(at), tickJ)
+	res := b.sm.res
+	res.EnergyJ += tickJ
+	res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * b.sm.priceMult
+	res.EnergyByClassJ[ie.cls] += tickJ
+	res.EnergySeries.Accumulate(float64(at), tickJ)
 }

@@ -31,8 +31,6 @@ import (
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
-	"dynamollm/internal/predict"
-	"dynamollm/internal/profile"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
 )
@@ -40,9 +38,10 @@ import (
 // Fidelity selects the instance service model behind the cluster
 // simulation: the closed-form fluid model (fast, the paper's large-scale
 // simulator, §V-E) or the event-level continuous-batching engine (one
-// engine.Engine per instance on a shared virtual clock — request-level
-// queueing, batching, and tail behaviour emerge instead of being sampled
-// from formulas). Fluid is the default; event mode is the ground-truth
+// engine.Engine per instance, each on a private virtual clock that only a
+// disaggregated prefill/decode pool group shares — request-level queueing,
+// batching, and tail behaviour emerge instead of being sampled from
+// formulas). Fluid is the default; event mode is the ground-truth
 // check, a few orders of magnitude slower per simulated second.
 type Fidelity int
 
@@ -367,61 +366,6 @@ func DynamoLLM() Options {
 	return o
 }
 
-// sharedState bundles what all controllers read.
-type sharedState struct {
-	opts        Options
-	prof        *profile.Profile
-	loadPred    *predict.LoadPredictor
-	lenPred     *predict.LengthPredictor
-	rng         *simclock.RNG
-	nextID      int
-	capCache    map[capKey]float64
-	steadyCache map[steadyKey]perfmodel.Steady
-	// curTick is the 1-based tick currently being simulated (0 outside a
-	// run); per-instance tick-scoped memos key on it.
-	curTick int
-	// priceMult is the hook-injected electricity-price multiplier
-	// (1 = nominal); it scales EnergyCostUSD accounting and steers the
-	// price-aware controller paths.
-	priceMult float64
-	// sloMult is the hook-injected SLO scaling applied to requests at
-	// arrival (values below 1 tighten, above 1 relax; 1 = nominal).
-	sloMult float64
-	// submitDelay is the hook-injected transient submission delay in
-	// seconds (a frontend/network blip): requests arriving while it is
-	// non-zero reach their instance that much later, paying the delay in
-	// their TTFT.
-	submitDelay float64
-	// backend is the instance-fidelity backend of the running simulation
-	// (nil outside a run or in direct controller tests — the retire and
-	// reconfigure helpers tolerate that).
-	backend InstanceBackend
-}
-
-// retire notifies the backend that an instance is leaving service. It is
-// called right after the instance is parked stateOff; graceful marks a
-// planned departure (scale-in, re-shard surplus) whose in-flight work may
-// migrate, as opposed to an abrupt outage.
-func (s *sharedState) retire(in *Instance, now simclock.Time, graceful bool) {
-	if s.backend != nil {
-		s.backend.Retire(in, now, graceful)
-	}
-}
-
-// reconfigure notifies the backend that an instance's configuration (TP
-// degree, transition window) just changed via applyReshard.
-func (s *sharedState) reconfigure(in *Instance, now simclock.Time) {
-	if s.backend != nil {
-		s.backend.Reconfigure(in, now)
-	}
-}
-
-// nextInstanceID hands out unique instance IDs.
-func (s *sharedState) nextInstanceID() int {
-	s.nextID++
-	return s.nextID
-}
-
 // SmoothTTFTSLO interpolates the Table IV TTFT targets between the class
 // representative input lengths (linear in log input length), so capacity
 // estimates for mixed pools vary smoothly with the average mix.
@@ -463,8 +407,8 @@ func shapeBucket(v, floor float64) int {
 // shapeCapacity returns the SLO-feasible capacity (req/s) of a
 // configuration serving a request mix with the given average lengths. The
 // bisection result is cached on a geometric grid of shapes.
-func (s *sharedState) shapeCapacity(tp model.TP, f gpu.Freq, mixIn, mixOut float64) float64 {
-	return s.shapeCapacityKey(capKey{
+func (sm *simulation) shapeCapacity(tp model.TP, f gpu.Freq, mixIn, mixOut float64) float64 {
+	return sm.shapeCapacityKey(capKey{
 		tp:   tp,
 		freq: gpu.Nearest(f),
 		inB:  shapeBucket(mixIn, 8),
@@ -474,22 +418,19 @@ func (s *sharedState) shapeCapacity(tp model.TP, f gpu.Freq, mixIn, mixOut float
 
 // shapeCapacityKey is shapeCapacity for an already-bucketed key (the
 // per-instance capacity memo revalidates with the key alone).
-func (s *sharedState) shapeCapacityKey(key capKey) float64 {
-	if s.capCache == nil {
-		s.capCache = map[capKey]float64{}
-	}
-	if v, ok := s.capCache[key]; ok {
+func (sm *simulation) shapeCapacityKey(key capKey) float64 {
+	if v, ok := sm.capCache[key]; ok {
 		return v
 	}
 	inR := math.Exp(float64(key.inB) * shapeBucketStep)
 	outR := math.Exp(float64(key.outB) * shapeBucketStep)
-	cfg := perfmodel.Config{Model: s.opts.Model, TP: key.tp, Freq: key.freq}
-	ttft := SmoothTTFTSLO(inR) * s.opts.SLOScale
-	tbt := 0.100 * s.opts.SLOScale
+	cfg := perfmodel.Config{Model: sm.opts.Model, TP: key.tp, Freq: key.freq}
+	ttft := SmoothTTFTSLO(inR) * sm.opts.SLOScale
+	tbt := 0.100 * sm.opts.SLOScale
 	cap, ok := perfmodel.MaxLoadShape(cfg, int(inR), int(outR), ttft, tbt)
 	if !ok {
 		cap = 0
 	}
-	s.capCache[key] = cap
+	sm.capCache[key] = cap
 	return cap
 }

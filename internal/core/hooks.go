@@ -18,41 +18,23 @@ type TickHook interface {
 	OnTick(now simclock.Time, ctl *Controls)
 }
 
-// Controls is the narrow mutation surface a TickHook may use to perturb
-// the cluster mid-run: fail and recover capacity, move the electricity
-// price, and tighten or relax the SLO window. It deliberately exposes no
-// direct access to pools or instances so hooks cannot break the tick
-// loop's scratch-state invariants.
-type Controls struct {
-	c   *Cluster
-	s   *sharedState
-	res *Result
-	now simclock.Time
-
-	// failedGPUs tracks injected capacity loss per pool so RecoverServers
-	// can restore it where it was taken, mirroring a repaired machine
-	// rejoining its old placement group.
-	failedGPUs []int
-}
-
-// newControls builds the per-run Controls facade (one allocation at
-// simulation setup; reused every tick). Direct controller tests construct
-// it without a simulation, so a missing backend defaults to fluid.
-func newControls(c *Cluster, res *Result) *Controls {
-	if c.shared.backend == nil {
-		c.shared.backend = &fluidBackend{res: res}
-	}
-	return &Controls{c: c, s: c.shared, res: res, failedGPUs: make([]int, len(c.pools))}
-}
+// Controls is a facade over a run's state: the narrow mutation surface a
+// TickHook may use to perturb the cluster mid-run — fail and recover
+// capacity, move the electricity price, and tighten or relax the SLO
+// window. It is the run state itself under another method set (a
+// *simulation converts to a *Controls for free), and it deliberately
+// exposes no direct access to pools or instances so hooks cannot break
+// the tick loop's scratch-state invariants.
+type Controls simulation
 
 // Now returns the virtual time of the tick being processed.
-func (ct *Controls) Now() simclock.Time { return ct.now }
+func (ct *Controls) Now() simclock.Time { return ct.tickStart }
 
 // ActiveServers reports the cluster's live capacity in 8-GPU server
 // equivalents (provisioning instances count: their GPUs are occupied).
 func (ct *Controls) ActiveServers() int {
 	gpus := 0
-	for _, p := range ct.c.pools {
+	for _, p := range ct.pools {
 		gpus += p.gpusInUse()
 	}
 	return gpus / 8
@@ -114,7 +96,7 @@ func (ct *Controls) RecoverServers(n int) int {
 		if ct.failedGPUs[pool] -= 8; ct.failedGPUs[pool] < 0 {
 			ct.failedGPUs[pool] = 0
 		}
-		ct.c.addInstance(ct.c.pools[pool], model.TP8, ct.now, false)
+		(*simulation)(ct).addInstance(ct.pools[pool], model.TP8, ct.tickStart, false)
 		ct.res.Recoveries++
 		recovered++
 	}
@@ -162,7 +144,7 @@ func (ct *Controls) StraggleServers(n int, factor float64) int {
 	made := 0
 	for made < n {
 		var victim *Instance
-		for _, p := range ct.c.pools {
+		for _, p := range ct.pools {
 			for _, in := range p.Instances {
 				if in.state == stateOff || in.slowFactor != 1 {
 					continue
@@ -187,7 +169,7 @@ func (ct *Controls) StraggleServers(n int, factor float64) int {
 // LIFO). Returns the number repaired.
 func (ct *Controls) RepairStragglers(n int) int {
 	repaired := 0
-	for _, p := range ct.c.pools {
+	for _, p := range ct.pools {
 		for _, in := range p.Instances {
 			if repaired >= n {
 				return repaired
@@ -210,14 +192,14 @@ func (ct *Controls) SetSubmitDelay(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	if d > 0 && ct.s.submitDelay == 0 {
+	if d > 0 && ct.submitDelay == 0 {
 		ct.res.Blips++
 	}
-	ct.s.submitDelay = d
+	ct.submitDelay = d
 }
 
 // SubmitDelay returns the active frontend submission delay in seconds.
-func (ct *Controls) SubmitDelay() float64 { return ct.s.submitDelay }
+func (ct *Controls) SubmitDelay() float64 { return ct.submitDelay }
 
 // SetPriceMult sets the electricity-price multiplier applied on top of
 // the nominal electricity price (energy.DefaultCost, the §V-F
@@ -230,11 +212,11 @@ func (ct *Controls) SetPriceMult(x float64) {
 	if x <= 0 {
 		x = 1
 	}
-	ct.s.priceMult = x
+	ct.priceMult = x
 }
 
 // PriceMult returns the active electricity-price multiplier.
-func (ct *Controls) PriceMult() float64 { return ct.s.priceMult }
+func (ct *Controls) PriceMult() float64 { return ct.priceMult }
 
 // SetSLOFactor scales the SLOs of requests arriving from this tick on:
 // factors below 1 tighten (an SLO-crunch window), above 1 relax. The
@@ -245,17 +227,17 @@ func (ct *Controls) SetSLOFactor(x float64) {
 	if x <= 0 {
 		x = 1
 	}
-	ct.s.sloMult = x
+	ct.sloMult = x
 }
 
 // SLOFactor returns the active SLO scaling factor.
-func (ct *Controls) SLOFactor() float64 { return ct.s.sloMult }
+func (ct *Controls) SLOFactor() float64 { return ct.sloMult }
 
 // busiestPool returns the live pool with the most GPUs in use.
 func (ct *Controls) busiestPool() *Pool {
 	var best *Pool
 	bestGPUs := 0
-	for _, p := range ct.c.pools {
+	for _, p := range ct.pools {
 		if g := p.gpusInUse(); g > bestGPUs {
 			best, bestGPUs = p, g
 		}
@@ -284,6 +266,6 @@ func newestLive(p *Pool) *Instance {
 // the instance is parked for compaction.
 func (ct *Controls) killInstance(in *Instance) {
 	in.state = stateOff
-	ct.s.retire(in, ct.now, false)
+	ct.backend.Retire(in, ct.tickStart, false)
 	ct.res.Outages++
 }

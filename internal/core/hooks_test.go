@@ -34,21 +34,20 @@ func (h *testHook) OnTick(now simclock.Time, ctl *Controls) {
 // restores them (through provisioning), and counters land in the Result.
 func TestControlsFailAndRecover(t *testing.T) {
 	r, _ := fixtures(t)
-	opts := preset("singlepool").withDefaults()
+	opts := preset("singlepool")
 	opts.Seed = 1
-	c := NewCluster(opts, r)
-	c.staticProvision(nil)
-	res := &Result{}
-	ctl := newControls(c, res)
+	sm := newSimulation(nil, opts, r)
+	res := sm.res
+	ctl := (*Controls)(sm)
 
 	before := ctl.ActiveServers()
-	if before != opts.Servers {
-		t.Fatalf("static provision gave %d servers, want %d", before, opts.Servers)
+	if before != sm.opts.Servers {
+		t.Fatalf("static provision gave %d servers, want %d", before, sm.opts.Servers)
 	}
 	if got := ctl.FailServers(3); got != 3 {
 		t.Fatalf("FailServers(3) = %d", got)
 	}
-	c.compactPools()
+	sm.compactPools()
 	if got := ctl.ActiveServers(); got != before-3 {
 		t.Errorf("after outage: %d servers, want %d", got, before-3)
 	}
@@ -72,7 +71,7 @@ func TestControlsFailAndRecover(t *testing.T) {
 	if got > before {
 		t.Errorf("failed %d servers out of %d", got, before)
 	}
-	c.compactPools()
+	sm.compactPools()
 	if live := ctl.ActiveServers(); live != 0 {
 		t.Errorf("%d servers survived a total outage", live)
 	}
@@ -80,9 +79,7 @@ func TestControlsFailAndRecover(t *testing.T) {
 
 // TestControlsPriceAndSLOClamp: non-positive inputs reset to nominal.
 func TestControlsPriceAndSLOClamp(t *testing.T) {
-	r, _ := fixtures(t)
-	c := NewCluster(preset("singlepool").withDefaults(), r)
-	ctl := newControls(c, &Result{})
+	ctl := (*Controls)(emptyState(t, preset("singlepool")))
 	ctl.SetPriceMult(4)
 	if ctl.PriceMult() != 4 {
 		t.Errorf("PriceMult = %v", ctl.PriceMult())
@@ -106,30 +103,27 @@ func TestControlsPriceAndSLOClamp(t *testing.T) {
 // restore the fleet to its original GPU count — per-pool remainders
 // below the 8-GPU server size must not strand failed capacity.
 func TestControlsShardedOutageRecoveryParity(t *testing.T) {
-	r, _ := fixtures(t)
-	opts := preset("multipool").withDefaults()
-	c := NewCluster(opts, r)
-	res := &Result{}
+	sm := emptyState(t, preset("multipool"))
 	for i := 0; i < 3; i++ {
-		c.addInstance(c.pools[i], model.TP2, 0, true)
+		sm.addInstance(sm.pools[i], model.TP2, 0, true)
 	}
-	c.addInstance(c.pools[3], model.TP4, 0, true)
-	c.addInstance(c.pools[4], model.TP8, 0, true)
+	sm.addInstance(sm.pools[3], model.TP4, 0, true)
+	sm.addInstance(sm.pools[4], model.TP8, 0, true)
 	gpus := func() int {
 		n := 0
-		for _, p := range c.pools {
+		for _, p := range sm.pools {
 			n += p.gpusInUse()
 		}
 		return n
 	}
 	before := gpus() // 3x2 + 4 + 8 = 18
-	ctl := newControls(c, res)
+	ctl := (*Controls)(sm)
 
 	failed := ctl.FailServers(2) // 16 GPUs, spread across pools as 8+4+2+2
 	if failed != 2 {
 		t.Fatalf("FailServers(2) = %d", failed)
 	}
-	c.compactPools()
+	sm.compactPools()
 	if got := gpus(); got != before-16 {
 		t.Fatalf("after outage: %d GPUs, want %d", got, before-16)
 	}

@@ -154,7 +154,7 @@ func (l *Live) PendingArrivals() int {
 func (l *Live) Result() *Result { return l.sm.res }
 
 // ActiveServers reports live capacity in 8-GPU server equivalents.
-func (l *Live) ActiveServers() int { return l.sm.ctl.ActiveServers() }
+func (l *Live) ActiveServers() int { return (*Controls)(l.sm).ActiveServers() }
 
 // KVStats is the cluster's KV-cache occupancy and dynamics snapshot: pool
 // usage summed over live event engines plus the run's KV counters. Units
@@ -193,7 +193,7 @@ func (l *Live) KVStats() KVStats {
 		Recomputes:    res.KVRecomputes,
 		TierEvictions: res.KVTierEvictions,
 	}
-	if eb, ok := l.sm.s.backend.(*eventBackend); ok {
+	if eb, ok := l.sm.backend.(*eventBackend); ok {
 		for _, ie := range eb.engines {
 			if ie == nil {
 				continue
@@ -210,10 +210,10 @@ func (l *Live) KVStats() KVStats {
 }
 
 // PriceMult returns the electricity-price multiplier currently in force.
-func (l *Live) PriceMult() float64 { return l.sm.s.priceMult }
+func (l *Live) PriceMult() float64 { return l.sm.priceMult }
 
 // SLOFactor returns the SLO scaling factor currently in force.
-func (l *Live) SLOFactor() float64 { return l.sm.s.sloMult }
+func (l *Live) SLOFactor() float64 { return l.sm.sloMult }
 
 // Finish closes the run: the backend drains in-flight work (the event
 // backend lets its engines run to completion, reporting what can never
@@ -222,9 +222,6 @@ func (l *Live) SLOFactor() float64 { return l.sm.s.sloMult }
 func (l *Live) Finish() *Result {
 	if !l.finished {
 		l.finished = true
-		if l.sm.res.Duration <= 0 {
-			l.sm.res.Duration = l.sm.opts.Tick
-		}
 		l.sm.finish()
 	}
 	return l.sm.res

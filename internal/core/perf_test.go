@@ -73,7 +73,7 @@ func TestInstancesCompacted(t *testing.T) {
 	churn := 0
 	for tick := 0; tick < sm.nTicks; tick++ {
 		sm.step(tick)
-		for _, p := range sm.c.pools {
+		for _, p := range sm.pools {
 			if n := len(p.Instances); n > maxLen {
 				maxLen = n
 			}

@@ -183,7 +183,7 @@ type Instance struct {
 	// power, and the steady state many times per tick for inputs that
 	// only change on transitions (new mix EWMA, frequency change,
 	// re-shard, rate-bucket move), so each instance caches its last
-	// answer and revalidates by key comparison — the shared caches are
+	// answer and revalidates by key comparison — the run-wide caches are
 	// consulted only when a key changes.
 
 	// mixB* are the geometric shape buckets of the mix EWMAs; mixBValid
@@ -288,12 +288,12 @@ func (in *Instance) mixBuckets() (int, int) {
 // against a smoothly interpolated TTFT target so mixed pools do not see
 // capacity cliffs when their average crosses a class boundary. The result
 // is memoized until TP, frequency, or a shape bucket changes.
-func (in *Instance) capacity(s *sharedState) float64 {
+func (in *Instance) capacity(sm *simulation) float64 {
 	inB, outB := in.mixBuckets()
 	key := capKey{tp: in.TP, freq: in.effFreq(), inB: inB, outB: outB}
 	if !in.capValid || key != in.capKeyC {
 		in.capKeyC = key
-		in.capC = s.shapeCapacityKey(key)
+		in.capC = sm.shapeCapacityKey(key)
 		in.capValid = true
 	}
 	return in.capC * in.throughputFactor
@@ -375,23 +375,12 @@ func (p *Pool) activeInstances(t simclock.Time) []*Instance {
 	return out
 }
 
-// repClass returns the class used to size and profile the pool: its
-// largest member class (conservative for merged pools). Decode twins sit
-// past the pooling tables (their Index is base + NumPools), so they
-// answer from the RepClass copied off their base pool.
-func (p *Pool) repClass(pooling *Pooling) workload.Class {
-	if p.Index >= pooling.NumPools {
-		return p.RepClass
-	}
-	return pooling.Largest(p.Index)
-}
-
 // pickInstance implements the pool manager's energy-aware placement
 // (§IV-D): choose the instance whose predicted energy increase is
 // smallest while staying within per-instance throughput. Returns nil when
 // every instance is saturated. Called once per pool hop per routed
 // request, so it iterates the pool directly and never allocates.
-func (p *Pool) pickInstance(s *sharedState, now simclock.Time) *Instance {
+func (p *Pool) pickInstance(sm *simulation, now simclock.Time) *Instance {
 	var best *Instance
 	bestScore := math.Inf(1)
 	anyActive := false
@@ -400,23 +389,23 @@ func (p *Pool) pickInstance(s *sharedState, now simclock.Time) *Instance {
 			continue
 		}
 		anyActive = true
-		cap := in.capacity(s)
+		cap := in.capacity(sm)
 		if cap <= 0 {
 			continue
 		}
-		headroom := cap - in.effRate(s.opts.Tick)
+		headroom := cap - in.effRate(sm.opts.Tick)
 		if headroom <= 0 {
 			continue
 		}
 		// Marginal power of adding one unit of load: slope of the
 		// profile's power curve at the current rate (tick-stable, cached).
-		marginal, ok := in.marginalPower(s)
+		marginal, ok := in.marginalPower(sm)
 		if !ok {
 			continue
 		}
 		// Normalize by headroom so nearly-full instances are less
 		// attractive (keeps tail latency in check).
-		score := marginal + 0.05*in.effRate(s.opts.Tick)/cap
+		score := marginal + 0.05*in.effRate(sm.opts.Tick)/cap
 		if score < bestScore {
 			best, bestScore = in, score
 		}
@@ -427,11 +416,11 @@ func (p *Pool) pickInstance(s *sharedState, now simclock.Time) *Instance {
 			if !in.Active(now) {
 				continue
 			}
-			cap := in.capacity(s)
+			cap := in.capacity(sm)
 			if cap <= 0 {
 				continue
 			}
-			score := in.effRate(s.opts.Tick) / cap
+			score := in.effRate(sm.opts.Tick) / cap
 			if score < bestScore {
 				best, bestScore = in, score
 			}
@@ -444,8 +433,8 @@ func (p *Pool) pickInstance(s *sharedState, now simclock.Time) *Instance {
 // the instance. Its inputs (rate, mix, frequency) are constant while a
 // tick's arrivals are being routed, so the value is memoized per tick;
 // tick 0 (direct controller tests) always recomputes.
-func (in *Instance) marginalPower(s *sharedState) (float64, bool) {
-	if s.curTick != 0 && in.marginalTick == s.curTick {
+func (in *Instance) marginalPower(sm *simulation) (float64, bool) {
+	if sm.curTick != 0 && in.marginalTick == sm.curTick {
 		return in.marginalC, in.marginalEntryC != nil
 	}
 	cls := workload.Classify(int(in.mixIn), int(in.mixOut))
@@ -453,8 +442,8 @@ func (in *Instance) marginalPower(s *sharedState) (float64, bool) {
 	// is the controller's plan anyway — it prices the commanded clock, not
 	// a straggler's degraded one (the controller cannot see the fault; the
 	// emergency path reacts to the resulting backlog instead).
-	e := s.prof.Entry(profile.Key{Class: cls, TP: in.TP, Freq: in.freqCtl.Current()})
-	in.marginalTick = s.curTick
+	e := sm.prof.Entry(profile.Key{Class: cls, TP: in.TP, Freq: in.freqCtl.Current()})
+	in.marginalTick = sm.curTick
 	in.marginalEntryC = e
 	if e == nil {
 		in.marginalC = 0
@@ -478,7 +467,7 @@ func (in *Instance) effRate(tick float64) float64 {
 // reshardPool recomputes the pool's parallelism mix with the simplified
 // solver (instances pinned at max frequency) and applies the change with
 // staggered transitions. Returns the number of instances touched.
-func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int {
+func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int {
 	if p.targetGPUs <= 0 {
 		return 0
 	}
@@ -494,24 +483,24 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 	}
 	// Never solve for literally zero load: keep enough capacity for a
 	// trickle so the pool stays alive between bursts.
-	minRate := 0.05 * s.prof.MaxLoadHighestPerf(rep)
+	minRate := 0.05 * sm.prof.MaxLoadHighestPerf(rep)
 	// Burst headroom: 35% relative plus an absolute floor so sparse pools
 	// (fractional req/s) survive Poisson bursts between epochs.
 	demand := math.Max(rate*1.35+0.5, minRate)
 	var assignment solver.Assignment
 	var err error
-	priceAware := s.priceMult != 1
+	priceAware := sm.priceMult != 1
 	weights := solver.CostWeights{
 		GPUHourUSD:      energy.DefaultCost.GPUHourUSD,
-		EnergyUSDPerKWh: energy.DefaultCost.EnergyUSDPerKWh * s.priceMult,
+		EnergyUSDPerKWh: energy.DefaultCost.EnergyUSDPerKWh * sm.priceMult,
 	}
 	if priceAware {
 		// Price signal active: solve the full cost objective (GPU rental
 		// + electricity at the current price) over the whole frequency
 		// ladder instead of the fixed-max-frequency simplification.
-		assignment, err = solver.SolveCost(s.prof, rep, p.targetGPUs, demand, weights, solver.Options{})
+		assignment, err = solver.SolveCost(sm.prof, rep, p.targetGPUs, demand, weights, solver.Options{})
 	} else {
-		assignment, err = solver.SolveSharding(s.prof, rep, p.targetGPUs, demand)
+		assignment, err = solver.SolveSharding(sm.prof, rep, p.targetGPUs, demand)
 	}
 	if err != nil {
 		// Cannot cover: fall back to max-performance sharding.
@@ -550,8 +539,8 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 	// exactly the reconfigurations the price signal exists to trigger).
 	// Expensive electricity also tightens the band: smaller savings are
 	// worth chasing when joules cost more.
-	hysteresis := 1 + 0.10/math.Max(s.priceMult, 1)
-	curPower, curCap, curOK := priceCounts(s, rep, cur, demand)
+	hysteresis := 1 + 0.10/math.Max(sm.priceMult, 1)
+	curPower, curCap, curOK := priceCounts(sm, rep, cur, demand)
 	if curOK && curCap >= demand {
 		if priceAware {
 			curGPUs := 0
@@ -620,14 +609,14 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 			// transition (old and new shards cannot coexist, §IV-C): the
 			// outage would stall the whole request type. Wait for the
 			// next epoch when a sibling can cover.
-			if len(p.activeInstances(now)) <= 1 && transitionHasDowntime(s.opts.Model, donor.TP, to) {
+			if len(p.activeInstances(now)) <= 1 && transitionHasDowntime(sm.opts.Model, donor.TP, to) {
 				surplus[donor.TP]++ // put the donor back
 				budget = 0
 				break
 			}
 			freed := donor.TP.GPUs()
 			// Convert the donor itself.
-			applyReshard(s, now, donor, to)
+			applyReshard(sm, now, donor, to)
 			donor.Pool = p.Index
 			deficit[to]--
 			touched++
@@ -636,7 +625,7 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 			// Spare GPUs from a large donor become additional small
 			// instances (they inherit the donor's transition window).
 			for freed >= to.GPUs() && deficit[to] > 0 {
-				extra := newInstance(s.nextInstanceID(), p.Index, to, s.opts.ReducedOverheads)
+				extra := newInstance(sm.nextInstanceID(), p.Index, to, sm.opts.ReducedOverheads)
 				extra.mixIn, extra.mixOut = poolRepLengths(p)
 				extra.state = donor.state
 				extra.readyAt = donor.readyAt
@@ -654,7 +643,7 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 					break
 				}
 				sib.state = stateOff
-				s.retire(sib, now, true)
+				sm.backend.Retire(sib, now, true)
 				freed += sib.TP.GPUs()
 			}
 		}
@@ -668,7 +657,7 @@ func (p *Pool) reshardPool(s *sharedState, now simclock.Time, rate float64) int 
 				break
 			}
 			in.state = stateOff
-			s.retire(in, now, true)
+			sm.backend.Retire(in, now, true)
 			surplus[tp]--
 			touched++
 			budget--
@@ -711,7 +700,7 @@ func (p *Pool) liveCount() int {
 // priceCounts prices an existing instance-count mix at fair-share load with
 // per-group optimal frequencies; ok=false when the mix cannot serve the
 // demand at all.
-func priceCounts(s *sharedState, cls workload.Class, counts map[model.TP]int, demand float64) (power, capacity float64, ok bool) {
+func priceCounts(sm *simulation, cls workload.Class, counts map[model.TP]int, demand float64) (power, capacity float64, ok bool) {
 	total := 0
 	//dynamolint:order-independent exact integer sum; addition order cannot change it
 	for _, n := range counts {
@@ -725,7 +714,7 @@ func priceCounts(s *sharedState, cls workload.Class, counts map[model.TP]int, de
 		if counts[tp] == 0 {
 			continue
 		}
-		e := s.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: gpu.MaxFreq})
+		e := sm.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: gpu.MaxFreq})
 		if e != nil {
 			capacity += e.MaxLoad * float64(counts[tp])
 		}
@@ -738,7 +727,7 @@ func priceCounts(s *sharedState, cls workload.Class, counts map[model.TP]int, de
 		if n == 0 {
 			continue
 		}
-		e := s.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: gpu.MaxFreq})
+		e := sm.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: gpu.MaxFreq})
 		share := 0.0
 		if e != nil && capacity > 0 {
 			share = demand * e.MaxLoad / capacity
@@ -746,7 +735,7 @@ func priceCounts(s *sharedState, cls workload.Class, counts map[model.TP]int, de
 		// Best feasible frequency for the fair share.
 		best := math.Inf(1)
 		for _, f := range gpu.Ladder() {
-			ef := s.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: f})
+			ef := sm.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: f})
 			if ef != nil && ef.Feasible(share) {
 				if w := ef.Power.At(share); w < best {
 					best = w
@@ -781,23 +770,23 @@ func (p *Pool) findInstance(tp model.TP) *Instance {
 
 // applyReshard transitions one instance to a new TP degree using the
 // matching planner's makespan and the §IV-C impact model.
-func applyReshard(s *sharedState, now simclock.Time, in *Instance, to model.TP) {
+func applyReshard(sm *simulation, now simclock.Time, in *Instance, to model.TP) {
 	from := in.TP
 	plan := reshard.PlanReshard(
 		reshard.CanonicalLayout(reshard.Config{from}),
 		reshard.Config{to},
 	)
-	im := reshard.TransitionImpact(s.opts.Model, from, to, plan)
+	im := reshard.TransitionImpact(sm.opts.Model, from, to, plan)
 	transfer := im.TransferSeconds
 	sync := im.SyncSeconds
-	if !s.opts.ReducedOverheads {
+	if !sm.opts.ReducedOverheads {
 		// Naive path: stop the engine, reload weights from host, restart
 		// (§III-C: "around 1-2 minutes" on the critical path).
 		in.state = stateResharding
 		in.TP = to
 		in.throughputFactor = 0
 		in.readyAt = now + simclock.Time(90)
-		s.reconfigure(in, now)
+		sm.backend.Reconfigure(in, now)
 		return
 	}
 	in.state = stateResharding
@@ -807,7 +796,7 @@ func applyReshard(s *sharedState, now simclock.Time, in *Instance, to model.TP) 
 		in.throughputFactor = 0
 	}
 	in.readyAt = now + simclock.Time(transfer+sync)
-	s.reconfigure(in, now)
+	sm.backend.Reconfigure(in, now)
 }
 
 func (p *Pool) meanMixIn() float64 {

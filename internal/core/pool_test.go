@@ -5,24 +5,15 @@ import (
 
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
-	"dynamollm/internal/predict"
-	"dynamollm/internal/profile"
-	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
 )
 
-// newShared builds a sharedState for direct controller tests.
-func newShared(t *testing.T, opts Options) *sharedState {
+// emptyState builds a run's state with no instance provisioned, for
+// direct controller tests that arrange their own pools and instances.
+func emptyState(t *testing.T, opts Options) *simulation {
 	t.Helper()
-	opts = opts.withDefaults()
 	r, _ := fixtures(t)
-	return &sharedState{
-		opts:     opts,
-		prof:     r.Get(opts.Model, opts.SLOScale),
-		loadPred: predict.NewLoadPredictor(opts.ClusterEpoch),
-		lenPred:  predict.NewLengthPredictor(1, 1),
-		rng:      simclock.NewRNG(1),
-	}
+	return newState(nil, opts, r)
 }
 
 func TestTransitionHasDowntime(t *testing.T) {
@@ -44,55 +35,55 @@ func TestTransitionHasDowntime(t *testing.T) {
 }
 
 func TestPriceCountsFeasibility(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	// A TP2-only mix cannot serve MM at medium load (Table I): per-pair
 	// fair share of 3 req/s exceeds a TP2 instance's SLO capacity.
-	_, _, ok := priceCounts(s, workload.MM, map[model.TP]int{model.TP2: 2}, 6.0)
+	_, _, ok := priceCounts(sm, workload.MM, map[model.TP]int{model.TP2: 2}, 6.0)
 	if ok {
 		t.Error("TP2-only mix should be infeasible for 6 req/s of MM")
 	}
-	power, cap, ok := priceCounts(s, workload.MM, map[model.TP]int{model.TP4: 2}, 3.0)
+	power, cap, ok := priceCounts(sm, workload.MM, map[model.TP]int{model.TP4: 2}, 3.0)
 	if !ok || cap < 3.0 || power <= 0 {
 		t.Errorf("TP4x2 pricing: power=%v cap=%v ok=%v", power, cap, ok)
 	}
 	// More instances at the same demand cannot price cheaper per the
 	// whole group than needed capacity... but must raise capacity.
-	_, cap4, _ := priceCounts(s, workload.MM, map[model.TP]int{model.TP4: 4}, 3.0)
+	_, cap4, _ := priceCounts(sm, workload.MM, map[model.TP]int{model.TP4: 4}, 3.0)
 	if cap4 <= cap {
 		t.Error("doubling instances should raise capacity")
 	}
-	if _, _, ok := priceCounts(s, workload.MM, map[model.TP]int{}, 1); ok {
+	if _, _, ok := priceCounts(sm, workload.MM, map[model.TP]int{}, 1); ok {
 		t.Error("empty mix should be infeasible")
 	}
 }
 
 func TestInstanceCapacityRespectsFreqAndTP(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	mk := func(tp model.TP, f gpu.Freq) *Instance {
 		in := newInstance(1, 0, tp, true)
 		in.mixIn, in.mixOut = 512, 187 // MM shape
 		in.freqCtl.Set(f)
 		return in
 	}
-	c48 := mk(model.TP4, gpu.MaxFreq).capacity(s)
-	c12 := mk(model.TP4, 1200).capacity(s)
+	c48 := mk(model.TP4, gpu.MaxFreq).capacity(sm)
+	c12 := mk(model.TP4, 1200).capacity(sm)
 	if c12 > c48 {
 		t.Errorf("capacity at 1.2GHz (%v) exceeds max clock (%v)", c12, c48)
 	}
-	c8 := mk(model.TP8, gpu.MaxFreq).capacity(s)
+	c8 := mk(model.TP8, gpu.MaxFreq).capacity(sm)
 	if c8 < c48 {
 		t.Errorf("TP8 capacity (%v) below TP4 (%v)", c8, c48)
 	}
 	// Throughput throttling during transitions scales capacity.
 	in := mk(model.TP8, gpu.MaxFreq)
 	in.throughputFactor = 0.5
-	if got := in.capacity(s); got < c8*0.45 || got > c8*0.55 {
+	if got := in.capacity(sm); got < c8*0.45 || got > c8*0.55 {
 		t.Errorf("throttled capacity = %v, want ~half of %v", got, c8)
 	}
 }
 
 func TestPickInstancePrefersHeadroom(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	p := &Pool{Index: 0, Classes: []workload.Class{workload.MM}, RepClass: workload.MM}
 	a := newInstance(1, 0, model.TP4, true)
 	b := newInstance(2, 0, model.TP4, true)
@@ -101,42 +92,42 @@ func TestPickInstancePrefersHeadroom(t *testing.T) {
 	}
 	// The paper's rule is min-marginal-energy WITHIN per-instance
 	// throughput: a saturated instance is excluded outright.
-	a.rate = a.capacity(s) * 1.01 // saturated
+	a.rate = a.capacity(sm) * 1.01 // saturated
 	b.rate = 0.1
 	p.Instances = []*Instance{a, b}
-	if got := p.pickInstance(s, 0); got != b {
+	if got := p.pickInstance(sm, 0); got != b {
 		t.Errorf("picked the saturated instance")
 	}
 }
 
 func TestPickInstanceSkipsInactive(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	p := &Pool{Index: 0, Classes: []workload.Class{workload.MM}, RepClass: workload.MM}
 	a := newInstance(1, 0, model.TP4, true)
 	a.mixIn, a.mixOut = 512, 187
 	a.state = stateProvisioning
 	a.readyAt = 100
 	p.Instances = []*Instance{a}
-	if p.pickInstance(s, 0) != nil {
+	if p.pickInstance(sm, 0) != nil {
 		t.Error("picked a provisioning instance")
 	}
 	a.settle(100)
-	if p.pickInstance(s, 100) != a {
+	if p.pickInstance(sm, 100) != a {
 		t.Error("did not pick the settled instance")
 	}
 }
 
 func TestReshardPoolConservesGPUs(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	p := &Pool{Index: 0, Classes: []workload.Class{workload.SS}, RepClass: workload.SS, targetGPUs: 16}
 	for i := 0; i < 2; i++ {
-		in := newInstance(s.nextInstanceID(), 0, model.TP8, true)
+		in := newInstance(sm.nextInstanceID(), 0, model.TP8, true)
 		in.mixIn, in.mixOut = poolRepLengths(p)
 		in.rate = 1
 		p.Instances = append(p.Instances, in)
 	}
 	p.observedSince = 1
-	touched := p.reshardPool(s, 200, 2.0)
+	touched := p.reshardPool(sm, 200, 2.0)
 	if p.gpusInUse() > p.targetGPUs {
 		t.Errorf("reshard exceeded GPU budget: %d > %d", p.gpusInUse(), p.targetGPUs)
 	}
@@ -148,36 +139,36 @@ func TestReshardPoolConservesGPUs(t *testing.T) {
 }
 
 func TestReshardPoolGatedUntilObserved(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	p := &Pool{Index: 0, Classes: []workload.Class{workload.SS}, RepClass: workload.SS, targetGPUs: 16}
 	in := newInstance(1, 0, model.TP8, true)
 	p.Instances = []*Instance{in}
-	if got := p.reshardPool(s, 0, 1); got != 0 {
+	if got := p.reshardPool(sm, 0, 1); got != 0 {
 		t.Error("cold pool resharded before observing traffic")
 	}
 	p.observedSince = 1
-	if got := p.reshardPool(s, 30, 1); got != 0 {
+	if got := p.reshardPool(sm, 30, 1); got != 0 {
 		t.Error("pool resharded before estimates settled")
 	}
 }
 
 func TestReshardHysteresisHoldsNearOptimal(t *testing.T) {
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	p := &Pool{Index: 0, Classes: []workload.Class{workload.MM}, RepClass: workload.MM, targetGPUs: 8}
 	p.observedSince = 1
 	// First reshard settles a configuration...
-	in := newInstance(s.nextInstanceID(), 0, model.TP8, true)
+	in := newInstance(sm.nextInstanceID(), 0, model.TP8, true)
 	in.mixIn, in.mixOut = poolRepLengths(p)
 	in.rate = 2
 	p.Instances = []*Instance{in}
-	p.reshardPool(s, 100, 2.0)
+	p.reshardPool(sm, 100, 2.0)
 	for _, x := range p.Instances {
 		x.settle(1e9)
 		x.rate = 2 / float64(len(p.Instances))
 	}
 	// ...and re-solving with a marginally different demand must not
 	// thrash the layout.
-	if got := p.reshardPool(s, 400, 2.05); got != 0 {
+	if got := p.reshardPool(sm, 400, 2.05); got != 0 {
 		t.Errorf("reshard thrashing: %d transitions for a 2.5%% demand change", got)
 	}
 }
@@ -216,12 +207,36 @@ func TestObserveMixEWMA(t *testing.T) {
 
 func TestProfileSnapFrequencyConsistency(t *testing.T) {
 	// capacity() must not crash on off-ladder frequencies.
-	s := newShared(t, DynamoLLM())
+	sm := emptyState(t, DynamoLLM())
 	in := newInstance(1, 0, model.TP4, true)
 	in.mixIn, in.mixOut = 512, 187
 	in.freqCtl.Set(1333) // snaps to 1400
-	if in.capacity(s) <= 0 {
+	if in.capacity(sm) <= 0 {
 		t.Error("no capacity at snapped frequency")
 	}
-	_ = profile.Key{} // keep import for clarity of intent
+}
+
+// TestPoolRepClassMatchesPooling: every pool's RepClass is the largest
+// class of its base pool under any pool count, with and without
+// disaggregation — decode twins carry their prefill twin's class. The
+// controllers read the field directly, so nothing may let it drift from
+// the pooling table.
+func TestPoolRepClassMatchesPooling(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		for _, disagg := range []bool{false, true} {
+			sm := emptyState(t, Options{NumPools: n, Substrate: Substrate{Disagg: disagg}})
+			want := n
+			if disagg {
+				want = 2 * n
+			}
+			if len(sm.pools) != want {
+				t.Fatalf("NumPools=%d disagg=%v: %d pools, want %d", n, disagg, len(sm.pools), want)
+			}
+			for _, p := range sm.pools {
+				if got, exp := p.RepClass, sm.pooling.Largest(p.Index%n); got != exp {
+					t.Errorf("NumPools=%d disagg=%v pool %d: RepClass %v, want %v", n, disagg, p.Index, got, exp)
+				}
+			}
+		}
+	}
 }

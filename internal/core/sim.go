@@ -18,11 +18,6 @@ import (
 	"dynamollm/internal/workload"
 )
 
-// Provisioning latencies (Table V): creating an 8xH100 VM, initializing the
-// distributed environment, downloading weights, configuring the engine and
-// installing weights takes 6-8 minutes on the naive path. DynamoLLM's
-// snapshot start with cluster-cached weights and background pre-warming
-// cuts the critical-path cost to seconds (§IV-C).
 // maxCapFraction is the utilization treated as an instance's usable
 // capacity when deriving it from the measured operating point.
 const maxCapFraction = 0.9
@@ -35,11 +30,19 @@ const provisionHeadroom = 1.25
 // highest-performance node's capacity merges into the next-larger pool.
 const mergeFraction = 0.35
 
+// Provisioning latencies (Table V): creating an 8xH100 VM, initializing the
+// distributed environment, downloading weights, configuring the engine and
+// installing weights takes 6-8 minutes on the naive path. DynamoLLM's
+// snapshot start with cluster-cached weights and background pre-warming
+// cuts the critical-path cost to seconds (§IV-C).
 const (
-	NaiveProvisionSeconds     = 7 * 60
-	SnapshotProvisionSeconds  = 33 // engine config + weight install only
-	squashWaitFactor          = 6  // wait beyond SLO x this => squash
-	emergencyBacklogThreshold = 1  // seconds of backlog triggers emergency
+	NaiveProvisionSeconds    = 7 * 60
+	SnapshotProvisionSeconds = 33 // engine config + weight install only
+)
+
+const (
+	squashWaitFactor          = 6 // wait beyond SLO x this => squash
+	emergencyBacklogThreshold = 1 // seconds of backlog triggers emergency
 )
 
 // Frontend retry parameters (§IV-D failure handling). A request squashed
@@ -226,80 +229,14 @@ func (r *Result) CheckInvariants() error {
 	return nil
 }
 
-// Cluster is the simulated deployment under one control policy.
-type Cluster struct {
-	opts    Options
-	shared  *sharedState
-	pooling *Pooling
-	pools   []*Pool
-
-	// trackedPools are the classes whose per-pool series are recorded
-	// (Fig. 9/10 track SL, ML, LL).
-	tracked []workload.Class
-
-	// retiredFreqSets preserves the frequency-change counts of instances
-	// removed by compactPools, so Result.FreqChanges stays complete.
-	retiredFreqSets int
-	// steadyProbe is a reusable stand-in instance for steady-state
-	// queries against pools that currently have no instance at all.
-	steadyProbe *Instance
-}
-
 // trackedClasses are the pools Figs. 9-10 plot.
 var trackedClasses = []workload.Class{workload.SL, workload.ML, workload.LL}
-
-// NewCluster builds a cluster for the options, using the shared profile
-// repository so repeated experiments do not re-profile the model.
-func NewCluster(opts Options, repo *profile.Repository) *Cluster {
-	opts = opts.withDefaults()
-	if repo == nil {
-		repo = profile.NewRepository(nil)
-	}
-	prof := repo.Get(opts.Model, opts.SLOScale)
-	rng := simclock.NewRNG(opts.Seed)
-	s := &sharedState{
-		opts:      opts,
-		prof:      prof,
-		loadPred:  predict.NewLoadPredictor(opts.ClusterEpoch),
-		lenPred:   predict.NewLengthPredictor(opts.PredictorAccuracy, rng.Uint64()),
-		rng:       rng,
-		priceMult: 1,
-		sloMult:   1,
-	}
-	if opts.WarmLoad != nil {
-		s.loadPred.Warm(opts.WarmLoad)
-	}
-	c := &Cluster{opts: opts, shared: s, pooling: NewPooling(opts.NumPools), tracked: trackedClasses}
-	c.pools = make([]*Pool, c.pooling.NumPools)
-	for i := range c.pools {
-		c.pools[i] = &Pool{Index: i, Classes: c.pooling.poolClasses[i], RepClass: c.pooling.Largest(i)}
-	}
-	if opts.Disagg {
-		// Prefill/decode disaggregation: every base pool becomes
-		// prefill-only and gains a decode twin at index base + NumPools.
-		// The router and pooling tables keep addressing base pools only;
-		// twins are reached exclusively through the KV handoff, so the
-		// steering, merging, and spill logic is untouched.
-		base := len(c.pools)
-		for i := 0; i < base; i++ {
-			p := c.pools[i]
-			p.Role = RolePrefill
-			c.pools = append(c.pools, &Pool{
-				Index:    base + i,
-				Classes:  p.Classes,
-				RepClass: p.RepClass,
-				Role:     RoleDecode,
-			})
-		}
-	}
-	return c
-}
 
 // decodeTwin returns a prefill pool's decode twin. Pools are positionally
 // indexed (compactPools removes instances, never pools), so the twin sits
 // at base index + NumPools.
-func (c *Cluster) decodeTwin(p *Pool) *Pool {
-	return c.pools[p.Index+c.pooling.NumPools]
+func (sm *simulation) decodeTwin(p *Pool) *Pool {
+	return sm.pools[p.Index+sm.pooling.NumPools]
 }
 
 // splitNodes divides a logical pool's node budget between its prefill and
@@ -324,13 +261,13 @@ func splitNodes(n int) (prefill, decode int) {
 
 // addInstance creates an instance in a pool. booted=false models VM
 // provisioning latency.
-func (c *Cluster) addInstance(p *Pool, tp model.TP, now simclock.Time, booted bool) *Instance {
-	in := newInstance(c.shared.nextInstanceID(), p.Index, tp, c.opts.ReducedOverheads)
+func (sm *simulation) addInstance(p *Pool, tp model.TP, now simclock.Time, booted bool) *Instance {
+	in := newInstance(sm.nextInstanceID(), p.Index, tp, sm.opts.ReducedOverheads)
 	in.mixIn, in.mixOut = poolRepLengths(p)
 	if !booted {
 		in.state = stateProvisioning
 		d := float64(NaiveProvisionSeconds)
-		if c.opts.ReducedOverheads {
+		if sm.opts.ReducedOverheads {
 			d = SnapshotProvisionSeconds
 		}
 		in.readyAt = now + simclock.Time(d)
@@ -342,23 +279,23 @@ func (c *Cluster) addInstance(p *Pool, tp model.TP, now simclock.Time, booted bo
 // staticProvision sets up the non-autoscaling baselines: every pool gets
 // enough highest-performance instances for its peak load, computed from a
 // pre-pass over the trace (§V-B provisions baselines for peak).
-func (c *Cluster) staticProvision(tr trace.Trace) {
-	peaks := c.peakRates(tr)
-	if c.opts.NumPools == 1 {
+func (sm *simulation) staticProvision(tr trace.Trace) {
+	peaks := sm.peakRates(tr)
+	if sm.opts.NumPools == 1 {
 		// SinglePool: the paper fixes the server count (12 by default).
-		c.provisionBooted(c.pools[0], c.opts.Servers)
+		sm.provisionBooted(sm.pools[0], sm.opts.Servers)
 		return
 	}
-	counts := make([]int, len(c.pools))
+	counts := make([]int, len(sm.pools))
 	total := 0
-	for i, p := range c.pools {
+	for i, p := range sm.pools {
 		if p.Role == RoleDecode {
 			continue // provisioned alongside its prefill twin below
 		}
-		rep := p.repClass(c.pooling)
+		rep := p.RepClass
 		// Provision for peak with burst headroom: 30-minute-epoch peaks
 		// hide shorter bursts.
-		n := solver.NodesForPeak(c.shared.prof, rep, peaks[p.Index]*provisionHeadroom)
+		n := solver.NodesForPeak(sm.prof, rep, peaks[p.Index]*provisionHeadroom)
 		if n < 1 {
 			n = 1
 		}
@@ -368,9 +305,9 @@ func (c *Cluster) staticProvision(tr trace.Trace) {
 	// The cluster owns opts.Servers machines; static systems use them
 	// all, handing surplus to the busiest pools (per-pool partitioning
 	// can only fragment, never shrink, the fleet — §V-B).
-	for total < c.opts.Servers {
+	for total < sm.opts.Servers {
 		best, bestLoad := 0, -1.0
-		for i, p := range c.pools {
+		for i, p := range sm.pools {
 			if p.Role == RoleDecode {
 				continue
 			}
@@ -381,32 +318,32 @@ func (c *Cluster) staticProvision(tr trace.Trace) {
 		counts[best]++
 		total++
 	}
-	for i, p := range c.pools {
+	for i, p := range sm.pools {
 		if p.Role == RoleDecode {
 			continue
 		}
-		c.provisionBooted(p, counts[i])
+		sm.provisionBooted(p, counts[i])
 	}
 }
 
 // provisionBooted adds n pre-booted TP8 nodes to a pool at t=0, splitting
 // the budget with the pool's decode twin under disaggregation.
-func (c *Cluster) provisionBooted(p *Pool, n int) {
+func (sm *simulation) provisionBooted(p *Pool, n int) {
 	if p.Role == RolePrefill {
 		pre, dec := splitNodes(n)
-		tw := c.decodeTwin(p)
+		tw := sm.decodeTwin(p)
 		for k := 0; k < pre; k++ {
-			c.addInstance(p, model.TP8, 0, true)
+			sm.addInstance(p, model.TP8, 0, true)
 		}
 		p.targetGPUs = pre * 8
 		for k := 0; k < dec; k++ {
-			c.addInstance(tw, model.TP8, 0, true)
+			sm.addInstance(tw, model.TP8, 0, true)
 		}
 		tw.targetGPUs = dec * 8
 		return
 	}
 	for k := 0; k < n; k++ {
-		c.addInstance(p, model.TP8, 0, true)
+		sm.addInstance(p, model.TP8, 0, true)
 	}
 	p.targetGPUs = n * 8
 }
@@ -414,17 +351,17 @@ func (c *Cluster) provisionBooted(p *Pool, n int) {
 // peakRates computes each pool's peak arrival rate over cluster epochs.
 // Counts live in per-pool slot tables sized from the trace horizon (the
 // slot index is a direct array offset, not a hashed map key).
-func (c *Cluster) peakRates(tr trace.Trace) []float64 {
-	peaks := make([]float64, len(c.pools))
+func (sm *simulation) peakRates(tr trace.Trace) []float64 {
+	peaks := make([]float64, len(sm.pools))
 	if len(tr) == 0 {
 		return peaks
 	}
-	epoch := c.opts.ClusterEpoch
+	epoch := sm.opts.ClusterEpoch
 	slots := int(float64(traceHorizon(tr))/epoch) + 1
-	counts := make([][]float64, len(c.pools))
+	counts := make([][]float64, len(sm.pools))
 	var counter uint64
 	for _, e := range tr {
-		pool := c.pooling.PoolFor(e.Class(), counter)
+		pool := sm.pooling.PoolFor(e.Class(), counter)
 		counter++
 		if counts[pool] == nil {
 			counts[pool] = make([]float64, slots)
@@ -471,10 +408,21 @@ func RunWithRepo(tr trace.Trace, opts Options, repo *profile.Repository) *Result
 	return sm.res
 }
 
-// newSimulation prepares a run: cluster construction, static
-// provisioning, result sinks, and the reusable tick-loop scratch state.
-// Callers drive it with step(0..nTicks-1) and close with finish.
+// newSimulation prepares a run: the run state plus static provisioning
+// for the trace's peak. Callers drive it with step(0..nTicks-1) and close
+// with finish.
 func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simulation {
+	sm := newState(tr, opts, repo)
+	sm.staticProvision(tr)
+	return sm
+}
+
+// newState builds a run's state with every pool still empty: the options
+// with their defaults, the profile and predictors, the pools, the result
+// sinks, the fidelity backend, and the tick-loop scratch. It uses the
+// shared profile repository so repeated experiments do not re-profile the
+// model.
+func newState(tr trace.Trace, opts Options, repo *profile.Repository) *simulation {
 	opts = opts.withDefaults()
 	if opts.WarmLoad == nil {
 		// No history supplied: train the load template on the trace
@@ -482,8 +430,46 @@ func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simu
 		// same periodic workload (§IV-E/[62]).
 		opts.WarmLoad = traceTemplate(tr, opts.ClusterEpoch)
 	}
-	c := NewCluster(opts, repo)
-	opts = c.opts
+	if repo == nil {
+		repo = profile.NewRepository(nil)
+	}
+	rng := simclock.NewRNG(opts.Seed)
+	sm := &simulation{
+		opts:             opts,
+		prof:             repo.Get(opts.Model, opts.SLOScale),
+		loadPred:         predict.NewLoadPredictor(opts.ClusterEpoch),
+		lenPred:          predict.NewLengthPredictor(opts.PredictorAccuracy, rng.Uint64()),
+		rng:              rng,
+		capCache:         map[capKey]float64{},
+		steadyCache:      map[steadyKey]perfmodel.Steady{},
+		priceMult:        1,
+		sloMult:          1,
+		pooling:          NewPooling(opts.NumPools),
+		tr:               tr,
+		lastPoolEpoch:    -1,
+		lastClusterEpoch: -1,
+	}
+	sm.loadPred.Warm(opts.WarmLoad)
+	for i := 0; i < sm.pooling.NumPools; i++ {
+		sm.pools = append(sm.pools, &Pool{Index: i, Classes: sm.pooling.poolClasses[i], RepClass: sm.pooling.Largest(i)})
+	}
+	if opts.Disagg {
+		// Prefill/decode disaggregation: every base pool becomes
+		// prefill-only and gains a decode twin at index base + NumPools.
+		// The router and pooling tables keep addressing base pools only;
+		// twins are reached exclusively through the KV handoff, so the
+		// steering, merging, and spill logic is untouched.
+		for _, p := range sm.pools[:sm.pooling.NumPools] {
+			p.Role = RolePrefill
+			sm.pools = append(sm.pools, &Pool{
+				Index:    len(sm.pools),
+				Classes:  p.Classes,
+				RepClass: p.RepClass,
+				Role:     RoleDecode,
+			})
+		}
+	}
+	sm.failedGPUs = make([]int, len(sm.pools))
 
 	res := &Result{
 		Opts:            opts,
@@ -499,7 +485,7 @@ func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simu
 		PoolLoadSeries:  map[workload.Class]*metrics.Series{},
 		EnergySeries:    metrics.NewSeries(5 * simclock.Minute),
 	}
-	for _, cls := range c.tracked {
+	for _, cls := range trackedClasses {
 		res.PoolFreqSeries[cls] = metrics.NewSeries(simclock.Minute)
 		res.PoolShardSeries[cls] = map[model.TP]*metrics.Series{}
 		res.PoolLoadSeries[cls] = metrics.NewSeries(simclock.Minute)
@@ -516,36 +502,18 @@ func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simu
 			res.ClassTBT[i] = metrics.NewDist()
 		}
 	}
-
-	// The backend must be installed before any controller (including
-	// newControls) can touch the shared state.
-	c.shared.backend = newBackend(opts.Fidelity, c, res)
-
-	c.staticProvision(tr)
-
 	var end simclock.Time
 	if n := len(tr); n > 0 {
 		end = tr[n-1].At
 	}
 	// Round the horizon up to a whole tick.
-	horizon := simclock.Time(math.Ceil(float64(end)/opts.Tick) * opts.Tick)
-	res.Duration = float64(horizon)
+	res.Duration = math.Ceil(float64(end)/opts.Tick) * opts.Tick
 	if res.Duration == 0 {
 		res.Duration = opts.Tick
 	}
-
-	sm := &simulation{
-		c:                c,
-		s:                c.shared,
-		res:              res,
-		tr:               tr,
-		opts:             opts,
-		ctl:              newControls(c, res),
-		nTicks:           int(res.Duration / opts.Tick),
-		lastPoolEpoch:    -1,
-		lastClusterEpoch: -1,
-	}
-	c.shared.backend.bind(sm)
+	sm.res = res
+	sm.nTicks = int(res.Duration / opts.Tick)
+	sm.backend = newBackend(sm)
 	sm.reserve()
 	return sm
 }
@@ -559,16 +527,57 @@ type assign struct {
 	reqs             []int32 // indices into simulation.reqs
 }
 
-// simulation is the per-run tick-loop state: the cluster plus the scratch
-// buffers the hot path reuses across ticks. In steady state (no epoch
-// reconfiguration in flight) step performs zero heap allocations.
+// simulation is the one state of a run: its options, the controllers'
+// inputs, the pools, the fidelity backend, the result sinks, and the
+// scratch buffers the tick loop reuses across ticks. The controllers,
+// both backends and the Controls facade all reach a run through it. In
+// steady state (no epoch reconfiguration in flight) step performs zero
+// heap allocations.
 type simulation struct {
-	c    *Cluster
-	s    *sharedState
-	res  *Result
-	tr   trace.Trace
-	opts Options
+	opts    Options
+	res     *Result
+	backend InstanceBackend
 
+	prof        *profile.Profile
+	loadPred    *predict.LoadPredictor
+	lenPred     *predict.LengthPredictor
+	rng         *simclock.RNG
+	nextID      int
+	capCache    map[capKey]float64
+	steadyCache map[steadyKey]perfmodel.Steady
+
+	pooling *Pooling
+	pools   []*Pool
+	// retiredFreqSets preserves the frequency-change counts of instances
+	// removed by compactPools, so Result.FreqChanges stays complete.
+	retiredFreqSets int
+	// steadyProbe is a reusable stand-in instance for steady-state
+	// queries against pools that currently have no instance at all.
+	steadyProbe *Instance
+
+	// curTick is the 1-based tick currently being simulated (0 outside a
+	// run); per-instance tick-scoped memos key on it. tickStart is that
+	// tick's start time, the instant hook-driven changes take effect at.
+	curTick   int
+	tickStart simclock.Time
+	// priceMult is the hook-injected electricity-price multiplier
+	// (1 = nominal); it scales EnergyCostUSD accounting and steers the
+	// price-aware controller paths.
+	priceMult float64
+	// sloMult is the hook-injected SLO scaling applied to requests at
+	// arrival (values below 1 tighten, above 1 relax; 1 = nominal).
+	sloMult float64
+	// submitDelay is the hook-injected transient submission delay in
+	// seconds (a frontend/network blip): requests arriving while it is
+	// non-zero reach their instance that much later, paying the delay in
+	// their TTFT.
+	submitDelay float64
+	// failedGPUs tracks injected capacity loss per pool so
+	// Controls.RecoverServers can restore it where it was taken, mirroring
+	// a repaired machine rejoining its old placement group.
+	failedGPUs []int
+
+	tr               trace.Trace
 	nTicks           int
 	idx              int // next trace event
 	lastPoolEpoch    int
@@ -583,10 +592,6 @@ type simulation struct {
 	injected []trace.Entry
 	injIdx   int
 	arrivals uint64
-
-	// ctl is the reusable Controls facade handed to Options.Hook each
-	// tick (allocated once at setup).
-	ctl *Controls
 
 	// assigns is indexed by Instance.ID (IDs are dense: handed out
 	// sequentially and never reused, so the slice grows with the total
@@ -615,6 +620,12 @@ type simulation struct {
 type retryEntry struct {
 	due simclock.Time
 	req workload.Request
+}
+
+// nextInstanceID hands out unique instance IDs.
+func (sm *simulation) nextInstanceID() int {
+	sm.nextID++
+	return sm.nextID
 }
 
 // reserve pre-sizes the scratch buffers and series so the steady-state
@@ -664,8 +675,8 @@ func (sm *simulation) assignFor(id int) *assign {
 		sm.assigns = grown
 	}
 	a := &sm.assigns[id]
-	if a.tick != sm.s.curTick {
-		a.tick = sm.s.curTick
+	if a.tick != sm.curTick {
+		a.tick = sm.curTick
 		a.n, a.inTok, a.outTok = 0, 0, 0
 		a.reqs = a.reqs[:0]
 	}
@@ -676,13 +687,14 @@ func (sm *simulation) assignFor(id int) *assign {
 //
 //dynamolint:steadystate
 func (sm *simulation) step(tick int) {
-	c, s, res, opts := sm.c, sm.s, sm.res, sm.opts
-	s.curTick = tick + 1
+	res, opts := sm.res, &sm.opts
+	sm.curTick = tick + 1
 	now := simclock.Time(float64(tick) * opts.Tick)
 	tickEnd := now + simclock.Time(opts.Tick)
+	sm.tickStart = now
 
 	// Lifecycle timers.
-	for _, p := range c.pools {
+	for _, p := range sm.pools {
 		for _, in := range p.Instances {
 			in.settle(now)
 		}
@@ -691,23 +703,22 @@ func (sm *simulation) step(tick int) {
 	// Injected events (scenario engine): outages, price moves, SLO
 	// windows take effect before any controller looks at the cluster.
 	if opts.Hook != nil {
-		sm.ctl.now = now
-		opts.Hook.OnTick(now, sm.ctl)
+		opts.Hook.OnTick(now, (*Controls)(sm))
 	}
 
 	// Cluster manager epoch (§IV-B scale-out/in).
 	if ce := int(float64(now) / opts.ClusterEpoch); ce != sm.lastClusterEpoch {
 		sm.lastClusterEpoch = ce
 		if opts.ScaleInstances {
-			c.clusterManagerEpoch(now, res)
+			sm.clusterManagerEpoch(now)
 		}
 	}
 	// Pool manager epoch (§IV-B shard-up/down).
 	if pe := int(float64(now) / opts.PoolEpoch); pe != sm.lastPoolEpoch {
 		sm.lastPoolEpoch = pe
 		if opts.ScaleSharding {
-			for _, p := range c.pools {
-				res.Reshards += p.reshardPool(s, now, p.poolRate())
+			for _, p := range sm.pools {
+				res.Reshards += p.reshardPool(sm, now, p.poolRate())
 			}
 		}
 	}
@@ -717,10 +728,10 @@ func (sm *simulation) step(tick int) {
 	// is fast enough to help; the naive stop-and-reload path would
 	// make the outage worse.
 	if opts.ScaleSharding && opts.ReducedOverheads {
-		for _, p := range c.pools {
+		for _, p := range sm.pools {
 			if p.emergencyFlag && now > p.lastEmergencyReshard+60 {
 				p.lastEmergencyReshard = now
-				res.Reshards += p.reshardPool(s, now, p.poolRate()*1.6)
+				res.Reshards += p.reshardPool(sm, now, p.poolRate()*1.6)
 				// If the pool's whole GPU budget cannot cover the
 				// demand, escalate to the cluster level: pre-warm an
 				// extra node immediately instead of waiting for the
@@ -729,12 +740,12 @@ func (sm *simulation) step(tick int) {
 					capTotal := 0.0
 					for _, in := range p.Instances {
 						if in.Active(now) {
-							capTotal += in.capacity(s)
+							capTotal += in.capacity(sm)
 						}
 					}
 					if p.poolRate() > capTotal*0.9 {
 						p.targetGPUs += 8
-						c.addInstance(p, model.TP8, now, false)
+						sm.addInstance(p, model.TP8, now, false)
 						res.ScaleOuts++
 					}
 				}
@@ -745,7 +756,7 @@ func (sm *simulation) step(tick int) {
 
 	// Scale-in and re-sharding park instances stateOff; drop them now so
 	// nothing downstream ever scans a dead instance again.
-	c.compactPools()
+	sm.compactPools()
 
 	// Route this tick's arrivals (§IV-D predictive scheduling). Squashed
 	// requests whose retry backoff expired re-enter first: they arrived
@@ -769,11 +780,11 @@ func (sm *simulation) step(tick int) {
 			// sloMult < 1 models an injected SLO-tightening window: the
 			// request is judged against the crunched target while the
 			// controllers keep planning for the nominal one.
-			SLOScale: opts.SLOScale * s.sloMult,
+			SLOScale: opts.SLOScale * sm.sloMult,
 		})
 		req := &sm.reqs[len(sm.reqs)-1]
-		req.PredictedClass = s.lenPred.PredictClass(e.InputTokens, e.OutputTokens)
-		pool := c.route(req, now)
+		req.PredictedClass = sm.lenPred.PredictClass(e.InputTokens, e.OutputTokens)
+		pool := sm.route(req, now)
 		// Misprediction handling (§IV-D): the engine discovers the
 		// true length as generation proceeds. An under-predicted
 		// request is re-steered to the correct pool: the wrong pool
@@ -781,15 +792,15 @@ func (sm *simulation) step(tick int) {
 		// energy), and the request pays a detection delay.
 		if trueCls := req.Class(); trueCls != req.PredictedClass {
 			wrongPool := pool
-			if wi := wrongPool.pickInstance(s, now); wi != nil {
+			if wi := wrongPool.pickInstance(sm, now); wi != nil {
 				wi.tickAssigned += 0.5 // wasted prefill/admission work
 			}
 			if trueCls.Output() > req.PredictedClass.Output() {
 				// Under-estimate: move to the correct pool once the
 				// output outgrows the prediction.
 				req.PredictedClass = trueCls
-				pool = c.route(req, now)
-				st := c.instanceSteady(c.earliestOrAny(wrongPool))
+				pool = sm.route(req, now)
+				st := sm.instanceSteady(sm.earliestOrAny(wrongPool))
 				req.SteerPenalty = 3*st.IterTime + 0.05
 			}
 			// Over-estimates stay where they were routed: they run
@@ -797,14 +808,15 @@ func (sm *simulation) step(tick int) {
 		}
 		// An injected submission-delay blip holds every arrival at the
 		// frontend; the request pays it like a steering detour.
-		req.SteerPenalty += s.submitDelay
+		req.SteerPenalty += sm.submitDelay
 		sm.place(pool, now)
 	}
 
-	// The event backend serves the tick's arrivals here (engines advance
-	// on the shared virtual clock up to the tick boundary); the fluid
-	// backend evaluates instances analytically in Advance below.
-	s.backend.RunTo(tickEnd)
+	// The event backend serves the tick's arrivals here (each engine
+	// advances its private virtual clock, or its disaggregated pool
+	// group's, up to the tick boundary); the fluid backend evaluates
+	// instances analytically in Advance below.
+	sm.backend.RunTo(tickEnd)
 
 	sm.accountTick(now)
 }
@@ -844,8 +856,7 @@ func (sm *simulation) nextArrival(tickEnd simclock.Time) (trace.Entry, bool) {
 //
 //dynamolint:steadystate
 func (sm *simulation) place(pool *Pool, now simclock.Time) {
-	s := sm.s
-	in := pool.pickInstance(s, now)
+	in := pool.pickInstance(sm, now)
 	if in == nil {
 		in = earliestReady(pool)
 	}
@@ -863,7 +874,7 @@ func (sm *simulation) place(pool *Pool, now simclock.Time) {
 	a.outTok += float64(req.OutputTokens)
 	a.reqs = append(a.reqs, int32(last))
 	in.tickAssigned++
-	s.backend.Admit(in, req, now)
+	sm.backend.Admit(in, req, now)
 	pool.arrivalsThisTick++
 	if pool.observedSince == 0 {
 		pool.observedSince = now
@@ -985,19 +996,19 @@ func (sm *simulation) readmit(r workload.Request, now simclock.Time) {
 		r.RetryDelay = 0
 	}
 	sm.reqs = append(sm.reqs, r)
-	sm.place(sm.c.route(&sm.reqs[len(sm.reqs)-1], now), now)
+	sm.place(sm.route(&sm.reqs[len(sm.reqs)-1], now), now)
 }
 
 // accountTick closes one tick: per-instance rate updates, instance
 // managers, energy integration, latency sampling, and series capture.
 func (sm *simulation) accountTick(now simclock.Time) {
-	c, s, res, opts := sm.c, sm.s, sm.res, sm.opts
+	res, opts := sm.res, &sm.opts
 
 	// Update per-instance rates, run instance managers, integrate
 	// energy, and sample latencies.
 	clusterPower := 0.0
 	var freqNum, freqDen float64
-	for _, p := range c.pools {
+	for _, p := range sm.pools {
 		var poolGPUs [3]float64 // indexed by tpIdx over model.TPChoices
 		var pFreqNum, pFreqDen float64
 		for _, in := range p.Instances {
@@ -1005,7 +1016,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 				continue
 			}
 			var a *assign
-			if in.ID < len(sm.assigns) && sm.assigns[in.ID].tick == s.curTick {
+			if in.ID < len(sm.assigns) && sm.assigns[in.ID].tick == sm.curTick {
 				a = &sm.assigns[in.ID]
 			}
 			var tickRate float64
@@ -1022,11 +1033,11 @@ func (sm *simulation) accountTick(now simclock.Time) {
 
 			// Instance manager (§IV-B scale-up/down + §IV-D
 			// emergency handling).
-			c.instanceManager(in, now, res)
+			sm.instanceManager(in, now)
 
 			// Backend tick: service dynamics, backlog signal, latency
 			// accounting; returns the tick's average power draw.
-			watts := s.backend.Advance(in, a, now)
+			watts := sm.backend.Advance(in, a, now)
 			clusterPower += watts
 			res.GPUSeconds += float64(in.TP.GPUs()) * opts.Tick
 			perGPU := watts / float64(in.TP.GPUs())
@@ -1038,14 +1049,14 @@ func (sm *simulation) accountTick(now simclock.Time) {
 			// Attribute energy to classes by served mix.
 			tickJ := watts * opts.Tick
 			res.EnergyJ += tickJ
-			res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * s.priceMult
+			res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * sm.priceMult
 			cls := workload.Classify(int(in.mixIn), int(in.mixOut))
 			res.EnergyByClassJ[cls] += tickJ
 			res.EnergySeries.Accumulate(float64(now), tickJ)
 		}
 		// Per-pool tracked series.
-		for _, cls := range c.tracked {
-			if c.pooling.classPool[cls] == p.Index {
+		for _, cls := range trackedClasses {
+			if sm.pooling.classPool[cls] == p.Index {
 				if pFreqDen > 0 {
 					res.PoolFreqSeries[cls].Observe(float64(now), pFreqNum/pFreqDen, pFreqDen)
 				}
@@ -1067,7 +1078,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 		if p.Role != RoleDecode {
 			for _, cls := range p.Classes {
 				share := float64(p.arrivalsThisTick) / opts.Tick / float64(len(p.Classes))
-				s.loadPred.Observe(now, cls, share)
+				sm.loadPred.Observe(now, cls, share)
 			}
 		}
 		p.arrivalsThisTick = 0
@@ -1083,7 +1094,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 func (sm *simulation) finish() {
 	res := sm.res
 	sm.draining = true
-	sm.s.backend.Finish(simclock.Time(res.Duration))
+	sm.backend.Finish(simclock.Time(res.Duration))
 	// Retries still waiting out their backoff when the run ends can never
 	// be served: they are terminally squashed so the conservation
 	// identity closes.
@@ -1092,13 +1103,13 @@ func (sm *simulation) finish() {
 	}
 	sm.retryQ = sm.retryQ[:0]
 	res.AvgServers = res.GPUSeconds / 8 / res.Duration
-	res.FreqChanges = sm.c.retiredFreqSets
-	for _, p := range sm.c.pools {
+	res.FreqChanges = sm.retiredFreqSets
+	for _, p := range sm.pools {
 		for _, in := range p.Instances {
 			res.FreqChanges += in.freqCtl.Sets()
 		}
 	}
-	sm.s.curTick = 0
+	sm.curTick = 0
 }
 
 // tpChoiceIdx maps a TP degree to its index in model.TPChoices for
@@ -1131,13 +1142,13 @@ func tpIdx(tp model.TP) int {
 // placement), so week-long runs degrade as reconfigurations accumulate.
 // Relative order of live instances is preserved, keeping iteration — and
 // therefore the simulation — deterministic. Retired frequency-change
-// counts are folded into the cluster so Result.FreqChanges stays exact.
-func (c *Cluster) compactPools() {
-	for _, p := range c.pools {
+// counts are folded into the run state so Result.FreqChanges stays exact.
+func (sm *simulation) compactPools() {
+	for _, p := range sm.pools {
 		live := p.Instances[:0]
 		for _, in := range p.Instances {
 			if in.state == stateOff {
-				c.retiredFreqSets += in.freqCtl.Sets()
+				sm.retiredFreqSets += in.freqCtl.Sets()
 				continue
 			}
 			live = append(live, in)
@@ -1189,21 +1200,21 @@ func traceTemplate(tr trace.Trace, slotWidth float64) func(simclock.Time, worklo
 // route implements the cluster manager's request steering (§IV-D): predict
 // the class, pick its pool, honour the fragmentation spill fraction, and
 // fall back to the next-larger pool when the target is overloaded.
-func (c *Cluster) route(req *workload.Request, now simclock.Time) *Pool {
+func (sm *simulation) route(req *workload.Request, now simclock.Time) *Pool {
 	cls := req.PredictedClass
-	p := c.pools[c.pooling.PoolFor(cls, c.poolCounter(cls))]
+	p := sm.pools[sm.pooling.PoolFor(cls, sm.poolCounter(cls))]
 	// Merged pools forward everything to the next-larger pool.
-	for hops := 0; p.merged && hops <= len(c.pools); hops++ {
-		next := c.pooling.NextLarger(p.Index)
+	for hops := 0; p.merged && hops <= len(sm.pools); hops++ {
+		next := sm.pooling.NextLarger(p.Index)
 		if next < 0 {
 			break
 		}
-		p = c.pools[next]
+		p = sm.pools[next]
 	}
 	// Fragmentation spill-over.
-	if p.spillFrac > 0 && c.shared.rng.Float64() < p.spillFrac {
-		if next := c.pooling.NextLarger(p.Index); next >= 0 {
-			p = c.pools[next]
+	if p.spillFrac > 0 && sm.rng.Float64() < p.spillFrac {
+		if next := sm.pooling.NextLarger(p.Index); next >= 0 {
+			p = sm.pools[next]
 		}
 	}
 	// Walk toward larger pools until one can actually serve: first pool
@@ -1211,20 +1222,20 @@ func (c *Cluster) route(req *workload.Request, now simclock.Time) *Pool {
 	// instance at all (§IV-D overload fallback).
 	var firstActive *Pool
 	cur := p
-	for hops := 0; hops <= len(c.pools); hops++ {
-		if in := cur.pickInstance(c.shared, now); in != nil {
+	for hops := 0; hops <= len(sm.pools); hops++ {
+		if in := cur.pickInstance(sm, now); in != nil {
 			if firstActive == nil {
 				firstActive = cur
 			}
-			if in.rate < in.capacity(c.shared) {
+			if in.rate < in.capacity(sm) {
 				return cur
 			}
 		}
-		next := c.pooling.NextLarger(cur.Index)
+		next := sm.pooling.NextLarger(cur.Index)
 		if next < 0 {
 			break
 		}
-		cur = c.pools[next]
+		cur = sm.pools[next]
 	}
 	if firstActive != nil {
 		return firstActive
@@ -1232,8 +1243,8 @@ func (c *Cluster) route(req *workload.Request, now simclock.Time) *Pool {
 	return p
 }
 
-func (c *Cluster) poolCounter(cls workload.Class) uint64 {
-	p := c.pools[c.pooling.classPool[cls]]
+func (sm *simulation) poolCounter(cls workload.Class) uint64 {
+	p := sm.pools[sm.pooling.classPool[cls]]
 	p.rrCounter++
 	return p.rrCounter
 }
@@ -1264,37 +1275,33 @@ func steadyKeyFor(tp model.TP, f gpu.Freq, rate, inTok, outTok float64) steadyKe
 // mix, rate, and configuration. The instance memoizes its last answer and
 // revalidates by key, so the shared (rate, shape)-grid cache is consulted
 // only when the instance moves to a new bucket.
-func (c *Cluster) instanceSteady(in *Instance) perfmodel.Steady {
+func (sm *simulation) instanceSteady(in *Instance) perfmodel.Steady {
 	key := steadyKeyFor(in.TP, in.effFreq(), in.rate,
 		avgOr(in.mixIn, 512), avgOr(in.mixOut, 200))
 	if in.stValid && key == in.stKeyC {
 		return in.stC
 	}
-	st := c.steadyLookup(key)
+	st := sm.steadyLookup(key)
 	in.stKeyC, in.stC, in.stValid = key, st, true
 	return st
 }
 
 // steadyLookup resolves a bucketed operating point through the shared
 // cache, computing the closed-form steady state on a miss.
-func (c *Cluster) steadyLookup(key steadyKey) perfmodel.Steady {
-	s := c.shared
-	if s.steadyCache == nil {
-		s.steadyCache = map[steadyKey]perfmodel.Steady{}
-	}
-	if st, ok := s.steadyCache[key]; ok {
+func (sm *simulation) steadyLookup(key steadyKey) perfmodel.Steady {
+	if st, ok := sm.steadyCache[key]; ok {
 		return st
 	}
 	rate := 0.0
 	if key.rateB != zeroRateBucket {
 		rate = math.Exp(float64(key.rateB) * rateBucketStep)
 	}
-	cfg := perfmodel.Config{Model: c.opts.Model, TP: key.tp, Freq: key.freq}
+	cfg := perfmodel.Config{Model: sm.opts.Model, TP: key.tp, Freq: key.freq}
 	st := perfmodel.SteadyStateSLO(cfg, rate,
 		int(math.Exp(float64(key.inB)*shapeBucketStep)),
 		int(math.Exp(float64(key.outB)*shapeBucketStep)),
-		c.opts.SLOScale)
-	s.steadyCache[key] = st
+		sm.opts.SLOScale)
+	sm.steadyCache[key] = st
 	return st
 }
 
@@ -1306,33 +1313,33 @@ type steadyKey struct {
 
 // instanceManager is the 5-second controller (§IV-B scale-up/down and
 // §IV-D emergencies).
-func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) {
+func (sm *simulation) instanceManager(in *Instance, now simclock.Time) {
 	if in.state != stateActive {
 		return
 	}
-	s := c.shared
+	res := sm.res
 	cls := workload.Classify(int(avgOr(in.mixIn, 512)), int(avgOr(in.mixOut, 200)))
 
 	// Emergency: queue building up (§IV-D). Ramp to max frequency, then
 	// re-steer backlog to a sibling, finally squash.
 	if in.backlog > emergencyBacklogThreshold*math.Max(in.rate, 1) {
-		c.pools[in.Pool].emergencyFlag = true
+		sm.pools[in.Pool].emergencyFlag = true
 		if !in.emergency {
 			res.Emergencies++
 			in.emergency = true
 		}
 		in.freqCtl.Set(gpu.MaxFreq)
-		if c.opts.Fidelity == FidelityEvent {
+		if sm.opts.Fidelity == FidelityEvent {
 			// The engine owns its queue: emergencies escalate through
 			// the pool flag and max frequency, but work is neither
 			// re-steered nor squashed behind the engine's back.
 			return
 		}
 		// Re-steer: shed half the backlog to the least-loaded sibling.
-		p := c.pools[in.Pool]
+		p := sm.pools[in.Pool]
 		var target *Instance
 		for _, other := range p.activeInstances(now) {
-			if other != in && other.rate < other.capacity(s)*0.8 {
+			if other != in && other.rate < other.capacity(sm)*0.8 {
 				if target == nil || other.rate < target.rate {
 					target = other
 				}
@@ -1349,8 +1356,8 @@ func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) 
 			// request identity — the requests behind it were already
 			// sampled as Completed in their arrival tick — so the loss
 			// lands in SquashedLoad, outside the request-count ledger.
-			slo := workload.SLOFor(cls).TTFT * c.opts.SLOScale
-			cap := in.capacity(s)
+			slo := workload.SLOFor(cls).TTFT * sm.opts.SLOScale
+			cap := in.capacity(sm)
 			overdue := in.backlog - math.Max(cap, 0.2)*slo*squashWaitFactor
 			if overdue > 0 {
 				in.backlog -= overdue
@@ -1361,7 +1368,7 @@ func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) 
 	}
 	in.emergency = false
 
-	if !c.opts.ScaleFrequency {
+	if !sm.opts.ScaleFrequency {
 		in.freqCtl.Set(gpu.MaxFreq)
 		return
 	}
@@ -1369,8 +1376,8 @@ func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) 
 	// Expensive electricity (an injected price surge) shrinks the burst
 	// headroom from 15% toward 5%, trading tail slack for joules exactly
 	// while they cost the most; at the nominal price the term is 1.15.
-	head := 1.05 + 0.10/math.Max(s.priceMult, 1)
-	f, ok := s.prof.BestFreq(cls, in.TP, in.rate*head+0.01)
+	head := 1.05 + 0.10/math.Max(sm.priceMult, 1)
+	f, ok := sm.prof.BestFreq(cls, in.TP, in.rate*head+0.01)
 	if !ok {
 		f = gpu.MaxFreq
 	}
@@ -1381,14 +1388,13 @@ func (c *Cluster) instanceManager(in *Instance, now simclock.Time, res *Result) 
 // state and judges SLOs against each request's true class. reqIdx indexes
 // the tick's pooled request buffer.
 func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx []int32) {
-	c := sm.c
-	rng := c.shared.rng
+	rng := sm.rng
 	saturated := !st.Feasible || st.IterTime == 0
 	if saturated {
 		// Overloaded instance: it still serves, at its capacity point,
 		// with the excess showing up as backlog-driven queueing below.
-		capRate := in.capacity(c.shared) * 0.9
-		st = c.steadyLookup(steadyKeyFor(in.TP, in.effFreq(),
+		capRate := in.capacity(sm) * 0.9
+		st = sm.steadyLookup(steadyKeyFor(in.TP, in.effFreq(),
 			math.Max(capRate, 0.01), avgOr(in.mixIn, 512), avgOr(in.mixOut, 200)))
 	}
 	for _, ri := range reqIdx {
@@ -1409,7 +1415,7 @@ func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx 
 			wait = 0
 		}
 		if in.backlog > 0 && in.rate > 0 {
-			wait += in.backlog / math.Max(in.capacity(c.shared), in.rate)
+			wait += in.backlog / math.Max(in.capacity(sm), in.rate)
 		}
 		// Tail shaping: exponential-ish spread reaching the modeled P99.
 		u := rng.Float64()
@@ -1434,9 +1440,8 @@ func (sm *simulation) sampleLatencies(in *Instance, st perfmodel.Steady, reqIdx 
 // clusterManagerEpoch re-sizes every pool (§IV-B scale-out/in): predicted
 // peak over the epoch, highest-performance per-node capacity, ceil
 // division, fragmentation spill-over, and pre-warmed provisioning.
-func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
-	s := c.shared
-	horizon := c.opts.ClusterEpoch
+func (sm *simulation) clusterManagerEpoch(now simclock.Time) {
+	horizon := sm.opts.ClusterEpoch
 	total := 0
 	type want struct {
 		pool  *Pool
@@ -1447,17 +1452,17 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 	// First pass: raw demand forecast per pool. Decode twins carry no
 	// router arrivals — their budget rides along with the prefill twin's
 	// in resizePool, so they are skipped throughout.
-	raw := make([]float64, len(c.pools))
-	for i, p := range c.pools {
+	raw := make([]float64, len(sm.pools))
+	for i, p := range sm.pools {
 		if p.Role == RoleDecode {
 			continue
 		}
 		var pl float64
-		if c.opts.ReducedOverheads {
+		if sm.opts.ReducedOverheads {
 			// Predictive sizing: forecast the epoch's peak (§IV-C
 			// pre-warms VMs for the predicted peak).
 			for _, cls := range p.Classes {
-				pl += s.loadPred.PredictPeak(now, horizon, cls)
+				pl += sm.loadPred.PredictPeak(now, horizon, cls)
 			}
 			// Blend with the currently observed rate so a cold or stale
 			// template cannot starve a loaded pool.
@@ -1475,29 +1480,29 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 	// Pool merging (§III-B): a pool whose demand would leave most of a
 	// highest-performance node idle hands its load to the next-larger
 	// pool. Walk smallest-first so merges cascade upward.
-	merged := make([]bool, len(c.pools))
-	if c.opts.ScaleInstances && c.opts.ReducedOverheads && c.opts.NumPools > 1 {
+	merged := make([]bool, len(sm.pools))
+	if sm.opts.ScaleInstances && sm.opts.ReducedOverheads && sm.opts.NumPools > 1 {
 		for _, cls := range sizeOrder {
-			i := c.pooling.classPool[cls]
-			p := c.pools[i]
+			i := sm.pooling.classPool[cls]
+			p := sm.pools[i]
 			if merged[i] || p.Index != i {
 				continue
 			}
-			next := c.pooling.NextLarger(i)
+			next := sm.pooling.NextLarger(i)
 			if next < 0 {
 				continue
 			}
-			ml := s.prof.MaxLoadHighestPerf(p.repClass(c.pooling))
+			ml := sm.prof.MaxLoadHighestPerf(p.RepClass)
 			if ml > 0 && raw[i] < mergeFraction*ml {
 				merged[i] = true
-				res.Merges++
+				sm.res.Merges++
 				raw[next] += raw[i]
 				raw[i] = 0
 			}
 		}
 	}
-	wants := make([]want, 0, len(c.pools))
-	for i, p := range c.pools {
+	wants := make([]want, 0, len(sm.pools))
+	for i, p := range sm.pools {
 		if p.Role == RoleDecode {
 			continue
 		}
@@ -1514,10 +1519,9 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 		// Per-node capacity at the highest-performance configuration,
 		// evaluated on the pool's LIVE mix when available (heavy tails
 		// within a class make the class representative optimistic).
-		rep := p.repClass(c.pooling)
-		ml := s.prof.MaxLoadHighestPerf(rep)
+		ml := sm.prof.MaxLoadHighestPerf(p.RepClass)
 		if mi, mo := p.meanMixIn(), p.meanMixOut(); mi > 0 {
-			if live := s.shapeCapacity(model.TP8, gpu.MaxFreq, mi, mo); live > 0 && live < ml {
+			if live := sm.shapeCapacity(model.TP8, gpu.MaxFreq, mi, mo); live > 0 && live < ml {
 				ml = live
 			}
 		}
@@ -1534,8 +1538,8 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 
 	// Fleet ceiling: shrink proportionally if over budget (merged pools
 	// stay at zero).
-	if c.opts.Servers > 0 && total > c.opts.Servers {
-		scale := float64(c.opts.Servers) / float64(total)
+	if sm.opts.Servers > 0 && total > sm.opts.Servers {
+		scale := float64(sm.opts.Servers) / float64(total)
 		for i := range wants {
 			if wants[i].nodes > 0 {
 				wants[i].nodes = int(math.Max(1, math.Floor(float64(wants[i].nodes)*scale)))
@@ -1552,7 +1556,7 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 		p.spillFrac = 0
 		if w.nodes >= 2 && w.ml > 0 {
 			slack := float64(w.nodes)*w.ml - w.pl
-			if slack > 0.5*w.ml && c.pooling.NextLarger(p.Index) >= 0 {
+			if slack > 0.5*w.ml && sm.pooling.NextLarger(p.Index) >= 0 {
 				w.nodes--
 				uncovered := w.pl - float64(w.nodes)*w.ml
 				if uncovered > 0 {
@@ -1560,7 +1564,7 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 				}
 			}
 		}
-		c.resizePool(p, w.nodes, now, res)
+		sm.resizePool(p, w.nodes, now)
 	}
 }
 
@@ -1568,21 +1572,21 @@ func (c *Cluster) clusterManagerEpoch(now simclock.Time, res *Result) {
 // a prefill pool splits the budget with its decode twin (~40/60 — prefill
 // is compute-dense, decode holds the long-lived KV) so the cluster
 // manager keeps reasoning about one logical pool per request type.
-func (c *Cluster) resizePool(p *Pool, nodes int, now simclock.Time, res *Result) {
+func (sm *simulation) resizePool(p *Pool, nodes int, now simclock.Time) {
 	if p.Role == RolePrefill {
-		tw := c.decodeTwin(p)
+		tw := sm.decodeTwin(p)
 		tw.merged = p.merged
 		pre, dec := splitNodes(nodes)
-		c.resizePoolNodes(p, pre, now, res)
-		c.resizePoolNodes(tw, dec, now, res)
+		sm.resizePoolNodes(p, pre, now)
+		sm.resizePoolNodes(tw, dec, now)
 		return
 	}
-	c.resizePoolNodes(p, nodes, now, res)
+	sm.resizePoolNodes(p, nodes, now)
 }
 
 // resizePoolNodes adjusts one physical pool's node count, pre-warming on
 // scale-out and draining on scale-in.
-func (c *Cluster) resizePoolNodes(p *Pool, nodes int, now simclock.Time, res *Result) {
+func (sm *simulation) resizePoolNodes(p *Pool, nodes int, now simclock.Time) {
 	p.targetGPUs = nodes * 8
 	// The pool may be sharded into multiple instances per node; compare
 	// GPU totals instead of instance counts.
@@ -1591,12 +1595,12 @@ func (c *Cluster) resizePoolNodes(p *Pool, nodes int, now simclock.Time, res *Re
 	for curGPUs < wantGPUs {
 		// Pre-warmed VMs come up fast under ReducedOverheads; the naive
 		// path pays the full Table V latency.
-		c.addInstance(p, model.TP8, now, false)
+		sm.addInstance(p, model.TP8, now, false)
 		curGPUs += 8
-		res.ScaleOuts++
+		sm.res.ScaleOuts++
 	}
 	for curGPUs > wantGPUs {
-		victim := c.leastLoaded(p)
+		victim := leastLoaded(p)
 		if victim == nil {
 			break
 		}
@@ -1605,8 +1609,8 @@ func (c *Cluster) resizePoolNodes(p *Pool, nodes int, now simclock.Time, res *Re
 		}
 		curGPUs -= victim.TP.GPUs()
 		victim.state = stateOff
-		c.shared.retire(victim, now, true)
-		res.ScaleIns++
+		sm.backend.Retire(victim, now, true)
+		sm.res.ScaleIns++
 	}
 }
 
@@ -1621,16 +1625,16 @@ func provisioningCount(p *Pool) int {
 }
 
 // earliestOrAny returns some live instance for state queries; a pool with
-// nothing at all falls back to a per-cluster probe instance, reused so the
+// nothing at all falls back to a per-run probe instance, reused so the
 // per-request hot path never allocates.
-func (c *Cluster) earliestOrAny(p *Pool) *Instance {
+func (sm *simulation) earliestOrAny(p *Pool) *Instance {
 	if in := earliestReady(p); in != nil {
 		return in
 	}
-	if c.steadyProbe == nil {
-		c.steadyProbe = &Instance{TP: model.TP8, freqCtl: gpu.NewFreqController(true), throughputFactor: 1, slowFactor: 1, mixIn: 512, mixOut: 187}
+	if sm.steadyProbe == nil {
+		sm.steadyProbe = &Instance{TP: model.TP8, freqCtl: gpu.NewFreqController(true), throughputFactor: 1, slowFactor: 1, mixIn: 512, mixOut: 187}
 	}
-	return c.steadyProbe
+	return sm.steadyProbe
 }
 
 // earliestReady returns the non-off instance that will serve soonest.
@@ -1647,7 +1651,8 @@ func earliestReady(p *Pool) *Instance {
 	return best
 }
 
-func (c *Cluster) leastLoaded(p *Pool) *Instance {
+// leastLoaded returns the pool's non-off instance with the lowest rate.
+func leastLoaded(p *Pool) *Instance {
 	var victim *Instance
 	for _, in := range p.Instances {
 		if in.state == stateOff {

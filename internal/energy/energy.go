@@ -120,9 +120,6 @@ func (m *CarbonMeter) AddEnergy(t simclock.Time, joules float64) {
 	m.series.Accumulate(float64(t), g)
 }
 
-// Grams returns total emissions in gCO2.
-func (m *CarbonMeter) Grams() float64 { return m.grams }
-
 // Kg returns total emissions in kgCO2.
 func (m *CarbonMeter) Kg() float64 { return m.grams / 1000 }
 

@@ -92,12 +92,9 @@ func TestCarbonWeekendDip(t *testing.T) {
 func TestCarbonMeter(t *testing.T) {
 	m := NewCarbonMeter(CAISO)
 	m.AddEnergy(0, JoulesPerKWh) // 1 kWh at Monday midnight
-	want := CAISO.Intensity(0)
-	if math.Abs(m.Grams()-want) > 1e-9 {
-		t.Errorf("grams = %v, want %v", m.Grams(), want)
-	}
-	if m.Kg() != m.Grams()/1000 {
-		t.Error("Kg inconsistent with Grams")
+	want := CAISO.Intensity(0)   // gCO2 for that 1 kWh
+	if math.Abs(m.Kg()-want/1000) > 1e-12 {
+		t.Errorf("kg = %v, want %v", m.Kg(), want/1000)
 	}
 	if len(m.HourlySeries().Points()) != 1 {
 		t.Error("hourly series missing bucket")

@@ -191,7 +191,6 @@ type FreqController struct {
 	cur      Freq
 	resident bool // resident monitor + privileged mode fast path
 	sets     int
-	stall    float64 // accumulated stall seconds
 }
 
 // NewFreqController returns a controller at MaxFreq. resident selects the
@@ -205,10 +204,6 @@ func (fc *FreqController) Current() Freq { return fc.cur }
 
 // Sets returns how many frequency changes were applied.
 func (fc *FreqController) Sets() int { return fc.sets }
-
-// StallTime returns the total inference stall caused by frequency changes,
-// in seconds.
-func (fc *FreqController) StallTime() float64 { return fc.stall }
 
 // Set applies a new clock and returns the stall duration this change imposes
 // on the colocated inference engine. Setting the current frequency is free:
@@ -224,7 +219,6 @@ func (fc *FreqController) Set(f Freq) float64 {
 	if fc.resident {
 		d = FastSetOverhead
 	}
-	fc.stall += d
 	return d
 }
 
@@ -237,6 +231,5 @@ func (fc *FreqController) ForceSet(f Freq) float64 {
 	if fc.resident {
 		d = FastSetOverhead
 	}
-	fc.stall += d
 	return d
 }

@@ -149,9 +149,6 @@ func TestForceSetAlwaysStalls(t *testing.T) {
 	if math.Abs(total-10*SlowSetOverhead) > 1e-12 {
 		t.Errorf("stall = %v, want %v", total, 10*SlowSetOverhead)
 	}
-	if fc.StallTime() != total {
-		t.Errorf("StallTime = %v, want %v", fc.StallTime(), total)
-	}
 }
 
 func TestPowerShared(t *testing.T) {

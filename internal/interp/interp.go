@@ -83,33 +83,3 @@ func (t *Table) Min() float64 { return t.xs[0] }
 
 // Max returns the largest sampled x.
 func (t *Table) Max() float64 { return t.xs[len(t.xs)-1] }
-
-// Len returns the number of sample points.
-func (t *Table) Len() int { return len(t.xs) }
-
-// Points returns copies of the sample arrays (for serialization).
-func (t *Table) Points() (xs, ys []float64) {
-	return append([]float64(nil), t.xs...), append([]float64(nil), t.ys...)
-}
-
-// InvertIncreasing solves t.At(x) = y for x, assuming the table is
-// non-decreasing. It returns the smallest x in [Min, Max] whose value
-// reaches y, or Max if y exceeds the range. Used to answer "what load can
-// this configuration sustain within the SLO".
-func (t *Table) InvertIncreasing(y float64) float64 {
-	n := len(t.xs)
-	if n == 1 || y <= t.ys[0] {
-		return t.xs[0]
-	}
-	for i := 1; i < n; i++ {
-		if t.ys[i] >= y {
-			y0, y1 := t.ys[i-1], t.ys[i]
-			if y1 == y0 {
-				return t.xs[i]
-			}
-			frac := (y - y0) / (y1 - y0)
-			return t.xs[i-1] + frac*(t.xs[i]-t.xs[i-1])
-		}
-	}
-	return t.xs[n-1]
-}

@@ -103,45 +103,3 @@ func TestBoundedBySegmentEndpoints(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestInvertIncreasing(t *testing.T) {
-	tab := MustNew([]float64{0, 10, 20}, []float64{0, 100, 400})
-	cases := []struct{ y, want float64 }{
-		{-5, 0}, // below range clamps to Min
-		{0, 0},
-		{50, 5},
-		{100, 10},
-		{250, 15},
-		{400, 20},
-		{900, 20}, // above range clamps to Max
-	}
-	for _, c := range cases {
-		if got := tab.InvertIncreasing(c.y); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("InvertIncreasing(%v) = %v, want %v", c.y, got, c.want)
-		}
-	}
-}
-
-func TestInvertRoundTrip(t *testing.T) {
-	tab := MustNew([]float64{0, 5, 9, 14}, []float64{1, 3, 10, 22})
-	f := func(u uint16) bool {
-		y := 1 + float64(u)/float64(1<<16)*21
-		x := tab.InvertIncreasing(y)
-		return math.Abs(tab.At(x)-y) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPointsCopy(t *testing.T) {
-	tab := MustNew([]float64{1, 2}, []float64{3, 4})
-	xs, ys := tab.Points()
-	xs[0], ys[0] = 99, 99
-	if tab.At(1) != 3 {
-		t.Error("Points() exposed internal state")
-	}
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tab.Len())
-	}
-}

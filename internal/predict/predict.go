@@ -24,8 +24,6 @@ type LengthPredictor struct {
 	// Accuracy is the probability the true bucket is returned (0..1].
 	Accuracy float64
 	rng      *simclock.RNG
-	// counts tracks prediction outcomes for observability.
-	correct, wrong int
 }
 
 // NewLengthPredictor returns a predictor with the given accuracy; accuracy
@@ -47,10 +45,8 @@ func NewLengthPredictor(accuracy float64, seed uint64) *LengthPredictor {
 func (p *LengthPredictor) PredictBucket(trueOutput int) workload.LengthBucket {
 	truth := workload.BucketOutput(trueOutput)
 	if p.rng.Float64() < p.Accuracy {
-		p.correct++
 		return truth
 	}
-	p.wrong++
 	// Misprediction: move to an adjacent bucket; at the extremes there is
 	// only one neighbour.
 	switch truth {
@@ -70,15 +66,6 @@ func (p *LengthPredictor) PredictBucket(trueOutput int) workload.LengthBucket {
 // bucket — exactly the router's information at arrival time (§IV-D).
 func (p *LengthPredictor) PredictClass(inputTokens, trueOutput int) workload.Class {
 	return workload.MakeClass(workload.BucketInput(inputTokens), p.PredictBucket(trueOutput))
-}
-
-// ObservedAccuracy reports the realized accuracy so far (1 if no samples).
-func (p *LengthPredictor) ObservedAccuracy() float64 {
-	n := p.correct + p.wrong
-	if n == 0 {
-		return 1
-	}
-	return float64(p.correct) / float64(n)
 }
 
 // --- Load prediction ----------------------------------------------------------

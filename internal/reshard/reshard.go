@@ -143,11 +143,6 @@ func (p Plan) TransferSeconds(m *model.Model) float64 {
 	return float64(p.TimeUnits) * gpu.TransferTime(m.WeightBytes/NumSlices)
 }
 
-// BytesMoved returns the volume transferred for a given model.
-func (p Plan) BytesMoved(m *model.Model) float64 {
-	return float64(p.SlicesMoved) * m.WeightBytes / NumSlices
-}
-
 // PlanReshard computes the minimum-transfer schedule from the current
 // layout to the target configuration.
 func PlanReshard(current Layout, target Config) Plan {

@@ -159,8 +159,8 @@ func TestTransferSecondsMatchesPaperT(t *testing.T) {
 	if sec < 0.04 || sec > 0.08 {
 		t.Errorf("TP4->TP8 transfer = %v s, want ~0.057", sec)
 	}
-	if p.BytesMoved(model.Llama2_70B) <= 0 {
-		t.Error("no bytes moved for a real transition")
+	if p.SlicesMoved <= 0 {
+		t.Error("no slices moved for a real transition")
 	}
 }
 
