@@ -243,25 +243,31 @@ type instEngine struct {
 	// the router, so the controllers would otherwise see zero load).
 	handoffsIn int
 
-	// lats buffers per-class latency samples (instEngine is the engine's
-	// LatencySink); toks buffers token events for tagged requests; dones
-	// buffers completed requests by value; fails buffers requests the
-	// engine rejected (oversize for its KV pool) or whose handoff found
-	// no decode target, drained to the frontend retry path at merge.
+	// lats buffers per-class latency samples run-length encoded
+	// (instEngine is the engine's LatencySink; see observe); toks buffers
+	// token events for tagged requests; dones buffers completed requests
+	// by value; fails buffers requests the engine rejected (oversize for
+	// its KV pool) or whose handoff found no decode target, drained to
+	// the frontend retry path at merge.
 	lats  []latSample
 	toks  []tokenEvent
 	dones []workload.Request
 	fails []workload.Request
+	// lastLat[2*cls+tbt] is 1 + the index in lats of that class and
+	// kind's latest record, 0 when it has none; reset with lats.
+	lastLat [2 * workload.NumClasses]int
 
 	// transfers are in-flight KV handoffs targeting this engine.
 	transfers []*kvTransfer
 }
 
-// latSample is one buffered per-class latency observation.
+// latSample is a run of n equal buffered latency observations of one
+// class and kind.
 type latSample struct {
 	cls workload.Class
 	tbt bool
 	v   float64
+	n   int
 }
 
 // tokenEvent is one buffered per-token observer notification.
@@ -273,13 +279,30 @@ type tokenEvent struct {
 
 // ObserveTTFT implements engine.LatencySink, buffering into the engine's
 // own slot (never the shared Result — stepping may be concurrent).
-func (ie *instEngine) ObserveTTFT(cls workload.Class, v float64) {
-	ie.lats = append(ie.lats, latSample{cls: cls, v: v})
-}
+func (ie *instEngine) ObserveTTFT(cls workload.Class, v float64) { ie.observe(cls, false, v) }
 
 // ObserveTBT implements engine.LatencySink.
-func (ie *instEngine) ObserveTBT(cls workload.Class, v float64) {
-	ie.lats = append(ie.lats, latSample{cls: cls, tbt: true, v: v})
+func (ie *instEngine) ObserveTBT(cls workload.Class, v float64) { ie.observe(cls, true, v) }
+
+// observe buffers one sample, extending the latest record of the same
+// class and kind when v is bit-equal to it. Each Dist receives only its
+// own records, in buffer order, so merge's AddN replay feeds it the same
+// sample sequence per-sample buffering would: a steady decode batch
+// (every sequence's gap is the iteration time) buffers one record per
+// class and iteration, not one per token.
+//
+//dynamolint:steadystate
+func (ie *instEngine) observe(cls workload.Class, tbt bool, v float64) {
+	k := 2 * int(cls)
+	if tbt {
+		k++
+	}
+	if i := ie.lastLat[k] - 1; i >= 0 && math.Float64bits(ie.lats[i].v) == math.Float64bits(v) {
+		ie.lats[i].n++
+		return
+	}
+	ie.lats = append(ie.lats, latSample{cls: cls, tbt: tbt, v: v, n: 1})
+	ie.lastLat[k] = len(ie.lats)
 }
 
 // engineFor returns the instance's engine, building it on first touch
@@ -572,12 +595,13 @@ func (b *eventBackend) merge() {
 		}
 		for _, ls := range ie.lats {
 			if ls.tbt {
-				res.ClassTBT[ls.cls].Add(ls.v)
+				res.ClassTBT[ls.cls].AddN(ls.v, ls.n)
 			} else {
-				res.ClassTTFT[ls.cls].Add(ls.v)
+				res.ClassTTFT[ls.cls].AddN(ls.v, ls.n)
 			}
 		}
 		ie.lats = ie.lats[:0]
+		ie.lastLat = [2 * workload.NumClasses]int{}
 		if obs := b.sm.opts.Observer; obs != nil {
 			for i := range ie.toks {
 				t := &ie.toks[i]

@@ -1,0 +1,134 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"dynamollm/internal/engine"
+	"dynamollm/internal/gpu"
+	"dynamollm/internal/metrics"
+	"dynamollm/internal/model"
+	"dynamollm/internal/perfmodel"
+	"dynamollm/internal/simclock"
+	"dynamollm/internal/workload"
+)
+
+// mergeOnlyBackend is an event backend with just enough run state for
+// merge to fold latency buffers into per-class distributions.
+func mergeOnlyBackend(engines ...*instEngine) *eventBackend {
+	res := &Result{}
+	for i := range res.ClassTTFT {
+		res.ClassTTFT[i] = metrics.NewDist()
+		res.ClassTBT[i] = metrics.NewDist()
+	}
+	return &eventBackend{sm: &simulation{res: res}, engines: engines}
+}
+
+// observed is one latency sample as an engine reports it.
+type observed struct {
+	cls workload.Class
+	tbt bool
+	v   float64
+}
+
+// TestLatencyRunsReplayPerSample: run-length buffering plus merge's AddN
+// replay leaves every per-class distribution == to feeding it each sample
+// with Add, in instance-ID order, across several merges. The streams
+// interleave engines, classes and kinds, repeat values in runs, share
+// values across classes, and carry +0 next to -0.
+func TestLatencyRunsReplayPerSample(t *testing.T) {
+	b := mergeOnlyBackend(&instEngine{}, nil, &instEngine{}, &instEngine{})
+	var want [2][workload.NumClasses]metrics.Dist
+	vals := []float64{0, math.Copysign(0, -1), 0.021, 0.021, 0.0211, 0.35, 2.5}
+	r := simclock.NewRNG(11)
+	for round := 0; round < 30; round++ {
+		streams := make([][]observed, len(b.engines))
+		for i := 0; i < 3000; i++ {
+			e := r.Intn(len(b.engines))
+			ie := b.engines[e]
+			if ie == nil {
+				continue
+			}
+			o := observed{cls: workload.Class(r.Intn(3) * 4), tbt: r.Intn(4) > 0, v: vals[r.Intn(len(vals))]}
+			if r.Intn(8) == 0 {
+				o.v = r.Exp(10)
+			}
+			for n := 1 + r.Intn(5); n > 0; n-- {
+				if o.tbt {
+					ie.ObserveTBT(o.cls, o.v)
+				} else {
+					ie.ObserveTTFT(o.cls, o.v)
+				}
+				streams[e] = append(streams[e], o)
+			}
+		}
+		records, samples := 0, 0
+		for e, s := range streams {
+			if ie := b.engines[e]; ie != nil {
+				records += len(ie.lats)
+			}
+			samples += len(s)
+			for _, o := range s {
+				k := 0
+				if o.tbt {
+					k = 1
+				}
+				want[k][o.cls].Add(o.v)
+			}
+		}
+		if records >= samples {
+			t.Fatalf("round %d: %d records for %d samples, want runs coalesced", round, records, samples)
+		}
+		b.merge()
+		for c := range workload.NumClasses {
+			for k, got := range []*metrics.Dist{b.sm.res.ClassTTFT[c], b.sm.res.ClassTBT[c]} {
+				w := &want[k][c]
+				if *got != *w || math.Float64bits(got.Mean()) != math.Float64bits(w.Mean()) {
+					t.Fatalf("round %d class %v kind %d: merged Dist differs from per-sample Add (n %d vs %d, mean %v vs %v)",
+						round, workload.Class(c), k, got.N(), w.N(), got.Mean(), w.Mean())
+				}
+			}
+		}
+	}
+}
+
+// TestSteadyDecodeOneRecordPerIteration: once a single-class batch is
+// decoding, every sequence's token gap is the iteration time, so the
+// engine buffers at most one latency record per iteration, not one per
+// token.
+func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
+	clk := simclock.New()
+	ie := &instEngine{eng: engine.New(perfmodel.Config{Model: model.Llama2_70B, TP: model.TP8, Freq: gpu.MaxFreq}, clk), clock: clk}
+	ie.eng.SetSink(ie)
+	iters := map[simclock.Time]bool{}
+	ie.eng.SetOnToken(func(_ *workload.Request, _ int, now simclock.Time) { iters[now] = true })
+	const seqs = 32
+	for i := range seqs {
+		ie.eng.SubmitCopy(workload.Request{ID: uint64(i + 1), InputTokens: 256, OutputTokens: 1000})
+	}
+	b := mergeOnlyBackend(ie)
+
+	clk.RunUntil(5) // every prompt prefilled, the batch decoding
+	b.merge()
+	clear(iters)
+	tokens := ie.eng.TokensOut
+	clk.RunUntil(15)
+	tokens = ie.eng.TokensOut - tokens
+
+	if len(iters) == 0 || tokens != seqs*len(iters) {
+		t.Fatalf("%d tokens over %d iterations, want a steady %d-sequence batch", tokens, len(iters), seqs)
+	}
+	sum := 0
+	for _, ls := range ie.lats {
+		if !ls.tbt {
+			t.Fatalf("TTFT record %+v in a decode-only window", ls)
+		}
+		sum += ls.n
+	}
+	if sum != tokens {
+		t.Fatalf("records hold %d samples, want one per token (%d)", sum, tokens)
+	}
+	if len(ie.lats) > len(iters) {
+		t.Errorf("%d latency records over %d iterations, want at most one per iteration", len(ie.lats), len(iters))
+	}
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"dynamollm/internal/metrics"
 	"dynamollm/internal/profile"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/trace"
@@ -10,17 +12,35 @@ import (
 )
 
 // resultFingerprint captures the fields two runs must agree on to count
-// as identical simulations.
+// as identical simulations. Class pins the event backend's per-class
+// TTFT (Class[0]) and TBT (Class[1]) distributions, which only /metrics
+// reports otherwise.
 type resultFingerprint struct {
 	Requests, Squashed, Completed, SLOMet int
 	Reshards, ScaleOuts, Emergencies      int
 	EnergyJ                               float64
 	TTFTP99, TBTP99                       float64
 	GPUSeconds                            float64
+	Class                                 [2][workload.NumClasses]distFingerprint
+}
+
+// distFingerprint summarizes one distribution; MeanBits tells sums that
+// differ only in rounding apart.
+type distFingerprint struct {
+	N             int
+	MeanBits      uint64
+	P50, P99, Max float64
+}
+
+func fingerprintDist(d *metrics.Dist) distFingerprint {
+	if d == nil {
+		return distFingerprint{}
+	}
+	return distFingerprint{N: d.N(), MeanBits: math.Float64bits(d.Mean()), P50: d.Percentile(50), P99: d.Percentile(99), Max: d.Max()}
 }
 
 func fingerprint(res *Result) resultFingerprint {
-	return resultFingerprint{
+	fp := resultFingerprint{
 		Requests: res.Requests, Squashed: res.Squashed,
 		Completed: res.Completed, SLOMet: res.SLOMet,
 		Reshards: res.Reshards, ScaleOuts: res.ScaleOuts,
@@ -30,6 +50,11 @@ func fingerprint(res *Result) resultFingerprint {
 		TBTP99:      res.TBT.Percentile(99),
 		GPUSeconds:  res.GPUSeconds,
 	}
+	for c := range workload.NumClasses {
+		fp.Class[0][c] = fingerprintDist(res.ClassTTFT[c])
+		fp.Class[1][c] = fingerprintDist(res.ClassTBT[c])
+	}
+	return fp
 }
 
 // liveOpts are options whose provisioning pre-pass does not depend on the

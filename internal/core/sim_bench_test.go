@@ -74,10 +74,12 @@ func BenchmarkTickLoopRetry(b *testing.B) {
 }
 
 // BenchmarkEventFleet measures a 20-server (TP8, so 20-engine) event-mode
-// fleet over a 10-minute high-load window, stepped with 1..8 workers. The
-// per-tick engine stepping dominates this workload, so ns/op across the
-// sub-benchmarks is the parallel-stepping speedup curve; on a single-core
-// host all rungs collapse to the serial cost (minus pool overhead).
+// fleet over a 10-minute high-load window, stepped with 1..8 workers.
+// Engine stepping takes about three quarters of the serial run's CPU and
+// the serial merge about an eighth, so ns/op across the sub-benchmarks
+// is the parallel-stepping speedup curve, capped by that serial share;
+// on a single-core host all rungs collapse to the serial cost (minus
+// pool overhead).
 func BenchmarkEventFleet(b *testing.B) {
 	repo := profile.NewRepository(nil)
 	tr := trace.OpenSourceHour(45, 11).Window(0, 600)

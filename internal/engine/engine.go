@@ -38,6 +38,10 @@ import (
 // seqState tracks one request inside the engine.
 type seqState struct {
 	req *workload.Request
+	// cls is req's true class, cached at submit: the per-token latency
+	// samples are tagged with it, and a held request's token counts never
+	// change, so re-classifying per token would only cost time.
+	cls workload.Class
 	// owned is the inline request storage used by SubmitCopy, so the
 	// engine never retains a caller's pointer across ticks.
 	owned workload.Request
@@ -288,6 +292,7 @@ func (e *Engine) SubmitCopy(req workload.Request) {
 // submit starts a fresh sequence for req on a pooled state.
 func (e *Engine) submit(st *seqState, req *workload.Request) {
 	st.req = req
+	st.cls = req.Class()
 	st.prefillLeft = req.InputTokens
 	e.TokensIn += req.InputTokens
 	e.enqueue(st)
@@ -537,12 +542,12 @@ func (e *Engine) finishIteration() {
 			if st.req.FirstToken == 0 {
 				st.req.FirstToken = end
 				if e.sink != nil {
-					e.sink.ObserveTTFT(st.req.Class(), float64(end-st.req.Arrival))
+					e.sink.ObserveTTFT(st.cls, float64(end-st.req.Arrival))
 				}
 			}
 		} else {
 			if e.sink != nil {
-				e.sink.ObserveTBT(st.req.Class(), float64(end-st.lastToken))
+				e.sink.ObserveTBT(st.cls, float64(end-st.lastToken))
 			}
 		}
 		st.lastToken = end

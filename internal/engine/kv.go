@@ -151,6 +151,7 @@ func (e *Engine) SubmitDecode(req workload.Request, ctx int) {
 	st := e.states.get()
 	st.owned = req
 	st.req = &st.owned
+	st.cls = req.Class()
 	st.prefillLeft = 0
 	st.produced = 1
 	st.ctx = ctx

@@ -18,6 +18,8 @@ import (
 // lands in a bin whose geometric midpoint is within sqrt(histGrowth)-1
 // (<1%) of the sample's value. 2200 bins cover 1e-9 .. ~8e9, far beyond
 // every latency (seconds) and power (watts) signal the simulator records.
+// Samples at or below histMin share the lowest bin; the top bin takes
+// every sample at or above its lower edge, +Inf included.
 const (
 	histGrowth = 1.02
 	histMin    = 1e-9
@@ -34,6 +36,63 @@ var (
 	invLogGrowth = 1 / math.Log(histGrowth)
 )
 
+// logBin is the definition of a sample's bin for v > histMin (before the
+// top-bin clamp): whole log(histGrowth) steps above histMin. Only init
+// calls it, to build the tables bin reads; bin equals it exactly.
+func logBin(v float64) int {
+	return int(math.Log(v/histMin) * invLogGrowth)
+}
+
+// idxShift keeps a float64's exponent and its top 6 mantissa bits: one
+// binStart cell spans a relative width of at most 1/64, less than one
+// 2% bin, so it holds at most one bin edge.
+const idxShift = 52 - 6
+
+var (
+	// binLo[b] (1 <= b < histBins) is the smallest float64 whose logBin
+	// is >= b; binLo[histBins] = +Inf caps the top bin. binLo[0] is unused.
+	binLo [histBins + 1]float64
+	// binStart[k] is the bin of the smallest float64 whose bits>>idxShift
+	// equal idxBase+k. The cells run from the one holding histMin to the
+	// one holding binLo[histBins-1].
+	binStart []uint16
+	idxBase  uint64
+)
+
+// init builds the bin tables eagerly, so no measured run pays for them
+// on its first Add (~0.4 ms). Each edge is seeded at histMin*histGrowth^b,
+// taken as exp(b*logGrowth): within ~30 ulps of the true edge, where
+// math.Pow drifts by hundreds. The walk steps down 4 ulps at a time until
+// below the edge, then up one ulp at a time onto it.
+func init() {
+	for b := 1; b < histBins; b++ {
+		u := math.Float64bits(histMin * math.Exp(float64(b)*logGrowth))
+		for logBin(math.Float64frombits(u)) >= b {
+			u -= 4
+		}
+		for logBin(math.Float64frombits(u)) < b {
+			u++
+		}
+		binLo[b] = math.Float64frombits(u)
+	}
+	binLo[histBins] = math.Inf(1)
+
+	idxBase = math.Float64bits(histMin) >> idxShift
+	top := math.Float64bits(binLo[histBins-1]) >> idxShift
+	binStart = make([]uint16, top-idxBase+1)
+	b := 0
+	for k := range binStart {
+		lo := math.Float64frombits((idxBase + uint64(k)) << idxShift)
+		for binLo[b+1] <= lo {
+			b++
+		}
+		if k > 0 && b > int(binStart[k-1])+1 {
+			panic("metrics: a bin-index cell holds two bin edges")
+		}
+		binStart[k] = uint16(b)
+	}
+}
+
 // Dist collects samples into a fixed-size logarithmic-bin histogram and
 // answers percentile queries in O(bins), independent of the sample count.
 // The evaluation figures report P50/P90/P99 latencies and powers.
@@ -41,7 +100,8 @@ var (
 // Percentile returns a value within MaxRelativeError (<1%) of the sample
 // at the nearest rank. Min, Max, Mean, and N are exact. Samples are
 // expected to be non-negative (latencies, watts, joules); values at or
-// below histMin share the lowest bin.
+// below histMin share the lowest bin, +Inf lands in the top bin, and a
+// NaN sample panics.
 type Dist struct {
 	counts [histBins]int64
 	n      int64
@@ -53,16 +113,28 @@ type Dist struct {
 // NewDist returns an empty distribution.
 func NewDist() *Dist { return &Dist{} }
 
-// bin maps a sample to its histogram bin.
+// bin maps a sample to its histogram bin: the logBin of v clamped to
+// [0, histBins-1], read from the tables with one index lookup and one
+// edge compare (a cell holds at most one edge).
+//
+//dynamolint:steadystate
 func bin(v float64) int {
-	if v <= histMin {
-		return 0
+	if k := math.Float64bits(v)>>idxShift - idxBase; k < uint64(len(binStart)) {
+		b := int(binStart[k])
+		if v >= binLo[b+1] {
+			b++
+		}
+		return b
 	}
-	b := int(math.Log(v/histMin) * invLogGrowth)
-	if b >= histBins {
-		b = histBins - 1
+	// Outside the table: above it (+Inf included), below it (zero and
+	// negatives included), or NaN.
+	if v >= binLo[histBins-1] {
+		return histBins - 1
 	}
-	return b
+	if v != v {
+		panic("metrics: NaN sample")
+	}
+	return 0
 }
 
 // binValue returns the geometric midpoint of a bin.
@@ -71,16 +143,31 @@ func binValue(b int) float64 {
 }
 
 // Add records a sample in O(1) without allocating.
-func (d *Dist) Add(v float64) {
+//
+//dynamolint:steadystate
+func (d *Dist) Add(v float64) { d.AddN(v, 1) }
+
+// AddN records n copies of a sample (n <= 0 records nothing). The result
+// equals n calls of Add(v): the sum is built by n sequential additions,
+// not v*n, so Mean stays bit-identical.
+//
+//dynamolint:steadystate
+func (d *Dist) AddN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
+	b := bin(v) // first: a NaN panics before d changes
 	if d.n == 0 || v < d.min {
 		d.min = v
 	}
 	if d.n == 0 || v > d.max {
 		d.max = v
 	}
-	d.n++
-	d.sum += v
-	d.counts[bin(v)]++
+	d.n += int64(n)
+	for range n {
+		d.sum += v
+	}
+	d.counts[b] += int64(n)
 }
 
 // N returns the sample count.

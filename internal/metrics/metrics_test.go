@@ -307,3 +307,146 @@ func TestTimeAvgOutOfOrderIgnored(t *testing.T) {
 		t.Errorf("avg = %v", avg)
 	}
 }
+
+// refBin is bin's definition: logBin clamped to [0, histBins-1], with
+// every sample at or below histMin in bin 0. It panics (as the original
+// per-sample code did) once v/histMin overflows, so callers stay below
+// refBinMax.
+func refBin(v float64) int {
+	if v <= histMin {
+		return 0
+	}
+	return min(logBin(v), histBins-1)
+}
+
+const refBinMax = 1e299
+
+// checkBin fails the test on a sample whose table bin differs from its
+// definition.
+func checkBin(t *testing.T, v float64) {
+	if got, want := bin(v), refBin(v); got != want {
+		t.Fatalf("bin(%v [bits %#x]) = %d, logBin says %d", v, math.Float64bits(v), got, want)
+	}
+}
+
+// The table-driven bin equals the logBin definition exactly. logBin is
+// monotone and math.Log errs by under an ulp, so any disagreement would
+// sit within a few ulps of a bin edge or at a table-cell boundary: both
+// are swept, ±2000 ulps around every edge and ±2 around every cell start,
+// plus log-uniform and random-bit samples over the whole range.
+func TestBinMatchesLogBin(t *testing.T) {
+	const span = 2000
+	for b := 1; b < histBins; b++ {
+		u := math.Float64bits(binLo[b])
+		for d := -span; d <= span; d++ {
+			checkBin(t, math.Float64frombits(u+uint64(d)))
+		}
+	}
+	for k := range binStart {
+		u := (idxBase + uint64(k)) << idxShift
+		for d := -2; d <= 2; d++ {
+			checkBin(t, math.Float64frombits(u+uint64(d)))
+		}
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n = 1_000_000
+	}
+	r := simclock.NewRNG(19)
+	lo, hi := math.Log(1e-9), math.Log(8e9)
+	for i := 0; i < n; i++ {
+		checkBin(t, math.Exp(lo+r.Float64()*(hi-lo)))
+	}
+	for i := 0; i < n/2; i++ {
+		v := math.Float64frombits(r.Uint64())
+		if math.IsNaN(v) || math.Abs(v) >= refBinMax {
+			continue
+		}
+		checkBin(t, v)
+	}
+}
+
+// Samples the original per-sample formula could not bin: every value at
+// or above the top bin's lower edge lands in the top bin, +Inf included;
+// -Inf joins the other non-positive samples in bin 0.
+func TestAddHugeAndInfinite(t *testing.T) {
+	for _, v := range []float64{binLo[histBins-1], 1e12, 1.8e299, math.MaxFloat64, math.Inf(1)} {
+		if got := bin(v); got != histBins-1 {
+			t.Errorf("bin(%v) = %d, want top bin %d", v, got, histBins-1)
+		}
+	}
+	if got := bin(math.Nextafter(binLo[histBins-1], 0)); got != histBins-2 {
+		t.Errorf("just below the top edge: bin = %d, want %d", got, histBins-2)
+	}
+	for _, v := range []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, histMin} {
+		if got := bin(v); got != 0 {
+			t.Errorf("bin(%v) = %d, want 0", v, got)
+		}
+	}
+	d := NewDist()
+	d.Add(1)
+	d.Add(math.Inf(1))
+	if d.N() != 2 || !math.IsInf(d.Max(), 1) || d.counts[histBins-1] != 1 {
+		t.Errorf("after Add(+Inf): n=%d max=%v top=%d", d.N(), d.Max(), d.counts[histBins-1])
+	}
+	if got := d.Percentile(0); got != 1 {
+		t.Errorf("P0 = %v, want 1", got)
+	}
+}
+
+// A NaN sample panics with a clear message and leaves the Dist unchanged.
+func TestAddNaNPanics(t *testing.T) {
+	d := NewDist()
+	d.Add(3)
+	before := *d
+	defer func() {
+		if msg := recover(); msg != "metrics: NaN sample" {
+			t.Errorf("recover() = %v, want the NaN-sample panic", msg)
+		}
+		if *d != before {
+			t.Error("a NaN sample changed the Dist")
+		}
+	}()
+	d.Add(math.NaN())
+}
+
+// AddN(v, n) leaves the same state as n calls of Add(v), sum bits
+// included, whatever came before.
+func TestAddNMatchesAdd(t *testing.T) {
+	r := simclock.NewRNG(5)
+	vals := []float64{0, math.Copysign(0, -1), 1e-12, 0.1, 0.1 + 1e-17, 0.3, 7, 1e10, math.Inf(1)}
+	var bulk, single Dist
+	for i := 0; i < 2000; i++ {
+		v := vals[r.Intn(len(vals))]
+		if r.Intn(3) == 0 {
+			v = math.Exp(r.Float64()*20 - 10)
+		}
+		n := r.Intn(50)
+		bulk.AddN(v, n)
+		for range n {
+			single.Add(v)
+		}
+		if bulk != single || math.Float64bits(bulk.sum) != math.Float64bits(single.sum) {
+			t.Fatalf("step %d: AddN(%v, %d) diverged from %d Adds", i, v, n, n)
+		}
+	}
+	bulk.AddN(1, -3)
+	if bulk != single {
+		t.Error("AddN with n < 0 changed the Dist")
+	}
+}
+
+// BenchmarkDistAdd times one Add over log-spread latency-like values
+// (10 µs .. 100 s).
+func BenchmarkDistAdd(b *testing.B) {
+	r := simclock.NewRNG(1)
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = math.Exp(math.Log(1e-5) + r.Float64()*math.Log(1e7))
+	}
+	d := NewDist()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Add(vals[i&(len(vals)-1)])
+	}
+}
