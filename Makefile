@@ -149,9 +149,9 @@ restore-smoke:
 	./scripts/restore_smoke.sh
 
 # End-to-end: the KV sweep — capacity x prefix x disagg x spill tier —
-# through the real CLI, race detector on (thin peak; the quick grid's tier
-# cells exercise the swap link under both cpu and ssd bandwidths). CI
-# uploads the table as an artifact.
+# through the real CLI, race detector on (thin peak, for time under
+# -race; the quick grid's tier cells exercise the swap link under both cpu
+# and ssd bandwidths). CI uploads the table as an artifact.
 kv-smoke:
 	$(GO) run -race ./cmd/dynamobench -quick -peak 5 kv | tee kv-sweep.txt
 
@@ -167,15 +167,17 @@ loc:
 	./scripts/loc.sh
 
 # Short coverage-guided fuzz passes over the scenario JSON loader, the
-# /events body decoder, the restore decoders (WAL, checkpoint) and the
-# trace CSV reader, race detector on. The corpora seed from the builtin
-# library, the /events test bodies, torn and corrupted state files, and
-# other known-nasty inputs; CI runs this budget on every push so new
-# validation gaps fail fast rather than waiting for a long offline
-# campaign. go test accepts one -fuzz target per invocation.
+# /request and /events body decoders, the restore decoders (WAL,
+# checkpoint) and the trace CSV reader, race detector on. The corpora seed
+# from the builtin library, the /request and /events test bodies, torn and
+# corrupted state files, and other known-nasty inputs; CI runs this
+# budget on every push so new validation gaps fail fast rather than
+# waiting for a long offline campaign. go test accepts one -fuzz target
+# per invocation.
 fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzScenarioLoad -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadWAL$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzDecodeEvents$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -race -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -race -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace

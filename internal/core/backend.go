@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"dynamollm/internal/energy"
 	"dynamollm/internal/engine"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
@@ -47,7 +46,10 @@ type InstanceBackend interface {
 	// Reconfigure reacts to a TP/transition change applied by the
 	// re-sharding planner.
 	Reconfigure(in *Instance, now simclock.Time)
-	// Finish closes the run after the last tick (drain in-flight work).
+	// Finish closes the run after the last tick: it drains in-flight
+	// work and settles energy at the horizon. The event backend drains
+	// one engine at a time, serially, so its buffers stay bounded by one
+	// clock event's output (one pool group's under disaggregation).
 	Finish(end simclock.Time)
 }
 
@@ -79,11 +81,6 @@ func (b *fluidBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 
 	// Steady state for this tick.
 	st := sm.instanceSteady(in)
-	if in.rate > 0.01 && st.Rho > 0.01 {
-		in.capEst = in.rate / st.Rho * maxCapFraction
-	} else {
-		in.capEst = 0 // fall back to profile capacity
-	}
 
 	// Backlog dynamics: demand beyond capacity queues.
 	cap := in.capacity(sm)
@@ -535,19 +532,19 @@ func (b *eventBackend) RunTo(tickEnd simclock.Time) {
 			}
 		}
 	}
-	b.stepAll(tickEnd, false)
+	b.stepAll(tickEnd)
 	b.now = tickEnd
 	b.merge()
 }
 
-// stepAll runs every live clock's agenda — to the tick boundary, or to
-// exhaustion when drain is set (Finish). Normally each engine has its own
-// clock; under disaggregation a pool group (prefill + decode twins)
-// shares one. With StepJobs > 1 the distinct clocks are index-slotted
-// across that many workers; each clock is stepped by exactly one worker
-// and the engines on it touch only their own state and buffers, so the
-// result is byte-identical to the serial pass.
-func (b *eventBackend) stepAll(tickEnd simclock.Time, drain bool) {
+// stepAll runs every live clock's agenda to the tick boundary. Normally
+// each engine has its own clock; under disaggregation a pool group
+// (prefill + decode twins) shares one. With StepJobs > 1 the distinct
+// clocks are index-slotted across that many workers; each clock is
+// stepped by exactly one worker and the engines on it touch only their
+// own state and buffers, so the result is byte-identical to the serial
+// pass.
+func (b *eventBackend) stepAll(tickEnd simclock.Time) {
 	b.stepClocks = b.stepClocks[:0]
 	if b.sm.opts.Disagg {
 		for _, clk := range b.groupClocks {
@@ -563,20 +560,10 @@ func (b *eventBackend) stepAll(tickEnd simclock.Time, drain bool) {
 		}
 	}
 	if jobs := b.sm.opts.StepJobs; jobs > 1 && len(b.stepClocks) > 1 {
-		order.Parallel(len(b.stepClocks), jobs, func(i int) { stepClock(b.stepClocks[i], tickEnd, drain) })
+		order.Parallel(len(b.stepClocks), jobs, func(i int) { b.stepClocks[i].RunUntil(tickEnd) })
 		return
 	}
 	for _, clk := range b.stepClocks {
-		stepClock(clk, tickEnd, drain)
-	}
-}
-
-// stepClock runs one clock to tickEnd, or to exhaustion when draining; a
-// plain function, so stepAll's serial path allocates no closure.
-func stepClock(clk *simclock.Clock, tickEnd simclock.Time, drain bool) {
-	if drain {
-		clk.Run()
-	} else {
 		clk.RunUntil(tickEnd)
 	}
 }
@@ -584,48 +571,53 @@ func stepClock(clk *simclock.Clock, tickEnd simclock.Time, drain bool) {
 // merge folds every engine's buffered results into the shared Result and
 // observer, in instance-ID order — a fixed order independent of how the
 // stepping was scheduled, which is what makes parallel runs byte-identical
-// to serial ones. Within an engine, buffers replay in the engine's own
+// to serial ones.
+func (b *eventBackend) merge() {
+	for _, ie := range b.engines {
+		if ie != nil {
+			b.mergeEngine(ie)
+		}
+	}
+}
+
+// mergeEngine folds one engine's buffers into the shared Result and
+// observer and empties them. Buffers replay in the engine's own
 // deterministic event order, so each request's token events still precede
 // its completion.
-func (b *eventBackend) merge() {
+func (b *eventBackend) mergeEngine(ie *instEngine) {
 	res := b.sm.res
-	for _, ie := range b.engines {
-		if ie == nil {
-			continue
+	for _, ls := range ie.lats {
+		if ls.tbt {
+			res.ClassTBT[ls.cls].AddN(ls.v, ls.n)
+		} else {
+			res.ClassTTFT[ls.cls].AddN(ls.v, ls.n)
 		}
-		for _, ls := range ie.lats {
-			if ls.tbt {
-				res.ClassTBT[ls.cls].AddN(ls.v, ls.n)
-			} else {
-				res.ClassTTFT[ls.cls].AddN(ls.v, ls.n)
-			}
-		}
-		ie.lats = ie.lats[:0]
-		ie.lastLat = [2 * workload.NumClasses]int{}
-		if obs := b.sm.opts.Observer; obs != nil {
-			for i := range ie.toks {
-				t := &ie.toks[i]
-				obs.RequestToken(&t.req, t.produced, t.at)
-			}
-		}
-		ie.toks = ie.toks[:0]
-		for i := range ie.dones {
-			// TTFT/TBT come from the request's own timestamps; Arrival
-			// survives retries, so a retried request's TTFT spans every
-			// failed attempt and backoff.
-			d := &ie.dones[i]
-			b.sm.complete(d, d.TTFT(), d.AvgTBT(), d.MeetsSLO())
-		}
-		ie.dones = ie.dones[:0]
-		// Requests the engine rejected (oversize for its KV pool) or
-		// whose handoff found no decode target go back through the
-		// frontend retry path — another instance or a later attempt may
-		// still serve them.
-		for i := range ie.fails {
-			b.sm.frontendFail(ie.fails[i], b.now)
-		}
-		ie.fails = ie.fails[:0]
 	}
+	ie.lats = ie.lats[:0]
+	ie.lastLat = [2 * workload.NumClasses]int{}
+	if obs := b.sm.opts.Observer; obs != nil {
+		for i := range ie.toks {
+			t := &ie.toks[i]
+			obs.RequestToken(&t.req, t.produced, t.at)
+		}
+	}
+	ie.toks = ie.toks[:0]
+	for i := range ie.dones {
+		// TTFT/TBT come from the request's own timestamps; Arrival
+		// survives retries, so a retried request's TTFT spans every
+		// failed attempt and backoff.
+		d := &ie.dones[i]
+		b.sm.complete(d, d.TTFT(), d.AvgTBT(), d.MeetsSLO())
+	}
+	ie.dones = ie.dones[:0]
+	// Requests the engine rejected (oversize for its KV pool) or
+	// whose handoff found no decode target go back through the
+	// frontend retry path — another instance or a later attempt may
+	// still serve them.
+	for i := range ie.fails {
+		b.sm.frontendFail(ie.fails[i], b.now)
+	}
+	ie.fails = ie.fails[:0]
 }
 
 func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float64 {
@@ -645,7 +637,6 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	// queue (sequences whose prefill has not started, plus any preempted
 	// sequences waiting to re-enter).
 	in.backlog = float64(ie.eng.WaitingLen())
-	in.capEst = 0
 	ie.cls = workload.Classify(int(in.mixIn), int(in.mixOut))
 	b.settleKV(ie)
 	if ie.handoffsIn > 0 {
@@ -760,18 +751,31 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 	in.backlog = 0
 }
 
-// Finish lets in-flight work drain past the horizon (every engine runs
-// its agenda to exhaustion, still under the stepping pool), charges the
-// drain tail's energy, and squashes anything that can never complete
-// (KV-stuck leftovers). Each engine's meter closes at its own last event
-// — trailing idle time past an engine's final iteration is not billed.
+// Finish lets in-flight work drain past the horizon, charges the drain
+// tail's energy, and squashes anything that can never complete (KV-stuck
+// leftovers). It closes engines one at a time, in instance-ID order,
+// through the per-tick merge: merge the engine's buffers, step its clock
+// by one event, repeat until the agenda is empty. The buffers thus hold
+// at most one event's output, and each Dist still receives every engine's
+// drain stream whole and in ID order, the order its float sums depend
+// on. Under disaggregation a pool group shares one clock: stepping its
+// lowest-ID engine runs the whole group, and the other engines hold their
+// tail until the loop reaches them, so buffering is bounded per group,
+// not per engine. The drain is serial whatever StepJobs says: draining
+// in parallel would mean buffering ahead of the ID-order merge. Each
+// engine's meter closes at its own last event — trailing idle time past
+// an engine's final iteration is not billed.
 func (b *eventBackend) Finish(end simclock.Time) {
 	b.deliver(simclock.Time(math.Inf(1)))
-	b.stepAll(0, true)
-	b.merge()
 	for _, ie := range b.engines {
 		if ie == nil {
 			continue
+		}
+		for {
+			b.mergeEngine(ie)
+			if !ie.clock.Step() {
+				break
+			}
 		}
 		for _, r := range b.drain(ie) {
 			b.sm.drop(r, false)
@@ -793,8 +797,6 @@ func (b *eventBackend) drain(ie *instEngine) []workload.Request {
 
 // settleEnergy folds an engine's unaccounted joules (since its last tick
 // boundary) into the run totals, booked into the energy series at `at`.
-// Carbon accounting integrates EnergySeries, so the series must never
-// miss joules the totals carry.
 func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 	b.settleKV(ie)
 	j := ie.eng.Energy()
@@ -803,9 +805,5 @@ func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 	if tickJ <= 0 {
 		return
 	}
-	res := b.sm.res
-	res.EnergyJ += tickJ
-	res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * b.sm.priceMult
-	res.EnergyByClassJ[ie.cls] += tickJ
-	res.EnergySeries.Accumulate(float64(at), tickJ)
+	b.sm.bookEnergy(ie.cls, tickJ, at)
 }

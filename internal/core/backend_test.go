@@ -10,6 +10,7 @@ import (
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
+	"dynamollm/internal/trace"
 	"dynamollm/internal/workload"
 )
 
@@ -130,5 +131,81 @@ func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
 	}
 	if len(ie.lats) > len(iters) {
 		t.Errorf("%d latency records over %d iterations, want at most one per iteration", len(ie.lats), len(iters))
+	}
+}
+
+// drainBuffers runs a KV-pressured event session whose horizon falls on
+// a backlog of tagged requests (tagged, as serve injects them, so token
+// events are buffered too) and reports the largest lats/toks/dones
+// capacity any engine grew during Finish, the largest engine KV pool in
+// blocks, and how many token events the drain produced.
+func drainBuffers(t *testing.T, backlog int) (caps [3]int, kvBlocks, tailTokens int) {
+	t.Helper()
+	r, _ := fixtures(t)
+	opts := liveOpts(FidelityEvent)
+	opts.KVBlockTokens = 16
+	opts.KVCapacityFactor = 0.005
+	obs := &tokenObserver{}
+	opts.Observer = obs
+	live := NewLive(nil, opts, r)
+	live.AdvanceTo(30)
+	for i := range backlog {
+		if _, err := live.Inject(trace.Entry{At: 31, Tag: uint64(i + 1), InputTokens: 256, OutputTokens: 512}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.AdvanceTo(35)
+	b := live.sm.backend.(*eventBackend)
+	// The tick path's merges leave the buffers empty; drop their backing
+	// arrays so the capacities below are what Finish alone grew.
+	for _, ie := range b.engines {
+		if ie != nil {
+			ie.lats, ie.toks, ie.dones = nil, nil, nil
+			_, c := ie.eng.KVUsage()
+			kvBlocks = max(kvBlocks, c)
+		}
+	}
+	before := obs.tokens
+	res := live.Finish()
+	if err := res.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	for _, ie := range b.engines {
+		if ie != nil {
+			caps[0] = max(caps[0], cap(ie.lats))
+			caps[1] = max(caps[1], cap(ie.toks))
+			caps[2] = max(caps[2], cap(ie.dones))
+		}
+	}
+	return caps, kvBlocks, obs.tokens - before
+}
+
+// TestFinishDrainBuffersBounded: Finish merges after every clock event,
+// so an engine's drain buffers hold at most one event's output — one
+// token, one completion and two latency records per resident sequence,
+// doubled for append's growth slack — however long the post-horizon
+// tail is. A 4x larger backlog leaves the bound unchanged.
+func TestFinishDrainBuffersBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster simulation")
+	}
+	small, kvBlocks, smallTail := drainBuffers(t, 300)
+	large, _, largeTail := drainBuffers(t, 1200)
+	// A sequence holds at least its 256-token prompt: 16 blocks.
+	resident := kvBlocks / 16
+	limit := [3]int{2 * 2 * resident, 2 * resident, 2 * resident}
+	if largeTail < 4*smallTail || smallTail < 100*limit[1] {
+		t.Fatalf("drain tails %d and %d token events, want a long tail growing at least 4x", smallTail, largeTail)
+	}
+	for _, c := range []struct {
+		backlog int
+		caps    [3]int
+	}{{300, small}, {1200, large}} {
+		for i, name := range []string{"lats", "toks", "dones"} {
+			if c.caps[i] > limit[i] {
+				t.Errorf("backlog %d: an engine's %s grew to cap %d during Finish, want <= %d (one event's output for %d resident sequences)",
+					c.backlog, name, c.caps[i], limit[i], resident)
+			}
+		}
 	}
 }

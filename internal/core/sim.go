@@ -18,10 +18,6 @@ import (
 	"dynamollm/internal/workload"
 )
 
-// maxCapFraction is the utilization treated as an instance's usable
-// capacity when deriving it from the measured operating point.
-const maxCapFraction = 0.9
-
 // provisionHeadroom pads peak-based static provisioning (the paper
 // provisions baselines "to handle the peak load").
 const provisionHeadroom = 1.25
@@ -1046,13 +1042,9 @@ func (sm *simulation) accountTick(now simclock.Time) {
 			pFreqNum += float64(in.effFreq()) * float64(in.TP.GPUs())
 			pFreqDen += float64(in.TP.GPUs())
 
-			// Attribute energy to classes by served mix.
-			tickJ := watts * opts.Tick
-			res.EnergyJ += tickJ
-			res.EnergyCostUSD += energy.KWh(tickJ) * energy.DefaultCost.EnergyUSDPerKWh * sm.priceMult
-			cls := workload.Classify(int(in.mixIn), int(in.mixOut))
-			res.EnergyByClassJ[cls] += tickJ
-			res.EnergySeries.Accumulate(float64(now), tickJ)
+			// Attribute energy to classes by served mix. A zero tick is
+			// booked too: its Accumulate marks the series bucket.
+			sm.bookEnergy(workload.Classify(int(in.mixIn), int(in.mixOut)), watts*opts.Tick, now)
 		}
 		// Per-pool tracked series.
 		for _, cls := range trackedClasses {
@@ -1088,6 +1080,18 @@ func (sm *simulation) accountTick(now simclock.Time) {
 	if freqDen > 0 {
 		res.FreqSeries.Observe(float64(now), freqNum/freqDen, 1)
 	}
+}
+
+// bookEnergy is the one writer of the run's energy ledger: it charges
+// joules to the totals, the price-weighted cost, the class and the energy
+// series bucket at `at`. Carbon accounting integrates EnergySeries, so the
+// series must never miss joules the totals carry.
+func (sm *simulation) bookEnergy(cls workload.Class, joules float64, at simclock.Time) {
+	res := sm.res
+	res.EnergyJ += joules
+	res.EnergyCostUSD += energy.KWh(joules) * energy.DefaultCost.EnergyUSDPerKWh * sm.priceMult
+	res.EnergyByClassJ[cls] += joules
+	res.EnergySeries.Accumulate(float64(at), joules)
 }
 
 // finish closes out the run-level aggregates.
@@ -1297,10 +1301,9 @@ func (sm *simulation) steadyLookup(key steadyKey) perfmodel.Steady {
 		rate = math.Exp(float64(key.rateB) * rateBucketStep)
 	}
 	cfg := perfmodel.Config{Model: sm.opts.Model, TP: key.tp, Freq: key.freq}
-	st := perfmodel.SteadyStateSLO(cfg, rate,
+	st := perfmodel.SteadyState(cfg, rate,
 		int(math.Exp(float64(key.inB)*shapeBucketStep)),
-		int(math.Exp(float64(key.outB)*shapeBucketStep)),
-		sm.opts.SLOScale)
+		int(math.Exp(float64(key.outB)*shapeBucketStep)))
 	sm.steadyCache[key] = st
 	return st
 }

@@ -39,7 +39,8 @@ func BenchmarkEngineSoak(b *testing.B) {
 				eng.SubmitCopy(workload.Request{Arrival: at, InputTokens: in, OutputTokens: out})
 			})
 		}
-		clock.Run()
+		for clock.Step() {
+		}
 		completed, tokens = eng.Completed, eng.TokensOut
 		if completed == 0 {
 			b.Fatal("soak completed nothing")

@@ -20,7 +20,8 @@ func TestSingleRequestLifecycle(t *testing.T) {
 	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
 	req := &workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 10}
 	eng.Submit(req)
-	clock.Run()
+	for clock.Step() {
+	}
 	if eng.Completed != 1 {
 		t.Fatalf("completed = %d, want 1", eng.Completed)
 	}
@@ -47,7 +48,8 @@ func TestTokenConservation(t *testing.T) {
 			eng.Submit(&workload.Request{Arrival: at, InputTokens: 128 + rng.Intn(512), OutputTokens: out})
 		})
 	}
-	clock.Run()
+	for clock.Step() {
+	}
 	if eng.Completed != 50 {
 		t.Fatalf("completed = %d, want 50", eng.Completed)
 	}
@@ -68,7 +70,8 @@ func TestKVReleasedAfterCompletion(t *testing.T) {
 			eng.Submit(&workload.Request{Arrival: at, InputTokens: 256, OutputTokens: 20})
 		})
 	}
-	clock.Run()
+	for clock.Step() {
+	}
 	if eng.kvTokens != 0 {
 		t.Errorf("KV tokens leaked: %v", eng.kvTokens)
 	}
@@ -78,7 +81,8 @@ func TestEnergyAccrues(t *testing.T) {
 	clock := simclock.New()
 	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
 	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 100})
-	clock.Run()
+	for clock.Step() {
+	}
 	j := eng.Energy()
 	if j <= 0 {
 		t.Fatal("no energy recorded")
@@ -96,7 +100,8 @@ func TestTBTGapsRecorded(t *testing.T) {
 	var lat pooledSink
 	eng.SetSink(&lat)
 	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 50})
-	clock.Run()
+	for clock.Step() {
+	}
 	if lat.tbt.N() != 49 {
 		t.Errorf("TBT gaps = %d, want 49", lat.tbt.N())
 	}
@@ -113,7 +118,8 @@ func TestFreezeDelaysWork(t *testing.T) {
 	eng.Freeze(5)
 	req := &workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 2}
 	eng.Submit(req)
-	clock.Run()
+	for clock.Step() {
+	}
 	if req.FirstToken < 5 {
 		t.Errorf("first token at %v, want after freeze end 5", req.FirstToken)
 	}
@@ -127,7 +133,8 @@ func TestOnComplete(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		eng.Submit(&workload.Request{InputTokens: 64, OutputTokens: 5})
 	}
-	clock.Run()
+	for clock.Step() {
+	}
 	if done != 3 {
 		t.Errorf("onComplete fired %d times, want 3", done)
 	}
@@ -204,7 +211,8 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 	clock.At(1, func() {
 		eng.Submit(&workload.Request{Arrival: 1, InputTokens: 3072, OutputTokens: 5})
 	})
-	clock.Run()
+	for clock.Step() {
+	}
 	maxGap := lat.tbt.Max()
 	chunkIter := cfg.Iter(perfmodel.Batch{
 		PrefillTokens: perfmodel.PrefillChunk,

@@ -34,7 +34,8 @@ func kvSoak(kv KVConfig, lambda, dur float64, in, out int) (*Engine, uint64) {
 			})
 		})
 	}
-	clock.Run()
+	for clock.Step() {
+	}
 	return eng, clock.Steps()
 }
 

@@ -158,7 +158,8 @@ func TestKVPropConservation(t *testing.T) {
 	cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
 	clk.RunUntil(120)
 	cancel()
-	clk.Run()
+	for clk.Step() {
+	}
 
 	checkKVConservation(t, eng)
 	if eng.Completed+eng.KVRejected != len(reqs) {
@@ -196,7 +197,8 @@ func TestKVPropNoLeakWithoutPrefix(t *testing.T) {
 	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 96})
 	reqs := kvPropReqs(60, 29)
 	schedule(clk, eng, reqs)
-	clk.Run()
+	for clk.Step() {
+	}
 	if eng.Completed+eng.KVRejected != len(reqs) {
 		t.Fatalf("requests lost: %d completed + %d rejected of %d",
 			eng.Completed, eng.KVRejected, len(reqs))
@@ -211,7 +213,7 @@ func TestKVPropNoLeakWithoutPrefix(t *testing.T) {
 // never can. Every fitting request must complete (sequences serialize
 // through the block via preemption), the oversize one must be rejected —
 // and the run must terminate, which is the property the rollback paths
-// exist for (clock.Run returning at all is the assertion).
+// exist for (the step loop ending at all is the assertion).
 func TestKVPropProgressAtOneBlock(t *testing.T) {
 	clk := simclock.New()
 	eng := New(cfg70(model.TP8, gpu.MaxFreq), clk)
@@ -225,7 +227,8 @@ func TestKVPropProgressAtOneBlock(t *testing.T) {
 	clk.At(0.02, func() {
 		eng.SubmitCopy(workload.Request{Arrival: 0.02, InputTokens: 40, OutputTokens: 4})
 	})
-	clk.Run()
+	for clk.Step() {
+	}
 	if eng.Completed != fitting {
 		t.Errorf("completed %d of %d block-sized requests", eng.Completed, fitting)
 	}
@@ -252,7 +255,8 @@ func TestKVPropPrefixSelfReference(t *testing.T) {
 	b := workload.Request{Arrival: 0.5, InputTokens: 32, OutputTokens: 60, PromptGroup: 9}
 	clk.At(0, func() { eng.SubmitCopy(a) })
 	clk.At(0.5, func() { eng.SubmitCopy(b) })
-	clk.Run()
+	for clk.Step() {
+	}
 	if eng.Completed+eng.KVRejected != 2 {
 		t.Fatalf("requests lost: %d completed + %d rejected of 2", eng.Completed, eng.KVRejected)
 	}
@@ -300,7 +304,8 @@ func TestKVTierPropConservation(t *testing.T) {
 		cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
 		clk.RunUntil(120)
 		cancel()
-		clk.Run() // termination at this capacity is itself the property
+		for clk.Step() { // termination at this capacity is itself the property
+		}
 
 		checkKVConservation(t, eng)
 		if eng.Completed+eng.KVRejected != len(reqs) {
@@ -358,7 +363,8 @@ func TestKVTierPropThrash(t *testing.T) {
 	cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
 	clk.RunUntil(120)
 	cancel()
-	clk.Run()
+	for clk.Step() {
+	}
 
 	checkKVConservation(t, eng)
 	if eng.Completed+eng.KVRejected != len(reqs) {
@@ -399,7 +405,8 @@ func TestKVTierDrainMidSwap(t *testing.T) {
 	if eng.QueueLen() != 0 {
 		t.Fatalf("drain left queue length %d", eng.QueueLen())
 	}
-	clk.Run() // pending swap event fires against a cancelled (nil) slot
+	for clk.Step() { // pending swap event fires against a cancelled (nil) slot
+	}
 	checkKVConservation(t, eng)
 }
 
@@ -423,7 +430,8 @@ func TestKVPropDisaggHandoff(t *testing.T) {
 	})
 	clk.RunUntil(120)
 	cancel()
-	clk.Run()
+	for clk.Step() {
+	}
 
 	single := 0
 	for _, r := range reqs {

@@ -292,13 +292,8 @@ const (
 )
 
 // SteadyState solves the fluid equilibrium for arrival rate lambda (req/s)
-// of requests with the given mean input/output lengths, judged against the
-// Table IV SLO of the request class (sloScale = 1).
-func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
-	return SteadyStateSLO(cfg, lambda, inTokens, outTokens, 1)
-}
-
-// SteadyStateSLO is SteadyState with a relaxed SLO factor (10x/20x services).
+// of requests with the given mean input/output lengths. It does not depend
+// on the SLO: MeetsSLO judges the result against a (scaled) class SLO.
 //
 // Derivation: in continuous batching each request decodes one token per
 // iteration, so a request resides for ~out iterations and Little's law
@@ -307,7 +302,7 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 // iteration, piggybacked on the decode batch. The mean iteration time is a
 // fixed point that is linear in tIter on each roofline branch; the TBT tail
 // is governed by iterations carrying a full chunk.
-func SteadyStateSLO(cfg Config, lambda float64, inTokens, outTokens int, sloScale float64) Steady {
+func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 	st := Steady{Config: cfg, ArrivalRate: lambda, Feasible: true}
 	if !cfg.Feasible() {
 		st.Feasible = false
@@ -439,7 +434,7 @@ func (st Steady) MeetsSLO(class workload.Class, sloScale float64) bool {
 // capacity does not jump when the average mix crosses a class boundary.
 func MaxLoadShape(cfg Config, in, out int, ttftSLO, tbtSLO float64) (float64, bool) {
 	meets := func(lambda float64) bool {
-		st := SteadyStateSLO(cfg, lambda, in, out, 1)
+		st := SteadyState(cfg, lambda, in, out)
 		return st.Feasible && st.TTFTP99 <= ttftSLO && st.TBTP99 <= tbtSLO
 	}
 	if !meets(1e-4) {
@@ -469,11 +464,11 @@ func MaxLoadShape(cfg Config, in, out int, ttftSLO, tbtSLO float64) (float64, bo
 // second result is false when even a vanishing load violates the SLO.
 func MaxLoad(cfg Config, class workload.Class, sloScale float64) (float64, bool) {
 	in, out := workload.RepresentativeLengths(class)
-	if !SteadyStateSLO(cfg, 1e-4, in, out, sloScale).MeetsSLO(class, sloScale) {
+	if !SteadyState(cfg, 1e-4, in, out).MeetsSLO(class, sloScale) {
 		return 0, false
 	}
 	lo, hi := 1e-4, 1.0
-	for SteadyStateSLO(cfg, hi, in, out, sloScale).MeetsSLO(class, sloScale) {
+	for SteadyState(cfg, hi, in, out).MeetsSLO(class, sloScale) {
 		lo = hi
 		hi *= 2
 		if hi > 1e4 {
@@ -482,7 +477,7 @@ func MaxLoad(cfg Config, class workload.Class, sloScale float64) (float64, bool)
 	}
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if SteadyStateSLO(cfg, mid, in, out, sloScale).MeetsSLO(class, sloScale) {
+		if SteadyState(cfg, mid, in, out).MeetsSLO(class, sloScale) {
 			lo = mid
 		} else {
 			hi = mid

@@ -150,12 +150,11 @@ func TestLooseSLOWidensFeasibleSet(t *testing.T) {
 	in, out := workload.RepresentativeLengths(workload.MM)
 	lambda := 2000.0 / float64(in+out)
 	cfg := cfg70(model.TP4, 800)
-	strict := SteadyStateSLO(cfg, lambda, in, out, 1)
-	loose := SteadyStateSLO(cfg, lambda, in, out, 4)
-	if strict.MeetsSLO(workload.MM, 1) {
+	st := SteadyState(cfg, lambda, in, out)
+	if st.MeetsSLO(workload.MM, 1) {
 		t.Fatal("MM TP4@0.8 should fail the strict SLO")
 	}
-	if !loose.MeetsSLO(workload.MM, 4) {
+	if !st.MeetsSLO(workload.MM, 4) {
 		t.Error("MM TP4@0.8 should pass a 20x SLO")
 	}
 }

@@ -47,9 +47,10 @@ type Observation struct {
 // a measured alternative, mirroring the paper's offline profiling runs.
 type Measurer func(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloScale float64) Observation
 
-// AnalyticMeasurer evaluates the closed-form steady state.
-func AnalyticMeasurer(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloScale float64) Observation {
-	st := perfmodel.SteadyStateSLO(cfg, lambda, inTokens, outTokens, sloScale)
+// AnalyticMeasurer evaluates the closed-form steady state, which does not
+// depend on the SLO scale.
+func AnalyticMeasurer(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, _ float64) Observation {
+	st := perfmodel.SteadyState(cfg, lambda, inTokens, outTokens)
 	return Observation{
 		Lambda:   lambda,
 		Power:    st.Power,
@@ -159,8 +160,6 @@ func buildEntry(key Key, m *model.Model, in, out int, sloScale float64, measure 
 		tbt = append(tbt, obs.TBTP99)
 	}
 	e.Power = interp.MustNew(xs, power)
-	e.TTFTP99 = interp.MustNew(xs, ttft)
-	e.TBTP99 = interp.MustNew(xs, tbt)
 	// The zero-load latency samples are placeholders; anchor them to the
 	// lightest measured point instead of zero to avoid optimistic
 	// interpolation below the first sample.

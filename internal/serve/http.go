@@ -83,22 +83,30 @@ type requestBody struct {
 	DeadlineS    float64 `json:"deadline_s"`
 }
 
-func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
+// decodeRequest decodes and range-checks one /request body: token counts
+// within the workload caps and a non-negative deadline.
+func decodeRequest(r io.Reader) (requestBody, error) {
 	var body requestBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		http.Error(w, err.Error(), badBodyStatus(err))
-		return
+		return body, err
 	}
 	if body.InputTokens <= 0 || body.InputTokens > workload.InputLongMax ||
 		body.OutputTokens <= 0 || body.OutputTokens > workload.OutputLongMax {
-		http.Error(w, fmt.Sprintf("input_tokens must be in [1, %d] and output_tokens in [1, %d]",
-			workload.InputLongMax, workload.OutputLongMax), http.StatusBadRequest)
-		return
+		return body, fmt.Errorf("input_tokens must be in [1, %d] and output_tokens in [1, %d]",
+			workload.InputLongMax, workload.OutputLongMax)
 	}
 	if body.DeadlineS < 0 {
-		http.Error(w, "deadline_s must be >= 0", http.StatusBadRequest)
+		return body, errors.New("deadline_s must be >= 0")
+	}
+	return body, nil
+}
+
+func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
+	body, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		http.Error(w, err.Error(), badBodyStatus(err))
 		return
 	}
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
@@ -121,9 +129,12 @@ func (h *Handler) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	// A per-request deadline tightens the wait and turns its expiry into
 	// 408 (the client's budget ran out) instead of the 504 backstop.
+	// Compare in float before converting: a deadline_s past ~9.2e9 would
+	// overflow the int64 nanosecond conversion, whose result Go leaves
+	// implementation-defined.
 	timeout, timeoutCode := h.waitTimeout, http.StatusGatewayTimeout
-	if d := time.Duration(body.DeadlineS * float64(time.Second)); d > 0 && d < timeout {
-		timeout, timeoutCode = d, http.StatusRequestTimeout
+	if ns := body.DeadlineS * float64(time.Second); ns >= 1 && ns < float64(timeout) {
+		timeout, timeoutCode = time.Duration(ns), http.StatusRequestTimeout
 	}
 	accepted := map[string]interface{}{
 		"tag":                   acc.Tag,

@@ -13,6 +13,7 @@ import (
 
 	"dynamollm/internal/core"
 	"dynamollm/internal/scenario"
+	"dynamollm/internal/workload"
 )
 
 func testHandler(t *testing.T, f core.Fidelity) (*Handler, *fakeClock) {
@@ -32,28 +33,90 @@ func do(h http.Handler, method, target, body string, header ...string) *httptest
 	return w
 }
 
-// TestHTTPRequestValidation: malformed JSON and non-positive token counts
-// are rejected with 400, and a body past the size cap with 413, before
-// touching the simulation.
+// badRequestBodies are /request payloads rejected before touching the
+// simulation, with the status each must get: 400 for malformed JSON and
+// out-of-range fields, 413 for a body past the size cap.
+// FuzzDecodeRequest seeds from them.
+var badRequestBodies = []struct {
+	name, body string
+	code       int
+}{
+	{"malformed", `{"input_tokens": 12`, http.StatusBadRequest},
+	{"unknown field", `{"input_tokens":12,"output_tokens":9,"bogus":1}`, http.StatusBadRequest},
+	{"zero input", `{"input_tokens":0,"output_tokens":9}`, http.StatusBadRequest},
+	{"negative output", `{"input_tokens":12,"output_tokens":-3}`, http.StatusBadRequest},
+	{"missing fields", `{}`, http.StatusBadRequest},
+	{"input over cap", `{"input_tokens":100000,"output_tokens":9}`, http.StatusBadRequest},
+	{"output over cap", `{"input_tokens":12,"output_tokens":1000000000}`, http.StatusBadRequest},
+	{"negative deadline", `{"input_tokens":12,"output_tokens":9,"deadline_s":-1}`, http.StatusBadRequest},
+	{"oversize body", `{"input_tokens":12,"output_tokens":9,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+		http.StatusRequestEntityTooLarge},
+}
+
+// TestHTTPRequestValidation: every bad body is rejected with its status
+// before touching the simulation.
 func TestHTTPRequestValidation(t *testing.T) {
 	h, _ := testHandler(t, core.FidelityFluid)
-	cases := []struct {
-		name, body string
-		code       int
-	}{
-		{"malformed", `{"input_tokens": 12`, http.StatusBadRequest},
-		{"unknown field", `{"input_tokens":12,"output_tokens":9,"bogus":1}`, http.StatusBadRequest},
-		{"zero input", `{"input_tokens":0,"output_tokens":9}`, http.StatusBadRequest},
-		{"negative output", `{"input_tokens":12,"output_tokens":-3}`, http.StatusBadRequest},
-		{"missing fields", `{}`, http.StatusBadRequest},
-		{"input over cap", `{"input_tokens":100000,"output_tokens":9}`, http.StatusBadRequest},
-		{"output over cap", `{"input_tokens":12,"output_tokens":1000000000}`, http.StatusBadRequest},
-		{"oversize body", `{"input_tokens":12,"output_tokens":9,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
-			http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequestBodies {
 		if w := do(h, "POST", "/request", tc.body); w.Code != tc.code {
 			t.Errorf("%s: status %d, want %d (body %.200q)", tc.name, w.Code, tc.code, w.Body.String())
+		}
+	}
+}
+
+// FuzzDecodeRequest: any /request body either decodes or errors — never
+// panics — and an accepted body carries token counts within the workload
+// caps and a non-negative deadline.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, tc := range badRequestBodies {
+		if len(tc.body) <= maxBodyBytes { // the cap is the handler's, not decodeRequest's
+			f.Add([]byte(tc.body))
+		}
+	}
+	for _, body := range []string{
+		`{"input_tokens":512,"output_tokens":64}`,
+		`{"input_tokens":128,"output_tokens":16}`,
+		`{"input_tokens":128,"output_tokens":8,"deadline_s":0.5}`,
+		`{"input_tokens":128,"output_tokens":8,"deadline_s":1e300}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, err := decodeRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if body.InputTokens < 1 || body.InputTokens > workload.InputLongMax ||
+			body.OutputTokens < 1 || body.OutputTokens > workload.OutputLongMax {
+			t.Fatalf("accepted out-of-range token counts: %+v", body)
+		}
+		if !(body.DeadlineS >= 0) {
+			t.Fatalf("accepted deadline_s %v", body.DeadlineS)
+		}
+	})
+}
+
+// TestHTTPHugeDeadlineKeepsWaitTimeout: a deadline_s far past the
+// server-wide wait timeout, too large for a time.Duration, leaves that
+// timeout and its 504 in force; a deadline below it answers 408.
+func TestHTTPHugeDeadlineKeepsWaitTimeout(t *testing.T) {
+	s, _ := testSession(t, core.FidelityFluid, testTrace(10, 5), false, 60)
+	t.Cleanup(func() { s.Close() })
+	h := NewHandler(s, 50*time.Millisecond)
+	// The fake clock never advances, so no request completes and every
+	// wait ends on its timer.
+	for _, tc := range []struct {
+		deadline string
+		code     int
+	}{
+		{"1e300", http.StatusGatewayTimeout},
+		{"1e10", http.StatusGatewayTimeout},
+		{"0", http.StatusGatewayTimeout},
+		{"0.01", http.StatusRequestTimeout},
+	} {
+		body := `{"input_tokens":128,"output_tokens":8,"deadline_s":` + tc.deadline + `}`
+		if w := do(h, "POST", "/request", body); w.Code != tc.code {
+			t.Errorf("deadline_s %s: status %d, want %d (body %q)", tc.deadline, w.Code, tc.code, w.Body.String())
 		}
 	}
 }

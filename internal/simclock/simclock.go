@@ -163,12 +163,6 @@ func (c *Clock) RunUntil(t Time) {
 	}
 }
 
-// Run executes events until the agenda is exhausted.
-func (c *Clock) Run() {
-	for c.Step() {
-	}
-}
-
 // --- Wall-clock pacing ------------------------------------------------------
 
 // Pacer maps monotonic wall-clock time onto virtual time at a fixed speed

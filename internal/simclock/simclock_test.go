@@ -14,7 +14,8 @@ func TestClockOrdering(t *testing.T) {
 	c.At(5, func() { got = append(got, 2) })
 	c.At(1, func() { got = append(got, 0) })
 	c.At(3, func() { got = append(got, 1) })
-	c.Run()
+	for c.Step() {
+	}
 	want := []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -33,7 +34,8 @@ func TestClockFIFOAmongEqualTimes(t *testing.T) {
 		i := i
 		c.At(7, func() { got = append(got, i) })
 	}
-	c.Run()
+	for c.Step() {
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -48,7 +50,8 @@ func TestClockAfterAndNesting(t *testing.T) {
 		fired = append(fired, c.Now())
 		c.After(3, func() { fired = append(fired, c.Now()) })
 	})
-	c.Run()
+	for c.Step() {
+	}
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 5 {
 		t.Fatalf("fired = %v, want [2 5]", fired)
 	}
@@ -57,7 +60,8 @@ func TestClockAfterAndNesting(t *testing.T) {
 func TestClockSchedulePastPanics(t *testing.T) {
 	c := New()
 	c.At(10, func() {})
-	c.Run()
+	for c.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -76,7 +80,8 @@ func TestClockAgendaAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.After(Duration(i), fire)
 	}
-	c.Run()
+	for c.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.After(1, fire)
 		c.Step()
@@ -120,7 +125,8 @@ func TestClockOrderMatchesStableSort(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		schedule(Time(rng.Intn(6)), 0)
 	}
-	c.Run()
+	for c.Step() {
+	}
 	want := slices.Clone(log)
 	slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
 	if len(fired) != len(want) {
@@ -294,7 +300,8 @@ func TestStepsCount(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.At(Time(i), func() {})
 	}
-	c.Run()
+	for c.Step() {
+	}
 	if c.Steps() != 5 {
 		t.Fatalf("Steps = %d, want 5", c.Steps())
 	}

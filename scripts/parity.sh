@@ -9,8 +9,6 @@
 #
 # The base revision is exported with git archive into a temporary
 # directory, so an interrupted run leaves no worktree registered in .git.
-# The kv sweep runs at -peak 5: at the default peak the quick kv sweep
-# holds several GB of live heap, more than a small box has to spare.
 set -euo pipefail
 
 base=${1:?usage: scripts/parity.sh <base-rev>}
@@ -29,7 +27,7 @@ go build -o "$tmp/dynamobench-head" ./cmd/dynamobench
 runs=(
 	"-quick all"
 	"-quick fidelity"
-	"-quick -peak 5 kv"
+	"-quick kv"
 	"-quick -peak 5 chaos"
 	"-quick -peak 5 -fidelity event scenario flashcrowd"
 	"-quick -peak 5 -kv-tier cpu scenario tier-thrash"
