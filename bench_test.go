@@ -17,14 +17,22 @@ import (
 	"dynamollm/internal/workload"
 )
 
-// benchCfg shares one profile repository across all benchmarks.
-var benchCfg = func() expt.Config {
+// benchRepo shares one profile repository across all benchmarks.
+var benchRepo = profile.NewRepository(nil)
+
+// coldCfg returns the benchmark harness with an empty run memo, so an
+// experiment run on it simulates everything it reads.
+func coldCfg() expt.Config {
 	c := expt.Default()
 	c.Quick = true
 	c.PeakRPS = 30
-	c.Repo = profile.NewRepository(nil)
+	c.Repo = benchRepo
 	return c
-}()
+}
+
+// hourCfg is shared by the Fig. 6-10 benchmarks: its memo holds the one
+// cluster hour that feeds all five figures, as in the paper.
+var hourCfg = coldCfg()
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -82,14 +90,14 @@ func BenchmarkTable6(b *testing.B) {
 
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := benchCfg.Fig1()
+		rows := coldCfg().Fig1()
 		b.ReportMetric(float64(len(rows)), "services")
 	}
 }
 
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := benchCfg.Fig2()
+		pts := coldCfg().Fig2()
 		b.ReportMetric(float64(len(pts)), "services")
 	}
 }
@@ -100,18 +108,6 @@ func BenchmarkFig3(b *testing.B) {
 		drop := 1 - rows[4].SwitchRPS/rows[4].ConstRPS // MM
 		b.ReportMetric(drop*100, "MM-throughput-drop-%")
 	}
-}
-
-// clusterHour is shared by the Fig. 6-10 benchmarks (one simulation feeds
-// five figures, as in the paper).
-var clusterHourRuns []expt.SystemRun
-
-func clusterHour(b *testing.B) []expt.SystemRun {
-	b.Helper()
-	if clusterHourRuns == nil {
-		clusterHourRuns = benchCfg.ClusterHour()
-	}
-	return clusterHourRuns
 }
 
 func systemByName(runs []expt.SystemRun, name string) *core.Result {
@@ -125,7 +121,7 @@ func systemByName(runs []expt.SystemRun, name string) *core.Result {
 
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs := clusterHour(b)
+		runs := hourCfg.ClusterHour()
 		base := systemByName(runs, "singlepool")
 		dyn := systemByName(runs, "dynamollm")
 		b.ReportMetric((1-dyn.EnergyJ/base.EnergyJ)*100, "dynamo-energy-saving-%")
@@ -134,7 +130,7 @@ func BenchmarkFig6(b *testing.B) {
 
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dyn := systemByName(clusterHour(b), "dynamollm")
+		dyn := systemByName(hourCfg.ClusterHour(), "dynamollm")
 		b.ReportMetric(dyn.TTFT.Percentile(99)*1000, "ttft-p99-ms")
 		b.ReportMetric(dyn.TBT.Percentile(99)*1000, "tbt-p99-ms")
 	}
@@ -142,7 +138,7 @@ func BenchmarkFig7(b *testing.B) {
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dyn := systemByName(clusterHour(b), "dynamollm")
+		dyn := systemByName(hourCfg.ClusterHour(), "dynamollm")
 		b.ReportMetric(dyn.ClusterPowerW.Percentile(50)/1000, "cluster-p50-kW")
 		b.ReportMetric(dyn.GPUPowerW.Percentile(50), "gpu-p50-W")
 	}
@@ -150,7 +146,7 @@ func BenchmarkFig8(b *testing.B) {
 
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dyn := systemByName(clusterHour(b), "dynamollm")
+		dyn := systemByName(hourCfg.ClusterHour(), "dynamollm")
 		avg, n := 0.0, 0
 		for _, p := range dyn.FreqSeries.Points() {
 			avg += p.Value
@@ -162,14 +158,14 @@ func BenchmarkFig9(b *testing.B) {
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dyn := systemByName(clusterHour(b), "dynamollm")
+		dyn := systemByName(hourCfg.ClusterHour(), "dynamollm")
 		b.ReportMetric(float64(dyn.Reshards), "reshards")
 	}
 }
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := benchCfg.Fig11()
+		rows := coldCfg().Fig11()
 		// Energy overhead of 60% accuracy vs perfect.
 		var perfect, poor float64
 		for _, r := range rows {
@@ -186,7 +182,7 @@ func BenchmarkFig11(b *testing.B) {
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		levels := benchCfg.Fig12()
+		levels := coldCfg().Fig12()
 		// DynamoLLM saving at low load.
 		var base, dyn float64
 		for _, r := range levels[0].Systems {
@@ -203,7 +199,7 @@ func BenchmarkFig12(b *testing.B) {
 
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := benchCfg.Fig13()
+		rows := coldCfg().Fig13()
 		var nine, two float64
 		for _, r := range rows {
 			switch r.Pools {
@@ -219,7 +215,7 @@ func BenchmarkFig13(b *testing.B) {
 
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := benchCfg.Fig14()
+		rows := coldCfg().Fig14()
 		for _, row := range rows {
 			var base, dyn float64
 			for _, r := range row.Systems {
@@ -237,7 +233,7 @@ func BenchmarkFig14(b *testing.B) {
 
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs := benchCfg.Fig15()
+		runs := coldCfg().Fig15()
 		base := systemByName(runs, "singlepool")
 		dyn := systemByName(runs, "dynamollm")
 		b.ReportMetric((1-dyn.EnergyJ/base.EnergyJ)*100, "day-saving-%")
@@ -246,14 +242,14 @@ func BenchmarkFig15(b *testing.B) {
 
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := benchCfg.Fig16()
+		r := coldCfg().Fig16()
 		b.ReportMetric((1-r.DynamoKg/r.BaselineKg)*100, "carbon-saving-%")
 	}
 }
 
 func BenchmarkCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := benchCfg.CostAnalysis()
+		r := coldCfg().CostAnalysis()
 		b.ReportMetric(r.TotalSavingFrac*100, "cost-saving-%")
 		b.ReportMetric(r.GPUSavingFrac*100, "gpu-saving-%")
 	}
@@ -261,7 +257,7 @@ func BenchmarkCost(b *testing.B) {
 
 func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := benchCfg.HeadlineNumbers()
+		h := coldCfg().HeadlineNumbers()
 		b.ReportMetric(h.EnergySaving*100, "energy-saving-%")
 		b.ReportMetric(h.CarbonSaving*100, "carbon-saving-%")
 		b.ReportMetric(h.CostSaving*100, "cost-saving-%")

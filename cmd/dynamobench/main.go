@@ -14,7 +14,9 @@
 //	fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 //	fig13 fig14 fig15 fig16 cost headline scenarios fidelity
 //
-// fig6..fig10 share one six-system cluster simulation. "scenarios" runs
+// Each simulation runs once per invocation: fig6..fig10 share one
+// six-system cluster hour, fig14, fig16, cost and headline share the
+// week runs, and fig1 and fig2 one summary of each week. "scenarios" runs
 // the whole built-in scenario library across all six systems, and
 // "scenario <name>" runs one: a library name like flashcrowd, or a path
 // to a JSON scenario definition. "fidelity", "chaos" and "kv" are kept
@@ -108,19 +110,9 @@ func realMain() int {
 		args = allNames()
 	}
 
-	// The cluster-hour run feeds five figures; compute it lazily once.
-	var hour []expt.SystemRun
-	getHour := func() []expt.SystemRun {
-		if hour == nil {
-			fmt.Fprintln(os.Stderr, "running the six-system cluster hour...")
-			hour = cfg.ClusterHour()
-		}
-		return hour
-	}
-
 	for _, name := range args {
 		start := time.Now()
-		out, err := run(cfg, name, getHour)
+		out, err := run(cfg, name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dynamobench: %v\n", err)
 			return 1
@@ -193,7 +185,7 @@ func runScenarios(cfg expt.Config, args []string) int {
 	return 0
 }
 
-func run(cfg expt.Config, name string, hour func() []expt.SystemRun) (string, error) {
+func run(cfg expt.Config, name string) (string, error) {
 	switch name {
 	case "table1":
 		return expt.RenderTableI(expt.TableI()), nil
@@ -214,13 +206,14 @@ func run(cfg expt.Config, name string, hour func() []expt.SystemRun) (string, er
 	case "fig3":
 		return expt.RenderFig3(expt.Fig3()), nil
 	case "fig6":
-		return expt.RenderSystems(hour()) + expt.RenderFig6Breakdown(hour()), nil
+		hour := cfg.ClusterHour()
+		return expt.RenderSystems(hour) + expt.RenderFig6Breakdown(hour), nil
 	case "fig7", "fig8":
-		return expt.RenderSystems(hour()), nil
+		return expt.RenderSystems(cfg.ClusterHour()), nil
 	case "fig9":
-		return expt.RenderFig9(hour()), nil
+		return expt.RenderFig9(cfg.ClusterHour()), nil
 	case "fig10":
-		return expt.RenderFig10(hour()), nil
+		return expt.RenderFig10(cfg.ClusterHour()), nil
 	case "fig11":
 		return expt.RenderFig11(cfg.Fig11()), nil
 	case "fig12":

@@ -62,8 +62,8 @@ type Config struct {
 	// StepJobs bounds the worker pool an event-fidelity simulation uses to
 	// step its per-instance engines within each tick (0 or 1 = serial).
 	// Output is byte-identical for any value. How much wall time it saves
-	// depends on the host's core count and the number of instances; on a
-	// 2-vCPU host a 20-engine fleet runs only ~11% faster at 2 than at 1.
+	// depends on the host's core count and the number of instances; see
+	// DESIGN.md "Parallel event stepping" for measured numbers.
 	StepJobs int
 	// Disagg splits every pool into a prefill pool and a decode pool with
 	// a modeled KV-transfer handoff between them. Implies event fidelity
@@ -297,7 +297,8 @@ func SimulateScenario(name string, peakRPS float64, cfg Config) (*Result, error)
 // Experiments returns the evaluation harness with default settings. Set
 // Parallelism on the returned config (or use ExperimentsParallel) to fan
 // each experiment's independent simulations across a bounded worker pool;
-// results are deterministic for any parallelism level.
+// results are deterministic for any parallelism level. Experiments run on
+// one config (or its copies) share the simulations they have in common.
 func Experiments() expt.Config { return expt.Default() }
 
 // Session is a live, wall-clock-paced serving session: the simulation

@@ -34,11 +34,6 @@ const chaosFleet = 16
 // expanded from a per-cell seed. The flattened grid runs through one
 // worker pool; results are deterministic for any Config.Parallelism.
 func (c Config) ChaosSweep() ([]ChaosPoint, error) {
-	return c.ChaosRuns(core.SystemNames)
-}
-
-// ChaosRuns is ChaosSweep over a chosen system list.
-func (c Config) ChaosRuns(systems []string) ([]ChaosPoint, error) {
 	mtbfs := []float64{3, 1}
 	fracs := []float64{0, 0.25}
 	budgets := []int{-1, core.DefaultRetryBudget}
@@ -61,7 +56,7 @@ func (c Config) ChaosRuns(systems []string) ([]ChaosPoint, error) {
 		return nil, err
 	}
 	points := make([]ChaosPoint, 0, len(mtbfs)*len(fracs)*len(budgets))
-	jobs := make([]gridJob, 0, len(mtbfs)*len(fracs)*len(budgets)*len(systems))
+	jobs := make([]gridJob, 0, len(mtbfs)*len(fracs)*len(budgets)*len(core.SystemNames))
 	for _, mtbf := range mtbfs {
 		for _, frac := range fracs {
 			for _, budget := range budgets {
@@ -84,7 +79,7 @@ func (c Config) ChaosRuns(systems []string) ([]ChaosPoint, error) {
 				// draws an independent fault plan even where event lists
 				// coincide (e.g. the frac=0 cells at one MTBF).
 				hookSeed := scenarioSeed(c.Seed, fmt.Sprintf("chaos/%g/%g/%d", mtbf, frac, budget))
-				for _, name := range systems {
+				for _, name := range core.SystemNames {
 					sc := sc
 					opts := c.mustSystemOptions(name, func(o *core.Options) {
 						o.WarmLoad = c.warm(svc, sc.Start())

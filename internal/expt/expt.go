@@ -10,6 +10,8 @@
 package expt
 
 import (
+	"sync"
+
 	"dynamollm/internal/core"
 	"dynamollm/internal/energy"
 	"dynamollm/internal/engine"
@@ -44,11 +46,15 @@ type Config struct {
 	// StepJobs parallelizes inside one simulation, orthogonal to
 	// Parallelism; the kv sweep overrides the KV fields per cell.
 	core.Substrate
+
+	// runs memoizes what several experiments read (see memoKey). Default
+	// sets it and copies share it; no figure may mutate a cached value.
+	runs *sync.Map
 }
 
 // Default returns the standard harness configuration.
 func Default() Config {
-	return Config{PeakRPS: 45, Seed: 42, Repo: profile.NewRepository(nil)}
+	return Config{PeakRPS: 45, Seed: 42, Repo: profile.NewRepository(nil), runs: new(sync.Map)}
 }
 
 func (c Config) repo() *profile.Repository {
@@ -56,6 +62,13 @@ func (c Config) repo() *profile.Repository {
 		return profile.NewRepository(nil)
 	}
 	return c.Repo
+}
+
+func (c Config) memo() *sync.Map {
+	if c.runs == nil {
+		return new(sync.Map)
+	}
+	return c.runs
 }
 
 func (c Config) runner() Runner { return Runner{Jobs: c.Parallelism} }
@@ -190,58 +203,71 @@ func (c Config) WeekTrace(svc trace.Service) trace.Trace {
 	})
 }
 
+// weekSummary is what Figs. 1 and 2 read of one service's week.
+type weekSummary struct {
+	fig1 []Fig1Row
+	fig2 []metrics.Point
+}
+
 // Fig1Row is the class mix of one service over one day.
 type Fig1Row struct {
 	Day    int
 	Shares [workload.NumClasses]float64
 }
 
-// Fig1 computes per-day request-type distributions for both services.
-func (c Config) Fig1() map[trace.Service][]Fig1Row {
-	out := map[trace.Service][]Fig1Row{}
-	for _, svc := range []trace.Service{trace.Coding, trace.Conversation} {
-		tr := c.WeekTrace(svc)
-		days := int(float64(tr[len(tr)-1].At)/86400) + 1
-		counts := make([][workload.NumClasses]float64, days)
-		totals := make([]float64, days)
-		for _, e := range tr {
-			d := int(float64(e.At) / 86400)
-			counts[d][e.Class()]++
-			totals[d]++
-		}
-		rows := make([]Fig1Row, days)
-		for d := range rows {
-			rows[d].Day = d
-			for i := range counts[d] {
-				if totals[d] > 0 {
-					rows[d].Shares[i] = counts[d][i] / totals[d]
+// weekSummaries reduces each service's generated week trace (Coding,
+// then Conversation) to the per-day class mix (Fig. 1) and the hourly
+// normalized token throughput (Fig. 2). Both services generate in
+// parallel, and each summary is memoized so the two figures share one
+// trace without holding it.
+func (c Config) weekSummaries() []weekSummary {
+	svcs := []trace.Service{trace.Coding, trace.Conversation}
+	return Collect(c.runner(), len(svcs), func(i int) weekSummary {
+		return memoized(c.memo(), c.key("week-summary", svcs[i], ""), func() weekSummary {
+			tr := c.WeekTrace(svcs[i])
+			days := int(float64(tr[len(tr)-1].At)/86400) + 1
+			counts := make([][workload.NumClasses]float64, days)
+			totals := make([]float64, days)
+			for _, e := range tr {
+				d := int(float64(e.At) / 86400)
+				counts[d][e.Class()]++
+				totals[d]++
+			}
+			rows := make([]Fig1Row, days)
+			for d := range rows {
+				rows[d].Day = d
+				for i := range counts[d] {
+					if totals[d] > 0 {
+						rows[d].Shares[i] = counts[d][i] / totals[d]
+					}
 				}
 			}
-		}
-		out[svc] = rows
-	}
-	return out
+			rate := tr.TokenRate(3600)
+			peak := 0.0
+			for _, p := range rate {
+				if p.TPS > peak {
+					peak = p.TPS
+				}
+			}
+			pts := make([]metrics.Point, len(rate))
+			for i, p := range rate {
+				pts[i] = metrics.Point{Time: p.Time, Value: p.TPS / peak}
+			}
+			return weekSummary{fig1: rows, fig2: pts}
+		})
+	})
+}
+
+// Fig1 computes per-day request-type distributions for both services.
+func (c Config) Fig1() map[trace.Service][]Fig1Row {
+	s := c.weekSummaries()
+	return map[trace.Service][]Fig1Row{trace.Coding: s[0].fig1, trace.Conversation: s[1].fig1}
 }
 
 // Fig2 returns hourly normalized token throughput for both services.
 func (c Config) Fig2() map[trace.Service][]metrics.Point {
-	out := map[trace.Service][]metrics.Point{}
-	for _, svc := range []trace.Service{trace.Coding, trace.Conversation} {
-		tr := c.WeekTrace(svc)
-		rate := tr.TokenRate(3600)
-		peak := 0.0
-		for _, p := range rate {
-			if p.TPS > peak {
-				peak = p.TPS
-			}
-		}
-		pts := make([]metrics.Point, len(rate))
-		for i, p := range rate {
-			pts[i] = metrics.Point{Time: p.Time, Value: p.TPS / peak}
-		}
-		out[svc] = pts
-	}
-	return out
+	s := c.weekSummaries()
+	return map[trace.Service][]metrics.Point{trace.Coding: s[0].fig2, trace.Conversation: s[1].fig2}
 }
 
 // --- Fig. 3 --------------------------------------------------------------------
@@ -283,30 +309,21 @@ func (c Config) warm(svc trace.Service, offset simclock.Time) func(simclock.Time
 	}
 }
 
-// systemOptions resolves one named system's options under this harness
+// mustSystemOptions resolves one named system's options under this harness
 // configuration. Options is a value type, so every simulation gets its own
-// copy — mutate never leaks across concurrent runs.
-func (c Config) systemOptions(name string, mutate func(*core.Options)) (core.Options, bool) {
+// copy — mutate never leaks across concurrent runs. The figures reference
+// fixed system names, so an unknown name is a programming error and fails
+// loudly rather than silently simulating an all-defaults system.
+func (c Config) mustSystemOptions(name string, mutate func(*core.Options)) core.Options {
 	opts, ok := core.SystemByName(name)
 	if !ok {
-		return core.Options{}, false
+		panic("expt: unknown system " + name)
 	}
 	opts.Seed = c.Seed
 	opts.Substrate = c.Substrate
 	opts.WarmLoad = c.warm(trace.Conversation, trace.OpenSourceHourStart)
 	if mutate != nil {
 		mutate(&opts)
-	}
-	return opts, true
-}
-
-// mustSystemOptions is systemOptions for the fixed system names the figures
-// reference; an unknown name is a programming error and fails loudly rather
-// than silently simulating an all-defaults system.
-func (c Config) mustSystemOptions(name string, mutate func(*core.Options)) core.Options {
-	opts, ok := c.systemOptions(name, mutate)
-	if !ok {
-		panic("expt: unknown system " + name)
 	}
 	return opts
 }
@@ -317,16 +334,21 @@ type gridJob struct {
 	tr    trace.Trace
 	name  string
 	opts  core.Options
+	key   *memoKey // when set, a memoized run only reads tr and opts on a miss
 }
 
 // gridRuns fans a flattened grid of simulations through one worker pool and
 // regroups the results by group index. Jobs are appended group-major, so
 // within each group the system order is the construction order.
 func (c Config) gridRuns(jobs []gridJob, numGroups int) [][]SystemRun {
-	repo := c.repo()
+	repo, m := c.repo(), c.memo()
 	runs := Collect(c.runner(), len(jobs), func(i int) SystemRun {
 		j := jobs[i]
-		return SystemRun{Name: j.name, Result: core.RunWithRepo(j.tr, j.opts, repo)}
+		run := func() *core.Result { return core.RunWithRepo(j.tr, j.opts, repo) }
+		if j.key == nil {
+			return SystemRun{Name: j.name, Result: run()}
+		}
+		return SystemRun{Name: j.name, Result: memoized(m, *j.key, run)}
 	})
 	out := make([][]SystemRun, numGroups)
 	for i, j := range jobs {
@@ -335,30 +357,33 @@ func (c Config) gridRuns(jobs []gridJob, numGroups int) [][]SystemRun {
 	return out
 }
 
-// runSystems drives a trace through the named systems, fanning the
-// independent simulations across the runner's worker pool. Output order
-// follows names, not completion order.
-func (c Config) runSystems(tr trace.Trace, names []string, mutate func(*core.Options)) []SystemRun {
-	repo := c.repo()
-	type job struct {
-		name string
-		opts core.Options
-	}
-	jobs := make([]job, 0, len(names))
+// memoJobs appends one group of memoized runs: experiment exp on service
+// svc over the named systems. setup returns the group's trace and option
+// mutator, and runs only if one of the group's runs is not memoized yet.
+func (c Config) memoJobs(jobs []gridJob, group int, exp string, svc trace.Service, names []string,
+	setup func() (trace.Trace, func(*core.Options))) []gridJob {
+	var tr trace.Trace
+	var mutate func(*core.Options)
 	for _, name := range names {
-		if opts, ok := c.systemOptions(name, mutate); ok {
-			jobs = append(jobs, job{name: name, opts: opts})
+		if _, ok := c.memo().Load(c.key(exp, svc, name)); !ok {
+			tr, mutate = setup()
+			break
 		}
 	}
-	return Collect(c.runner(), len(jobs), func(i int) SystemRun {
-		return SystemRun{Name: jobs[i].name, Result: core.RunWithRepo(tr, jobs[i].opts, repo)}
-	})
+	for _, name := range names {
+		k := c.key(exp, svc, name)
+		jobs = append(jobs, gridJob{group: group, tr: tr, name: name, opts: c.mustSystemOptions(name, mutate), key: &k})
+	}
+	return jobs
 }
 
 // ClusterHour runs all six systems on the 1-hour trace: the shared
 // substrate of Figs. 6, 7, 8, 9, and 10.
 func (c Config) ClusterHour() []SystemRun {
-	return c.runSystems(c.hourTrace(), core.SystemNames, nil)
+	jobs := c.memoJobs(nil, 0, "hour", trace.Conversation, core.SystemNames, func() (trace.Trace, func(*core.Options)) {
+		return c.hourTrace(), nil
+	})
+	return c.gridRuns(jobs, 1)[0]
 }
 
 // --- Fig. 11: predictor accuracy ---------------------------------------------
@@ -488,11 +513,13 @@ func (c Config) dayTrace() trace.Trace {
 // fleet (§V-D) and returns both results; the energy series (5-minute bins)
 // is in Result.EnergySeries.
 func (c Config) Fig15() []SystemRun {
-	tr := c.dayTrace()
-	return c.runSystems(tr, []string{"singlepool", "dynamollm"}, func(o *core.Options) {
-		o.Servers = 11
-		o.WarmLoad = c.warm(trace.Conversation, simclock.Time(24*3600))
+	jobs := c.memoJobs(nil, 0, "day", trace.Conversation, []string{"singlepool", "dynamollm"}, func() (trace.Trace, func(*core.Options)) {
+		return c.dayTrace(), func(o *core.Options) {
+			o.Servers = 11
+			o.WarmLoad = c.warm(trace.Conversation, simclock.Time(24*3600))
+		}
 	})
+	return c.gridRuns(jobs, 1)[0]
 }
 
 // weekPeak thins the week-scale experiments so they run in minutes; the
@@ -514,20 +541,25 @@ type Fig14Row struct {
 // Fig14 runs the six systems over week-long traces for both services,
 // flattening the 2x6 service-by-system grid into a single worker pool.
 func (c Config) Fig14() []Fig14Row {
-	svcs := []trace.Service{trace.Conversation, trace.Coding}
+	return c.weekRuns([]trace.Service{trace.Conversation, trace.Coding}, core.SystemNames)
+}
+
+// weekRuns runs the named systems over each service's thinned week, one
+// memoized group per service: the cost analysis and Fig. 16 read the
+// Conversation runs of Fig. 14.
+func (c Config) weekRuns(svcs []trace.Service, names []string) []Fig14Row {
 	sub := c
 	sub.PeakRPS = c.weekPeak()
-	jobs := make([]gridJob, 0, len(svcs)*len(core.SystemNames))
+	jobs := make([]gridJob, 0, len(svcs)*len(names))
 	for si, svc := range svcs {
-		tr := sub.WeekTrace(svc)
-		servers := serversFor(tr)
-		for _, name := range core.SystemNames {
-			opts := sub.mustSystemOptions(name, func(o *core.Options) {
+		jobs = sub.memoJobs(jobs, si, "week", svc, names, func() (trace.Trace, func(*core.Options)) {
+			tr := sub.WeekTrace(svc)
+			servers := serversFor(tr)
+			return tr, func(o *core.Options) {
 				o.Servers = servers
 				o.WarmLoad = sub.warm(svc, 0)
-			})
-			jobs = append(jobs, gridJob{group: si, tr: tr, name: name, opts: opts})
-		}
+			}
+		})
 	}
 	groups := sub.gridRuns(jobs, len(svcs))
 	out := make([]Fig14Row, len(svcs))
@@ -535,6 +567,13 @@ func (c Config) Fig14() []Fig14Row {
 		out[i] = Fig14Row{Service: svc, Systems: groups[i]}
 	}
 	return out
+}
+
+// conversationWeek returns the week-long Conversation SinglePool and
+// DynamoLLM runs.
+func (c Config) conversationWeek() (base, dyn *core.Result) {
+	runs := c.weekRuns([]trace.Service{trace.Conversation}, []string{"singlepool", "dynamollm"})[0].Systems
+	return runs[0].Result, runs[1].Result
 }
 
 // serversFor sizes the static fleet for a trace: its peak 30-minute demand
@@ -569,15 +608,8 @@ type Fig16Result struct {
 // Fig16 convolves the week-long Conversation energy with the CAISO-like
 // carbon-intensity trace.
 func (c Config) Fig16() Fig16Result {
-	sub := c
-	sub.PeakRPS = c.weekPeak()
-	tr := sub.WeekTrace(trace.Conversation)
-	servers := serversFor(tr)
-	runs := sub.runSystems(tr, []string{"singlepool", "dynamollm"}, func(o *core.Options) {
-		o.Servers = servers
-		o.WarmLoad = sub.warm(trace.Conversation, 0)
-	})
-	res := Fig16Result{Baseline: runs[0].Result, Dynamo: runs[1].Result}
+	var res Fig16Result
+	res.Baseline, res.Dynamo = c.conversationWeek()
 	carbonize := func(r *core.Result) (*energy.CarbonMeter, float64) {
 		m := energy.NewCarbonMeter(energy.CAISO)
 		for _, p := range r.EnergySeries.Points() {
@@ -604,15 +636,7 @@ type CostResult struct {
 
 // CostAnalysis prices the week-long Conversation runs.
 func (c Config) CostAnalysis() CostResult {
-	sub := c
-	sub.PeakRPS = c.weekPeak()
-	tr := sub.WeekTrace(trace.Conversation)
-	servers := serversFor(tr)
-	runs := sub.runSystems(tr, []string{"singlepool", "dynamollm"}, func(o *core.Options) {
-		o.Servers = servers
-		o.WarmLoad = sub.warm(trace.Conversation, 0)
-	})
-	base, dyn := runs[0].Result, runs[1].Result
+	base, dyn := c.conversationWeek()
 	out := CostResult{
 		BaselineServers: base.AvgServers,
 		DynamoServers:   dyn.AvgServers,
@@ -634,15 +658,10 @@ type Headline struct {
 // HeadlineNumbers computes the abstract's three percentages from the
 // week-long runs.
 func (c Config) HeadlineNumbers() Headline {
-	fig16 := c.Fig16()
-	cost := CostResult{}
-	// Reuse the fig16 runs for cost to avoid re-simulating.
-	base, dyn := fig16.Baseline, fig16.Dynamo
-	cost.BaselineBill = energy.DefaultCost.Bill(base.GPUSeconds, base.EnergyJ)
-	cost.DynamoBill = energy.DefaultCost.Bill(dyn.GPUSeconds, dyn.EnergyJ)
+	fig16, cost := c.Fig16(), c.CostAnalysis()
 	return Headline{
-		EnergySaving: 1 - dyn.EnergyJ/base.EnergyJ,
+		EnergySaving: cost.EnergySavingFrac,
 		CarbonSaving: 1 - fig16.DynamoKg/fig16.BaselineKg,
-		CostSaving:   1 - cost.DynamoBill.Total()/cost.BaselineBill.Total(),
+		CostSaving:   cost.TotalSavingFrac,
 	}
 }

@@ -40,29 +40,19 @@ func (c Config) FidelityCompare() []FidelityRow {
 		Seed:     c.Seed ^ 0xF1DE,
 	}).Window(start, start+simclock.Time(dur))
 
-	repo := c.repo()
-	fids := []core.Fidelity{core.FidelityFluid, core.FidelityEvent}
-	type job struct {
-		system string
-		fid    core.Fidelity
-	}
-	jobs := make([]job, 0, 2*len(core.SystemNames))
-	for _, name := range core.SystemNames {
-		for _, fid := range fids {
-			jobs = append(jobs, job{system: name, fid: fid})
+	jobs := make([]gridJob, 0, 2*len(core.SystemNames))
+	for i, name := range core.SystemNames {
+		for _, fid := range []core.Fidelity{core.FidelityFluid, core.FidelityEvent} {
+			jobs = append(jobs, gridJob{group: i, tr: tr, name: name, opts: sub.mustSystemOptions(name, func(o *core.Options) {
+				o.Fidelity = fid
+				o.WarmLoad = sub.warm(trace.Conversation, start)
+			})})
 		}
 	}
-	runs := Collect(c.runner(), len(jobs), func(i int) *core.Result {
-		j := jobs[i]
-		opts := sub.mustSystemOptions(j.system, func(o *core.Options) {
-			o.Fidelity = j.fid
-			o.WarmLoad = sub.warm(trace.Conversation, start)
-		})
-		return core.RunWithRepo(tr, opts, repo)
-	})
+	groups := c.gridRuns(jobs, len(core.SystemNames))
 	rows := make([]FidelityRow, len(core.SystemNames))
 	for i, name := range core.SystemNames {
-		rows[i] = FidelityRow{System: name, Fluid: runs[2*i], Event: runs[2*i+1]}
+		rows[i] = FidelityRow{System: name, Fluid: groups[i][0].Result, Event: groups[i][1].Result}
 	}
 	return rows
 }

@@ -45,11 +45,11 @@ const kvPrefixGroups = 4
 // readable in its own rows. The flattened grid runs through one worker
 // pool; results are deterministic for any Config.Parallelism.
 func (c Config) KVSweep() ([]KVPoint, error) {
-	return c.KVRuns(core.SystemNames)
+	return c.kvRuns(core.SystemNames)
 }
 
-// KVRuns is KVSweep over a chosen system list.
-func (c Config) KVRuns(systems []string) ([]KVPoint, error) {
+// kvRuns is KVSweep over a chosen system list.
+func (c Config) kvRuns(systems []string) ([]KVPoint, error) {
 	caps := []float64{1, 0.02, 0.008, 0.003}
 	shares := []float64{0.5, 0.9}
 	if c.Quick {
@@ -153,14 +153,7 @@ func RenderKV(points []KVPoint) string {
 // goodput trajectory as capacity shrinks, and the TTFT effect of the
 // prefix cache at full capacity.
 func kvSystemSeries(points []KVPoint, name string) string {
-	find := func(p KVPoint) *core.Result {
-		for _, run := range p.Systems {
-			if run.Name == name {
-				return run.Result
-			}
-		}
-		return nil
-	}
+	find := func(p KVPoint) *core.Result { return systemResult(p.Systems, name) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "Summary (%s):\n", name)
 	tiers := []core.KVTier{core.KVTierNone, core.KVTierCPU, core.KVTierSSD}

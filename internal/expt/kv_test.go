@@ -21,7 +21,7 @@ func TestKVSweepTrends(t *testing.T) {
 	c := quickCfg()
 	c.PeakRPS = 5
 	systems := []string{"multipool", "dynamollm"}
-	points, err := c.KVRuns(systems)
+	points, err := c.kvRuns(systems)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"dynamollm/internal/core"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
@@ -13,6 +14,16 @@ import (
 )
 
 func pct(f float64) string { return fmt.Sprintf("%d%%", int(f*100+0.5)) }
+
+// systemResult returns the named system's result in runs, or nil.
+func systemResult(runs []SystemRun, name string) *core.Result {
+	for _, r := range runs {
+		if r.Name == name {
+			return r.Result
+		}
+	}
+	return nil
+}
 
 func cellString(c Cell) string {
 	if !c.Feasible {
@@ -174,10 +185,8 @@ func RenderSystems(runs []SystemRun) string {
 	b.WriteString("Fig 6/7/8: 1-hour cluster run, six systems\n")
 	b.WriteString("  system      energy(kWh)  vs base   servers  TTFT p50/p99 (s)  TBT p50/p99 (ms)  clusterP p50/p99 (kW)  gpuP p50/p99 (W)  SLO att\n")
 	var base float64
-	for _, r := range runs {
-		if r.Name == "singlepool" {
-			base = r.Result.EnergyJ
-		}
+	if sp := systemResult(runs, "singlepool"); sp != nil {
+		base = sp.EnergyJ
 	}
 	for _, r := range runs {
 		res := r.Result
@@ -218,13 +227,10 @@ func RenderFig6Breakdown(runs []SystemRun) string {
 func RenderFig9(runs []SystemRun) string {
 	var b strings.Builder
 	b.WriteString("Fig 9: DynamoLLM average GPU frequency over the hour (GHz, 5-min bins)\n")
-	for _, r := range runs {
-		if r.Name != "dynamollm" {
-			continue
-		}
-		b.WriteString(seriesLine("total", bin(r.Result.FreqSeries.Points(), 300), 0.001))
+	if dyn := systemResult(runs, "dynamollm"); dyn != nil {
+		b.WriteString(seriesLine("total", bin(dyn.FreqSeries.Points(), 300), 0.001))
 		for _, cls := range []workload.Class{workload.SL, workload.LL} {
-			if s, ok := r.Result.PoolFreqSeries[cls]; ok {
+			if s, ok := dyn.PoolFreqSeries[cls]; ok {
 				b.WriteString(seriesLine(cls.String(), bin(s.Points(), 300), 0.001))
 			}
 		}
@@ -236,20 +242,17 @@ func RenderFig9(runs []SystemRun) string {
 func RenderFig10(runs []SystemRun) string {
 	var b strings.Builder
 	b.WriteString("Fig 10: DynamoLLM GPUs per sharding over the hour (5-min bins)\n")
-	for _, r := range runs {
-		if r.Name != "dynamollm" {
-			continue
-		}
+	if dyn := systemResult(runs, "dynamollm"); dyn != nil {
 		for _, tp := range model.TPChoices {
-			b.WriteString(seriesLine("total-"+tp.String(), bin(r.Result.ShardSeries[tp].Points(), 300), 1))
+			b.WriteString(seriesLine("total-"+tp.String(), bin(dyn.ShardSeries[tp].Points(), 300), 1))
 		}
 		for _, cls := range []workload.Class{workload.SL, workload.ML, workload.LL} {
 			for _, tp := range model.TPChoices {
-				if m, ok := r.Result.PoolShardSeries[cls]; ok {
+				if m, ok := dyn.PoolShardSeries[cls]; ok {
 					b.WriteString(seriesLine(cls.String()+"-"+tp.String(), bin(m[tp].Points(), 300), 1))
 				}
 			}
-			if s, ok := r.Result.PoolLoadSeries[cls]; ok {
+			if s, ok := dyn.PoolLoadSeries[cls]; ok {
 				b.WriteString(seriesLine(cls.String()+"-load(rps)", bin(s.Points(), 300), 1))
 			}
 		}
@@ -308,14 +311,6 @@ func RenderFig12(levels []Fig12Level) string {
 		fmt.Fprintf(&b, "%10s", lv.Label)
 	}
 	b.WriteString("   savings(L/M/H vs SinglePool)\n")
-	base := map[string]float64{}
-	for _, lv := range levels {
-		for _, r := range lv.Systems {
-			if r.Name == "singlepool" {
-				base[lv.Label] = r.Result.EnergyJ
-			}
-		}
-	}
 	for i := range levels[0].Systems {
 		name := levels[0].Systems[i].Name
 		fmt.Fprintf(&b, "  %-11s ", name)
@@ -323,7 +318,8 @@ func RenderFig12(levels []Fig12Level) string {
 		for _, lv := range levels {
 			res := lv.Systems[i].Result
 			fmt.Fprintf(&b, "%10.2f", res.EnergyKWh())
-			savings = append(savings, fmt.Sprintf("%4.1f%%", (1-res.EnergyJ/base[lv.Label])*100))
+			base := systemResult(lv.Systems, "singlepool").EnergyJ
+			savings = append(savings, fmt.Sprintf("%4.1f%%", (1-res.EnergyJ/base)*100))
 		}
 		fmt.Fprintf(&b, "   %s\n", strings.Join(savings, " / "))
 	}
@@ -349,18 +345,10 @@ func RenderFig14(rows []Fig14Row) string {
 		fmt.Fprintf(&b, "%14s", row.Service)
 	}
 	b.WriteString("\n")
-	base := map[trace.Service]float64{}
-	for _, row := range rows {
-		for _, r := range row.Systems {
-			if r.Name == "singlepool" {
-				base[row.Service] = r.Result.EnergyJ
-			}
-		}
-	}
 	for i := range rows[0].Systems {
 		fmt.Fprintf(&b, "  %-11s ", rows[0].Systems[i].Name)
 		for _, row := range rows {
-			fmt.Fprintf(&b, "%14.3f", row.Systems[i].Result.EnergyJ/base[row.Service])
+			fmt.Fprintf(&b, "%14.3f", row.Systems[i].Result.EnergyJ/systemResult(row.Systems, "singlepool").EnergyJ)
 		}
 		b.WriteString("\n")
 	}

@@ -2,8 +2,10 @@ package expt
 
 import (
 	"runtime"
+	"sync"
 
 	"dynamollm/internal/order"
+	"dynamollm/internal/trace"
 )
 
 // Runner fans independent simulations out across a bounded pool of worker
@@ -41,4 +43,28 @@ func Collect[T any](r Runner, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	r.Do(n, func(i int) { out[i] = fn(i) })
 	return out
+}
+
+// memoKey names a value in a Config's run memo by everything that
+// determines it: the Config without the knobs that cannot change output
+// (Parallelism and StepJobs; Repo only caches profiles), plus the
+// experiment, service and system.
+type memoKey struct {
+	cfg         Config
+	exp, system string
+	svc         trace.Service
+}
+
+func (c Config) key(exp string, svc trace.Service, system string) memoKey {
+	c.Parallelism, c.StepJobs, c.Repo, c.runs = 0, 0, nil, nil
+	return memoKey{cfg: c, exp: exp, system: system, svc: svc}
+}
+
+// memoized returns k's value in m, computing it with fn on first use.
+// Each entry is a per-key sync.Once (the profile.Repository pattern), so
+// concurrent callers of one key share one fn call while other keys fill
+// in parallel.
+func memoized[T any](m *sync.Map, k memoKey, fn func() T) T {
+	get, _ := m.LoadOrStore(k, sync.OnceValue(func() any { return fn() }))
+	return get.(func() any)().(T)
 }

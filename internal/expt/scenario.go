@@ -130,15 +130,7 @@ func RenderScenarioSweep(rs []ScenarioResult) string {
 	b.WriteString("Summary (dynamollm vs singlepool):\n")
 	b.WriteString("  scenario      energy saving   bill saving   SLO att (dyn/base)\n")
 	for _, r := range rs {
-		var base, dyn *core.Result
-		for _, run := range r.Systems {
-			switch run.Name {
-			case "singlepool":
-				base = run.Result
-			case "dynamollm":
-				dyn = run.Result
-			}
-		}
+		base, dyn := systemResult(r.Systems, "singlepool"), systemResult(r.Systems, "dynamollm")
 		if base == nil || dyn == nil {
 			continue
 		}

@@ -225,15 +225,6 @@ func ReferenceConfig(m *model.Model) Config {
 	return Config{Model: m, TP: model.TP8, Freq: gpu.MaxFreq}
 }
 
-// IsolatedLatency returns the isolated TTFT and mean TBT of a request with
-// the given lengths under the reference configuration.
-func IsolatedLatency(m *model.Model, inTokens, outTokens int) (ttft, tbt float64) {
-	ref := ReferenceConfig(m)
-	ttft = ref.IsolatedPrefill(inTokens)
-	tbt = ref.IsolatedTBT(inTokens + outTokens/2)
-	return ttft, tbt
-}
-
 // --- Steady-state fluid solution -------------------------------------------
 
 // Steady is the self-consistent operating point of an instance serving a

@@ -40,10 +40,12 @@ func TestIterTimeInPaperRange(t *testing.T) {
 
 func TestIsolatedLatencyWithinSLOHeadroom(t *testing.T) {
 	// Table IV sets SLOs at 5x isolated latency; the model must leave at
-	// least that headroom for every class on the reference config.
+	// least that headroom for every class on the reference config; the
+	// TBT is taken at the mean context, halfway through decode.
+	ref := ReferenceConfig(model.Llama2_70B)
 	for _, c := range workload.AllClasses {
 		in, out := workload.RepresentativeLengths(c)
-		ttft, tbt := IsolatedLatency(model.Llama2_70B, in, out)
+		ttft, tbt := ref.IsolatedPrefill(in), ref.IsolatedTBT(in+out/2)
 		slo := workload.SLOFor(c)
 		if slo.TTFT < 5*ttft {
 			t.Errorf("%v: TTFT SLO %v < 5x isolated %v", c, slo.TTFT, ttft)

@@ -158,15 +158,6 @@ func (p *LoadPredictor) PredictPeak(t simclock.Time, horizon float64, c workload
 	return peak * p.Headroom
 }
 
-// PredictRate forecasts the average rate at time t for class c.
-func (p *LoadPredictor) PredictRate(t simclock.Time, c workload.Class) float64 {
-	s := p.slot(t)
-	if p.seen[c][s] {
-		return p.templates[c][s]
-	}
-	return p.last[c]
-}
-
 // Warm pre-loads the template from a known rate function (e.g. a prior
 // week's trace), stepping at the slot width. The paper's predictor is
 // trained on historical data before deployment.

@@ -84,15 +84,16 @@ func TestLoadPredictorLearnsWeeklyPattern(t *testing.T) {
 		return 10 + 50*math.Exp(-(h-14)*(h-14)/8)
 	}
 	p.Warm(rate)
-	// Prediction at hour 14 next week should be near 60 x headroom.
+	// Prediction at hour 14 next week should be near 60 x headroom. A
+	// one-slot window reads exactly that slot's template.
 	at := simclock.Time((7*24 + 14) * 3600)
-	got := p.PredictRate(at, workload.MM)
-	if math.Abs(got-60) > 6 {
-		t.Errorf("predicted rate at peak = %v, want ~60", got)
+	got := p.PredictPeak(at, p.SlotWidth, workload.MM)
+	if math.Abs(got-60*p.Headroom) > 6*p.Headroom {
+		t.Errorf("predicted peak at hour 14 = %v, want ~60 x headroom", got)
 	}
-	night := p.PredictRate(simclock.Time((7*24+3)*3600), workload.MM)
-	if night > 20 {
-		t.Errorf("predicted night rate = %v, want ~10", night)
+	night := p.PredictPeak(simclock.Time((7*24+3)*3600), p.SlotWidth, workload.MM)
+	if night > 20*p.Headroom {
+		t.Errorf("predicted night peak = %v, want ~10 x headroom", night)
 	}
 }
 
@@ -122,9 +123,9 @@ func TestObserveSmoothsAcrossWeeks(t *testing.T) {
 	p := NewLoadPredictor(1800)
 	p.Observe(0, workload.MM, 100)
 	p.Observe(simclock.Time(7*24*3600), workload.MM, 0) // same slot, week later
-	got := p.PredictRate(0, workload.MM)
-	if got != 50 {
-		t.Errorf("smoothed rate = %v, want 50 (alpha=0.5)", got)
+	got := p.PredictPeak(0, p.SlotWidth, workload.MM)
+	if want := 50 * p.Headroom; got != want {
+		t.Errorf("smoothed one-slot peak = %v, want %v (50 x headroom, alpha=0.5)", got, want)
 	}
 }
 

@@ -65,18 +65,6 @@ func (a Assignment) Instances() int {
 	return n
 }
 
-// Capacity returns the total feasible load (req/s) the assignment covers.
-func (a Assignment) Capacity(p *profile.Profile, cls workload.Class) float64 {
-	c := 0.0
-	for _, g := range a.Groups {
-		e := p.Entry(profile.Key{Class: cls, TP: g.TP, Freq: g.Freq})
-		if e != nil {
-			c += e.MaxLoad * float64(g.Count)
-		}
-	}
-	return c
-}
-
 func (a Assignment) String() string {
 	s := ""
 	for i, g := range a.Groups {

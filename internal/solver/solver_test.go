@@ -38,7 +38,15 @@ func TestSolveCoversLoad(t *testing.T) {
 		if a.GPUs() > 32 {
 			t.Errorf("%v: used %d GPUs > budget", cls, a.GPUs())
 		}
-		if cap := a.Capacity(p, cls); cap < lambda {
+		// Capacity: each group's per-instance feasible load from the
+		// profile, times its instance count.
+		cap := 0.0
+		for _, g := range a.Groups {
+			if e := p.Entry(profile.Key{Class: cls, TP: g.TP, Freq: g.Freq}); e != nil {
+				cap += e.MaxLoad * float64(g.Count)
+			}
+		}
+		if cap < lambda {
 			t.Errorf("%v: capacity %v below load %v", cls, cap, lambda)
 		}
 		if a.PowerW <= 0 || math.IsInf(a.PowerW, 0) {
