@@ -1,6 +1,6 @@
 // Command dynamolint is the project's static-analysis gate: it runs the
-// three dynamolint analyzers (detrand, conserve, steadystate — see
-// internal/lint) over the module and exits nonzero on any
+// four dynamolint analyzers (detrand, conserve, steadystate, prodcaller —
+// see internal/lint) over the module and exits nonzero on any
 // finding. make lint and CI invoke it as
 //
 //	go run ./cmd/dynamolint ./...
@@ -29,7 +29,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dynamolint [-C dir] [-run a,b] [packages]\n\n"+
 			"Packages default to ./... . Analyzers:\n")
-		for _, a := range analyzers() {
+		for _, a := range analyzers(nil) {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
@@ -37,18 +37,20 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, a := range analyzers() {
+		for _, a := range analyzers(nil) {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
 
-	selected, err := selectAnalyzers(*only)
+	root, err := moduleRoot(*chdir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynamolint:", err)
 		os.Exit(2)
 	}
-	root, err := moduleRoot(*chdir)
+	cfg := lint.DefaultConfig()
+	loader := lint.NewLoader(root, cfg.ModulePath)
+	selected, err := selectAnalyzers(*only, loader)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynamolint:", err)
 		os.Exit(2)
@@ -58,8 +60,6 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cfg := lint.DefaultConfig()
-	loader := lint.NewLoader(root, cfg.ModulePath)
 	pkgs, err := loader.LoadPackages(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynamolint:", err)
@@ -83,16 +83,19 @@ func main() {
 	}
 }
 
-func analyzers() []*lint.Analyzer {
+// analyzers builds the suite; prodcaller reads the whole module through
+// l, which may be nil when the suite is only listed.
+func analyzers(l *lint.Loader) []*lint.Analyzer {
 	return []*lint.Analyzer{
 		lint.NewDetrand(),
 		lint.NewConserve(),
 		lint.NewSteadystate(),
+		lint.NewProdcaller(l),
 	}
 }
 
-func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	all := analyzers()
+func selectAnalyzers(only string, l *lint.Loader) ([]*lint.Analyzer, error) {
+	all := analyzers(l)
 	if only == "" {
 		return all, nil
 	}

@@ -27,9 +27,6 @@ type TickHook interface {
 // the tick loop's scratch-state invariants.
 type Controls simulation
 
-// Now returns the virtual time of the tick being processed.
-func (ct *Controls) Now() simclock.Time { return ct.tickStart }
-
 // ActiveServers reports the cluster's live capacity in 8-GPU server
 // equivalents (provisioning instances count: their GPUs are occupied).
 func (ct *Controls) ActiveServers() int {
@@ -198,9 +195,6 @@ func (ct *Controls) SetSubmitDelay(d float64) {
 	ct.submitDelay = d
 }
 
-// SubmitDelay returns the active frontend submission delay in seconds.
-func (ct *Controls) SubmitDelay() float64 { return ct.submitDelay }
-
 // SetPriceMult sets the electricity-price multiplier applied on top of
 // the nominal electricity price (energy.DefaultCost, the §V-F
 // ERCOT-like $0.03/kWh) from this tick on (1 = nominal). The
@@ -215,9 +209,6 @@ func (ct *Controls) SetPriceMult(x float64) {
 	ct.priceMult = x
 }
 
-// PriceMult returns the active electricity-price multiplier.
-func (ct *Controls) PriceMult() float64 { return ct.priceMult }
-
 // SetSLOFactor scales the SLOs of requests arriving from this tick on:
 // factors below 1 tighten (an SLO-crunch window), above 1 relax. The
 // controllers keep planning against the nominal SLO — a sudden contractual
@@ -229,9 +220,6 @@ func (ct *Controls) SetSLOFactor(x float64) {
 	}
 	ct.sloMult = x
 }
-
-// SLOFactor returns the active SLO scaling factor.
-func (ct *Controls) SLOFactor() float64 { return ct.sloMult }
 
 // busiestPool returns the live pool with the most GPUs in use.
 func (ct *Controls) busiestPool() *Pool {

@@ -81,20 +81,20 @@ func TestControlsFailAndRecover(t *testing.T) {
 func TestControlsPriceAndSLOClamp(t *testing.T) {
 	ctl := (*Controls)(emptyState(t, preset("singlepool")))
 	ctl.SetPriceMult(4)
-	if ctl.PriceMult() != 4 {
-		t.Errorf("PriceMult = %v", ctl.PriceMult())
+	if ctl.priceMult != 4 {
+		t.Errorf("PriceMult = %v", ctl.priceMult)
 	}
 	ctl.SetPriceMult(-1)
-	if ctl.PriceMult() != 1 {
-		t.Errorf("negative price mult not clamped: %v", ctl.PriceMult())
+	if ctl.priceMult != 1 {
+		t.Errorf("negative price mult not clamped: %v", ctl.priceMult)
 	}
 	ctl.SetSLOFactor(0.5)
-	if ctl.SLOFactor() != 0.5 {
-		t.Errorf("SLOFactor = %v", ctl.SLOFactor())
+	if ctl.sloMult != 0.5 {
+		t.Errorf("SLOFactor = %v", ctl.sloMult)
 	}
 	ctl.SetSLOFactor(0)
-	if ctl.SLOFactor() != 1 {
-		t.Errorf("zero SLO factor not clamped: %v", ctl.SLOFactor())
+	if ctl.sloMult != 1 {
+		t.Errorf("zero SLO factor not clamped: %v", ctl.sloMult)
 	}
 }
 

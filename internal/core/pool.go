@@ -298,14 +298,13 @@ func (in *Instance) capacity(sm *simulation) float64 {
 // --- Pool -----------------------------------------------------------------------
 
 // PoolRole is a pool's place in a disaggregated deployment: unified pools
-// serve requests end to end (the default); under Options.Disagg each base
-// pool becomes prefill-only and gains a decode-only twin that finishes
-// generation after the KV handoff.
+// (the zero value) serve requests end to end; under Options.Disagg each
+// base pool becomes prefill-only and gains a decode-only twin that
+// finishes generation after the KV handoff.
 type PoolRole int
 
 const (
-	RoleUnified PoolRole = iota
-	RolePrefill
+	RolePrefill PoolRole = iota + 1
 	RoleDecode
 )
 

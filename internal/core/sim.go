@@ -386,15 +386,11 @@ func traceHorizon(tr trace.Trace) simclock.Time {
 	return maxAt
 }
 
-// Run drives the trace through the cluster and returns the aggregated
-// result. The simulation is discrete-time at the instance-manager epoch,
-// matching the paper's large-scale simulator (§V-E).
-func Run(tr trace.Trace, opts Options) *Result {
-	return RunWithRepo(tr, opts, nil)
-}
-
-// RunWithRepo is Run with a shared profile repository (experiments reuse
-// profiles across the six systems).
+// RunWithRepo drives the trace through the cluster and returns the
+// aggregated result. The simulation is discrete-time at the
+// instance-manager epoch, matching the paper's large-scale simulator
+// (§V-E). repo is a shared profile repository (experiments reuse
+// profiles across the six systems); nil builds a private one.
 func RunWithRepo(tr trace.Trace, opts Options, repo *profile.Repository) *Result {
 	sm := newSimulation(tr, opts, repo)
 	for tick := 0; tick < sm.nTicks; tick++ {

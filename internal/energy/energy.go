@@ -23,32 +23,19 @@ func Wh(joules float64) float64 { return joules / JoulesPerWh }
 // KWh converts joules to kilowatt-hours.
 func KWh(joules float64) float64 { return joules / JoulesPerKWh }
 
-// Meter integrates a piecewise-constant power signal into energy, and keeps
-// a bucketed power series for the percentile/time figures.
+// Meter integrates a piecewise-constant power signal into energy.
 type Meter struct {
-	avg    metrics.TimeAvg
-	series *metrics.Series
-	lastW  float64
+	avg   metrics.TimeAvg
+	lastW float64
 }
 
-// NewMeter returns a meter bucketing power observations at the given series
-// width (seconds); width <= 0 disables the series.
-func NewMeter(seriesWidth float64) *Meter {
-	m := &Meter{}
-	if seriesWidth > 0 {
-		m.series = metrics.NewSeries(seriesWidth)
-	}
-	return m
-}
+// NewMeter returns a meter with nothing recorded.
+func NewMeter() *Meter { return &Meter{} }
 
 // SetPower records that the measured component draws watts from time t on.
 func (m *Meter) SetPower(t simclock.Time, watts float64) {
 	if watts < 0 {
 		watts = 0
-	}
-	if m.series != nil && float64(t) > 0 {
-		// Close the previous interval into the series.
-		m.series.Observe(float64(t), m.lastW, 1)
 	}
 	m.avg.Set(float64(t), watts)
 	m.lastW = watts
@@ -59,9 +46,6 @@ func (m *Meter) Finish(t simclock.Time) float64 {
 	m.avg.Set(float64(t), m.lastW)
 	return m.avg.Area()
 }
-
-// Series returns the bucketed power series (nil if disabled).
-func (m *Meter) Series() *metrics.Series { return m.series }
 
 // --- Carbon intensity ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ func TestUnitConversions(t *testing.T) {
 }
 
 func TestMeterIntegration(t *testing.T) {
-	m := NewMeter(0)
+	m := NewMeter()
 	m.SetPower(0, 700)
 	m.SetPower(10, 100)
 	j := m.Finish(20)
@@ -29,22 +29,10 @@ func TestMeterIntegration(t *testing.T) {
 }
 
 func TestMeterNegativeClamped(t *testing.T) {
-	m := NewMeter(0)
+	m := NewMeter()
 	m.SetPower(0, -50)
 	if j := m.Finish(10); j != 0 {
 		t.Errorf("negative power accrued %v J", j)
-	}
-}
-
-func TestMeterSeries(t *testing.T) {
-	m := NewMeter(10)
-	m.SetPower(0, 100)
-	m.SetPower(5, 300)
-	m.SetPower(15, 200)
-	m.Finish(20)
-	pts := m.Series().Points()
-	if len(pts) == 0 {
-		t.Fatal("no series points")
 	}
 }
 
@@ -52,7 +40,7 @@ func TestMeterSeries(t *testing.T) {
 func TestMeterAdditivity(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simclock.NewRNG(seed)
-		m := NewMeter(0)
+		m := NewMeter()
 		tNow := 0.0
 		for i := 0; i < 20; i++ {
 			m.SetPower(simclock.Time(tNow), r.Float64()*700)

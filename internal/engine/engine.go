@@ -162,6 +162,8 @@ type Counters struct {
 
 // CheckLaws verifies the counter algebra: non-negative throughput
 // counters and the KV bank's own laws.
+//
+//dynamolint:api the counter-law check the engine tests assert after every run; conserve audits its coverage
 func (c *Counters) CheckLaws() error {
 	if c.Completed < 0 || c.TokensIn < 0 || c.TokensOut < 0 {
 		return fmt.Errorf("engine: negative throughput counter: completed=%d in=%d out=%d",
@@ -264,7 +266,7 @@ func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
 		Cfg:        cfg,
 		clock:      clock,
 		kvCapacity: cfg.Model.KVCapacityTokens(cfg.TP),
-		meter:      energy.NewMeter(0),
+		meter:      energy.NewMeter(),
 	}
 	e.onIterStart = e.iterate
 	e.onIterEnd = e.finishIteration
@@ -601,6 +603,8 @@ const MeasureSeconds = 240
 // Measure runs a Poisson workload of the given shape against a live engine
 // and reports the observation the profiler needs. It satisfies
 // profile.Measurer, mirroring the paper's measured profiling runs (§IV-A).
+//
+//dynamolint:api measured profiling: tests cross-validate the fluid profile against it, and planning from measured profiles (ROADMAP) will call it
 func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloScale float64) profile.Observation {
 	obs := profile.Observation{Lambda: lambda}
 	if !cfg.Feasible() || lambda <= 0 {

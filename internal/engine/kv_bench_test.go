@@ -34,9 +34,11 @@ func kvSoak(kv KVConfig, lambda, dur float64, in, out int) (*Engine, uint64) {
 			})
 		})
 	}
+	var steps uint64
 	for clock.Step() {
+		steps++
 	}
-	return eng, clock.Steps()
+	return eng, steps
 }
 
 // The shared soak shape: short-prompt requests (16 prompt + 6 decode

@@ -15,7 +15,7 @@ import (
 // and swap them back in on resume. The choice is per sequence: the policy
 // compares the modeled transfer time (current link backlog + swap-out +
 // swap-in) against the modeled time to re-prefill the context, and takes
-// the cheaper path (SwapAuto); SwapAlways spills whenever the tier has
+// the cheaper path (the zero SwapPolicy); SwapAlways spills whenever the tier has
 // room. When the tier itself is full, spilled prefix entries are dropped
 // first and then the least-recently-spilled sequences are evicted — their
 // tier copy is discarded and they fall back to recompute-on-resume — and a
@@ -35,17 +35,14 @@ import (
 // With TierBlocks == 0 (the default) none of this code runs and the PR 8
 // recompute-only path is preserved bit-for-bit.
 
-// SwapPolicy picks swap versus recompute for each preemption victim.
+// SwapPolicy picks swap versus recompute for each preemption victim. The
+// zero value compares the modeled swap round-trip (link backlog +
+// swap-out + swap-in) against the modeled recompute prefill time and
+// takes the cheaper path.
 type SwapPolicy int
 
-const (
-	// SwapAuto compares the modeled swap round-trip (link backlog +
-	// swap-out + swap-in) against the modeled recompute prefill time and
-	// takes the cheaper path.
-	SwapAuto SwapPolicy = iota
-	// SwapAlways spills every victim the tier can hold.
-	SwapAlways
-)
+// SwapAlways spills every victim the tier can hold.
+const SwapAlways SwapPolicy = 1
 
 // DefaultTierBytesPerSec is the swap-link bandwidth assumed when a tier is
 // configured without one (PCIe Gen5 host transfer, ~25 GB/s).

@@ -77,9 +77,3 @@ func (t *Table) At(x float64) float64 {
 	y0, y1 := t.ys[i], t.ys[i+1]
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
-
-// Min and Max return the sampled domain bounds.
-func (t *Table) Min() float64 { return t.xs[0] }
-
-// Max returns the largest sampled x.
-func (t *Table) Max() float64 { return t.xs[len(t.xs)-1] }

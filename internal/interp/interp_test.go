@@ -38,8 +38,8 @@ func TestUnsortedInput(t *testing.T) {
 	if got := tab.At(0.5); got != 5 {
 		t.Errorf("At(0.5) = %v, want 5", got)
 	}
-	if tab.Min() != 0 || tab.Max() != 2 {
-		t.Errorf("bounds = [%v,%v], want [0,2]", tab.Min(), tab.Max())
+	if tab.At(0) != 0 || tab.At(2) != 20 {
+		t.Errorf("bounds = [%v,%v], want [0,20]", tab.At(0), tab.At(2))
 	}
 }
 

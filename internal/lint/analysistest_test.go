@@ -117,7 +117,6 @@ func wantsIn(t *testing.T, pkg *Package) []*expectation {
 func runAnalyzerTest(t *testing.T, a *Analyzer, dir, path string) {
 	t.Helper()
 	pkg := loadTestPackage(t, dir, path)
-	wants := wantsIn(t, pkg)
 	pass := &Pass{
 		Analyzer: a,
 		Config:   testConfig(),
@@ -130,7 +129,14 @@ func runAnalyzerTest(t *testing.T, a *Analyzer, dir, path string) {
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, path, err)
 	}
-	for _, d := range pass.Diagnostics() {
+	reconcile(t, wantsIn(t, pkg), pass.Diagnostics())
+}
+
+// reconcile fails the test on any diagnostic no want expects and on any
+// want no diagnostic matched.
+func reconcile(t *testing.T, wants []*expectation, diags []Diagnostic) {
+	t.Helper()
+	for _, d := range diags {
 		matched := false
 		for _, w := range wants {
 			if w.hit || w.file != d.Pos.Filename || w.line != d.Pos.Line {

@@ -21,6 +21,9 @@ const (
 	// DirConserveIgnore waives one counter field from the conservation
 	// invariant suite.
 	DirConserveIgnore = "conserve:ignore"
+	// DirAPI waives one name from prodcaller: it is kept without a
+	// non-test use on purpose.
+	DirAPI = "dynamolint:api"
 )
 
 // A ConserveTarget names one counter struct and the invariant function

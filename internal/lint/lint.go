@@ -1,6 +1,6 @@
 // Package lint is dynamolint: a project-specific static-analysis suite
 // that turns the simulator's load-bearing runtime contracts into
-// compile-time contracts. Three analyzers enforce them:
+// compile-time contracts. Four analyzers enforce them:
 //
 //   - detrand: sim-deterministic packages must not read wall clocks,
 //     global math/rand state, or unordered map iteration, and goroutine
@@ -14,6 +14,10 @@
 //     tick loop, the engine clock-event path, the KV swap path) are
 //     checked against an allocation blacklist, extending the single
 //     -scenario TestTickLoopAllocationFree assertion to whole paths.
+//   - prodcaller: every package-level name, method and struct field
+//     needs a non-test use somewhere in the module (exported names
+//     under internal/, unexported names anywhere) or a
+//     //dynamolint:api waiver.
 //
 // The suite is intentionally built on the standard library's go/ast +
 // go/types only (see load.go): the module has zero external

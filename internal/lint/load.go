@@ -55,9 +55,6 @@ func NewLoader(root, modulePath string) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer over both module and stdlib paths.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {

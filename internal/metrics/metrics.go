@@ -8,10 +8,7 @@
 // by the sample count.
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Histogram resolution. Bins are geometric with 2% width over
 // [histMin, histMin*histGrowth^histBins); any positive sample therefore
@@ -29,6 +26,8 @@ const (
 // MaxRelativeError is the documented worst-case relative error of
 // Percentile against the sample at the selected rank: half a bin width,
 // sqrt(1.02)-1 < 1%.
+//
+//dynamolint:api the error bound the Percentile tests assert
 var MaxRelativeError = math.Sqrt(histGrowth) - 1
 
 var (
@@ -226,24 +225,6 @@ func (d *Dist) Max() float64 {
 	return d.max
 }
 
-// Summary is the P50/P90/P99 triple the paper's figures report.
-type Summary struct {
-	P50, P90, P99 float64
-}
-
-// Summarize returns the standard percentile triple.
-func (d *Dist) Summarize() Summary {
-	return Summary{
-		P50: d.Percentile(50),
-		P90: d.Percentile(90),
-		P99: d.Percentile(99),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("p50=%.4g p90=%.4g p99=%.4g", s.P50, s.P90, s.P99)
-}
-
 // --- Time series -------------------------------------------------------------
 
 // Series accumulates (time, value) observations into fixed-width buckets,
@@ -389,16 +370,6 @@ func (s *Series) Points() []Point {
 	return pts
 }
 
-// Total returns the sum over all buckets of the raw sums (meaningful for
-// accumulated series).
-func (s *Series) Total() float64 {
-	t := 0.0
-	for _, v := range s.sums {
-		t += v
-	}
-	return t
-}
-
 // --- Time-weighted average ---------------------------------------------------
 
 // TimeAvg tracks the time-weighted average of a piecewise-constant signal
@@ -407,7 +378,6 @@ type TimeAvg struct {
 	lastT   float64
 	lastV   float64
 	area    float64
-	elapsed float64
 	started bool
 }
 
@@ -415,18 +385,8 @@ type TimeAvg struct {
 func (a *TimeAvg) Set(t, v float64) {
 	if a.started && t > a.lastT {
 		a.area += a.lastV * (t - a.lastT)
-		a.elapsed += t - a.lastT
 	}
 	a.lastT, a.lastV, a.started = t, v, true
-}
-
-// Finish closes the signal at time t and returns the time-weighted average.
-func (a *TimeAvg) Finish(t float64) float64 {
-	a.Set(t, a.lastV)
-	if a.elapsed == 0 {
-		return a.lastV
-	}
-	return a.area / a.elapsed
 }
 
 // Area returns the integral so far (e.g., joules if the signal is watts).

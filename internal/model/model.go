@@ -8,7 +8,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TP is a tensor-parallelism degree: the number of GPUs a single model
@@ -71,10 +71,7 @@ const (
 	usableFraction = 0.88
 )
 
-// catalog holds the known models, keyed by Name.
-var catalog = map[string]*Model{}
-
-// define registers a model, deriving footprint and MinTP from the raw
+// define builds a model, deriving footprint and MinTP from the raw
 // architecture numbers.
 func define(name string, params, activeParams float64, layers, hiddenDim, kvHeads, headDim int) *Model {
 	m := &Model{
@@ -97,7 +94,6 @@ func define(name string, params, activeParams float64, layers, hiddenDim, kvHead
 	if m.MinTP == 0 {
 		panic("model: " + name + " does not fit on 8 GPUs")
 	}
-	catalog[name] = m
 	return m
 }
 
@@ -112,33 +108,31 @@ var (
 	Falcon180B  = define("falcon-180b", 180e9, 180e9, 80, 14848, 8, 64)
 )
 
+// catalog lists the known models, sorted by name.
+var catalog = []*Model{Falcon180B, Llama2_13B, Llama2_70B, Llama3_70B, Mixtral22B, Mixtral8x7B}
+
 // Lookup returns the model with the given name, or an error listing the
 // known names.
 func Lookup(name string) (*Model, error) {
-	if m, ok := catalog[name]; ok {
-		return m, nil
+	for _, m := range catalog {
+		if m.Name == name {
+			return m, nil
+		}
 	}
 	return nil, fmt.Errorf("model: unknown model %q (known: %v)", name, Names())
 }
 
-// Names returns the sorted catalog keys.
+// Names returns the catalog's model names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(catalog))
-	for name := range catalog {
-		names = append(names, name)
+	names := make([]string, len(catalog))
+	for i, m := range catalog {
+		names[i] = m.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // All returns the catalog models sorted by name.
-func All() []*Model {
-	models := make([]*Model, 0, len(catalog))
-	for _, name := range Names() {
-		models = append(models, catalog[name])
-	}
-	return models
-}
+func All() []*Model { return slices.Clone(catalog) }
 
 // FeasibleTP reports whether the model can run at the given parallelism:
 // the per-GPU weight share must fit, and the degree must be at least MinTP.

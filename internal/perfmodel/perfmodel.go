@@ -192,6 +192,8 @@ func (c Config) Iter(b Batch) IterResult {
 
 // IsolatedPrefill returns the time to prefill n prompt tokens on an
 // otherwise idle instance (chunked, one chunk per iteration).
+//
+//dynamolint:api Table IV reference latency the perfmodel and engine tests compare against
 func (c Config) IsolatedPrefill(n int) float64 {
 	if n <= 0 {
 		return 0
@@ -214,6 +216,8 @@ func (c Config) IsolatedPrefill(n int) float64 {
 
 // IsolatedTBT returns the decode iteration time for a single resident
 // sequence with the given context length.
+//
+//dynamolint:api Table IV reference latency the perfmodel and engine tests compare against
 func (c Config) IsolatedTBT(ctx int) float64 {
 	return c.Iter(Batch{DecodeSeqs: 1, ContextTokens: float64(ctx)}).Time
 }
@@ -221,6 +225,8 @@ func (c Config) IsolatedTBT(ctx int) float64 {
 // ReferenceConfig is the configuration the paper derives SLOs from: the
 // request runs isolated on a system at high performance. We use TP8 at max
 // frequency, matching "maximum achievable performance" (§II).
+//
+//dynamolint:api Table IV reference configuration TestIsolatedLatencyWithinSLOHeadroom checks workload.SLOFor against
 func ReferenceConfig(m *model.Model) Config {
 	return Config{Model: m, TP: model.TP8, Freq: gpu.MaxFreq}
 }

@@ -173,7 +173,7 @@ func TestAgendaBlipsCompose(t *testing.T) {
 			second = nil
 		}
 		a.OnTick(now, ctl)
-		at, delay = append(at, now), append(delay, ctl.SubmitDelay())
+		at, delay = append(at, now), append(delay, a.delay.cur)
 	}))
 	if len(at) == 0 || at[len(at)-1] < 900 {
 		t.Fatalf("run stopped before both blips ended (ticks %v)", at)
@@ -218,9 +218,9 @@ func TestAgendaOnTickAllocationFree(t *testing.T) {
 			a.OnTick(tick, ctl)
 			tick++
 		})
-		if ctl.SubmitDelay() != 1 || ctl.PriceMult() != 3 || len(a.pending) != 1 {
+		if a.delay.cur != 1 || a.price.cur != 3 || len(a.pending) != 1 {
 			t.Errorf("measured stretch missed its events: delay %v, price %v, %d pending",
-				ctl.SubmitDelay(), ctl.PriceMult(), len(a.pending))
+				a.delay.cur, a.price.cur, len(a.pending))
 		}
 	}))
 	if allocs != 0 {

@@ -196,7 +196,7 @@ func TestOutageScenarioEndToEnd(t *testing.T) {
 	opts, _ := core.SystemByName("singlepool")
 	opts.Seed = 7
 	opts.Hook = s.Hook(7)
-	res := core.Run(tr, opts)
+	res := core.RunWithRepo(tr, opts, nil)
 	if res.Outages == 0 {
 		t.Error("outage scenario produced no Outages")
 	}
@@ -214,7 +214,7 @@ func TestOutageScenarioEndToEnd(t *testing.T) {
 	}
 	optsPlain, _ := core.SystemByName("singlepool")
 	optsPlain.Seed = 7
-	resPlain := core.Run(trPlain, optsPlain)
+	resPlain := core.RunWithRepo(trPlain, optsPlain, nil)
 	if res.EnergyJ >= resPlain.EnergyJ {
 		t.Errorf("outage run energy %.0f J >= intact run %.0f J; failed servers still drawing power?",
 			res.EnergyJ, resPlain.EnergyJ)
@@ -240,11 +240,11 @@ func TestPriceScenarioEndToEnd(t *testing.T) {
 	opts, _ := core.SystemByName("singlepool")
 	opts.Seed = 7
 	opts.Hook = s.Hook(7)
-	res := core.Run(tr, opts)
+	res := core.RunWithRepo(tr, opts, nil)
 
 	optsPlain, _ := core.SystemByName("singlepool")
 	optsPlain.Seed = 7
-	resPlain := core.Run(tr, optsPlain)
+	resPlain := core.RunWithRepo(tr, optsPlain, nil)
 
 	// Same trace, same static system: identical energy, bigger bill.
 	if res.EnergyCostUSD <= resPlain.EnergyCostUSD {
@@ -273,7 +273,7 @@ func TestSLOScenarioEndToEnd(t *testing.T) {
 		opts, _ := core.SystemByName("scalefreq")
 		opts.Seed = 7
 		opts.Hook = hook
-		return core.Run(tr, opts)
+		return core.RunWithRepo(tr, opts, nil)
 	}
 	crunched := run(s.Hook(7))
 	nominal := run(nil)

@@ -28,6 +28,10 @@ import (
 	"dynamollm/internal/workload"
 )
 
+// checkpointEvery is the wall interval between durable checkpoints when
+// Config.StateDir is set.
+const checkpointEvery = 2 * time.Second
+
 // Config parameterizes a live session.
 type Config struct {
 	// Name labels the configuration (/config, log lines); typically the
@@ -71,13 +75,10 @@ type Config struct {
 	// StateDir enables crash durability: every accepted injection is
 	// appended (and synced) to <StateDir>/wal.jsonl before it is acked,
 	// and a checkpoint of the session's progress is written to
-	// <StateDir>/checkpoint.json on CheckpointEvery. Restore rebuilds a
+	// <StateDir>/checkpoint.json every 2 wall seconds. Restore rebuilds a
 	// killed session from the pair — no acked request is lost. Empty
 	// disables durability.
 	StateDir string
-	// CheckpointEvery is the wall interval between durable checkpoints
-	// (default 2s when StateDir is set).
-	CheckpointEvery time.Duration
 	// Meta is opaque caller metadata stored in the checkpoint file —
 	// cmd/dynamoserve keeps the flags it needs to rebuild an identical
 	// session (peak rate) there.
@@ -264,14 +265,10 @@ func (s *Session) Start() {
 		}
 	}()
 	if s.wal != nil {
-		every := s.cfg.CheckpointEvery
-		if every <= 0 {
-			every = 2 * time.Second
-		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			t := time.NewTicker(every)
+			t := time.NewTicker(checkpointEvery)
 			defer t.Stop()
 			for {
 				select {

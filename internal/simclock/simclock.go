@@ -25,12 +25,9 @@ type Duration = float64
 
 // Common durations, in seconds.
 const (
-	Millisecond Duration = 1e-3
-	Second      Duration = 1
-	Minute      Duration = 60
-	Hour        Duration = 3600
-	Day         Duration = 24 * Hour
-	Week        Duration = 7 * Day
+	Minute Duration = 60
+	Hour   Duration = 3600
+	Day    Duration = 24 * Hour
 )
 
 // event is a scheduled callback, stored by value in the agenda.
@@ -58,7 +55,6 @@ type Clock struct {
 	// live in it by value, so once the backing array has grown to the
 	// peak agenda size scheduling allocates nothing.
 	events []event
-	steps  uint64
 }
 
 // New returns a clock positioned at virtual time zero with an empty agenda.
@@ -68,9 +64,6 @@ func New() *Clock {
 
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
-
-// Steps reports the number of events executed so far.
-func (c *Clock) Steps() uint64 { return c.steps }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a logic error in a discrete-event program.
@@ -146,7 +139,6 @@ func (c *Clock) Step() bool {
 		h[i] = last
 	}
 	c.now = ev.at
-	c.steps++
 	ev.fn()
 	return true
 }
@@ -206,9 +198,6 @@ func NewPacerAt(speed float64, offset Time, now func() time.Time) *Pacer {
 func (p *Pacer) Now() Time {
 	return p.offset + Time(p.now().Sub(p.start).Seconds()*p.speed)
 }
-
-// Speed returns the pacer's virtual-seconds-per-wall-second factor.
-func (p *Pacer) Speed() float64 { return p.speed }
 
 // Wall converts a virtual duration to the wall duration it spans at the
 // pacer's speed.

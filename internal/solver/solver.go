@@ -56,15 +56,6 @@ func (a Assignment) GPUs() int {
 	return n
 }
 
-// Instances returns the total instance count.
-func (a Assignment) Instances() int {
-	n := 0
-	for _, g := range a.Groups {
-		n += g.Count
-	}
-	return n
-}
-
 func (a Assignment) String() string {
 	s := ""
 	for i, g := range a.Groups {
@@ -82,11 +73,6 @@ type Options struct {
 	// simplification assumes max frequency); zero means optimize per
 	// group over the whole ladder.
 	FixedFreq gpu.Freq
-	// MaxGroups bounds how many distinct TP degrees may be mixed
-	// (0 = no bound). The paper's pools mix degrees freely (Fig. 10).
-	MaxGroups int
-	// SLOScale relaxes the SLO (1 = Table IV).
-	SLOScale float64
 }
 
 // ErrInfeasible is returned when no configuration within the GPU budget
@@ -148,14 +134,10 @@ func solveScored(p *profile.Profile, cls workload.Class, totalGPUs int, lambda f
 	for n2 := 0; n2 <= n2max; n2++ {
 		for n4 := 0; n4*4 <= totalGPUs-n2*2; n4++ {
 			for n8 := 0; n8*8 <= totalGPUs-n2*2-n4*4; n8++ {
+				if n2+n4+n8 == 0 {
+					continue
+				}
 				counts := map[model.TP]int{model.TP2: n2, model.TP4: n4, model.TP8: n8}
-				groups := activeGroups(counts)
-				if len(groups) == 0 {
-					continue
-				}
-				if opts.MaxGroups > 0 && len(groups) > opts.MaxGroups {
-					continue
-				}
 				a, ok := evaluate(p, cls, counts, lambda, opts)
 				if ok {
 					if s := score(a); s < bestScore-1e-9 {

@@ -14,7 +14,7 @@ func weekTrace(t *testing.T, s Service) Trace {
 	t.Helper()
 	return Generate(GenConfig{
 		Service:  s,
-		Duration: simclock.Week,
+		Duration: 7 * simclock.Day,
 		PeakRPS:  2.0,
 		Seed:     42,
 	})

@@ -263,7 +263,3 @@ func (r *Request) MeetsSLO() bool {
 	}
 	return true
 }
-
-// TotalTokens returns input + output token count, the unit of the paper's
-// tokens-per-second load metric.
-func (r *Request) TotalTokens() int { return r.InputTokens + r.OutputTokens }

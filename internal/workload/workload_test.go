@@ -152,13 +152,6 @@ func TestSquashedFailsSLO(t *testing.T) {
 	}
 }
 
-func TestTotalTokens(t *testing.T) {
-	r := &Request{InputTokens: 100, OutputTokens: 23}
-	if r.TotalTokens() != 123 {
-		t.Errorf("TotalTokens = %d, want 123", r.TotalTokens())
-	}
-}
-
 func TestSingleTokenOutputSkipsTBT(t *testing.T) {
 	r := &Request{Arrival: 0, InputTokens: 10, OutputTokens: 1}
 	r.FirstToken = 0.1

@@ -1,17 +1,41 @@
 #!/usr/bin/env bash
-# Self-test for the dynamolint gate: inject a time.Now() read into a
-# sim-deterministic package and assert the linter rejects it with the
-# right diagnostic. This guards the gate itself against silently rotting
-# into a no-op (package-classification drift, analyzer registration
-# typo, exit-code regression) — a lint suite that cannot fail is not a
-# gate.
+# Self-test for the dynamolint gate: inject two violations into
+# internal/core, one at a time, and assert the linter rejects each with
+# the right diagnostic:
+#   - a time.Now() read in a sim-deterministic package (detrand);
+#   - an exported func whose only caller is a _test.go file (prodcaller).
+# This guards the gate itself against silently rotting into a no-op
+# (package-classification drift, analyzer registration typo, exit-code
+# regression) — a lint suite that cannot fail is not a gate.
 set -u
 cd "$(dirname "$0")/.."
 
 viol=internal/core/zz_lint_selftest_violation.go
-trap 'rm -f "$viol"' EXIT
+probe=internal/core/zz_lint_selftest_probe.go
+probetest=internal/core/zz_lint_selftest_probe_test.go
+trap 'rm -f "$viol" "$probe" "$probetest"' EXIT
 
-cat > "$viol" <<'EOF'
+# expect_reject <what> <diagnostic regex> <probe file>: dynamolint over
+# internal/core must exit 1 with a matching diagnostic.
+expect_reject() {
+    local out status
+    out="$(go run ./cmd/dynamolint ./internal/core 2>&1)"
+    status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "lint-selftest: FAIL: dynamolint exited $status on $1, want 1:"
+        printf '%s\n' "$out"
+        exit 1
+    fi
+    if ! printf '%s\n' "$out" | grep -q "$2"; then
+        echo "lint-selftest: FAIL: dynamolint rejected $1 for the wrong reason:"
+        printf '%s\n' "$out"
+        exit 1
+    fi
+    echo "lint-selftest: OK — $1 rejected:"
+    printf '%s\n' "$out" | grep "$3"
+}
+
+cat > "$viol" <<'GO'
 package core
 
 import "time"
@@ -19,20 +43,23 @@ import "time"
 // zzLintSelftestViolation exists only while scripts/lint_selftest.sh
 // runs; dynamolint (detrand) must reject it.
 func zzLintSelftestViolation() time.Time { return time.Now() }
-EOF
+GO
+expect_reject "a time.Now() in internal/core" 'time\.Now in sim-deterministic package' zz_lint_selftest_violation
+rm -f "$viol"
 
-out="$(go run ./cmd/dynamolint ./internal/core 2>&1)"
-status=$?
+cat > "$probe" <<'GO'
+package core
 
-if [ "$status" -eq 0 ]; then
-    echo "lint-selftest: FAIL: dynamolint accepted a time.Now() in internal/core"
-    exit 1
-fi
-if ! printf '%s\n' "$out" | grep -q 'time\.Now in sim-deterministic package'; then
-    echo "lint-selftest: FAIL: dynamolint rejected the probe for the wrong reason:"
-    printf '%s\n' "$out"
-    exit 1
-fi
+// ZZLintSelftestProbe exists only while scripts/lint_selftest.sh runs;
+// its only caller is a test, so dynamolint (prodcaller) must reject it.
+func ZZLintSelftestProbe() int { return 1 }
+GO
+cat > "$probetest" <<'GO'
+package core
 
-echo "lint-selftest: OK — injected violation rejected:"
-printf '%s\n' "$out" | grep zz_lint_selftest_violation
+import "testing"
+
+func TestZZLintSelftestProbe(t *testing.T) { _ = ZZLintSelftestProbe() }
+GO
+expect_reject "an exported func with only a test caller" \
+    'func ZZLintSelftestProbe has no non-test use.*(prodcaller)' zz_lint_selftest_probe
