@@ -21,8 +21,9 @@
 // "scenario <name>" runs one: a library name like flashcrowd, or a path
 // to a JSON scenario definition. "fidelity", "chaos" and "kv" are kept
 // out of "all". Run dynamobench -h for the flags, among them the
-// substrate knobs (-fidelity, -disagg, -kv-tier, -tier-bw,
-// -swap-policy) that apply to every cluster simulation.
+// substrate knobs (-fidelity, -disagg, -kv-tier, -swap-policy) that
+// apply to every cluster simulation. Each spill tier keeps its fixed
+// link speed: 25 GB/s for cpu, 5 GB/s for ssd.
 package main
 
 import (
@@ -54,7 +55,6 @@ func realMain() int {
 	flag.TextVar(&cfg.Fidelity, "fidelity", cfg.Fidelity, "instance fidelity backend: fluid|event")
 	flag.BoolVar(&cfg.Disagg, "disagg", false, "split pools into prefill/decode with a modeled KV handoff (implies -fidelity event)")
 	flag.TextVar(&cfg.KVTier, "kv-tier", cfg.KVTier, "KV spill tier below each engine's GPU block pool: none|cpu|ssd (implies -fidelity event; the kv sweep carries its own tier axis)")
-	flag.Float64Var(&cfg.KVTierBandwidth, "tier-bw", 0, "override the KV spill link bandwidth in bytes/s (0 = tier default: 25e9 cpu, 5e9 ssd)")
 	flag.TextVar(&cfg.KVSwapPolicy, "swap-policy", cfg.KVSwapPolicy, "KV swap-vs-recompute policy under a spill tier: auto|always")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")

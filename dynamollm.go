@@ -88,9 +88,6 @@ type Config struct {
 	// out and back in instead of recomputing. Implies event fidelity and
 	// block-granular KV accounting. See KVTiers.
 	KVTier string
-	// KVTierBandwidth overrides the spill link bandwidth in bytes/s
-	// (0 = the tier's default).
-	KVTierBandwidth float64
 	// KVSwapPolicy picks swap vs recompute per preemption victim: "auto"
 	// (or "", compare modeled transfer vs recompute time) or "always".
 	// See KVSwapPolicies.
@@ -210,7 +207,6 @@ func (cfg Config) coreOptions() (core.Options, error) {
 	opts.KVBlockTokens = cfg.KVBlockTokens
 	opts.KVCapacityFactor = cfg.KVCapacityFactor
 	opts.KVPrefixCache = cfg.KVPrefixCache
-	opts.KVTierBandwidth = cfg.KVTierBandwidth
 	if err := errors.Join(
 		parseName(&opts.Fidelity, cfg.Fidelity),
 		parseName(&opts.KVTier, cfg.KVTier),

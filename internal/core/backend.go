@@ -191,7 +191,7 @@ const (
 	kvTransferBytesPerSec  = 50e9
 )
 
-// KV spill-tier parameters (configureKV): the cpu tier is host memory
+// KV spill-tier parameters (kvConfig): the cpu tier is host memory
 // over PCIe Gen5 (~25 GB/s) sized a few times the GPU's unscaled KV
 // capacity; the ssd tier is NVMe (~5 GB/s) with a far larger pool.
 const (
@@ -215,15 +215,17 @@ type pendingSub struct {
 }
 
 // instEngine is one instance's engine on its private clock, plus per-tick
-// metering state and the result buffers its callbacks fill while stepping
-// (possibly on a pool worker). Buffers are drained by the serial merge at
-// the end of every RunTo, so outside stepping they are always empty.
+// metering state and the result buffers it fills, as the engine's Sink,
+// while stepping (possibly on a pool worker). Nothing a Sink method does
+// may touch the backend's shared state: other engines step concurrently.
+// Buffers are drained by the serial merge at the end of every RunTo, so
+// outside stepping they are always empty.
 type instEngine struct {
+	b     *eventBackend
 	eng   *engine.Engine
 	clock *simclock.Clock
-	// pool is the owning instance's pool index, kept here so callbacks
-	// wired during concurrent stepping can resolve the pool role and the
-	// decode twin without touching the Instance.
+	// pool is the owning instance's pool index, kept here so Handoff can
+	// resolve the decode twin without touching the Instance.
 	pool int
 	// lastJ is the meter reading at the previous tick boundary.
 	lastJ float64
@@ -240,12 +242,12 @@ type instEngine struct {
 	// the router, so the controllers would otherwise see zero load).
 	handoffsIn int
 
-	// lats buffers per-class latency samples run-length encoded
-	// (instEngine is the engine's LatencySink; see observe); toks buffers
-	// token events for tagged requests; dones buffers completed requests
-	// by value; fails buffers requests the engine rejected (oversize for
-	// its KV pool) or whose handoff found no decode target, drained to
-	// the frontend retry path at merge.
+	// lats buffers per-class latency samples run-length encoded (see
+	// observe); toks buffers token events for tagged requests when the
+	// run has an observer; dones buffers completed requests by value;
+	// fails buffers requests the engine rejected (oversize for its KV
+	// pool) or whose handoff found no decode target, drained to the
+	// frontend retry path at merge.
 	lats  []latSample
 	toks  []tokenEvent
 	dones []workload.Request
@@ -274,12 +276,52 @@ type tokenEvent struct {
 	at       simclock.Time
 }
 
-// ObserveTTFT implements engine.LatencySink, buffering into the engine's
-// own slot (never the shared Result — stepping may be concurrent).
+// ObserveTTFT implements engine.Sink, buffering into the engine's own
+// slot (never the shared Result — stepping may be concurrent).
 func (ie *instEngine) ObserveTTFT(cls workload.Class, v float64) { ie.observe(cls, false, v) }
 
-// ObserveTBT implements engine.LatencySink.
+// ObserveTBT implements engine.Sink.
 func (ie *instEngine) ObserveTBT(cls workload.Class, v float64) { ie.observe(cls, true, v) }
+
+// Token implements engine.Sink: a tagged request's token event is kept
+// for the observer, if the run has one.
+func (ie *instEngine) Token(req *workload.Request, produced int, now simclock.Time) {
+	if ie.b.sm.opts.Observer != nil {
+		ie.toks = append(ie.toks, tokenEvent{req: *req, produced: produced, at: now})
+	}
+}
+
+// Done implements engine.Sink.
+func (ie *instEngine) Done(req *workload.Request) { ie.dones = append(ie.dones, *req) }
+
+// Reject implements engine.Sink: merge hands the request to the frontend
+// retry path.
+func (ie *instEngine) Reject(req *workload.Request) { ie.fails = append(ie.fails, *req) }
+
+// Handoff implements engine.Sink: it moves a prefilled request's KV cache
+// to a decode instance of the twin pool. It runs inside the group clock's
+// stepping (possibly on a pool worker), which is safe: everything it
+// touches — the group's engines, their buffers, the shared group clock —
+// is owned by exactly that worker for the duration of the step.
+func (ie *instEngine) Handoff(req *workload.Request, ctx int) {
+	te := ie.b.decodeTarget(ie.pool)
+	if te == nil {
+		// No decode capacity at all: the frontend retries the request
+		// from scratch (merge drains the buffer into frontendFail).
+		ie.fails = append(ie.fails, *req)
+		return
+	}
+	te.handoffsIn++
+	t := &kvTransfer{at: ie.clock.Now() + simclock.Time(kvTransferSeconds(ie.b.sm.opts.Model, ctx)), req: *req, ctx: ctx}
+	te.transfers = append(te.transfers, t)
+	te.clock.At(t.at, func() {
+		if t.done {
+			return // target retired while the transfer was in flight
+		}
+		t.done = true
+		te.eng.SubmitDecode(t.req, t.ctx)
+	})
+}
 
 // observe buffers one sample, extending the latest record of the same
 // class and kind when v is bit-equal to it. Each Dist receives only its
@@ -317,9 +359,8 @@ func (b *eventBackend) engineFor(in *Instance) *instEngine {
 	if ie == nil {
 		clk := b.clockFor(in)
 		cfg := perfmodel.Config{Model: b.sm.opts.Model, TP: in.TP, Freq: in.effFreq()}
-		ie = &instEngine{eng: engine.New(cfg, clk), clock: clk, pool: in.Pool, cls: workload.Classify(int(avgOr(in.mixIn, 512)), int(avgOr(in.mixOut, 200)))}
-		b.configureKV(ie)
-		b.wire(ie)
+		ie = &instEngine{b: b, clock: clk, pool: in.Pool, cls: workload.Classify(int(avgOr(in.mixIn, 512)), int(avgOr(in.mixOut, 200)))}
+		ie.eng = engine.New(cfg, b.kvConfig(in.Pool), clk, ie)
 		if in.state != stateActive && in.readyAt > b.now {
 			ie.eng.Freeze(in.readyAt)
 		}
@@ -351,19 +392,19 @@ func (b *eventBackend) clockFor(in *Instance) *simclock.Clock {
 	return b.groupClocks[gi]
 }
 
-// configureKV applies the run's block-granular KV options to a fresh
-// engine (no-op when KVBlockTokens is zero — the legacy token-counting
-// path stays byte-identical).
-func (b *eventBackend) configureKV(ie *instEngine) {
+// kvConfig is the KV accounting of a new engine in the given pool: the
+// run's block-granular options (none when KVBlockTokens is zero — the
+// legacy token-counting path stays byte-identical), and the prefill-only
+// role of a disaggregated prefill pool.
+func (b *eventBackend) kvConfig(pool int) engine.KVConfig {
 	opts := b.sm.opts
+	kv := engine.KVConfig{PrefillOnly: opts.Disagg && b.sm.pools[pool].Role == RolePrefill}
 	if opts.KVBlockTokens <= 0 {
-		return
+		return kv
 	}
-	kv := engine.KVConfig{
-		BlockTokens:    opts.KVBlockTokens,
-		CapacityFactor: opts.KVCapacityFactor,
-		PrefixCache:    opts.KVPrefixCache,
-	}
+	kv.BlockTokens = opts.KVBlockTokens
+	kv.CapacityFactor = opts.KVCapacityFactor
+	kv.PrefixCache = opts.KVPrefixCache
 	// The spill tier is sized against the UNSCALED derived capacity —
 	// host memory and NVMe do not shrink when KVCapacityFactor squeezes
 	// the GPU pool — which is exactly what lets tiny-capacity cells
@@ -376,68 +417,10 @@ func (b *eventBackend) configureKV(ie *instEngine) {
 		kv.TierCapacityFactor = kvTierSSDFactor
 		kv.TierBytesPerSec = kvTierSSDBytesPerSec
 	}
-	if opts.KVTier != KVTierNone {
-		if opts.KVTierBandwidth > 0 {
-			kv.TierBytesPerSec = opts.KVTierBandwidth
-		}
-		if opts.KVSwapPolicy == KVSwapAlways {
-			kv.SwapPolicy = engine.SwapAlways
-		}
+	if opts.KVTier != KVTierNone && opts.KVSwapPolicy == KVSwapAlways {
+		kv.SwapPolicy = engine.SwapAlways
 	}
-	ie.eng.ConfigureKV(kv)
-}
-
-// wire points an engine's callbacks at its own buffers. Nothing here may
-// touch the backend's shared state: callbacks fire while other engines
-// step concurrently.
-func (b *eventBackend) wire(ie *instEngine) {
-	ie.eng.SetOnComplete(func(req *workload.Request) {
-		ie.dones = append(ie.dones, *req)
-	})
-	ie.eng.SetSink(ie)
-	if b.sm.opts.Observer != nil {
-		ie.eng.SetOnToken(func(req *workload.Request, produced int, now simclock.Time) {
-			if req.Tag != 0 {
-				ie.toks = append(ie.toks, tokenEvent{req: *req, produced: produced, at: now})
-			}
-		})
-	}
-	if b.sm.opts.KVBlockTokens > 0 {
-		ie.eng.SetOnReject(func(r workload.Request) {
-			ie.fails = append(ie.fails, r)
-		})
-	}
-	if b.sm.opts.Disagg && b.sm.pools[ie.pool].Role == RolePrefill {
-		ie.eng.SetPrefillOnly(true)
-		ie.eng.SetOnHandoff(func(r workload.Request, ctx int) {
-			b.handoff(ie, r, ctx)
-		})
-	}
-}
-
-// handoff moves a prefilled request's KV cache to a decode instance of
-// the twin pool. It runs inside the group clock's stepping (possibly on a
-// pool worker), which is safe: everything it touches — the group's
-// engines, their buffers, the shared group clock — is owned by exactly
-// that worker for the duration of the step.
-func (b *eventBackend) handoff(ie *instEngine, r workload.Request, ctx int) {
-	te := b.decodeTarget(ie.pool)
-	if te == nil {
-		// No decode capacity at all: the frontend retries the request
-		// from scratch (merge drains the buffer into frontendFail).
-		ie.fails = append(ie.fails, r)
-		return
-	}
-	te.handoffsIn++
-	t := &kvTransfer{at: ie.clock.Now() + simclock.Time(kvTransferSeconds(b.sm.opts.Model, ctx)), req: r, ctx: ctx}
-	te.transfers = append(te.transfers, t)
-	te.clock.At(t.at, func() {
-		if t.done {
-			return // target retired while the transfer was in flight
-		}
-		t.done = true
-		te.eng.SubmitDecode(t.req, t.ctx)
-	})
+	return kv
 }
 
 // decodeTarget picks the decode-twin instance with the shortest engine
@@ -507,7 +490,7 @@ func (b *eventBackend) deliver(horizon simclock.Time) {
 		}
 		ie := b.engineFor(target)
 		r := p.req
-		ie.clock.At(p.at, func() { ie.eng.SubmitCopy(r) })
+		ie.clock.At(p.at, func() { ie.eng.Submit(r) })
 	}
 	b.pending = kept
 }
@@ -518,7 +501,7 @@ func (b *eventBackend) deliver(horizon simclock.Time) {
 func (b *eventBackend) RunTo(tickEnd simclock.Time) {
 	b.deliver(tickEnd)
 	if b.sm.opts.Disagg {
-		// Handoff callbacks fire while engines step (possibly on pool
+		// Sink.Handoff fires while engines step (possibly on pool
 		// workers) and must not build engines — b.engines is shared
 		// state. Materialize every live decode engine serially first.
 		for _, p := range b.sm.pools {
@@ -711,7 +694,7 @@ func (b *eventBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
 	}
 	for _, r := range drained {
 		if te != nil {
-			te.eng.SubmitCopy(r)
+			te.eng.Submit(r)
 		} else {
 			b.sm.frontendFail(r, now)
 		}

@@ -93,19 +93,28 @@ func TestLatencyRunsReplayPerSample(t *testing.T) {
 	}
 }
 
+// iterSink is an instEngine's Sink that also records the instants at
+// which tokens are produced: one per engine iteration.
+type iterSink struct {
+	*instEngine
+	iters map[simclock.Time]bool
+}
+
+func (s iterSink) Token(_ *workload.Request, _ int, now simclock.Time) { s.iters[now] = true }
+
 // TestSteadyDecodeOneRecordPerIteration: once a single-class batch is
 // decoding, every sequence's token gap is the iteration time, so the
 // engine buffers at most one latency record per iteration, not one per
 // token.
 func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
 	clk := simclock.New()
-	ie := &instEngine{eng: engine.New(perfmodel.Config{Model: model.Llama2_70B, TP: model.TP8, Freq: gpu.MaxFreq}, clk), clock: clk}
-	ie.eng.SetSink(ie)
+	ie := &instEngine{clock: clk}
 	iters := map[simclock.Time]bool{}
-	ie.eng.SetOnToken(func(_ *workload.Request, _ int, now simclock.Time) { iters[now] = true })
+	ie.eng = engine.New(perfmodel.Config{Model: model.Llama2_70B, TP: model.TP8, Freq: gpu.MaxFreq}, engine.KVConfig{}, clk, iterSink{ie, iters})
 	const seqs = 32
 	for i := range seqs {
-		ie.eng.SubmitCopy(workload.Request{ID: uint64(i + 1), InputTokens: 256, OutputTokens: 1000})
+		// Tagged, so every token reaches iterSink.Token.
+		ie.eng.Submit(workload.Request{ID: uint64(i + 1), Tag: uint64(i + 1), InputTokens: 256, OutputTokens: 1000})
 	}
 	b := mergeOnlyBackend(ie)
 

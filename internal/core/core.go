@@ -179,11 +179,6 @@ type Substrate struct {
 	// tier implies FidelityEvent and block-granular KV accounting.
 	KVTier KVTier
 
-	// KVTierBandwidth overrides the tier's modeled link bandwidth in
-	// bytes/s (0 keeps the tier's default: 25 GB/s PCIe for cpu, 5 GB/s
-	// NVMe for ssd).
-	KVTierBandwidth float64
-
 	// KVSwapPolicy picks swap vs recompute per preemption victim
 	// (KVSwapAuto compares modeled costs; KVSwapAlways always spills).
 	KVSwapPolicy KVSwapPolicy
@@ -370,7 +365,12 @@ func DynamoLLM() Options {
 // representative input lengths (linear in log input length), so capacity
 // estimates for mixed pools vary smoothly with the average mix.
 func SmoothTTFTSLO(inTokens float64) float64 {
-	pts := [3]struct{ in, slo float64 }{{90, 0.250}, {512, 0.400}, {2896, 2.000}}
+	var pts [3]struct{ in, slo float64 }
+	for i := range pts {
+		c := workload.MakeClass(workload.LengthBucket(i), 0)
+		in, _ := workload.RepresentativeLengths(c)
+		pts[i].in, pts[i].slo = float64(in), workload.SLOFor(c).TTFT
+	}
 	if inTokens <= pts[0].in {
 		return pts[0].slo
 	}
@@ -426,7 +426,7 @@ func (sm *simulation) shapeCapacityKey(key capKey) float64 {
 	outR := math.Exp(float64(key.outB) * shapeBucketStep)
 	cfg := perfmodel.Config{Model: sm.opts.Model, TP: key.tp, Freq: key.freq}
 	ttft := SmoothTTFTSLO(inR) * sm.opts.SLOScale
-	tbt := 0.100 * sm.opts.SLOScale
+	tbt := workload.SLOFor(workload.Classify(int(inR), int(outR))).TBT * sm.opts.SLOScale
 	cap, ok := perfmodel.MaxLoadShape(cfg, int(inR), int(outR), ttft, tbt)
 	if !ok {
 		cap = 0

@@ -10,15 +10,22 @@
 // (§IV-A) — and the cluster simulation in core can run every instance on
 // an Engine (Options.Fidelity = FidelityEvent), with the mid-run controls
 // the controllers need: frequency changes (SetFreq), freeze windows for
-// outages and transition stalls (Freeze), drain-and-migrate on re-sharding
-// (Drain + Reconfigure), and per-class TTFT/TBT capture through a
-// LatencySink.
+// outages and transition stalls (Freeze), and drain-and-migrate on
+// re-sharding (Drain + Reconfigure).
+//
+// New takes all of an engine's configuration: the instance shape, the KV
+// accounting (KVConfig, including the prefill-only role of a
+// disaggregated pair), the clock, and the one Sink that receives
+// everything the engine reports — per-class TTFT/TBT samples, per-token
+// events of tagged requests, completions, rejections and handoffs.
+// Submit adds a request by value; SubmitDecode takes a handed-off one.
 //
 // The engine honours the repository's steady-state allocation discipline:
 // seqState records are pooled, the per-iteration scratch (the active
 // batch, the waiting queue, the iteration-end callback) is reused, and
 // the clock stores events by value, so a long soak allocates only the
-// per-arrival submission closures (BenchmarkEngineSoak tracks this).
+// callers' per-arrival submission closures (BenchmarkEngineSoak tracks
+// this).
 package engine
 
 import (
@@ -37,14 +44,13 @@ import (
 
 // seqState tracks one request inside the engine.
 type seqState struct {
-	req *workload.Request
+	// req is the engine's own copy of the request: the caller's value is
+	// never aliased, and the lifecycle timestamps are written here.
+	req workload.Request
 	// cls is req's true class, cached at submit: the per-token latency
 	// samples are tagged with it, and a held request's token counts never
 	// change, so re-classifying per token would only cost time.
 	cls workload.Class
-	// owned is the inline request storage used by SubmitCopy, so the
-	// engine never retains a caller's pointer across ticks.
-	owned workload.Request
 	// prefillLeft is prompt tokens not yet processed.
 	prefillLeft int
 	// produced is output tokens generated so far.
@@ -71,20 +77,39 @@ type seqState struct {
 	lastToken simclock.Time
 }
 
-// LatencySink receives latency samples as the engine produces tokens,
-// tagged by the request's true class. The cluster's event backend installs
-// one per run to capture per-class TTFT/TBT distributions into metrics.
-type LatencySink interface {
+// Sink receives everything an engine reports, in the engine's event
+// order. A *workload.Request argument points at the engine's own storage
+// and is valid only during the call: a sink that keeps it copies it.
+type Sink interface {
+	// ObserveTTFT and ObserveTBT receive latency samples as tokens are
+	// produced, tagged by the request's true class.
 	ObserveTTFT(cls workload.Class, seconds float64)
 	ObserveTBT(cls workload.Class, seconds float64)
+	// Token fires once per output token of a tagged request (Tag != 0),
+	// after the token's latency sample and before completion or handoff.
+	// A request drained and resubmitted (re-shard, migration) restarts
+	// generation, so produced can restart from 1 for the same request.
+	Token(req *workload.Request, produced int, now simclock.Time)
+	// Done fires when a request produces its last token.
+	Done(req *workload.Request)
+	// Reject fires for a request whose KV footprint can never fit the
+	// block pool (block accounting only).
+	Reject(req *workload.Request)
+	// Handoff fires when a prefill-only engine retires a sequence for
+	// remote decode, with its resident context (prompt + first token).
+	Handoff(req *workload.Request, ctx int)
 }
 
-// pooledSink is a LatencySink that pools every class into one TTFT and
-// one TBT distribution: the single-engine view Measure reports.
+// pooledSink pools every class into one TTFT and one TBT distribution and
+// drops every other report: the single-engine view Measure reports.
 type pooledSink struct{ ttft, tbt metrics.Dist }
 
-func (s *pooledSink) ObserveTTFT(_ workload.Class, v float64) { s.ttft.Add(v) }
-func (s *pooledSink) ObserveTBT(_ workload.Class, v float64)  { s.tbt.Add(v) }
+func (s *pooledSink) ObserveTTFT(_ workload.Class, v float64)   { s.ttft.Add(v) }
+func (s *pooledSink) ObserveTBT(_ workload.Class, v float64)    { s.tbt.Add(v) }
+func (*pooledSink) Token(*workload.Request, int, simclock.Time) {}
+func (*pooledSink) Done(*workload.Request)                      {}
+func (*pooledSink) Reject(*workload.Request)                    {}
+func (*pooledSink) Handoff(*workload.Request, int)              {}
 
 // KVCounters is the KV-cache event-counter bank (block accounting only):
 // the engine bumps it on its event paths, and the cluster result embeds
@@ -187,7 +212,8 @@ type Engine struct {
 	frozenUntil simclock.Time
 
 	// Block-granular KV accounting (kv.go). kvBlocksCap == 0 keeps the
-	// legacy token-granular path above bit-for-bit.
+	// legacy token-granular path above bit-for-bit. kv is the config New
+	// took, PrefillOnly included.
 	kv           KVConfig
 	kvBlocksCap  int
 	kvBlocksUsed int
@@ -224,12 +250,6 @@ type Engine struct {
 	// scheduling a transfer needs no per-transfer closure or record.
 	onSwapDone func()
 
-	// prefillOnly marks the prefill side of a disaggregated pair:
-	// sequences hand off (onHandoff) right after their first token.
-	prefillOnly bool
-	onHandoff   func(req workload.Request, ctx int)
-	onReject    func(workload.Request)
-
 	meter *energy.Meter
 
 	// states is the seqState pool; finished or drained sequences return
@@ -250,23 +270,30 @@ type Engine struct {
 	// every field to be checked there.
 	Counters
 
-	// onComplete, if set, is called as requests finish.
-	onComplete func(*workload.Request)
-	// onToken, if set, is called for every produced output token.
-	onToken func(req *workload.Request, produced int, now simclock.Time)
-	// sink, if set, receives per-class latency samples (SetSink).
-	sink LatencySink
+	// sink receives every report; nil drops them (the counters still
+	// count each one).
+	sink Sink
 }
 
-// New builds an engine for the configuration on the given clock. The GPUs
-// draw idle power from construction on, so a provisioned-but-idle instance
-// is metered the way the fluid model meters it.
-func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
+// New builds an engine for the configuration on the given clock, with the
+// given KV accounting (the zero KVConfig keeps the token-granular path)
+// and reporting to sink (nil drops every report). The GPUs draw idle power
+// from construction on, so a provisioned-but-idle instance is metered the
+// way the fluid model meters it.
+func New(cfg perfmodel.Config, kv KVConfig, clock *simclock.Clock, sink Sink) *Engine {
 	e := &Engine{
 		Cfg:        cfg,
 		clock:      clock,
 		kvCapacity: cfg.Model.KVCapacityTokens(cfg.TP),
+		kv:         kv,
 		meter:      energy.NewMeter(),
+		sink:       sink,
+	}
+	if kv.BlockTokens > 0 {
+		e.deriveKVBlocks()
+		if kv.PrefixCache {
+			e.prefixMap = make(map[uint64]*prefixEntry)
+		}
 	}
 	e.onIterStart = e.iterate
 	e.onIterEnd = e.finishIteration
@@ -275,24 +302,11 @@ func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
 	return e
 }
 
-// Submit enqueues a request; the engine starts iterating if idle. The
-// pointer must stay valid until the request completes or is drained — use
-// SubmitCopy when the caller's storage is reused.
-func (e *Engine) Submit(req *workload.Request) {
-	e.submit(e.states.get(), req)
-}
-
-// SubmitCopy enqueues a by-value copy of the request, stored inside the
-// engine's pooled seqState. The cluster backend uses it because its
-// per-tick request buffer is recycled while requests are still in flight.
-func (e *Engine) SubmitCopy(req workload.Request) {
+// Submit enqueues a copy of the request; the engine starts iterating if
+// idle. The caller's value is never aliased: what the engine reports
+// about the request comes from its own copy.
+func (e *Engine) Submit(req workload.Request) {
 	st := e.states.get()
-	st.owned = req
-	e.submit(st, &st.owned)
-}
-
-// submit starts a fresh sequence for req on a pooled state.
-func (e *Engine) submit(st *seqState, req *workload.Request) {
 	st.req = req
 	st.cls = req.Class()
 	st.prefillLeft = req.InputTokens
@@ -377,7 +391,7 @@ func (e *Engine) drainSeqs(seqs []*seqState, fn func(workload.Request)) (n int) 
 			continue
 		}
 		if fn != nil {
-			fn(*st.req)
+			fn(st.req)
 		}
 		seqs[i] = nil
 		e.states.put(st)
@@ -547,23 +561,21 @@ func (e *Engine) finishIteration() {
 					e.sink.ObserveTTFT(st.cls, float64(end-st.req.Arrival))
 				}
 			}
-		} else {
-			if e.sink != nil {
-				e.sink.ObserveTBT(st.cls, float64(end-st.lastToken))
-			}
+		} else if e.sink != nil {
+			e.sink.ObserveTBT(st.cls, float64(end-st.lastToken))
 		}
 		st.lastToken = end
-		if e.onToken != nil {
-			e.onToken(st.req, st.produced, end)
+		if st.req.Tag != 0 && e.sink != nil {
+			e.sink.Token(&st.req, st.produced, end)
 		}
-		if e.prefillOnly && st.produced == 1 && st.produced < st.req.OutputTokens {
+		if e.kv.PrefillOnly && st.produced == 1 && st.produced < st.req.OutputTokens {
 			// Disaggregated prefill: the first token marks prefill done;
 			// the sequence decodes elsewhere. Its blocks free here — the
 			// transfer cost is modeled by the handoff receiver.
 			e.releaseSeq(st)
 			e.Handoffs++
-			if e.onHandoff != nil {
-				e.onHandoff(*st.req, st.ctx)
+			if e.sink != nil {
+				e.sink.Handoff(&st.req, st.ctx)
 			}
 			e.states.put(st)
 			continue
@@ -576,11 +588,8 @@ func (e *Engine) finishIteration() {
 				e.kvTokens -= float64(st.ctx)
 			}
 			e.Completed++
-			if e.onComplete != nil {
-				// The pointer is valid for the duration of the call
-				// only: the seqState (and any SubmitCopy storage) is
-				// recycled immediately after.
-				e.onComplete(st.req)
+			if e.sink != nil {
+				e.sink.Done(&st.req)
 			}
 			e.states.put(st)
 			continue
@@ -614,9 +623,8 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	}
 	clock := simclock.New()
 	rng := simclock.NewRNG(uint64(lambda*1e6) ^ uint64(inTokens)<<20 ^ uint64(outTokens))
-	eng := New(cfg, clock)
 	var lat pooledSink
-	eng.SetSink(&lat)
+	eng := New(cfg, KVConfig{}, clock, &lat)
 
 	t := 0.0
 	for {
@@ -626,7 +634,7 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 		}
 		at := simclock.Time(t)
 		clock.At(at, func() {
-			eng.Submit(&workload.Request{
+			eng.Submit(workload.Request{
 				Arrival:      at,
 				InputTokens:  inTokens,
 				OutputTokens: outTokens,
@@ -645,23 +653,6 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	return obs
 }
 
-// SetOnComplete registers a completion callback. The *workload.Request it
-// receives is only valid during the call (SubmitCopy storage is pooled).
-func (e *Engine) SetOnComplete(fn func(*workload.Request)) { e.onComplete = fn }
-
-// SetSink registers a per-class latency sink (nil disables capture).
-func (e *Engine) SetSink(s LatencySink) { e.sink = s }
-
-// SetOnToken registers a per-token callback, fired once for every output
-// token as it is produced (after TTFT/TBT accounting, before completion
-// handling). The *workload.Request is only valid during the call. The live
-// serving session uses it to stream token events for injected requests.
-// A request drained and resubmitted (re-shard, migration) restarts
-// generation, so `produced` can restart from 1 for the same request.
-func (e *Engine) SetOnToken(fn func(req *workload.Request, produced int, now simclock.Time)) {
-	e.onToken = fn
-}
-
 // --- Fig. 3: frequency-switch overhead ------------------------------------------
 
 // ThroughputConstVsSwitch reproduces Fig. 3's experiment: serve a fixed
@@ -673,7 +664,7 @@ func ThroughputConstVsSwitch(cls workload.Class, resident bool) (constRPS, switc
 	cfg := perfmodel.Config{Model: model.Llama2_70B, TP: model.TP8, Freq: gpu.MaxFreq}
 	run := func(forceSet bool) float64 {
 		clock := simclock.New()
-		eng := New(cfg, clock)
+		eng := New(cfg, KVConfig{}, clock, nil)
 		fc := gpu.NewFreqController(resident)
 		if forceSet {
 			// Wrap iterations: every kick pays a redundant set call.
@@ -697,7 +688,7 @@ func ThroughputConstVsSwitch(cls workload.Class, resident bool) (constRPS, switc
 			}
 			at := simclock.Time(t)
 			clock.At(at, func() {
-				eng.Submit(&workload.Request{Arrival: at, InputTokens: in, OutputTokens: out})
+				eng.Submit(workload.Request{Arrival: at, InputTokens: in, OutputTokens: out})
 			})
 		}
 		clock.RunUntil(simclock.Time(dur))

@@ -26,7 +26,7 @@ func BenchmarkEngineSoak(b *testing.B) {
 	completed, tokens := 0, 0
 	for i := 0; i < b.N; i++ {
 		clock := simclock.New()
-		eng := New(cfg, clock)
+		eng := New(cfg, KVConfig{}, clock, nil)
 		rng := simclock.NewRNG(7)
 		t := 0.0
 		for {
@@ -36,7 +36,7 @@ func BenchmarkEngineSoak(b *testing.B) {
 			}
 			at := simclock.Time(t)
 			clock.At(at, func() {
-				eng.SubmitCopy(workload.Request{Arrival: at, InputTokens: in, OutputTokens: out})
+				eng.Submit(workload.Request{Arrival: at, InputTokens: in, OutputTokens: out})
 			})
 		}
 		for clock.Step() {

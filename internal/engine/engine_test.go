@@ -15,16 +15,38 @@ func cfg70(tp model.TP, f gpu.Freq) perfmodel.Config {
 	return perfmodel.Config{Model: model.Llama2_70B, TP: tp, Freq: f}
 }
 
+// recorder is a test Sink that keeps the latency samples (pooled) and a
+// copy of every completion and token report.
+type recorder struct {
+	pooledSink
+	done   []workload.Request
+	tokens []tokenReport
+}
+
+// tokenReport is one Sink.Token call.
+type tokenReport struct {
+	tag      uint64
+	produced int
+	at       simclock.Time
+}
+
+func (r *recorder) Done(req *workload.Request) { r.done = append(r.done, *req) }
+
+func (r *recorder) Token(req *workload.Request, produced int, now simclock.Time) {
+	r.tokens = append(r.tokens, tokenReport{tag: req.Tag, produced: produced, at: now})
+}
+
 func TestSingleRequestLifecycle(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
-	req := &workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 10}
-	eng.Submit(req)
+	var rec recorder
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
+	eng.Submit(workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 10})
 	for clock.Step() {
 	}
-	if eng.Completed != 1 {
-		t.Fatalf("completed = %d, want 1", eng.Completed)
+	if eng.Completed != 1 || len(rec.done) != 1 {
+		t.Fatalf("completed = %d, %d reported, want 1", eng.Completed, len(rec.done))
 	}
+	req := rec.done[0]
 	if req.FirstToken <= 0 || req.Finish < req.FirstToken {
 		t.Fatalf("timestamps: first=%v finish=%v", req.FirstToken, req.Finish)
 	}
@@ -37,7 +59,7 @@ func TestSingleRequestLifecycle(t *testing.T) {
 
 func TestTokenConservation(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), clock)
+	eng := New(cfg70(model.TP4, 1600), KVConfig{}, clock, nil)
 	rng := simclock.NewRNG(5)
 	total := 0
 	for i := 0; i < 50; i++ {
@@ -45,7 +67,7 @@ func TestTokenConservation(t *testing.T) {
 		total += out
 		at := simclock.Time(float64(i) * 0.2)
 		clock.At(at, func() {
-			eng.Submit(&workload.Request{Arrival: at, InputTokens: 128 + rng.Intn(512), OutputTokens: out})
+			eng.Submit(workload.Request{Arrival: at, InputTokens: 128 + rng.Intn(512), OutputTokens: out})
 		})
 	}
 	for clock.Step() {
@@ -63,11 +85,11 @@ func TestTokenConservation(t *testing.T) {
 
 func TestKVReleasedAfterCompletion(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, nil)
 	for i := 0; i < 20; i++ {
 		at := simclock.Time(float64(i) * 0.1)
 		clock.At(at, func() {
-			eng.Submit(&workload.Request{Arrival: at, InputTokens: 256, OutputTokens: 20})
+			eng.Submit(workload.Request{Arrival: at, InputTokens: 256, OutputTokens: 20})
 		})
 	}
 	for clock.Step() {
@@ -79,8 +101,8 @@ func TestKVReleasedAfterCompletion(t *testing.T) {
 
 func TestEnergyAccrues(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
-	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 100})
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, nil)
+	eng.Submit(workload.Request{Arrival: 0, InputTokens: 512, OutputTokens: 100})
 	for clock.Step() {
 	}
 	j := eng.Energy()
@@ -96,10 +118,9 @@ func TestEnergyAccrues(t *testing.T) {
 
 func TestTBTGapsRecorded(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
 	var lat pooledSink
-	eng.SetSink(&lat)
-	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 50})
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &lat)
+	eng.Submit(workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 50})
 	for clock.Step() {
 	}
 	if lat.tbt.N() != 49 {
@@ -114,29 +135,91 @@ func TestTBTGapsRecorded(t *testing.T) {
 
 func TestFreezeDelaysWork(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
+	var rec recorder
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
 	eng.Freeze(5)
-	req := &workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 2}
-	eng.Submit(req)
+	eng.Submit(workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 2})
 	for clock.Step() {
 	}
-	if req.FirstToken < 5 {
-		t.Errorf("first token at %v, want after freeze end 5", req.FirstToken)
+	if len(rec.done) != 1 || rec.done[0].FirstToken < 5 {
+		t.Errorf("completions %+v, want one with its first token after freeze end 5", rec.done)
 	}
 }
 
-func TestOnComplete(t *testing.T) {
+func TestSinkDone(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
-	done := 0
-	eng.SetOnComplete(func(*workload.Request) { done++ })
+	var rec recorder
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
 	for i := 0; i < 3; i++ {
-		eng.Submit(&workload.Request{InputTokens: 64, OutputTokens: 5})
+		eng.Submit(workload.Request{ID: uint64(i + 1), InputTokens: 64, OutputTokens: 5})
 	}
 	for clock.Step() {
 	}
-	if done != 3 {
-		t.Errorf("onComplete fired %d times, want 3", done)
+	if len(rec.done) != 3 {
+		t.Fatalf("Done fired %d times, want 3", len(rec.done))
+	}
+	for i, r := range rec.done {
+		if r.ID != uint64(i+1) || r.Finish < r.FirstToken || r.FirstToken <= 0 {
+			t.Errorf("completion %d = %+v, want ID %d with its timestamps set", i, r, i+1)
+		}
+	}
+}
+
+// TestSubmitCopiesRequest: the engine keeps its own copy of a submitted
+// request, so mutating the caller's value after Submit changes nothing
+// the engine reports.
+func TestSubmitCopiesRequest(t *testing.T) {
+	run := func(mutate bool) recorder {
+		clock := simclock.New()
+		var rec recorder
+		eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
+		req := &workload.Request{ID: 7, Tag: 3, Arrival: 0, InputTokens: 300, OutputTokens: 12}
+		eng.Submit(*req)
+		if mutate {
+			*req = workload.Request{ID: 99, Tag: 0, Arrival: 5, InputTokens: 4000, OutputTokens: 1, FirstToken: 1, Finish: 2}
+		}
+		for clock.Step() {
+		}
+		return rec
+	}
+	want, got := run(false), run(true)
+	if len(want.done) != 1 || len(got.done) != 1 || got.done[0] != want.done[0] {
+		t.Fatalf("completions after mutation %+v, want %+v", got.done, want.done)
+	}
+	if len(got.tokens) != len(want.tokens) {
+		t.Fatalf("%d token reports after mutation, want %d", len(got.tokens), len(want.tokens))
+	}
+	for i := range want.tokens {
+		if got.tokens[i] != want.tokens[i] {
+			t.Fatalf("token report %d = %+v after mutation, want %+v", i, got.tokens[i], want.tokens[i])
+		}
+	}
+	if got.ttft.Mean() != want.ttft.Mean() || got.tbt.N() != want.tbt.N() || got.tbt.Mean() != want.tbt.Mean() {
+		t.Errorf("latency samples moved: ttft %v vs %v, tbt n %d vs %d",
+			got.ttft.Mean(), want.ttft.Mean(), got.tbt.N(), want.tbt.N())
+	}
+}
+
+// TestTokenOnlyForTaggedRequests: Sink.Token fires once per output token
+// of a tagged request, in production order, and never for an untagged one.
+func TestTokenOnlyForTaggedRequests(t *testing.T) {
+	clock := simclock.New()
+	var rec recorder
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
+	eng.Submit(workload.Request{InputTokens: 128, OutputTokens: 40})
+	eng.Submit(workload.Request{Tag: 5, InputTokens: 128, OutputTokens: 17})
+	for clock.Step() {
+	}
+	if len(rec.done) != 2 {
+		t.Fatalf("%d completions, want 2", len(rec.done))
+	}
+	if len(rec.tokens) != 17 {
+		t.Fatalf("%d token reports, want 17 (the tagged request's OutputTokens only)", len(rec.tokens))
+	}
+	for i, tr := range rec.tokens {
+		if tr.tag != 5 || tr.produced != i+1 || (i > 0 && tr.at <= rec.tokens[i-1].at) {
+			t.Fatalf("token report %d = %+v, want tag 5, produced %d, strictly later than the last", i, tr, i+1)
+		}
 	}
 }
 
@@ -202,14 +285,12 @@ func TestFig3FrequencySwitchOverhead(t *testing.T) {
 func TestEngineChunksLongPrompts(t *testing.T) {
 	clock := simclock.New()
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
-	eng := New(cfg, clock)
 	var lat pooledSink
-	eng.SetSink(&lat)
+	eng := New(cfg, KVConfig{}, clock, &lat)
 	// A decoding victim first, then a long-prompt arrival.
-	victim := &workload.Request{Arrival: 0, InputTokens: 64, OutputTokens: 400}
-	eng.Submit(victim)
+	eng.Submit(workload.Request{Arrival: 0, InputTokens: 64, OutputTokens: 400})
 	clock.At(1, func() {
-		eng.Submit(&workload.Request{Arrival: 1, InputTokens: 3072, OutputTokens: 5})
+		eng.Submit(workload.Request{Arrival: 1, InputTokens: 3072, OutputTokens: 5})
 	})
 	for clock.Step() {
 	}
@@ -230,11 +311,10 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 // agenda, so stepping the clock allocates nothing.
 func TestEngineDecodeAllocationFree(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
 	var lat pooledSink
-	eng.SetSink(&lat)
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &lat)
 	for i := 0; i < 8; i++ {
-		eng.SubmitCopy(workload.Request{InputTokens: 256, OutputTokens: 1 << 20})
+		eng.Submit(workload.Request{InputTokens: 256, OutputTokens: 1 << 20})
 	}
 	for i := 0; i < 200; i++ {
 		clock.Step()

@@ -6,7 +6,8 @@ import "dynamollm/internal/workload"
 //
 // The legacy engine path tracks KV occupancy as a float token count against
 // the profile-derived capacity and can therefore neither preempt nor share
-// prefixes. ConfigureKV switches the engine to a vLLM-style paged pool:
+// prefixes. A KVConfig with BlockTokens > 0 (passed to New) switches the
+// engine to a vLLM-style paged pool:
 // capacity is a whole number of fixed-size blocks, admission allocates
 // blocks for each prefill chunk, decode growth reserves a block whenever a
 // sequence crosses a block boundary, and pressure is resolved by preempting
@@ -23,7 +24,8 @@ import "dynamollm/internal/workload"
 // as the legacy path and the event stream is identical — the cross-
 // fidelity compat test pins both properties.
 
-// KVConfig selects block-granular KV accounting for an engine.
+// KVConfig selects an engine's KV accounting and its role in a
+// disaggregated pair; New takes it.
 type KVConfig struct {
 	// BlockTokens is the page size in tokens; <= 0 disables block
 	// accounting (legacy float path).
@@ -49,6 +51,12 @@ type KVConfig struct {
 	TierBytesPerSec float64
 	// SwapPolicy picks swap vs recompute per preemption victim.
 	SwapPolicy SwapPolicy
+
+	// PrefillOnly marks the prefill side of a disaggregated pair:
+	// sequences are handed off (Sink.Handoff) right after their first
+	// token instead of decoding locally. Single-token requests still
+	// complete in place.
+	PrefillOnly bool
 }
 
 // prefixEntry is one cached prompt prefix, shared by every sequence of a
@@ -64,23 +72,6 @@ type prefixEntry struct {
 	// Only unreferenced entries spill, so spilled implies refs == 0
 	// until the entry is resident again.
 	spilled bool
-}
-
-// ConfigureKV switches the engine to block-granular KV accounting (or back
-// to the legacy token-granular path with a zero config). Call it before
-// submitting work; Reconfigure re-derives the pool size on re-shard.
-func (e *Engine) ConfigureKV(kv KVConfig) {
-	if kv.BlockTokens <= 0 {
-		e.kv = KVConfig{}
-		e.kvBlocksCap = 0
-		e.kvTierCap = 0
-		return
-	}
-	e.kv = kv
-	e.deriveKVBlocks()
-	if kv.PrefixCache && e.prefixMap == nil {
-		e.prefixMap = make(map[uint64]*prefixEntry)
-	}
 }
 
 // deriveKVBlocks sizes the block pool from the config: an explicit Blocks
@@ -113,23 +104,6 @@ func (e *Engine) deriveKVBlocks() {
 	}
 }
 
-// SetPrefillOnly marks the engine as the prefill side of a disaggregated
-// pair: sequences are handed off (SetOnHandoff) right after their first
-// token instead of decoding locally. Single-token requests still complete
-// in place.
-func (e *Engine) SetPrefillOnly(v bool) { e.prefillOnly = v }
-
-// SetOnHandoff registers the prefill→decode handoff callback, invoked with
-// a by-value copy of the request and its resident context (prompt + first
-// token) when a prefill-only engine retires a sequence for remote decode.
-func (e *Engine) SetOnHandoff(fn func(req workload.Request, ctx int)) { e.onHandoff = fn }
-
-// SetOnReject registers the rejection callback, invoked with a by-value
-// copy of any request whose KV footprint can never fit the pool (the
-// cluster backend routes these back to the frontend retry path). Without a
-// callback rejected requests are dropped and only counted.
-func (e *Engine) SetOnReject(fn func(workload.Request)) { e.onReject = fn }
-
 // KVUsage reports KV occupancy: blocks used and pool size under block
 // accounting, resident tokens and token capacity on the legacy path.
 func (e *Engine) KVUsage() (used, capacity int) {
@@ -146,11 +120,10 @@ func (e *Engine) KVUsage() (used, capacity int) {
 // is not re-counted — the prefill engine did. Requires block accounting.
 func (e *Engine) SubmitDecode(req workload.Request, ctx int) {
 	if e.kvBlocksCap == 0 {
-		panic("engine: SubmitDecode requires block-granular KV (ConfigureKV)")
+		panic("engine: SubmitDecode requires block-granular KV (KVConfig.BlockTokens)")
 	}
 	st := e.states.get()
-	st.owned = req
-	st.req = &st.owned
+	st.req = req
 	st.cls = req.Class()
 	st.prefillLeft = 0
 	st.produced = 1
@@ -229,12 +202,12 @@ func (e *Engine) releaseSeq(st *seqState) {
 }
 
 // rejectSeq drops a request whose KV footprint can never fit the pool,
-// releasing anything it held and handing a copy to the reject callback.
+// releasing anything it held and reporting it to the sink.
 func (e *Engine) rejectSeq(st *seqState) {
 	e.releaseSeq(st)
 	e.KVRejected++
-	if e.onReject != nil {
-		e.onReject(*st.req)
+	if e.sink != nil {
+		e.sink.Reject(&st.req)
 	}
 	e.states.put(st)
 }

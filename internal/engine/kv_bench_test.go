@@ -18,8 +18,7 @@ import (
 func kvSoak(kv KVConfig, lambda, dur float64, in, out int) (*Engine, uint64) {
 	cfg := perfmodel.Config{Model: model.Llama2_70B, TP: model.TP4, Freq: 1600}
 	clock := simclock.New()
-	eng := New(cfg, clock)
-	eng.ConfigureKV(kv)
+	eng := New(cfg, kv, clock, nil)
 	rng := simclock.NewRNG(7)
 	t := 0.0
 	for {
@@ -29,7 +28,7 @@ func kvSoak(kv KVConfig, lambda, dur float64, in, out int) (*Engine, uint64) {
 		}
 		at := simclock.Time(t)
 		clock.At(at, func() {
-			eng.SubmitCopy(workload.Request{
+			eng.Submit(workload.Request{
 				Arrival: at, InputTokens: in, OutputTokens: out, PromptGroup: 1,
 			})
 		})

@@ -15,11 +15,11 @@ import (
 // cluster layers build on — a violation here surfaces as a deadlocked
 // drain or a silent capacity drift three packages away.
 
-// schedule submits each request (by copy) at its arrival instant.
+// schedule submits each request at its arrival instant.
 func schedule(clk *simclock.Clock, eng *Engine, reqs []workload.Request) {
 	for i := range reqs {
 		r := reqs[i]
-		clk.At(r.Arrival, func() { eng.SubmitCopy(r) })
+		clk.At(r.Arrival, func() { eng.Submit(r) })
 	}
 }
 
@@ -147,8 +147,7 @@ func kvPropReqs(n int, seed uint64) []workload.Request {
 // active, and after the drain nothing is held at all.
 func TestKVPropConservation(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), clk)
-	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 64, PrefixCache: true})
+	eng := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 64, PrefixCache: true}, clk, nil)
 	reqs := kvPropReqs(80, 17)
 	schedule(clk, eng, reqs)
 	// The check rides a fine periodic event: engine state only mutates
@@ -193,8 +192,7 @@ func TestKVPropConservation(t *testing.T) {
 // land at exactly zero used blocks without any drain.
 func TestKVPropNoLeakWithoutPrefix(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), clk)
-	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 96})
+	eng := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 96}, clk, nil)
 	reqs := kvPropReqs(60, 29)
 	schedule(clk, eng, reqs)
 	for clk.Step() {
@@ -216,16 +214,15 @@ func TestKVPropNoLeakWithoutPrefix(t *testing.T) {
 // exist for (the step loop ending at all is the assertion).
 func TestKVPropProgressAtOneBlock(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clk)
-	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 1})
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{BlockTokens: 16, Blocks: 1}, clk, nil)
 	fitting := 6
 	for i := 0; i < fitting; i++ {
 		at := simclock.Time(float64(i) * 0.01)
 		r := workload.Request{Arrival: at, InputTokens: 6, OutputTokens: 4}
-		clk.At(at, func() { eng.SubmitCopy(r) })
+		clk.At(at, func() { eng.Submit(r) })
 	}
 	clk.At(0.02, func() {
-		eng.SubmitCopy(workload.Request{Arrival: 0.02, InputTokens: 40, OutputTokens: 4})
+		eng.Submit(workload.Request{Arrival: 0.02, InputTokens: 40, OutputTokens: 4})
 	})
 	for clk.Step() {
 	}
@@ -247,14 +244,13 @@ func TestKVPropProgressAtOneBlock(t *testing.T) {
 // (resumed on its own blocks) or rejected — never spinning.
 func TestKVPropPrefixSelfReference(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clk)
 	// Prompt of 32 tokens = 2 blocks cached; 5-block pool. The follower
 	// hits the cache, then needs 32+out tokens of its own as it decodes.
-	eng.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 5, PrefixCache: true})
+	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{BlockTokens: 16, Blocks: 5, PrefixCache: true}, clk, nil)
 	a := workload.Request{Arrival: 0, InputTokens: 32, OutputTokens: 2, PromptGroup: 9}
 	b := workload.Request{Arrival: 0.5, InputTokens: 32, OutputTokens: 60, PromptGroup: 9}
-	clk.At(0, func() { eng.SubmitCopy(a) })
-	clk.At(0.5, func() { eng.SubmitCopy(b) })
+	clk.At(0, func() { eng.Submit(a) })
+	clk.At(0.5, func() { eng.Submit(b) })
 	for clk.Step() {
 	}
 	if eng.Completed+eng.KVRejected != 2 {
@@ -297,8 +293,7 @@ func kvTierSlowCfg(tierBlocks int) KVConfig {
 func TestKVTierPropConservation(t *testing.T) {
 	for _, tierBlocks := range []int{1, 4, 16, 256} {
 		clk := simclock.New()
-		eng := New(cfg70(model.TP4, 1600), clk)
-		eng.ConfigureKV(kvTierCfg(tierBlocks))
+		eng := New(cfg70(model.TP4, 1600), kvTierCfg(tierBlocks), clk, nil)
 		reqs := kvPropReqs(80, 17)
 		schedule(clk, eng, reqs)
 		cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
@@ -336,8 +331,7 @@ func TestKVTierPropConservation(t *testing.T) {
 // the link are actually exercised.
 func TestKVTierPropThrash(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), clk)
-	eng.ConfigureKV(kvTierCfg(256))
+	eng := New(cfg70(model.TP4, 1600), kvTierCfg(256), clk, nil)
 	rng := simclock.NewRNG(71)
 	var reqs []workload.Request
 	for cycle := 0; cycle < 4; cycle++ {
@@ -384,8 +378,7 @@ func TestKVTierPropThrash(t *testing.T) {
 // and the orphaned link event must fire harmlessly afterwards.
 func TestKVTierDrainMidSwap(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), clk)
-	eng.ConfigureKV(kvTierSlowCfg(256))
+	eng := New(cfg70(model.TP4, 1600), kvTierSlowCfg(256), clk, nil)
 	reqs := kvPropReqs(70, 41)
 	schedule(clk, eng, reqs)
 	var cut simclock.Time
@@ -410,18 +403,24 @@ func TestKVTierDrainMidSwap(t *testing.T) {
 	checkKVConservation(t, eng)
 }
 
+// handoffTo is a Sink that hands every prefilled sequence straight to a
+// decode engine on the same clock; the embedded pooledSink takes every
+// other report.
+type handoffTo struct {
+	pooledSink
+	dec *Engine
+}
+
+func (h *handoffTo) Handoff(r *workload.Request, ctx int) { h.dec.SubmitDecode(*r, ctx) }
+
 // TestKVPropDisaggHandoff: a prefill-only engine hands every multi-token
 // sequence to the decode side right after its first token and retains no
 // blocks for it; the decode engine finishes the work under its own pool
 // accounting. Conservation holds on both engines throughout.
 func TestKVPropDisaggHandoff(t *testing.T) {
 	clk := simclock.New()
-	pre := New(cfg70(model.TP4, 1600), clk)
-	dec := New(cfg70(model.TP4, 1600), clk)
-	pre.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 64})
-	dec.ConfigureKV(KVConfig{BlockTokens: 16, Blocks: 64})
-	pre.SetPrefillOnly(true)
-	pre.SetOnHandoff(func(r workload.Request, ctx int) { dec.SubmitDecode(r, ctx) })
+	dec := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 64}, clk, nil)
+	pre := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 64, PrefillOnly: true}, clk, &handoffTo{dec: dec})
 	reqs := kvPropReqs(40, 61)
 	schedule(clk, pre, reqs)
 	cancel := clk.Every(0.01, func() {

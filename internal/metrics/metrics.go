@@ -231,14 +231,13 @@ func (d *Dist) Max() float64 {
 // averaging within each bucket. Used for the "X over time" figures
 // (frequency, GPU counts, energy per interval, carbon).
 //
-// Buckets are a dense slice anchored at the first observed bucket, so
-// Observe/Accumulate are O(1) and allocation-free once the horizon has
-// been reached (or pre-sized with Reserve).
+// Buckets are a dense slice anchored at t = 0 (the simulator's clock
+// never runs negative; a negative t panics), so Observe/Accumulate are
+// O(1) and allocation-free once the horizon has been reached (or
+// pre-sized with Reserve).
 type Series struct {
 	Width float64 // bucket width in seconds
 
-	base    int // bucket index of slot 0
-	started bool
 	sums    []float64
 	counts  []float64
 	touched []bool
@@ -253,39 +252,16 @@ func NewSeries(width float64) *Series {
 }
 
 // slot resolves the dense index for time t, growing the bucket storage as
-// needed. Observations earlier than the first observed bucket shift the
-// anchor (rare: simulations advance monotonically).
+// needed.
 func (s *Series) slot(t float64) int {
-	b := int(math.Floor(t / s.Width))
-	if !s.started {
-		s.base = b
-		s.started = true
+	if t < 0 {
+		panic("metrics: negative series time")
 	}
-	i := b - s.base
-	if i < 0 {
-		shift := -i
-		s.sums = prepend(s.sums, shift)
-		s.counts = prepend(s.counts, shift)
-		s.touched = prependBool(s.touched, shift)
-		s.base = b
-		i = 0
-	}
+	i := int(math.Floor(t / s.Width))
 	if i >= len(s.sums) {
 		s.grow(i + 1)
 	}
 	return i
-}
-
-func prepend(xs []float64, shift int) []float64 {
-	out := make([]float64, len(xs)+shift)
-	copy(out[shift:], xs)
-	return out
-}
-
-func prependBool(xs []bool, shift int) []bool {
-	out := make([]bool, len(xs)+shift)
-	copy(out[shift:], xs)
-	return out
 }
 
 // grow extends the bucket storage to at least n slots.
@@ -312,18 +288,10 @@ func (s *Series) grow(n int) {
 	s.sums, s.counts, s.touched = sums, counts, touched
 }
 
-// Reserve pre-sizes the bucket storage to cover [0, tMax] (or
-// [anchor, tMax] if observations have already arrived), so subsequent
-// Observe/Accumulate calls within the horizon never allocate. A series
-// reserved before any observation is anchored at t=0, matching the
-// simulator's non-negative clock; negative times still work via the
-// prepend path.
+// Reserve pre-sizes the bucket storage to cover [0, tMax], so subsequent
+// Observe/Accumulate calls within the horizon never allocate.
 func (s *Series) Reserve(tMax float64) {
-	if !s.started {
-		s.base = 0
-		s.started = true
-	}
-	if i := int(math.Floor(tMax/s.Width)) - s.base; i >= len(s.sums) {
+	if i := int(math.Floor(tMax / s.Width)); i >= len(s.sums) {
 		s.grow(i + 1)
 	}
 }
@@ -365,7 +333,7 @@ func (s *Series) Points() []Point {
 		if c := s.counts[i]; c > 0 {
 			v /= c
 		}
-		pts = append(pts, Point{Time: float64(s.base+i) * s.Width, Value: v})
+		pts = append(pts, Point{Time: float64(i) * s.Width, Value: v})
 	}
 	return pts
 }

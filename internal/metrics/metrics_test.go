@@ -216,12 +216,12 @@ func TestSeriesAccumulateZeroMarksBucket(t *testing.T) {
 	}
 }
 
-// Observations earlier than the anchor bucket and gaps between buckets
-// must both round-trip through Points in time order.
+// Observations out of time order and gaps between buckets must both
+// round-trip through Points in time order.
 func TestSeriesOutOfOrderAndGaps(t *testing.T) {
 	s := NewSeries(10)
 	s.Observe(50, 5, 1)
-	s.Observe(5, 1, 1)   // before the anchor
+	s.Observe(5, 1, 1)   // earlier than the first observation
 	s.Observe(200, 2, 1) // far past it
 	pts := s.Points()
 	if len(pts) != 3 {
@@ -246,6 +246,25 @@ func TestSeriesObserveAllocationFree(t *testing.T) {
 		tm += 300
 	}); avg != 0 {
 		t.Errorf("Series.Observe allocates %v per op after Reserve, want 0", avg)
+	}
+}
+
+// The series is anchored at t = 0: a negative time is a caller bug.
+func TestSeriesPanicsOnNegativeTime(t *testing.T) {
+	for _, f := range []func(*Series){
+		func(s *Series) { s.Observe(-1, 1, 1) },
+		func(s *Series) { s.Accumulate(-0.5, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on negative time")
+				}
+			}()
+			s := NewSeries(10)
+			s.Observe(5, 1, 1)
+			f(s)
+		}()
 	}
 }
 
