@@ -107,7 +107,12 @@ func realMain() int {
 	}
 
 	if len(args) == 1 && args[0] == "all" {
-		args = allNames()
+		args = args[:0]
+		for _, e := range experiments {
+			if e.all {
+				args = append(args, e.name)
+			}
+		}
 	}
 
 	for _, name := range args {
@@ -123,23 +128,74 @@ func realMain() int {
 	return 0
 }
 
-// allNames is the experiment set "all" expands to (the paper's evaluation
-// plus the scenario sweep).
-func allNames() []string {
-	return []string{
-		"table1", "table2", "table3", "table4", "table5", "table6",
-		"fig1", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"cost", "headline", "scenarios",
+// experiment is one accepted experiment name: whether "all" runs it,
+// and how it renders.
+type experiment struct {
+	name   string
+	all    bool
+	render func(expt.Config) (string, error)
+}
+
+// text adapts a renderer that cannot fail.
+func text(f func(expt.Config) string) func(expt.Config) (string, error) {
+	return func(c expt.Config) (string, error) { return f(c), nil }
+}
+
+// sweep adapts a sweep that can fail, rendering its points.
+func sweep[T any](run func(expt.Config) (T, error), render func(T) string) func(expt.Config) (string, error) {
+	return func(c expt.Config) (string, error) {
+		v, err := run(c)
+		if err != nil {
+			return "", err
+		}
+		return render(v), nil
 	}
 }
 
-// names lists every accepted experiment: the "all" set plus the fidelity
-// cross-validation (runs its own fluid+event grid), the chaos sweep
-// (fault grid, robustness-focused), and the KV sweep (event-fidelity
-// cache dynamics), all kept out of "all".
+// experiments declares every experiment, in usage order. "all" is the
+// paper's evaluation plus the scenario sweep; the fidelity
+// cross-validation (its own fluid+event grid), the chaos sweep (fault
+// grid, robustness-focused) and the KV sweep (event-fidelity cache
+// dynamics) are kept out of it.
+var experiments = []experiment{
+	{"table1", true, text(func(expt.Config) string { return expt.RenderTableI(expt.TableI()) })},
+	{"table2", true, text(func(expt.Config) string { return expt.RenderTableII(expt.TableII()) })},
+	{"table3", true, text(func(expt.Config) string { return expt.RenderTableIII(expt.TableIII()) })},
+	{"table4", true, text(func(expt.Config) string { return expt.RenderTableIV() })},
+	{"table5", true, text(func(expt.Config) string { return expt.RenderTableV() })},
+	{"table6", true, text(func(expt.Config) string { return expt.RenderTableVI() })},
+	{"fig1", true, text(func(c expt.Config) string { return expt.RenderFig1(c.Fig1()) })},
+	{"fig2", true, text(func(c expt.Config) string { return expt.RenderFig2Series(c.Fig2()) })},
+	{"fig3", true, text(func(expt.Config) string { return expt.RenderFig3(expt.Fig3()) })},
+	{"fig6", true, text(func(c expt.Config) string {
+		hour := c.ClusterHour()
+		return expt.RenderSystems(hour) + expt.RenderFig6Breakdown(hour)
+	})},
+	{"fig7", true, text(func(c expt.Config) string { return expt.RenderSystems(c.ClusterHour()) })},
+	{"fig8", true, text(func(c expt.Config) string { return expt.RenderSystems(c.ClusterHour()) })},
+	{"fig9", true, text(func(c expt.Config) string { return expt.RenderFig9(c.ClusterHour()) })},
+	{"fig10", true, text(func(c expt.Config) string { return expt.RenderFig10(c.ClusterHour()) })},
+	{"fig11", true, text(func(c expt.Config) string { return expt.RenderFig11(c.Fig11()) })},
+	{"fig12", true, text(func(c expt.Config) string { return expt.RenderFig12(c.Fig12()) })},
+	{"fig13", true, text(func(c expt.Config) string { return expt.RenderFig13(c.Fig13()) })},
+	{"fig14", true, text(func(c expt.Config) string { return expt.RenderFig14(c.Fig14()) })},
+	{"fig15", true, text(func(c expt.Config) string { return expt.RenderFig15(c.Fig15()) })},
+	{"fig16", true, text(func(c expt.Config) string { return expt.RenderFig16(c.Fig16()) })},
+	{"cost", true, text(func(c expt.Config) string { return expt.RenderCost(c.CostAnalysis()) })},
+	{"headline", true, text(func(c expt.Config) string { return expt.RenderHeadline(c.HeadlineNumbers()) })},
+	{"scenarios", true, sweep(expt.Config.ScenarioSweep, expt.RenderScenarioSweep)},
+	{"fidelity", false, text(func(c expt.Config) string { return expt.RenderFidelity(c.FidelityCompare()) })},
+	{"chaos", false, sweep(expt.Config.ChaosSweep, expt.RenderChaos)},
+	{"kv", false, sweep(expt.Config.KVSweep, expt.RenderKV)},
+}
+
+// names lists every accepted experiment.
 func names() []string {
-	return append(allNames(), "fidelity", "chaos", "kv")
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
 }
 
 // runScenarios resolves each argument to a scenario — a built-in library
@@ -186,70 +242,10 @@ func runScenarios(cfg expt.Config, args []string) int {
 }
 
 func run(cfg expt.Config, name string) (string, error) {
-	switch name {
-	case "table1":
-		return expt.RenderTableI(expt.TableI()), nil
-	case "table2":
-		return expt.RenderTableII(expt.TableII()), nil
-	case "table3":
-		return expt.RenderTableIII(expt.TableIII()), nil
-	case "table4":
-		return expt.RenderTableIV(), nil
-	case "table5":
-		return expt.RenderTableV(), nil
-	case "table6":
-		return expt.RenderTableVI(), nil
-	case "fig1":
-		return expt.RenderFig1(cfg.Fig1()), nil
-	case "fig2":
-		return expt.RenderFig2Series(cfg.Fig2()), nil
-	case "fig3":
-		return expt.RenderFig3(expt.Fig3()), nil
-	case "fig6":
-		hour := cfg.ClusterHour()
-		return expt.RenderSystems(hour) + expt.RenderFig6Breakdown(hour), nil
-	case "fig7", "fig8":
-		return expt.RenderSystems(cfg.ClusterHour()), nil
-	case "fig9":
-		return expt.RenderFig9(cfg.ClusterHour()), nil
-	case "fig10":
-		return expt.RenderFig10(cfg.ClusterHour()), nil
-	case "fig11":
-		return expt.RenderFig11(cfg.Fig11()), nil
-	case "fig12":
-		return expt.RenderFig12(cfg.Fig12()), nil
-	case "fig13":
-		return expt.RenderFig13(cfg.Fig13()), nil
-	case "fig14":
-		return expt.RenderFig14(cfg.Fig14()), nil
-	case "fig15":
-		return expt.RenderFig15(cfg.Fig15()), nil
-	case "fig16":
-		return expt.RenderFig16(cfg.Fig16()), nil
-	case "cost":
-		return expt.RenderCost(cfg.CostAnalysis()), nil
-	case "headline":
-		return expt.RenderHeadline(cfg.HeadlineNumbers()), nil
-	case "scenarios":
-		rs, err := cfg.ScenarioSweep()
-		if err != nil {
-			return "", err
+	for _, e := range experiments {
+		if e.name == name {
+			return e.render(cfg)
 		}
-		return expt.RenderScenarioSweep(rs), nil
-	case "chaos":
-		ps, err := cfg.ChaosSweep()
-		if err != nil {
-			return "", err
-		}
-		return expt.RenderChaos(ps), nil
-	case "kv":
-		ps, err := cfg.KVSweep()
-		if err != nil {
-			return "", err
-		}
-		return expt.RenderKV(ps), nil
-	case "fidelity":
-		return expt.RenderFidelity(cfg.FidelityCompare()), nil
 	}
 	return "", fmt.Errorf("unknown experiment %q (want one of %v)", name, names())
 }

@@ -16,15 +16,13 @@ import (
 // cross-validation: long enough for every controller epoch to fire, short
 // enough that the event backend runs in test time.
 func diurnalTrace() trace.Trace {
-	start := simclock.Time(8 * simclock.Hour)
-	tr := trace.Generate(trace.GenConfig{
+	return trace.Generate(trace.GenConfig{
 		Service:  trace.Conversation,
-		Start:    start,
+		Start:    simclock.Time(8 * simclock.Hour),
 		Duration: 2 * simclock.Hour,
 		PeakRPS:  20,
 		Seed:     31,
 	})
-	return tr.Window(start, start+simclock.Time(2*simclock.Hour))
 }
 
 func runFidelity(t *testing.T, system string, f Fidelity, tr trace.Trace) *Result {

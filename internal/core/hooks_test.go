@@ -36,7 +36,7 @@ func TestControlsFailAndRecover(t *testing.T) {
 	r, _ := fixtures(t)
 	opts := preset("singlepool")
 	opts.Seed = 1
-	sm := newSimulation(nil, opts, r)
+	sm := newSimulation(nil, opts, r, false)
 	res := sm.res
 	ctl := (*Controls)(sm)
 

@@ -31,14 +31,26 @@ type Live struct {
 	finished bool
 }
 
-// NewLive prepares an incremental-advance simulation over a private copy of
-// the time-ordered base trace (the copy keeps later injections from
-// mutating the caller's slice). Static provisioning and predictor warming
-// see only this base trace, exactly as a batch run would.
+// NewLive prepares an incremental-advance simulation over the
+// time-ordered base trace tr. The Live reads tr and never writes it
+// (injections join a side queue), so it shares the caller's slice
+// instead of copying it: the caller must not modify tr while the Live is
+// in use. Static provisioning and predictor warming see only this base
+// trace, exactly as a batch run would.
 func NewLive(tr trace.Trace, opts Options, repo *profile.Repository) *Live {
-	owned := make(trace.Trace, len(tr))
-	copy(owned, tr)
-	return &Live{sm: newSimulation(owned, opts, repo)}
+	return &Live{sm: newSimulation(tr, opts, repo, false)}
+}
+
+// NewLoopingLive is NewLive over a base trace that replays forever, so
+// background load never runs dry. The replay period is the trace's last
+// arrival instant, and pass k serves every entry again at e.At +
+// k*period: the offset depends only on the pass index, so how the Live
+// is advanced (one tick per call, many ticks in one call, or a restore
+// that fast-forwards) never moves an arrival. The predictor's warm curve
+// (opts.WarmLoad, or the trace's own template when nil) wraps at the same
+// period. A trace whose last arrival is at t = 0 is served once.
+func NewLoopingLive(tr trace.Trace, opts Options, repo *profile.Repository) *Live {
+	return &Live{sm: newSimulation(tr, opts, repo, true)}
 }
 
 // TickSeconds returns the simulation step in virtual seconds.
@@ -112,38 +124,14 @@ func (l *Live) Inject(e trace.Entry) (simclock.Time, error) {
 	return e.At, nil
 }
 
-// Append extends the base trace with later entries — the serving
-// session's trace-loop replay. Entries must be time-ordered and start at
-// or after both the computed boundary and the current trace tail (a
-// plain append, never an insertion).
-func (l *Live) Append(entries trace.Trace) error {
-	if l.finished {
-		return fmt.Errorf("core: append to a finished live simulation")
-	}
-	sm := l.sm
-	// Reclaim the consumed prefix before growing: a looping session would
-	// otherwise retain every replayed window for its whole uptime.
-	if sm.idx > 0 {
-		n := copy(sm.tr, sm.tr[sm.idx:])
-		sm.tr = sm.tr[:n]
-		sm.idx = 0
-	}
-	tail := l.Boundary()
-	if n := len(sm.tr); n > 0 && sm.tr[n-1].At > tail {
-		tail = sm.tr[n-1].At
-	}
-	for _, e := range entries {
-		if e.At < tail {
-			return fmt.Errorf("core: appended entry at %v precedes the trace tail %v", e.At, tail)
-		}
-		tail = e.At
-	}
-	sm.tr = append(sm.tr, entries...)
-	return nil
-}
+// Loops reports how many passes over the base trace a looping Live has
+// finished: it steps when the tick loop consumes a pass's last arrival.
+// Always 0 for NewLive.
+func (l *Live) Loops() int { return l.sm.loops }
 
-// PendingArrivals reports arrivals not yet consumed by the tick loop,
-// across the base trace and the injection queue.
+// PendingArrivals reports arrivals not yet consumed by the tick loop:
+// the rest of the current pass over the base trace plus the injection
+// queue.
 func (l *Live) PendingArrivals() int {
 	return (len(l.sm.tr) - l.sm.idx) + (len(l.sm.injected) - l.sm.injIdx)
 }

@@ -247,30 +247,44 @@ func BenchmarkLiveAdvanceTick(b *testing.B) {
 	}
 }
 
-// TestLiveAppendCompacts: Append reclaims the consumed trace prefix, so a
-// looping session's memory is bounded by the pending window, not uptime.
-func TestLiveAppendCompacts(t *testing.T) {
+// TestLiveLoopReplaysByIndex: a looping Live replays its base trace by
+// index. Over 20 passes it serves the caller's slice itself (never a
+// copy, never grown), every pass serves all n entries, and steady ticks
+// allocate nothing, pass boundaries included.
+func TestLiveLoopReplaysByIndex(t *testing.T) {
 	r, _ := fixtures(t)
-	live := NewLive(nil, liveOpts(FidelityFluid), r)
-	window := func(shift simclock.Time) trace.Trace {
-		tr := make(trace.Trace, 50)
-		for i := range tr {
-			tr[i] = trace.Entry{At: shift + simclock.Time(i), InputTokens: 64, OutputTokens: 8}
+	base := make(trace.Trace, 50)
+	for i := range base {
+		base[i] = trace.Entry{At: simclock.Time(10 + i), InputTokens: 64, OutputTokens: 8}
+	}
+	live := NewLoopingLive(base, liveOpts(FidelityFluid), r)
+	tick := simclock.Time(live.TickSeconds())
+	period := base.End()
+	for k := 1; k <= 20; k++ {
+		// One tick past pass k-1's last arrival, and before pass k's
+		// first (10 s later).
+		live.AdvanceTo(simclock.Time(k)*period + tick)
+		if len(live.sm.tr) != len(base) || &live.sm.tr[0] != &base[0] {
+			t.Fatalf("pass %d: the Live holds %d entries at %p, want the caller's %d at %p",
+				k, len(live.sm.tr), &live.sm.tr[0], len(base), &base[0])
 		}
-		return tr
-	}
-	for k := 0; k < 20; k++ {
-		shift := simclock.Time(k * 50)
-		if err := live.Append(window(shift)); err != nil {
-			t.Fatalf("loop %d: %v", k, err)
+		if got := live.Loops(); got != k {
+			t.Fatalf("pass %d: Loops() = %d", k, got)
 		}
-		live.AdvanceTo(shift + 50)
+		if got, want := live.Result().Requests, k*len(base); got != want {
+			t.Fatalf("pass %d: served %d requests, want %d", k, got, want)
+		}
 	}
-	if n := len(live.sm.tr); n > 100 {
-		t.Errorf("trace retains %d entries after 20 consumed windows of 50, want <= 100 (consumed prefix must be reclaimed)", n)
+	// The per-minute result series grow with uptime; 250 ticks in, their
+	// capacity covers the measured passes. Each run spans a whole period,
+	// so even one allocation per pass shows.
+	live.AdvanceTo(250 * tick)
+	before := live.Loops()
+	if avg := testing.AllocsPerRun(5, func() { live.AdvanceTo(live.Boundary() + period) }); avg != 0 {
+		t.Errorf("a looping pass allocates %v, want 0", avg)
 	}
-	if got := live.Result().Requests; got != 20*50 {
-		t.Errorf("served %d requests, want %d", got, 20*50)
+	if got := live.Loops() - before; got < 5 {
+		t.Errorf("measured runs crossed %d pass boundaries, want >= 5", got)
 	}
 }
 

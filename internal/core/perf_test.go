@@ -33,7 +33,7 @@ func TestTickLoopAllocationFree(t *testing.T) {
 			{at: 400, do: func(ctl *Controls) { ctl.SetPriceMult(1) }},
 			{at: 1e9, do: func(ctl *Controls) { ctl.SetPriceMult(2) }}, // never reached
 		}}
-		sm := newSimulation(tr, opts, r)
+		sm := newSimulation(tr, opts, r, false)
 		tick := 0
 		for ; tick < 200; tick++ { // warm caches, buffers, and rate EWMAs
 			sm.step(tick)
@@ -68,7 +68,7 @@ func TestInstancesCompacted(t *testing.T) {
 	opts.WarmLoad = warmConv
 	opts.ClusterEpoch = 5 * simclock.Minute
 	opts.PoolEpoch = simclock.Minute
-	sm := newSimulation(tr, opts, r)
+	sm := newSimulation(tr, opts, r, false)
 	maxLen := 0
 	churn := 0
 	for tick := 0; tick < sm.nTicks; tick++ {

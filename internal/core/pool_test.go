@@ -13,7 +13,7 @@ import (
 func emptyState(t *testing.T, opts Options) *simulation {
 	t.Helper()
 	r, _ := fixtures(t)
-	return newState(nil, opts, r)
+	return newState(nil, opts, r, false)
 }
 
 func TestTransitionHasDowntime(t *testing.T) {

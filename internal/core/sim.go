@@ -353,7 +353,7 @@ func (sm *simulation) peakRates(tr trace.Trace) []float64 {
 		return peaks
 	}
 	epoch := sm.opts.ClusterEpoch
-	slots := int(float64(traceHorizon(tr))/epoch) + 1
+	slots := int(float64(tr.End())/epoch) + 1
 	counts := make([][]float64, len(sm.pools))
 	var counter uint64
 	for _, e := range tr {
@@ -374,25 +374,13 @@ func (sm *simulation) peakRates(tr trace.Trace) []float64 {
 	return peaks
 }
 
-// traceHorizon returns the latest event time in a trace (robust to
-// unsorted traces).
-func traceHorizon(tr trace.Trace) simclock.Time {
-	var maxAt simclock.Time
-	for _, e := range tr {
-		if e.At > maxAt {
-			maxAt = e.At
-		}
-	}
-	return maxAt
-}
-
 // RunWithRepo drives the trace through the cluster and returns the
 // aggregated result. The simulation is discrete-time at the
 // instance-manager epoch, matching the paper's large-scale simulator
 // (§V-E). repo is a shared profile repository (experiments reuse
 // profiles across the six systems); nil builds a private one.
 func RunWithRepo(tr trace.Trace, opts Options, repo *profile.Repository) *Result {
-	sm := newSimulation(tr, opts, repo)
+	sm := newSimulation(tr, opts, repo, false)
 	for tick := 0; tick < sm.nTicks; tick++ {
 		sm.step(tick)
 	}
@@ -402,9 +390,9 @@ func RunWithRepo(tr trace.Trace, opts Options, repo *profile.Repository) *Result
 
 // newSimulation prepares a run: the run state plus static provisioning
 // for the trace's peak. Callers drive it with step(0..nTicks-1) and close
-// with finish.
-func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simulation {
-	sm := newState(tr, opts, repo)
+// with finish; loop replays the trace forever (NewLoopingLive).
+func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository, loop bool) *simulation {
+	sm := newState(tr, opts, repo, loop)
 	sm.staticProvision(tr)
 	return sm
 }
@@ -413,14 +401,26 @@ func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simu
 // with their defaults, the profile and predictors, the pools, the result
 // sinks, the fidelity backend, and the tick-loop scratch. It uses the
 // shared profile repository so repeated experiments do not re-profile the
-// model.
-func newState(tr trace.Trace, opts Options, repo *profile.Repository) *simulation {
+// model. tr is read, never written.
+func newState(tr trace.Trace, opts Options, repo *profile.Repository, loop bool) *simulation {
 	opts = opts.withDefaults()
+	end := tr.End()
 	if opts.WarmLoad == nil {
 		// No history supplied: train the load template on the trace
 		// itself, as the paper's predictor trains on prior weeks of the
 		// same periodic workload (§IV-E/[62]).
 		opts.WarmLoad = traceTemplate(tr, opts.ClusterEpoch)
+	}
+	var period simclock.Time
+	if loop && end > 0 {
+		// The trace replays forever: wrap the warm curve at the replay
+		// period so the expected load stays in phase with the traffic
+		// served (the trace's own template is zero past its horizon).
+		period = end
+		inner := opts.WarmLoad
+		opts.WarmLoad = func(t simclock.Time, c workload.Class) float64 {
+			return inner(simclock.Time(math.Mod(float64(t), float64(period))), c)
+		}
 	}
 	if repo == nil {
 		repo = profile.NewRepository(nil)
@@ -438,6 +438,7 @@ func newState(tr trace.Trace, opts Options, repo *profile.Repository) *simulatio
 		sloMult:          1,
 		pooling:          NewPooling(opts.NumPools),
 		tr:               tr,
+		period:           period,
 		lastPoolEpoch:    -1,
 		lastClusterEpoch: -1,
 	}
@@ -493,10 +494,6 @@ func newState(tr trace.Trace, opts Options, repo *profile.Repository) *simulatio
 			res.ClassTTFT[i] = metrics.NewDist()
 			res.ClassTBT[i] = metrics.NewDist()
 		}
-	}
-	var end simclock.Time
-	if n := len(tr); n > 0 {
-		end = tr[n-1].At
 	}
 	// Round the horizon up to a whole tick.
 	res.Duration = math.Ceil(float64(end)/opts.Tick) * opts.Tick
@@ -569,9 +566,15 @@ type simulation struct {
 	// a repaired machine rejoining its old placement group.
 	failedGPUs []int
 
+	// tr is the base trace, read and never written; idx is the next
+	// entry. A looping run (period > 0, NewLoopingLive) replays it
+	// forever: loops counts the passes the cursor has finished, and entry
+	// i of pass k arrives at tr[i].At + k*period.
 	tr               trace.Trace
+	idx              int
+	period           simclock.Time
+	loops            int
 	nTicks           int
-	idx              int // next trace event
 	lastPoolEpoch    int
 	lastClusterEpoch int
 
@@ -814,18 +817,30 @@ func (sm *simulation) step(tick int) {
 }
 
 // nextArrival pops the earliest pending arrival before tickEnd, merging
-// the base trace with the live-injection queue (base entries first among
-// equal instants, so a pure-trace run consumes in exactly the batch
-// order). The consumed injection prefix is compacted lazily so the queue
-// reuses its backing array.
+// the base trace, its replays and the live-injection queue (base entries
+// first among equal instants, so a pure-trace run consumes in exactly the
+// batch order). A replayed entry is shifted by its pass's offset as it is
+// read, so looping copies nothing. The consumed injection prefix is
+// compacted lazily so the queue reuses its backing array.
 func (sm *simulation) nextArrival(tickEnd simclock.Time) (trace.Entry, bool) {
-	haveBase := sm.idx < len(sm.tr) && sm.tr[sm.idx].At < tickEnd
+	var base trace.Entry
+	haveBase := sm.idx < len(sm.tr)
+	if haveBase {
+		base = sm.tr[sm.idx]
+		if sm.loops > 0 {
+			base.At += simclock.Time(float64(sm.loops)) * sm.period
+		}
+		haveBase = base.At < tickEnd
+	}
 	haveInj := sm.injIdx < len(sm.injected) && sm.injected[sm.injIdx].At < tickEnd
 	switch {
-	case haveBase && (!haveInj || sm.tr[sm.idx].At <= sm.injected[sm.injIdx].At):
-		e := sm.tr[sm.idx]
+	case haveBase && (!haveInj || base.At <= sm.injected[sm.injIdx].At):
 		sm.idx++
-		return e, true
+		if sm.idx == len(sm.tr) && sm.period > 0 {
+			sm.idx = 0
+			sm.loops++
+		}
+		return base, true
 	case haveInj:
 		e := sm.injected[sm.injIdx]
 		sm.injected[sm.injIdx] = trace.Entry{}
@@ -1164,18 +1179,6 @@ func (sm *simulation) compactPools() {
 	}
 }
 
-// TraceTemplate builds a per-class expected-rate function from a trace —
-// the predictor warm-up RunWithRepo derives when Options.WarmLoad is
-// unset. Exported for the live serving session, which wraps it at the
-// trace replay period when looping (the raw template is zero past the
-// trace horizon). slotWidth <= 0 takes the default cluster epoch.
-func TraceTemplate(tr trace.Trace, slotWidth float64) func(simclock.Time, workload.Class) float64 {
-	if slotWidth <= 0 {
-		slotWidth = 30 * simclock.Minute
-	}
-	return traceTemplate(tr, slotWidth)
-}
-
 // traceTemplate builds a per-class rate function from a trace, bucketed at
 // the cluster epoch. The table is a dense slice sized from the trace
 // horizon; queries outside it return 0 (as the map version did for
@@ -1184,7 +1187,7 @@ func traceTemplate(tr trace.Trace, slotWidth float64) func(simclock.Time, worklo
 	if len(tr) == 0 {
 		return func(simclock.Time, workload.Class) float64 { return 0 }
 	}
-	rates := make([][workload.NumClasses]float64, int(float64(traceHorizon(tr))/slotWidth)+1)
+	rates := make([][workload.NumClasses]float64, int(float64(tr.End())/slotWidth)+1)
 	for _, e := range tr {
 		rates[int(float64(e.At)/slotWidth)][e.Class()]++
 	}

@@ -498,15 +498,13 @@ func (c Config) dayTrace() trace.Trace {
 	if c.Quick {
 		days = 6 * simclock.Hour
 	}
-	start := simclock.Time(24 * 3600)
-	tr := trace.Generate(trace.GenConfig{
+	return trace.Generate(trace.GenConfig{
 		Service:  trace.Conversation,
-		Start:    start,
+		Start:    simclock.Time(24 * 3600),
 		Duration: days,
 		PeakRPS:  c.PeakRPS,
 		Seed:     c.Seed ^ 0xDA4,
 	})
-	return tr.Window(start, start+simclock.Time(days))
 }
 
 // Fig15 runs SinglePool vs DynamoLLM over the 1-day trace on an 11-server

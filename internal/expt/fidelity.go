@@ -38,7 +38,7 @@ func (c Config) FidelityCompare() []FidelityRow {
 		Duration: dur,
 		PeakRPS:  sub.PeakRPS,
 		Seed:     c.Seed ^ 0xF1DE,
-	}).Window(start, start+simclock.Time(dur))
+	})
 
 	jobs := make([]gridJob, 0, 2*len(core.SystemNames))
 	for i, name := range core.SystemNames {

@@ -236,6 +236,26 @@ func (u *useSet) implementsUsed(fn *types.Func) bool {
 	return false
 }
 
+// embedsUsed reports whether the embedded field i of t is how t or *t
+// meets a used interface: a method of that interface is promoted from
+// the field.
+func (u *useSet) embedsUsed(t types.Type, i int) bool {
+	ptr := types.NewPointer(t)
+	ms := types.NewMethodSet(ptr)
+	for j := 0; j < ms.Len(); j++ {
+		sel := ms.At(j)
+		if len(sel.Index()) < 2 || sel.Index()[0] != i {
+			continue
+		}
+		for _, iface := range u.ifaces[sel.Obj().Name()] {
+			if types.Implements(t, iface) || types.Implements(ptr, iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func checkProdcaller(pass *Pass, u *useSet) {
 	internal := strings.HasPrefix(pass.Path, pass.Config.ModulePath+"/internal/")
 	check := func(kind, name string, obj types.Object) {
@@ -279,6 +299,9 @@ func checkProdcaller(pass *Pass, u *useSet) {
 						if _, ok := s.Type.(*ast.StructType); ok {
 							st := obj.Type().Underlying().(*types.Struct)
 							for i := 0; i < st.NumFields(); i++ {
+								if st.Field(i).Embedded() && u.embedsUsed(obj.Type(), i) {
+									continue
+								}
 								check("field", s.Name.Name+"."+st.Field(i).Name(), st.Field(i))
 							}
 						}

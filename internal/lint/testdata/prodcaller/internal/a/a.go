@@ -7,7 +7,7 @@ import "fmt"
 func Used() int {
 	var o Outer
 	fmt.Fprint(Sink{}, o.Promoted)
-	return total(Thing{}) + helper() + derived
+	return total(Thing{}) + total(wrapped{}) + helper() + derived
 }
 
 // base is used only by its neighbour in the same var group.
@@ -55,6 +55,15 @@ func (Thing) String() string { return "thing" }
 type Sink struct{}
 
 func (Sink) Write(p []byte) (int, error) { return len(p), nil }
+
+// quiet satisfies Sizer with no state.
+type quiet struct{}
+
+func (quiet) Size() int { return 0 }
+
+// wrapped meets Sizer only through the Size its embedded quiet promotes:
+// that embedding is a use of the field.
+type wrapped struct{ quiet }
 
 // Outer reaches Promoted only through its embedded Inner.
 type Outer struct{ Inner }

@@ -430,10 +430,26 @@ func (st Steady) MeetsSLO(class workload.Class, sloScale float64) bool {
 // targets, found by bisection. Mixed pools use it with a smoothed SLO so
 // capacity does not jump when the average mix crosses a class boundary.
 func MaxLoadShape(cfg Config, in, out int, ttftSLO, tbtSLO float64) (float64, bool) {
-	meets := func(lambda float64) bool {
+	return maxRate(36, func(lambda float64) bool {
 		st := SteadyState(cfg, lambda, in, out)
 		return st.Feasible && st.TTFTP99 <= ttftSLO && st.TBTP99 <= tbtSLO
-	}
+	})
+}
+
+// MaxLoad returns the highest request rate (req/s) of the given shape the
+// configuration can serve within the class SLO, found by bisection. The
+// second result is false when even a vanishing load violates the SLO.
+func MaxLoad(cfg Config, class workload.Class, sloScale float64) (float64, bool) {
+	in, out := workload.RepresentativeLengths(class)
+	return maxRate(40, func(lambda float64) bool {
+		return SteadyState(cfg, lambda, in, out).MeetsSLO(class, sloScale)
+	})
+}
+
+// maxRate finds the highest rate that meets, by doubling from 1 req/s
+// (capped at 1e4) and then bisecting iters times. It returns false when
+// even 1e-4 req/s fails.
+func maxRate(iters int, meets func(lambda float64) bool) (float64, bool) {
 	if !meets(1e-4) {
 		return 0, false
 	}
@@ -445,36 +461,9 @@ func MaxLoadShape(cfg Config, in, out int, ttftSLO, tbtSLO float64) (float64, bo
 			return lo, true
 		}
 	}
-	for i := 0; i < 36; i++ {
+	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
 		if meets(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, true
-}
-
-// MaxLoad returns the highest request rate (req/s) of the given shape the
-// configuration can serve within the class SLO, found by bisection. The
-// second result is false when even a vanishing load violates the SLO.
-func MaxLoad(cfg Config, class workload.Class, sloScale float64) (float64, bool) {
-	in, out := workload.RepresentativeLengths(class)
-	if !SteadyState(cfg, 1e-4, in, out).MeetsSLO(class, sloScale) {
-		return 0, false
-	}
-	lo, hi := 1e-4, 1.0
-	for SteadyState(cfg, hi, in, out).MeetsSLO(class, sloScale) {
-		lo = hi
-		hi *= 2
-		if hi > 1e4 {
-			return lo, true
-		}
-	}
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if SteadyState(cfg, mid, in, out).MeetsSLO(class, sloScale) {
 			lo = mid
 		} else {
 			hi = mid

@@ -396,15 +396,13 @@ func (s *Scenario) GenTrace(peakRPS, maxDays float64, seed uint64) (trace.Trace,
 	if maxDays > 0 && days > maxDays {
 		days = maxDays
 	}
-	start := s.Start()
-	end := start + simclock.Time(days*simclock.Day)
 	tr := trace.Generate(trace.GenConfig{
 		Service:  svc,
-		Start:    start,
+		Start:    s.Start(),
 		Duration: days * simclock.Day,
 		PeakRPS:  peakRPS,
 		Seed:     seed,
-	}).Window(start, end)
+	})
 	return s.ApplyTrace(tr, seed), nil
 }
 

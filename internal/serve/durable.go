@@ -158,7 +158,7 @@ func (s *Session) checkpointLocked() error {
 	ck := s.identity()
 	ck.BoundaryVirtualS = float64(s.live.Boundary())
 	ck.NextTag = s.nextTag
-	ck.Loops = s.loops
+	ck.Loops = s.live.Loops()
 	ck.Meta = s.cfg.Meta
 	if err := writeCheckpoint(s.cfg.StateDir, ck); err != nil {
 		return err
@@ -379,7 +379,6 @@ func Restore(cfg Config) (*Session, error) {
 	s.pacer = simclock.NewPacerAt(s.cfg.Speed, resume, cfg.WallClock)
 	s.nextTag = max(ck.NextTag, wal.maxTag)
 	s.mu.Lock()
-	s.extendLocked(resume)
 	for _, p := range wal.posts {
 		s.agenda.Add(p.events, p.at)
 	}

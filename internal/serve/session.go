@@ -14,7 +14,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -44,13 +43,15 @@ type Config struct {
 	// observer, replacing any value set here.
 	Opts core.Options
 	// Trace is the time-ordered base arrival trace (t = 0 is session
-	// start in virtual time).
+	// start in virtual time). The session reads it in place and never
+	// writes it, so the caller must not modify it while the session runs.
 	Trace trace.Trace
 	// Speed is virtual seconds per wall second (default 60).
 	Speed float64
 	// Loop replays the base trace each time its horizon is reached, so
-	// background load never runs dry. When false the session reports
-	// horizon_reached instead and keeps serving injected traffic only.
+	// background load never runs dry (core.NewLoopingLive). When false
+	// the session reports horizon_reached instead and keeps serving
+	// injected traffic only.
 	Loop bool
 	// Repo caches model profiles (nil builds a private one).
 	Repo *profile.Repository
@@ -160,9 +161,6 @@ type Session struct {
 	pacer  *simclock.Pacer
 	logf   func(string, ...interface{})
 
-	base           trace.Trace
-	baseHorizon    simclock.Time
-	loops          int
 	horizonReached bool
 
 	nextTag        uint64
@@ -201,41 +199,19 @@ func New(cfg Config) *Session {
 		cfg:     cfg,
 		agenda:  scenario.NewAgenda(),
 		logf:    logf,
-		base:    cfg.Trace,
 		waiters: map[uint64]*Waiter{},
 		stop:    make(chan struct{}),
 	}
-	s.baseHorizon = traceEnd(cfg.Trace)
 	opts := cfg.Opts
 	opts.Hook = s.agenda
 	opts.Observer = (*sessionObserver)(s)
-	if cfg.Loop && s.baseHorizon > 0 {
-		// The base window replays forever: wrap the predictor's warm
-		// curve at the exact replay period so the expected-load signal
-		// stays in phase with the traffic actually served. With no
-		// caller-supplied curve, warm on the base trace's own template —
-		// the unwrapped core fallback is zero past the trace horizon, so
-		// a looping cluster would otherwise plan against zero load after
-		// the first replay.
-		inner := opts.WarmLoad
-		if inner == nil {
-			inner = core.TraceTemplate(cfg.Trace, opts.ClusterEpoch)
-		}
-		period := float64(s.baseHorizon)
-		opts.WarmLoad = func(t simclock.Time, c workload.Class) float64 {
-			return inner(simclock.Time(math.Mod(float64(t), period)), c)
-		}
+	newLive := core.NewLive
+	if cfg.Loop {
+		newLive = core.NewLoopingLive
 	}
-	s.live = core.NewLive(cfg.Trace, opts, cfg.Repo)
+	s.live = newLive(cfg.Trace, opts, cfg.Repo)
 	s.pacer = simclock.NewPacer(cfg.Speed, cfg.WallClock)
 	return s
-}
-
-func traceEnd(tr trace.Trace) simclock.Time {
-	if len(tr) == 0 {
-		return 0
-	}
-	return tr[len(tr)-1].At
 }
 
 // Start launches the background pacer goroutine, which keeps the
@@ -302,42 +278,12 @@ func (s *Session) advanceLocked() int {
 		return 0
 	}
 	target := s.pacer.Now()
-	s.extendLocked(target)
+	// Without Loop, flag (once) that the base trace has run out.
+	if end := s.cfg.Trace.End(); !s.cfg.Loop && !s.horizonReached && end > 0 && target > end {
+		s.horizonReached = true
+		s.logf("serve: base trace horizon (%.0f virtual s) reached; serving injected traffic only", float64(end))
+	}
 	return s.live.AdvanceTo(target)
-}
-
-// extendLocked keeps the base trace ahead of the pacer: with Loop set it
-// appends a time-shifted replay of the base window whenever the covered
-// horizon would otherwise fall within one window of the target; without
-// it, it flags (once) that the horizon has been reached.
-func (s *Session) extendLocked(target simclock.Time) {
-	if s.baseHorizon <= 0 || len(s.base) == 0 {
-		return
-	}
-	if !s.cfg.Loop {
-		if !s.horizonReached && target > s.baseHorizon {
-			s.horizonReached = true
-			s.logf("serve: base trace horizon (%.0f virtual s) reached; serving injected traffic only", float64(s.baseHorizon))
-		}
-		return
-	}
-	// Replay the base window just before the tick that would outrun the
-	// covered horizon executes (one tick of lookahead).
-	lookahead := simclock.Time(s.live.TickSeconds())
-	for covered := simclock.Time(float64(s.loops+1)) * s.baseHorizon; covered < target+lookahead; covered += s.baseHorizon {
-		s.loops++
-		shifted := make(trace.Trace, len(s.base))
-		for i, e := range s.base {
-			e.At += covered
-			shifted[i] = e
-		}
-		if err := s.live.Append(shifted); err != nil {
-			s.logf("serve: trace replay failed: %v", err)
-			return
-		}
-		s.logf("serve: base trace horizon reached; replaying base window (loop %d, virtual t=%.0fs..%.0fs)",
-			s.loops, float64(covered), float64(covered+s.baseHorizon))
-	}
 }
 
 // Inject enqueues one live request at the current virtual instant — the
@@ -686,7 +632,7 @@ func (s *Session) statsLocked() Stats {
 		Recoveries:      res.Recoveries,
 		PriceMult:       s.live.PriceMult(),
 		SLOFactor:       s.live.SLOFactor(),
-		TraceLoops:      s.loops,
+		TraceLoops:      s.live.Loops(),
 		HorizonReached:  s.horizonReached,
 		PendingArrival:  s.live.PendingArrivals(),
 		KVStats:         s.live.KVStats(),
@@ -744,6 +690,6 @@ func (s *Session) Config() ConfigInfo {
 		PredictorAccuracy: opts.PredictorAccuracy,
 		Speed:             s.cfg.Speed,
 		Loop:              s.cfg.Loop,
-		TraceRequests:     len(s.base),
+		TraceRequests:     len(s.cfg.Trace),
 	}
 }

@@ -340,7 +340,7 @@ func TestSessionLoopWarmLoad(t *testing.T) {
 	if first <= 0 {
 		t.Fatalf("warm curve is zero inside the base window")
 	}
-	if wrapped := warm(5+s.baseHorizon, cls); wrapped != first {
+	if wrapped := warm(5+base.End(), cls); wrapped != first {
 		t.Errorf("warm(t+period) = %v, want %v (curve must wrap at the replay period)", wrapped, first)
 	}
 }

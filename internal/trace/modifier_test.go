@@ -15,7 +15,7 @@ func testTrace(t *testing.T) Trace {
 		Duration: simclock.Hour,
 		PeakRPS:  20,
 		Seed:     7,
-	}).Window(OpenSourceHourStart, OpenSourceHourStart+simclock.Time(simclock.Hour))
+	})
 }
 
 func countWindow(tr Trace, from, to simclock.Time) int {

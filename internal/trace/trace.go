@@ -58,6 +58,16 @@ func (e Entry) Class() workload.Class {
 // Trace is a time-ordered list of invocations.
 type Trace []Entry
 
+// End returns the instant of the trace's last arrival, its horizon (0
+// for an empty trace). Traces are time-ordered, so that is the last
+// entry's time.
+func (tr Trace) End() simclock.Time {
+	if len(tr) == 0 {
+		return 0
+	}
+	return tr[len(tr)-1].At
+}
+
 // Service identifies one of the two profiled Azure services.
 type Service int
 
@@ -189,8 +199,10 @@ func ExpectedRate(svc Service, peakRPS float64, t simclock.Time, cls workload.Cl
 // GenConfig controls synthetic trace generation.
 type GenConfig struct {
 	Service Service
-	// Start and Duration bound the trace window in virtual time
-	// (t = 0 is Monday 00:00).
+	// Start and Duration select the window of the synthetic week to
+	// generate (t = 0 is Monday 00:00): arrivals fall in
+	// [Start, Start+Duration) of the week's load shape and class mix, and
+	// the trace reports them relative to Start: its t = 0 is Start.
 	Start    simclock.Time
 	Duration simclock.Duration
 	// PeakRPS is the request arrival rate at the weekly peak.
@@ -201,7 +213,8 @@ type GenConfig struct {
 
 // Generate produces a synthetic trace via an inhomogeneous Poisson process
 // (thinning) over the service's load shape, with per-arrival lengths drawn
-// from the time-varying class mix.
+// from the time-varying class mix. Entry times are relative to
+// cfg.Start.
 func Generate(cfg GenConfig) Trace {
 	if cfg.PeakRPS <= 0 {
 		panic("trace: PeakRPS must be positive")
@@ -224,7 +237,7 @@ func Generate(cfg GenConfig) Trace {
 		}
 		cls := workload.Class(rng.Pick(p.ClassWeights(simclock.Time(t))))
 		in, out := SampleLengths(lenRNG, cls)
-		tr = append(tr, Entry{At: simclock.Time(t), InputTokens: in, OutputTokens: out})
+		tr = append(tr, Entry{At: simclock.Time(t) - cfg.Start, InputTokens: in, OutputTokens: out})
 	}
 	return tr
 }
@@ -440,13 +453,11 @@ const OpenSourceHourStart = simclock.Time((24 + 9) * 3600)
 // [50]: a morning hour of the Conversation service with rising load.
 // peakRPS sets the weekly peak intensity.
 func OpenSourceHour(peakRPS float64, seed uint64) Trace {
-	start := OpenSourceHourStart
-	tr := Generate(GenConfig{
+	return Generate(GenConfig{
 		Service:  Conversation,
-		Start:    start,
+		Start:    OpenSourceHourStart,
 		Duration: simclock.Hour,
 		PeakRPS:  peakRPS,
 		Seed:     seed,
 	})
-	return tr.Window(start, start+simclock.Time(simclock.Hour))
 }

@@ -251,6 +251,57 @@ func TestOpenSourceHour(t *testing.T) {
 	}
 }
 
+// absoluteTrace is a reference generator: the same thinning process as
+// Generate, with entry times on the week's absolute clock.
+func absoluteTrace(cfg GenConfig) Trace {
+	rng := simclock.NewRNG(cfg.Seed)
+	lenRNG := rng.Split(1)
+	p := ProfileFor(cfg.Service)
+	var tr Trace
+	t := float64(cfg.Start)
+	end := float64(cfg.Start) + cfg.Duration
+	for {
+		t += rng.Exp(cfg.PeakRPS)
+		if t >= end {
+			return tr
+		}
+		if rng.Float64() > p.LoadShape(simclock.Time(t)) {
+			continue
+		}
+		cls := workload.Class(rng.Pick(p.ClassWeights(simclock.Time(t))))
+		in, out := SampleLengths(lenRNG, cls)
+		tr = append(tr, Entry{At: simclock.Time(t), InputTokens: in, OutputTokens: out})
+	}
+}
+
+// TestGenerateRelativeToStart: a trace generated at a non-zero Start
+// equals, bit for bit, the absolute-time trace of the same process
+// filtered to [Start, Start+Duration) and shifted so Start is t = 0.
+func TestGenerateRelativeToStart(t *testing.T) {
+	for _, cfg := range []GenConfig{
+		{Service: Conversation, Start: OpenSourceHourStart, Duration: simclock.Hour, PeakRPS: 20, Seed: 7},
+		{Service: Coding, Start: simclock.Time(8*simclock.Hour + 0.37), Duration: 6 * simclock.Hour, PeakRPS: 5, Seed: 3},
+	} {
+		var want Trace
+		from, to := cfg.Start, cfg.Start+simclock.Time(cfg.Duration)
+		for _, e := range absoluteTrace(cfg) {
+			if e.At >= from && e.At < to {
+				e.At -= from
+				want = append(want, e)
+			}
+		}
+		got := Generate(cfg)
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("start %v: %d entries, want %d (> 0)", cfg.Start, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] || math.Float64bits(float64(got[i].At)) != math.Float64bits(float64(want[i].At)) {
+				t.Fatalf("start %v: entry %d = %+v, want %+v", cfg.Start, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestTokenRate(t *testing.T) {
 	tr := Trace{
 		{At: 10, InputTokens: 100, OutputTokens: 50},
