@@ -242,25 +242,22 @@ type instEngine struct {
 	// the router, so the controllers would otherwise see zero load).
 	handoffsIn int
 
-	// lats buffers per-class latency samples run-length encoded (see
-	// observe); toks buffers token events for tagged requests when the
-	// run has an observer; dones buffers completed requests by value;
-	// fails buffers requests the engine rejected (oversize for its KV
-	// pool) or whose handoff found no decode target, drained to the
-	// frontend retry path at merge.
+	// lats buffers per-class latency reports as the engine makes them
+	// (a steady cohort's gaps arrive as one report); toks buffers token
+	// events for tagged requests when the run has an observer; dones
+	// buffers completed requests by value; fails buffers requests the
+	// engine rejected (oversize for its KV pool) or whose handoff found
+	// no decode target, drained to the frontend retry path at merge.
 	lats  []latSample
 	toks  []tokenEvent
 	dones []workload.Request
 	fails []workload.Request
-	// lastLat[2*cls+tbt] is 1 + the index in lats of that class and
-	// kind's latest record, 0 when it has none; reset with lats.
-	lastLat [2 * workload.NumClasses]int
 
 	// transfers are in-flight KV handoffs targeting this engine.
 	transfers []*kvTransfer
 }
 
-// latSample is a run of n equal buffered latency observations of one
+// latSample is one buffered latency report: n equal samples of one
 // class and kind.
 type latSample struct {
 	cls workload.Class
@@ -278,10 +275,14 @@ type tokenEvent struct {
 
 // ObserveTTFT implements engine.Sink, buffering into the engine's own
 // slot (never the shared Result — stepping may be concurrent).
-func (ie *instEngine) ObserveTTFT(cls workload.Class, v float64) { ie.observe(cls, false, v) }
+func (ie *instEngine) ObserveTTFT(cls workload.Class, v float64) {
+	ie.lats = append(ie.lats, latSample{cls: cls, v: v, n: 1})
+}
 
 // ObserveTBT implements engine.Sink.
-func (ie *instEngine) ObserveTBT(cls workload.Class, v float64) { ie.observe(cls, true, v) }
+func (ie *instEngine) ObserveTBT(cls workload.Class, v float64, n int) {
+	ie.lats = append(ie.lats, latSample{cls: cls, tbt: true, v: v, n: n})
+}
 
 // Token implements engine.Sink: a tagged request's token event is kept
 // for the observer, if the run has one.
@@ -321,27 +322,6 @@ func (ie *instEngine) Handoff(req *workload.Request, ctx int) {
 		t.done = true
 		te.eng.SubmitDecode(t.req, t.ctx)
 	})
-}
-
-// observe buffers one sample, extending the latest record of the same
-// class and kind when v is bit-equal to it. Each Dist receives only its
-// own records, in buffer order, so merge's AddN replay feeds it the same
-// sample sequence per-sample buffering would: a steady decode batch
-// (every sequence's gap is the iteration time) buffers one record per
-// class and iteration, not one per token.
-//
-//dynamolint:steadystate
-func (ie *instEngine) observe(cls workload.Class, tbt bool, v float64) {
-	k := 2 * int(cls)
-	if tbt {
-		k++
-	}
-	if i := ie.lastLat[k] - 1; i >= 0 && math.Float64bits(ie.lats[i].v) == math.Float64bits(v) {
-		ie.lats[i].n++
-		return
-	}
-	ie.lats = append(ie.lats, latSample{cls: cls, tbt: tbt, v: v, n: 1})
-	ie.lastLat[k] = len(ie.lats)
 }
 
 // engineFor returns the instance's engine, building it on first touch
@@ -554,7 +534,9 @@ func (b *eventBackend) stepAll(tickEnd simclock.Time) {
 // merge folds every engine's buffered results into the shared Result and
 // observer, in instance-ID order — a fixed order independent of how the
 // stepping was scheduled, which is what makes parallel runs byte-identical
-// to serial ones.
+// to serial ones. The latency distributions would not need it (a Dist's
+// sum is exact, so its state is order-free); completions, token events
+// and retries feed ordered state and do.
 func (b *eventBackend) merge() {
 	for _, ie := range b.engines {
 		if ie != nil {
@@ -577,7 +559,6 @@ func (b *eventBackend) mergeEngine(ie *instEngine) {
 		}
 	}
 	ie.lats = ie.lats[:0]
-	ie.lastLat = [2 * workload.NumClasses]int{}
 	if obs := b.sm.opts.Observer; obs != nil {
 		for i := range ie.toks {
 			t := &ie.toks[i]
@@ -739,12 +720,11 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 // leftovers). It closes engines one at a time, in instance-ID order,
 // through the per-tick merge: merge the engine's buffers, step its clock
 // by one event, repeat until the agenda is empty. The buffers thus hold
-// at most one event's output, and each Dist still receives every engine's
-// drain stream whole and in ID order, the order its float sums depend
-// on. Under disaggregation a pool group shares one clock: stepping its
-// lowest-ID engine runs the whole group, and the other engines hold their
-// tail until the loop reaches them, so buffering is bounded per group,
-// not per engine. The drain is serial whatever StepJobs says: draining
+// at most one event's output, and completions, token events and retries
+// still reach the Result and observer in ID order. Under disaggregation
+// a pool group shares one clock: stepping its lowest-ID engine runs the
+// whole group, and the other engines hold their tail until the loop
+// reaches them, so buffering is bounded per group, not per engine. The drain is serial whatever StepJobs says: draining
 // in parallel would mean buffering ahead of the ID-order merge. Each
 // engine's meter closes at its own last event — trailing idle time past
 // an engine's final iteration is not billed.

@@ -25,60 +25,52 @@ func mergeOnlyBackend(engines ...*instEngine) *eventBackend {
 	return &eventBackend{sm: &simulation{res: res}, engines: engines}
 }
 
-// observed is one latency sample as an engine reports it.
+// observed is one latency report as an engine makes it: n equal samples.
 type observed struct {
 	cls workload.Class
 	tbt bool
 	v   float64
+	n   int
 }
 
-// TestLatencyRunsReplayPerSample: run-length buffering plus merge's AddN
-// replay leaves every per-class distribution == to feeding it each sample
-// with Add, in instance-ID order, across several merges. The streams
-// interleave engines, classes and kinds, repeat values in runs, share
-// values across classes, and carry +0 next to -0.
+// TestLatencyRunsReplayPerSample: merge's AddN replay of the buffered
+// reports, across several merges, leaves every per-class distribution ==
+// to feeding it each sample with Add, in an order unrelated to the
+// engines' (reversed here). The streams interleave engines, classes and
+// kinds, share values across classes, and carry +0 next to -0.
 func TestLatencyRunsReplayPerSample(t *testing.T) {
 	b := mergeOnlyBackend(&instEngine{}, nil, &instEngine{}, &instEngine{})
 	var want [2][workload.NumClasses]metrics.Dist
-	vals := []float64{0, math.Copysign(0, -1), 0.021, 0.021, 0.0211, 0.35, 2.5}
+	vals := []float64{0, math.Copysign(0, -1), 0.021, 0.0211, 0.35, 2.5}
 	r := simclock.NewRNG(11)
 	for round := 0; round < 30; round++ {
-		streams := make([][]observed, len(b.engines))
+		var all []observed
 		for i := 0; i < 3000; i++ {
-			e := r.Intn(len(b.engines))
-			ie := b.engines[e]
+			ie := b.engines[r.Intn(len(b.engines))]
 			if ie == nil {
 				continue
 			}
-			o := observed{cls: workload.Class(r.Intn(3) * 4), tbt: r.Intn(4) > 0, v: vals[r.Intn(len(vals))]}
+			o := observed{cls: workload.Class(r.Intn(3) * 4), tbt: r.Intn(4) > 0, v: vals[r.Intn(len(vals))], n: 1}
 			if r.Intn(8) == 0 {
 				o.v = r.Exp(10)
 			}
-			for n := 1 + r.Intn(5); n > 0; n-- {
-				if o.tbt {
-					ie.ObserveTBT(o.cls, o.v)
-				} else {
-					ie.ObserveTTFT(o.cls, o.v)
-				}
-				streams[e] = append(streams[e], o)
+			if o.tbt {
+				o.n = 1 + r.Intn(64)
+				ie.ObserveTBT(o.cls, o.v, o.n)
+			} else {
+				ie.ObserveTTFT(o.cls, o.v)
 			}
+			all = append(all, o)
 		}
-		records, samples := 0, 0
-		for e, s := range streams {
-			if ie := b.engines[e]; ie != nil {
-				records += len(ie.lats)
+		for i := len(all) - 1; i >= 0; i-- {
+			o := all[i]
+			k := 0
+			if o.tbt {
+				k = 1
 			}
-			samples += len(s)
-			for _, o := range s {
-				k := 0
-				if o.tbt {
-					k = 1
-				}
+			for range o.n {
 				want[k][o.cls].Add(o.v)
 			}
-		}
-		if records >= samples {
-			t.Fatalf("round %d: %d records for %d samples, want runs coalesced", round, records, samples)
 		}
 		b.merge()
 		for c := range workload.NumClasses {
@@ -103,9 +95,9 @@ type iterSink struct {
 func (s iterSink) Token(_ *workload.Request, _ int, now simclock.Time) { s.iters[now] = true }
 
 // TestSteadyDecodeOneRecordPerIteration: once a single-class batch is
-// decoding, every sequence's token gap is the iteration time, so the
-// engine buffers at most one latency record per iteration, not one per
-// token.
+// decoding, every sequence is in the iteration's steady cohort, so the
+// engine reports one TBT record per iteration, whose n is the batch
+// size, not one per token.
 func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
 	clk := simclock.New()
 	ie := &instEngine{clock: clk}
@@ -138,8 +130,8 @@ func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
 	if sum != tokens {
 		t.Fatalf("records hold %d samples, want one per token (%d)", sum, tokens)
 	}
-	if len(ie.lats) > len(iters) {
-		t.Errorf("%d latency records over %d iterations, want at most one per iteration", len(ie.lats), len(iters))
+	if len(ie.lats) != len(iters) {
+		t.Errorf("%d latency records over %d iterations, want one per iteration", len(ie.lats), len(iters))
 	}
 }
 

@@ -112,7 +112,6 @@ type Result struct {
 	// Power (Fig. 8): cluster power samples per tick and per-GPU samples.
 	ClusterPowerW *metrics.Dist
 	GPUPowerW     *metrics.Dist
-	PowerSeries   *metrics.Series // avg cluster watts per minute
 
 	// Frequency over time (Fig. 9): cluster-wide and per tracked pool.
 	FreqSeries     *metrics.Series
@@ -470,7 +469,6 @@ func newState(tr trace.Trace, opts Options, repo *profile.Repository, loop bool)
 		TBT:             metrics.NewDist(),
 		ClusterPowerW:   metrics.NewDist(),
 		GPUPowerW:       metrics.NewDist(),
-		PowerSeries:     metrics.NewSeries(simclock.Minute),
 		FreqSeries:      metrics.NewSeries(simclock.Minute),
 		PoolFreqSeries:  map[workload.Class]*metrics.Series{},
 		ShardSeries:     map[model.TP]*metrics.Series{},
@@ -636,7 +634,7 @@ func (sm *simulation) reserve() {
 	sm.assigns = make([]assign, 64)
 
 	res := sm.res
-	series := []*metrics.Series{res.PowerSeries, res.FreqSeries, res.EnergySeries}
+	series := []*metrics.Series{res.FreqSeries, res.EnergySeries}
 	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
 	for _, s := range res.PoolFreqSeries {
 		series = append(series, s)
@@ -1087,7 +1085,6 @@ func (sm *simulation) accountTick(now simclock.Time) {
 		p.arrivalsThisTick = 0
 	}
 	res.ClusterPowerW.Add(clusterPower)
-	res.PowerSeries.Observe(float64(now), clusterPower, 1)
 	if freqDen > 0 {
 		res.FreqSeries.Observe(float64(now), freqNum/freqDen, 1)
 	}

@@ -81,12 +81,19 @@ type seqState struct {
 // order. A *workload.Request argument points at the engine's own storage
 // and is valid only during the call: a sink that keeps it copies it.
 type Sink interface {
-	// ObserveTTFT and ObserveTBT receive latency samples as tokens are
-	// produced, tagged by the request's true class.
+	// ObserveTTFT receives a first token's latency, tagged by the
+	// request's true class.
 	ObserveTTFT(cls workload.Class, seconds float64)
-	ObserveTBT(cls workload.Class, seconds float64)
+	// ObserveTBT receives n equal token gaps of one class (n >= 1). The
+	// steady cohort of an iteration — every sequence whose previous token
+	// came from the previous iteration — shares one gap, so each class
+	// with such sequences gets one report with n = its count, after that
+	// iteration's Token, Done and Handoff calls. Every other gap (after a
+	// join, a stall or a handoff) is reported alone, with n = 1, in
+	// sequence order.
+	ObserveTBT(cls workload.Class, seconds float64, n int)
 	// Token fires once per output token of a tagged request (Tag != 0),
-	// after the token's latency sample and before completion or handoff.
+	// before completion or handoff.
 	// A request drained and resubmitted (re-shard, migration) restarts
 	// generation, so produced can restart from 1 for the same request.
 	Token(req *workload.Request, produced int, now simclock.Time)
@@ -104,12 +111,12 @@ type Sink interface {
 // drops every other report: the single-engine view Measure reports.
 type pooledSink struct{ ttft, tbt metrics.Dist }
 
-func (s *pooledSink) ObserveTTFT(_ workload.Class, v float64)   { s.ttft.Add(v) }
-func (s *pooledSink) ObserveTBT(_ workload.Class, v float64)    { s.tbt.Add(v) }
-func (*pooledSink) Token(*workload.Request, int, simclock.Time) {}
-func (*pooledSink) Done(*workload.Request)                      {}
-func (*pooledSink) Reject(*workload.Request)                    {}
-func (*pooledSink) Handoff(*workload.Request, int)              {}
+func (s *pooledSink) ObserveTTFT(_ workload.Class, v float64)       { s.ttft.Add(v) }
+func (s *pooledSink) ObserveTBT(_ workload.Class, v float64, n int) { s.tbt.AddN(v, n) }
+func (*pooledSink) Token(*workload.Request, int, simclock.Time)     {}
+func (*pooledSink) Done(*workload.Request)                          {}
+func (*pooledSink) Reject(*workload.Request)                        {}
+func (*pooledSink) Handoff(*workload.Request, int)                  {}
 
 // KVCounters is the KV-cache event-counter bank (block accounting only):
 // the engine bumps it on its event paths, and the cluster result embeds
@@ -258,6 +265,10 @@ type Engine struct {
 	// iterEnd is the scheduled end of the in-flight iteration, read by
 	// onIterEnd (one iteration is in flight at a time).
 	iterEnd simclock.Time
+	// prevEnd is the end of the previous iteration: a sequence whose
+	// lastToken equals it decoded there too, so its token gap is the
+	// one every such sequence shares.
+	prevEnd simclock.Time
 	// onIterStart/onIterEnd are the iteration callbacks, bound once at
 	// construction so scheduling an iteration does not allocate closures.
 	onIterStart func()
@@ -537,11 +548,15 @@ func (e *Engine) iterate() {
 
 // finishIteration produces the in-flight iteration's tokens, retires
 // completed sequences, and schedules the next iteration. The active batch
-// is compacted in place so steady-state decoding reuses its scratch.
+// is compacted in place so steady-state decoding reuses its scratch. The
+// steady cohort's token gaps are counted per class and reported once per
+// class after the loop.
 //
 //dynamolint:steadystate
 func (e *Engine) finishIteration() {
-	end := e.iterEnd
+	end, prev := e.iterEnd, e.prevEnd
+	e.prevEnd = end
+	var steady [workload.NumClasses]int
 	e.meter.SetPower(end, gpu.H100.Power(e.Cfg.Freq, 0)*float64(e.Cfg.GPUs()))
 	live := e.active[:0]
 	for _, st := range e.active {
@@ -561,8 +576,10 @@ func (e *Engine) finishIteration() {
 					e.sink.ObserveTTFT(st.cls, float64(end-st.req.Arrival))
 				}
 			}
+		} else if st.lastToken == prev {
+			steady[st.cls]++
 		} else if e.sink != nil {
-			e.sink.ObserveTBT(st.cls, float64(end-st.lastToken))
+			e.sink.ObserveTBT(st.cls, float64(end-st.lastToken), 1)
 		}
 		st.lastToken = end
 		if st.req.Tag != 0 && e.sink != nil {
@@ -600,6 +617,13 @@ func (e *Engine) finishIteration() {
 		e.active[i] = nil
 	}
 	e.active = live
+	if e.sink != nil {
+		for c, n := range steady {
+			if n > 0 {
+				e.sink.ObserveTBT(workload.Class(c), float64(end-prev), n)
+			}
+		}
+	}
 	e.running = false
 	e.kick()
 }

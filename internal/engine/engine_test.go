@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynamollm/internal/gpu"
+	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
@@ -327,6 +328,87 @@ func TestEngineDecodeAllocationFree(t *testing.T) {
 	}
 	if lat.tbt.N() == 0 {
 		t.Fatal("no decode gaps observed")
+	}
+}
+
+// gapSink rebuilds every token gap from the Token times of tagged
+// requests and keeps the TBT reports beside them.
+type gapSink struct {
+	pooledSink
+	last                    map[uint64]simclock.Time // tag -> its latest token
+	fromTokens, fromReports [workload.NumClasses]metrics.Dist
+	reports, reported       int // ObserveTBT calls, and their n summed
+	wantGaps                int // OutputTokens-1 summed over completions
+}
+
+func (s *gapSink) ObserveTBT(cls workload.Class, v float64, n int) {
+	s.fromReports[cls].AddN(v, n)
+	s.reports++
+	s.reported += n
+}
+
+func (s *gapSink) Token(req *workload.Request, produced int, now simclock.Time) {
+	if produced > 1 {
+		s.fromTokens[req.Class()].Add(float64(now - s.last[req.Tag]))
+	}
+	s.last[req.Tag] = now
+}
+
+func (s *gapSink) Done(req *workload.Request) { s.wantGaps += req.OutputTokens - 1 }
+
+// TestTBTReportsMatchTokenGaps: the per-class TBT reports, a steady
+// cohort's gaps folded into one report per class and iteration, carry
+// exactly the gaps the tagged requests' Token times show. Mixed classes
+// join and leave throughout; a freeze stalls the batch; the block-KV
+// cases preempt (recompute, and swap through a spill tier), so gaps
+// after joins, stalls and resumes are all reported alone.
+func TestTBTReportsMatchTokenGaps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kv   KVConfig
+	}{
+		{"token-kv", KVConfig{}},
+		{"block-kv", KVConfig{BlockTokens: 16, CapacityFactor: 0.05}},
+		{"block-kv-tier", KVConfig{BlockTokens: 16, CapacityFactor: 0.05, TierCapacityFactor: 0.05}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simclock.New()
+			sink := &gapSink{last: map[uint64]simclock.Time{}}
+			eng := New(cfg70(model.TP8, gpu.MaxFreq), tc.kv, clock, sink)
+			rng := simclock.NewRNG(17)
+			reqs := make([]workload.Request, 300)
+			at := 0.0
+			for i := range reqs {
+				at += rng.Exp(4)
+				reqs[i] = workload.Request{ID: uint64(i + 1), Tag: uint64(i + 1), Arrival: simclock.Time(at),
+					InputTokens: 64 + rng.Intn(4000), OutputTokens: 2 + rng.Intn(600)}
+			}
+			schedule(clock, eng, reqs)
+			clock.At(30, func() { eng.Freeze(31.5) })
+			for clock.Step() {
+			}
+			if eng.Completed != len(reqs) {
+				t.Fatalf("completed %d of %d", eng.Completed, len(reqs))
+			}
+			if sink.reported != sink.wantGaps {
+				t.Errorf("TBT reports carry %d gaps, completions need %d", sink.reported, sink.wantGaps)
+			}
+			if sink.reports >= sink.reported/4 {
+				t.Errorf("%d reports for %d gaps: steady cohorts not folded", sink.reports, sink.reported)
+			}
+			for c := range workload.NumClasses {
+				if got, want := &sink.fromReports[c], &sink.fromTokens[c]; *got != *want {
+					t.Errorf("class %v: reports give n=%d mean=%v, token gaps n=%d mean=%v",
+						workload.Class(c), got.N(), got.Mean(), want.N(), want.Mean())
+				}
+			}
+			if tc.kv.BlockTokens > 0 && eng.KVPreemptions == 0 {
+				t.Error("no preemptions: the block-KV case does not exercise resumes")
+			}
+			if tc.kv.TierCapacityFactor > 0 && eng.KVSwapIns == 0 {
+				t.Error("no swap-ins: the tier case does not exercise swaps")
+			}
+		})
 	}
 }
 

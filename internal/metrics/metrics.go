@@ -8,7 +8,10 @@
 // by the sample count.
 package metrics
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Histogram resolution. Bins are geometric with 2% width over
 // [histMin, histMin*histGrowth^histBins); any positive sample therefore
@@ -97,17 +100,30 @@ func init() {
 // The evaluation figures report P50/P90/P99 latencies and powers.
 //
 // Percentile returns a value within MaxRelativeError (<1%) of the sample
-// at the nearest rank. Min, Max, Mean, and N are exact. Samples are
-// expected to be non-negative (latencies, watts, joules); values at or
-// below histMin share the lowest bin, +Inf lands in the top bin, and a
-// NaN sample panics.
+// at the nearest rank. Min, Max and N are exact, and so is the sum behind
+// Mean: finite samples accumulate into a fixed-point integer that holds
+// every float64 exactly, so Mean is the exact mean rounded once, and a
+// Dist's state does not depend on the order its samples arrived in. Add
+// and AddN are O(1) whatever n is. Samples are expected to be
+// non-negative (latencies, watts, joules); values at or below histMin
+// share the lowest bin (negative samples still add into the sum), +Inf
+// lands in the top bin, and a NaN sample panics.
 type Dist struct {
 	counts [histBins]int64
 	n      int64
-	sum    float64
-	min    float64
-	max    float64
+	// sum is the exact sum of the finite samples, in units of the
+	// smallest subnormal (2^-1074), as a two's-complement integer of
+	// accWords little-endian words.
+	sum [accWords]uint64
+	// posInf and negInf count the infinite samples, which sum leaves out.
+	posInf, negInf int64
+	min, max       float64
 }
+
+// accWords sizes Dist.sum. A finite float64 is an integer below 2^2098
+// in units of 2^-1074, the at most 2^63 samples of a Dist add 63 bits, and
+// the sign takes one: 2162 bits fit in 34 words.
+const accWords = 34
 
 // NewDist returns an empty distribution.
 func NewDist() *Dist { return &Dist{} }
@@ -146,9 +162,9 @@ func binValue(b int) float64 {
 //dynamolint:steadystate
 func (d *Dist) Add(v float64) { d.AddN(v, 1) }
 
-// AddN records n copies of a sample (n <= 0 records nothing). The result
-// equals n calls of Add(v): the sum is built by n sequential additions,
-// not v*n, so Mean stays bit-identical.
+// AddN records n copies of a sample (n <= 0 records nothing) in O(1): the
+// state equals n calls of Add(v), because the sum adds the exact product
+// v*n.
 //
 //dynamolint:steadystate
 func (d *Dist) AddN(v float64, n int) {
@@ -156,17 +172,94 @@ func (d *Dist) AddN(v float64, n int) {
 		return
 	}
 	b := bin(v) // first: a NaN panics before d changes
-	if d.n == 0 || v < d.min {
+	if d.n == 0 {
+		d.min, d.max = v, v
+	} else if v < d.min {
 		d.min = v
-	}
-	if d.n == 0 || v > d.max {
+	} else if v > d.max {
 		d.max = v
 	}
 	d.n += int64(n)
-	for range n {
-		d.sum += v
-	}
 	d.counts[b] += int64(n)
+
+	u := math.Float64bits(v)
+	if e := u >> 52; e-1 < 0x7fe && n == 1 {
+		// One positive normal sample, the common case: its 53-bit
+		// significand lands at bit e-1 of sum and spans two words.
+		at := uint(e - 1)
+		s := at % 64
+		m := u&(1<<52-1) | 1<<52
+		k := at / 64
+		var c uint64
+		d.sum[k], c = bits.Add64(d.sum[k], m<<s, 0)
+		d.sum[k+1], c = bits.Add64(d.sum[k+1], m>>1>>(63-s), c) // >>1>>(63-s): 0 at s == 0
+		if c != 0 {
+			d.carry(k + 2)
+		}
+		return
+	}
+
+	exp := int(u>>52) & 0x7ff
+	mant := u & (1<<52 - 1)
+	switch {
+	case exp == 0x7ff: // ±Inf; NaN panicked in bin
+		if u>>63 == 0 {
+			d.posInf += int64(n)
+		} else {
+			d.negInf += int64(n)
+		}
+		return
+	case exp == 0: // ±0 or subnormal: mant units of 2^-1074
+		if mant == 0 {
+			return
+		}
+		exp = 1
+	default:
+		mant |= 1 << 52
+	}
+	// |v|*n = mant*n * 2^(exp-1): a product of at most 116 bits, placed at
+	// bit exp-1 of sum, spans three words.
+	at := uint(exp - 1)
+	s := at % 64
+	hi, lo := bits.Mul64(mant, uint64(n))
+	p0, p1, p2 := lo<<s, hi<<s|lo>>1>>(63-s), hi>>1>>(63-s)
+	k := at / 64
+	var c uint64
+	if u>>63 == 0 {
+		d.sum[k], c = bits.Add64(d.sum[k], p0, 0)
+		d.sum[k+1], c = bits.Add64(d.sum[k+1], p1, c)
+		d.sum[k+2], c = bits.Add64(d.sum[k+2], p2, c)
+		if c != 0 {
+			d.carry(k + 3)
+		}
+		return
+	}
+	d.sum[k], c = bits.Sub64(d.sum[k], p0, 0)
+	d.sum[k+1], c = bits.Sub64(d.sum[k+1], p1, c)
+	d.sum[k+2], c = bits.Sub64(d.sum[k+2], p2, c)
+	if c != 0 {
+		d.borrow(k + 3)
+	}
+}
+
+// carry adds 1 to the sum at word k and ripples it up; a carry out of
+// the top word is the two's-complement wrap of a sum crossing zero. It
+// stays out of line: inlined, the rare ripple slows every Add.
+func (d *Dist) carry(k uint) {
+	for ; k < accWords; k++ {
+		if d.sum[k]++; d.sum[k] != 0 {
+			return
+		}
+	}
+}
+
+// borrow subtracts 1 from the sum at word k and ripples it up.
+func (d *Dist) borrow(k uint) {
+	for ; k < accWords; k++ {
+		if d.sum[k]--; d.sum[k] != math.MaxUint64 {
+			return
+		}
+	}
 }
 
 // N returns the sample count.
@@ -209,12 +302,79 @@ func (d *Dist) Percentile(p float64) float64 {
 	return d.max
 }
 
-// Mean returns the arithmetic mean, or 0 when empty. Exact.
+// Mean returns the arithmetic mean, or 0 when empty: the exact mean of
+// the samples, correctly rounded (an infinite sample makes it that
+// infinity, and both infinities make it NaN). The division is O(accWords),
+// so Mean belongs on report paths, not per sample.
 func (d *Dist) Mean() float64 {
-	if d.n == 0 {
+	switch {
+	case d.n == 0:
 		return 0
+	case d.posInf > 0 && d.negInf > 0:
+		return math.NaN()
+	case d.posInf > 0:
+		return math.Inf(1)
+	case d.negInf > 0:
+		return math.Inf(-1)
 	}
-	return d.sum / float64(d.n)
+	// Divide |sum| * 2^64 by n: the 64 extra fraction bits put the
+	// rounding bit of every float64 result, subnormals included, inside
+	// the quotient, and the remainder is the rest of the sticky bit.
+	var q [accWords + 1]uint64
+	copy(q[1:], d.sum[:])
+	neg := negate(q[1:])
+	var r uint64
+	for i := len(q) - 1; i >= 0; i-- {
+		q[i], r = bits.Div64(r, q[i], uint64(d.n))
+	}
+	m := roundQuotient(q[:], r != 0)
+	if neg {
+		return -m
+	}
+	return m
+}
+
+// negate makes x, a two's-complement integer, its magnitude, and reports
+// whether it was negative.
+func negate(x []uint64) bool {
+	if x[len(x)-1]>>63 == 0 {
+		return false
+	}
+	var c uint64 = 1
+	for i := range x {
+		x[i], c = bits.Add64(^x[i], 0, c)
+	}
+	return true
+}
+
+// roundQuotient returns x*2^(-1074-64), Mean's quotient, correctly
+// rounded to a float64 (ties to even); sticky marks a non-zero remainder
+// below x's lowest bit.
+func roundQuotient(x []uint64, sticky bool) float64 {
+	top := len(x) - 1
+	for top >= 0 && x[top] == 0 {
+		top--
+	}
+	if top < 0 {
+		return 0 // a zero sum
+	}
+	p := 64*top + bits.Len64(x[top]) - 1 // x's highest set bit
+	// k is the lowest bit the float64 keeps: 53 bits down from p, or the
+	// subnormal floor 2^-1074, bit 64.
+	k := max(p-52, 64)
+	m := x[k/64] >> (k % 64) // bits k..p; nothing is set above p
+	if k/64+1 < len(x) {
+		m |= x[k/64+1] << (64 - k%64)
+	}
+	half := x[(k-1)/64]>>((k-1)%64)&1 == 1
+	for i := 0; i < (k-1)/64 && !sticky; i++ {
+		sticky = x[i] != 0
+	}
+	sticky = sticky || x[(k-1)/64]&(1<<((k-1)%64)-1) != 0
+	if half && (sticky || m&1 == 1) {
+		m++
+	}
+	return math.Ldexp(float64(m), k-1074-64) // m <= 2^53: exact
 }
 
 // Max returns the largest sample, or 0 when empty. Exact.

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -409,11 +412,11 @@ func TestAddNaNPanics(t *testing.T) {
 	d.Add(math.NaN())
 }
 
-// AddN(v, n) leaves the same state as n calls of Add(v), sum bits
-// included, whatever came before.
+// AddN(v, n) leaves the same state as n calls of Add(v), sum and Mean
+// bits included, whatever came before.
 func TestAddNMatchesAdd(t *testing.T) {
 	r := simclock.NewRNG(5)
-	vals := []float64{0, math.Copysign(0, -1), 1e-12, 0.1, 0.1 + 1e-17, 0.3, 7, 1e10, math.Inf(1)}
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, 1e-12, 0.1, 0.1 + 1e-17, 0.3, -2.5, 7, 1e10, math.MaxFloat64, math.Inf(1)}
 	var bulk, single Dist
 	for i := 0; i < 2000; i++ {
 		v := vals[r.Intn(len(vals))]
@@ -425,13 +428,223 @@ func TestAddNMatchesAdd(t *testing.T) {
 		for range n {
 			single.Add(v)
 		}
-		if bulk != single || math.Float64bits(bulk.sum) != math.Float64bits(single.sum) {
+		if bulk != single || math.Float64bits(bulk.Mean()) != math.Float64bits(single.Mean()) {
 			t.Fatalf("step %d: AddN(%v, %d) diverged from %d Adds", i, v, n, n)
 		}
 	}
 	bulk.AddN(1, -3)
 	if bulk != single {
 		t.Error("AddN with n < 0 changed the Dist")
+	}
+}
+
+// mixedSample draws from the whole float64 line: signed zeros,
+// subnormals, latency-like values, random finite bit patterns of either
+// sign (up to MaxFloat64) and, when inf is set, the infinities.
+func mixedSample(r *simclock.RNG, inf bool) float64 {
+	switch k := r.Intn(8); {
+	case k == 0:
+		return math.Copysign(0, float64(r.Intn(2)*2-1))
+	case k == 1:
+		return math.Float64frombits(r.Uint64()&(1<<52-1) | r.Uint64()&(1<<63)) // subnormal
+	case k == 2 && inf:
+		return math.Inf(r.Intn(2)*2 - 1)
+	case k <= 4:
+		return math.Exp(r.Float64()*20 - 10)
+	case k == 5:
+		return -math.Exp(r.Float64()*20 - 10)
+	}
+	for {
+		if v := math.Float64frombits(r.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return v
+		}
+	}
+}
+
+// sumOf returns d's exact sum of finite samples as a big.Float.
+func sumOf(d *Dist) *big.Float {
+	var mag [accWords]uint64
+	copy(mag[:], d.sum[:])
+	neg := negate(mag[:])
+	words := make([]big.Word, 0, 2*accWords)
+	for _, w := range mag {
+		if bits.UintSize == 32 {
+			words = append(words, big.Word(w), big.Word(w>>32))
+		} else {
+			words = append(words, big.Word(w))
+		}
+	}
+	z := new(big.Int).SetBits(words)
+	if neg {
+		z.Neg(z)
+	}
+	f := new(big.Float).SetPrec(4096).SetInt(z)
+	return f.SetMantExp(f, -1074)
+}
+
+// The sum is exact and Mean is the exact mean correctly rounded: both
+// equal a math/big reference on mixed input — signed zeros, subnormals,
+// negatives, values up to MaxFloat64, infinities, repeat counts up to
+// 2^31.
+func TestSumAndMeanMatchBigFloat(t *testing.T) {
+	r := simclock.NewRNG(23)
+	for trial := 0; trial < 400; trial++ {
+		var d Dist
+		ref := new(big.Float).SetPrec(4096)
+		var n int64
+		var posInf, negInf bool
+		inf := trial%4 == 0
+		for i, count := 0, 1+r.Intn(40); i < count; i++ {
+			v := mixedSample(r, inf)
+			k := 1 + r.Intn(3)
+			switch r.Intn(4) {
+			case 0:
+				k = 1 + r.Intn(1<<31)
+			case 1:
+				k = 1 << 31
+			}
+			d.AddN(v, k)
+			n += int64(k)
+			switch {
+			case math.IsInf(v, 1):
+				posInf = true
+			case math.IsInf(v, -1):
+				negInf = true
+			default:
+				ref.Add(ref, new(big.Float).SetPrec(4096).Mul(big.NewFloat(v), new(big.Float).SetInt64(int64(k))))
+			}
+		}
+		if got := sumOf(&d); got.Cmp(ref) != 0 {
+			t.Fatalf("trial %d: sum %v, want %v", trial, got, ref)
+		}
+		var want float64
+		switch {
+		case posInf && negInf:
+			want = math.NaN()
+		case posInf:
+			want = math.Inf(1)
+		case negInf:
+			want = math.Inf(-1)
+		default:
+			want, _ = new(big.Float).SetPrec(4096).Quo(ref, new(big.Float).SetInt64(n)).Float64()
+			if want == 0 {
+				want = 0 // big.Float keeps the sign of a zero quotient; an exact zero sum is +0
+			}
+		}
+		if got := d.Mean(); math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("trial %d: Mean = %v (%#x), want %v (%#x)", trial, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// Mean's special values: an exact zero sum is +0 whatever the zeros'
+// signs, an infinity wins over every finite sample, and both infinities
+// give NaN.
+func TestMeanSpecialValues(t *testing.T) {
+	for _, tc := range []struct {
+		vals []float64
+		want float64
+	}{
+		{[]float64{math.Copysign(0, -1), math.Copysign(0, -1)}, 0},
+		{[]float64{-1, 1}, 0},
+		{[]float64{-3, -5}, -4},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, math.MaxFloat64},
+		{[]float64{5e-324, 5e-324, 5e-324, 0}, 5e-324}, // 0.75 ulp rounds up
+		{[]float64{5e-324, 0}, 0},                      // a tie rounds to even
+		{[]float64{1, math.Inf(1)}, math.Inf(1)},
+		{[]float64{1, math.Inf(-1)}, math.Inf(-1)},
+		{[]float64{math.Inf(1), math.Inf(-1)}, math.NaN()},
+	} {
+		var d Dist
+		for _, v := range tc.vals {
+			d.Add(v)
+		}
+		got := d.Mean()
+		if math.Float64bits(got) != math.Float64bits(tc.want) && !(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("Mean%v = %v, want %v", tc.vals, got, tc.want)
+		}
+	}
+}
+
+// merge folds src into dst word by word: the sum is an integer, so shards
+// combine exactly.
+func merge(dst, src *Dist) {
+	if src.n == 0 {
+		return
+	}
+	if dst.n == 0 || src.min < dst.min {
+		dst.min = src.min
+	}
+	if dst.n == 0 || src.max > dst.max {
+		dst.max = src.max
+	}
+	dst.n += src.n
+	for b := range dst.counts {
+		dst.counts[b] += src.counts[b]
+	}
+	var c uint64
+	for i := range dst.sum {
+		dst.sum[i], c = bits.Add64(dst.sum[i], src.sum[i], c)
+	}
+	dst.posInf += src.posInf
+	dst.negInf += src.negInf
+}
+
+// perm returns a random permutation of [0, n).
+func perm(r *simclock.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], i
+	}
+	return p
+}
+
+// A Dist does not depend on sample order: random permutations of one
+// sample multiset, and random splits into shards merged back in another
+// order, give == distributions with bit-identical Mean.
+func TestDistOrderFree(t *testing.T) {
+	r := simclock.NewRNG(29)
+	for trial := 0; trial < 200; trial++ {
+		type sample struct {
+			v float64
+			n int
+		}
+		inf := trial%5 == 0
+		samples := make([]sample, 1+r.Intn(300))
+		for i := range samples {
+			samples[i] = sample{mixedSample(r, inf), 1 + r.Intn(4)}
+			if r.Intn(4) == 0 {
+				samples[i].v = math.Exp(r.Float64()*4 - 6) // latency-like
+			}
+		}
+		var want Dist
+		for _, s := range samples {
+			want.AddN(s.v, s.n)
+		}
+		check := func(how string, got *Dist) {
+			if *got != want || math.Float64bits(got.Mean()) != math.Float64bits(want.Mean()) {
+				t.Fatalf("trial %d: %s gives a different Dist (mean %v vs %v)", trial, how, got.Mean(), want.Mean())
+			}
+		}
+
+		var permuted Dist
+		for _, i := range perm(r, len(samples)) {
+			for range samples[i].n {
+				permuted.Add(samples[i].v)
+			}
+		}
+		check("a permutation", &permuted)
+
+		shards := make([]Dist, 1+r.Intn(6))
+		for _, i := range perm(r, len(samples)) {
+			shards[r.Intn(len(shards))].AddN(samples[i].v, samples[i].n)
+		}
+		var merged Dist
+		for _, i := range perm(r, len(shards)) {
+			merge(&merged, &shards[i])
+		}
+		check("a split merged in another order", &merged)
 	}
 }
 
@@ -447,5 +660,24 @@ func BenchmarkDistAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Add(vals[i&(len(vals)-1)])
+	}
+}
+
+// BenchmarkDistAddN times one AddN over the same values at a repeat count
+// of 1 (the fluid backend's per-completion Add) and 256 (a steady decode
+// batch's one report per class and iteration).
+func BenchmarkDistAddN(b *testing.B) {
+	r := simclock.NewRNG(1)
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = math.Exp(math.Log(1e-5) + r.Float64()*math.Log(1e7))
+	}
+	for _, n := range []int{1, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			d := NewDist()
+			for i := 0; i < b.N; i++ {
+				d.AddN(vals[i&(len(vals)-1)], n)
+			}
+		})
 	}
 }
