@@ -1,4 +1,4 @@
-// Quickstart: simulate ten minutes of an LLM inference cluster under
+// Quickstart: simulate one hour of an LLM inference cluster under
 // DynamoLLM and under the static SinglePool baseline, and compare energy,
 // latency, and SLO attainment.
 //

@@ -107,14 +107,11 @@ func (b *fluidBackend) Retire(in *Instance, now simclock.Time, graceful bool) {
 	// An abrupt outage drops the instance's queued work; planned
 	// departures drain it through the ordinary rate dynamics. Fluid
 	// backlog is load, not request identity (those requests already
-	// completed in their arrival tick), so the loss is SquashedLoad —
-	// request-level retry happens only where requests exist, in the event
-	// backend and the router's no-capacity path.
-	if graceful {
-		return
-	}
-	if in.backlog > 0 {
-		b.sm.res.SquashedLoad += in.backlog
+	// completed in their arrival tick), so the loss is dropped load
+	// outside the request ledger — request-level retry happens only where
+	// requests exist, in the event backend and the router's no-capacity
+	// path.
+	if !graceful {
 		in.backlog = 0
 	}
 }

@@ -83,14 +83,6 @@ type Result struct {
 	RetrySuccess int
 	Shed         int
 
-	// SquashedLoad is fluid-model backlog shed in load units (fractional
-	// request-seconds of queue dropped by emergency handling or an
-	// outage). It is NOT part of the request conservation identity: fluid
-	// requests complete (with sampled latencies) in their arrival tick,
-	// so backlog carries load, not request identity. The seed code folded
-	// these units into Squashed, double-counting them against Completed.
-	SquashedLoad float64
-
 	// EnergyJ is total cluster energy; EnergyByClassJ splits it by the
 	// true class of the work served (Fig. 6's stacking).
 	EnergyJ        float64
@@ -1354,13 +1346,12 @@ func (sm *simulation) instanceManager(in *Instance, now simclock.Time) {
 			// Fluid backlog is load (fractional request-seconds), not
 			// request identity — the requests behind it were already
 			// sampled as Completed in their arrival tick — so the loss
-			// lands in SquashedLoad, outside the request-count ledger.
+			// stays outside the request-count ledger.
 			slo := workload.SLOFor(cls).TTFT * sm.opts.SLOScale
 			cap := in.capacity(sm)
 			overdue := in.backlog - math.Max(cap, 0.2)*slo*squashWaitFactor
 			if overdue > 0 {
 				in.backlog -= overdue
-				res.SquashedLoad += overdue
 			}
 		}
 		return

@@ -87,28 +87,23 @@ func (c CarbonTrace) Intensity(t simclock.Time) float64 {
 
 // CarbonMeter convolves an energy stream with a carbon trace.
 type CarbonMeter struct {
-	Trace  CarbonTrace
-	grams  float64
-	series *metrics.Series
+	Trace CarbonTrace
+	grams float64
 }
 
-// NewCarbonMeter returns a meter with an hourly emission series.
+// NewCarbonMeter returns a meter for the trace.
 func NewCarbonMeter(trace CarbonTrace) *CarbonMeter {
-	return &CarbonMeter{Trace: trace, series: metrics.NewSeries(3600)}
+	return &CarbonMeter{Trace: trace}
 }
 
 // AddEnergy attributes joules consumed at time t.
 func (m *CarbonMeter) AddEnergy(t simclock.Time, joules float64) {
 	g := KWh(joules) * m.Trace.Intensity(t)
 	m.grams += g
-	m.series.Accumulate(float64(t), g)
 }
 
 // Kg returns total emissions in kgCO2.
 func (m *CarbonMeter) Kg() float64 { return m.grams / 1000 }
-
-// HourlySeries returns emissions per hour in gCO2.
-func (m *CarbonMeter) HourlySeries() *metrics.Series { return m.series }
 
 // --- Cost model ----------------------------------------------------------------
 

@@ -29,6 +29,7 @@
 package engine
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 
@@ -57,6 +58,19 @@ type seqState struct {
 	produced int
 	// ctx is resident KV tokens.
 	ctx int
+	// While the sequence is in the active batch, produced, ctx and
+	// lastToken hold their values as of its join: it gains one token per
+	// iteration, so the current values follow from the engine's iteration
+	// counter (producedOf) and are written back when it leaves
+	// (unlink). joinIter is the engine's iter at the join and joinNo the
+	// join's sequence number (active order is joinNo order). exitIter is
+	// the iteration at whose end it completes or hands off, and exitIdx
+	// its index in the exit heap. Under block KV, needIter is the
+	// iteration whose token first needs a block it does not hold, its
+	// key in the reserve calendar, and needNext the next sequence filed
+	// under the same key.
+	joinIter, joinNo, exitIter, exitIdx, needIter int
+	needNext                                      *seqState
 	// kvBlocks is the number of KV blocks the sequence holds under
 	// block-granular accounting (kv.go); always 0 on the legacy path.
 	kvBlocks int
@@ -78,8 +92,13 @@ type seqState struct {
 }
 
 // Sink receives everything an engine reports, in the engine's event
-// order. A *workload.Request argument points at the engine's own storage
-// and is valid only during the call: a sink that keeps it copies it.
+// order. At an iteration's end that order is: the first tokens and lone
+// gaps of the sequences that joined the batch in that iteration, then
+// Token for each tagged sequence, then Done and Handoff for the sequences
+// that leave, then the steady cohort's ObserveTBT per class; within each
+// group, sequences come in join order. A *workload.Request argument
+// points at the engine's own storage and is valid only during the call:
+// a sink that keeps it copies it.
 type Sink interface {
 	// ObserveTTFT receives a first token's latency, tagged by the
 	// request's true class.
@@ -90,7 +109,7 @@ type Sink interface {
 	// with such sequences gets one report with n = its count, after that
 	// iteration's Token, Done and Handoff calls. Every other gap (after a
 	// join, a stall or a handoff) is reported alone, with n = 1, in
-	// sequence order.
+	// join order.
 	ObserveTBT(cls workload.Class, seconds float64, n int)
 	// Token fires once per output token of a tagged request (Tag != 0),
 	// before completion or handoff.
@@ -211,7 +230,28 @@ type Engine struct {
 
 	// waiting is the FIFO admission queue (prefill not yet finished).
 	waiting fifo[*seqState]
-	active  []*seqState // in the running batch
+	// active is the running batch in join order: joins append and every
+	// removal keeps the order, so joinNo increases along it.
+	active []*seqState
+
+	// Incremental state of the active batch, so an iteration costs what
+	// changed in it rather than its size. iter counts finished
+	// iterations and joins counts joins (the next joinNo). joined is how
+	// many sequences joined during the current iteration: they form the
+	// active batch's suffix. ctxBase is Σ(ctx - joinIter) over the batch
+	// (its join-time values), so the batch's resident context is
+	// ctxBase + len(active)*iter; classN counts the batch per class.
+	// exits orders the batch by exit iteration and, under block KV,
+	// needs files it by the iteration that needs a new block. tagged
+	// holds the batch's tagged sequences in join order, and leaving is
+	// finishIteration's scratch list of the sequences that leave, in
+	// join order.
+	iter, joins, joined int
+	ctxBase             int
+	classN              [workload.NumClasses]int
+	exits               exitHeap
+	needs               needRing
+	tagged, leaving     []*seqState
 
 	kvTokens    float64
 	kvCapacity  float64
@@ -301,6 +341,7 @@ func New(cfg perfmodel.Config, kv KVConfig, clock *simclock.Clock, sink Sink) *E
 		sink:       sink,
 	}
 	if kv.BlockTokens > 0 {
+		e.needs = newNeedRing(kv.BlockTokens)
 		e.deriveKVBlocks()
 		if kv.PrefixCache {
 			e.prefixMap = make(map[uint64]*prefixEntry)
@@ -377,6 +418,12 @@ func (e *Engine) Drain(fn func(workload.Request)) {
 	e.preempted.reset()
 	e.drainSeqs(e.active, fn)
 	e.active = e.active[:0]
+	e.joined, e.ctxBase, e.classN = 0, 0, [workload.NumClasses]int{}
+	clear(e.exits)
+	e.exits = e.exits[:0]
+	clear(e.needs)
+	clear(e.tagged)
+	e.tagged = e.tagged[:0]
 	e.drainSeqs(e.spilled.items(), fn)
 	e.spilled.reset()
 	e.drainSeqs(e.swapReady, fn)
@@ -509,21 +556,16 @@ func (e *Engine) iterate() {
 			if st.prefillLeft == 0 {
 				// Prompt fully processed: joins the decode batch; first
 				// token appears at the end of this iteration.
-				e.active = append(e.active, st)
+				e.join(st)
 				e.waiting.pop()
 			}
 		}
 	}
 
-	// Batch composition.
-	decodeSeqs := 0
-	ctxTotal := 0.0
-	for _, st := range e.active {
-		// A sequence admitted THIS iteration produces its first token
-		// now; everyone decodes one token per iteration.
-		decodeSeqs++
-		ctxTotal += float64(st.ctx)
-	}
+	// Batch composition: every active sequence decodes one token (a
+	// sequence admitted THIS iteration produces its first). The integer
+	// context total converts to float64 exactly (it is far below 2^53).
+	decodeSeqs := len(e.active)
 	if prefillTokens == 0 && decodeSeqs == 0 {
 		e.running = false
 		return
@@ -532,7 +574,7 @@ func (e *Engine) iterate() {
 	it := e.Cfg.Iter(perfmodel.Batch{
 		PrefillTokens: float64(prefillTokens),
 		DecodeSeqs:    float64(decodeSeqs),
-		ContextTokens: ctxTotal + float64(prefillTokens),
+		ContextTokens: float64(e.ctxBase+decodeSeqs*e.iter) + float64(prefillTokens),
 	})
 	end := now + simclock.Time(it.Time)
 
@@ -546,27 +588,101 @@ func (e *Engine) iterate() {
 	e.clock.At(end, e.onIterEnd)
 }
 
-// finishIteration produces the in-flight iteration's tokens, retires
-// completed sequences, and schedules the next iteration. The active batch
-// is compacted in place so steady-state decoding reuses its scratch. The
-// steady cohort's token gaps are counted per class and reported once per
-// class after the loop.
+// join appends a sequence whose prefill finished (or whose swap-in
+// landed) to the active batch. From here on it gains a token per
+// iteration without being touched: its exit iteration is fixed now, and
+// the batch totals take its join-time values.
+//
+//dynamolint:steadystate
+func (e *Engine) join(st *seqState) {
+	st.joinIter, st.joinNo = e.iter, e.joins
+	e.joins++
+	e.joined++
+	e.active = append(e.active, st)
+	e.ctxBase += st.ctx - e.iter
+	e.classN[st.cls]++
+	// A prefill-only engine retires every fresh sequence at its first
+	// token (handoff or, for a single-token request, completion); every
+	// other sequence leaves once it has produced all its output, and
+	// never before producing one token.
+	left := st.req.OutputTokens - st.produced
+	if left < 1 || e.kv.PrefillOnly && st.produced == 0 {
+		left = 1
+	}
+	st.exitIter = e.iter + left
+	heap.Push(&e.exits, st)
+	if e.kvBlocksCap > 0 {
+		st.needIter = e.nextNeed(st)
+		e.needs.add(st)
+	}
+	if st.req.Tag != 0 {
+		e.tagged = append(e.tagged, st)
+	}
+}
+
+// producedOf is an active sequence's current output-token count.
+//
+//dynamolint:steadystate
+func (e *Engine) producedOf(st *seqState) int { return st.produced + e.iter - st.joinIter }
+
+// unlink takes a leaving sequence out of the batch's heaps and totals
+// and writes its current produced, ctx and lastToken back; the caller
+// removes it from the active slice. An active sequence that decoded at
+// least once since its join produced its last token at prevEnd.
+//
+//dynamolint:steadystate
+func (e *Engine) unlink(st *seqState) {
+	heap.Remove(&e.exits, st.exitIdx)
+	if e.kvBlocksCap > 0 {
+		e.needs.drop(st)
+	}
+	e.ctxBase -= st.ctx - st.joinIter
+	e.classN[st.cls]--
+	if st.joinIter == e.iter {
+		e.joined--
+	}
+	if n := e.iter - st.joinIter; n > 0 {
+		st.produced += n
+		st.ctx += n
+		st.lastToken = e.prevEnd
+	}
+	if st.req.Tag != 0 {
+		for i, t := range e.tagged {
+			if t == st {
+				copy(e.tagged[i:], e.tagged[i+1:])
+				e.tagged[len(e.tagged)-1] = nil
+				e.tagged = e.tagged[:len(e.tagged)-1]
+				break
+			}
+		}
+	}
+}
+
+// finishIteration produces the in-flight iteration's tokens, retires the
+// sequences that complete or hand off, and schedules the next iteration.
+// Every active sequence gains one token, which the iteration counter and
+// the batch totals account for at once; the sequences visited one by one
+// are only this iteration's joiners (first tokens and lone gaps), the
+// tagged ones (Token) and the leavers, which the exit heap yields in
+// join order. Every other sequence decoded in the previous iteration
+// too, so its gap is the steady one, reported once per class.
 //
 //dynamolint:steadystate
 func (e *Engine) finishIteration() {
 	end, prev := e.iterEnd, e.prevEnd
+	e.iter++
 	e.prevEnd = end
-	var steady [workload.NumClasses]int
 	e.meter.SetPower(end, gpu.H100.Power(e.Cfg.Freq, 0)*float64(e.Cfg.GPUs()))
-	live := e.active[:0]
-	for _, st := range e.active {
-		st.produced++
-		st.ctx++
-		if e.kvBlocksCap == 0 {
-			e.kvTokens++
-		}
-		e.TokensOut++
-		if st.produced == 1 {
+	n := len(e.active)
+	if e.kvBlocksCap == 0 {
+		e.kvTokens += float64(n)
+	}
+	e.TokensOut += n
+	steady := e.classN
+	for _, st := range e.active[n-e.joined:] {
+		// Joined this iteration: the fields still hold join-time values.
+		if st.produced == 0 {
+			steady[st.cls]--
 			// A drained-and-resubmitted request already produced its
 			// first token on the old configuration; its TTFT happened
 			// then and is not re-recorded.
@@ -576,15 +692,23 @@ func (e *Engine) finishIteration() {
 					e.sink.ObserveTTFT(st.cls, float64(end-st.req.Arrival))
 				}
 			}
-		} else if st.lastToken == prev {
-			steady[st.cls]++
-		} else if e.sink != nil {
-			e.sink.ObserveTBT(st.cls, float64(end-st.lastToken), 1)
+		} else if st.lastToken != prev {
+			steady[st.cls]--
+			if e.sink != nil {
+				e.sink.ObserveTBT(st.cls, float64(end-st.lastToken), 1)
+			}
 		}
-		st.lastToken = end
-		if st.req.Tag != 0 && e.sink != nil {
-			e.sink.Token(&st.req, st.produced, end)
+	}
+	e.joined = 0
+	if e.sink != nil {
+		for _, st := range e.tagged {
+			e.sink.Token(&st.req, e.producedOf(st), end)
 		}
+	}
+	for len(e.exits) > 0 && e.exits[0].exitIter == e.iter {
+		st := e.exits[0]
+		e.unlink(st)
+		e.leaving = append(e.leaving, st)
 		if e.kv.PrefillOnly && st.produced == 1 && st.produced < st.req.OutputTokens {
 			// Disaggregated prefill: the first token marks prefill done;
 			// the sequence decodes elsewhere. Its blocks free here — the
@@ -594,38 +718,61 @@ func (e *Engine) finishIteration() {
 			if e.sink != nil {
 				e.sink.Handoff(&st.req, st.ctx)
 			}
-			e.states.put(st)
 			continue
 		}
-		if st.produced >= st.req.OutputTokens {
-			st.req.Finish = end
-			if e.kvBlocksCap > 0 {
-				e.releaseSeq(st)
-			} else {
-				e.kvTokens -= float64(st.ctx)
-			}
-			e.Completed++
-			if e.sink != nil {
-				e.sink.Done(&st.req)
-			}
-			e.states.put(st)
-			continue
+		st.req.Finish = end
+		if e.kvBlocksCap > 0 {
+			e.releaseSeq(st)
+		} else {
+			e.kvTokens -= float64(st.ctx)
 		}
-		live = append(live, st)
+		e.Completed++
+		if e.sink != nil {
+			e.sink.Done(&st.req)
+		}
 	}
-	for i := len(live); i < len(e.active); i++ {
-		e.active[i] = nil
+	if len(e.leaving) > 0 {
+		e.compactActive()
 	}
-	e.active = live
 	if e.sink != nil {
-		for c, n := range steady {
-			if n > 0 {
-				e.sink.ObserveTBT(workload.Class(c), float64(end-prev), n)
+		for c, k := range steady {
+			if k > 0 {
+				e.sink.ObserveTBT(workload.Class(c), float64(end-prev), k)
 			}
 		}
 	}
 	e.running = false
 	e.kick()
+}
+
+// compactActive drops this iteration's leavers from the active batch,
+// keeping its order, and returns their states to the pool. Both lists
+// are in join order, so one merge pass comparing pointers finds them
+// without loading any sequence.
+//
+//dynamolint:steadystate
+func (e *Engine) compactActive() {
+	a := e.active
+	i := 0
+	for a[i] != e.leaving[0] {
+		i++
+	}
+	w := i
+	for j := 0; i < len(a); i++ {
+		if j < len(e.leaving) && a[i] == e.leaving[j] {
+			j++
+			continue
+		}
+		a[w] = a[i]
+		w++
+	}
+	clear(a[w:])
+	e.active = a[:w]
+	for i, st := range e.leaving {
+		e.states.put(st)
+		e.leaving[i] = nil
+	}
+	e.leaving = e.leaving[:0]
 }
 
 // --- Profiling measurer ---------------------------------------------------------

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
@@ -25,6 +27,34 @@ func BenchmarkEngineSoakSink(b *testing.B) {
 	var s countingSink
 	soak(b, &s)
 	b.ReportMetric(float64(s.tbtReports)/float64(b.N), "tbt-reports")
+}
+
+// BenchmarkEngineDecodeBatch times one steady decode iteration (its start
+// and end events, ns/iter) at batch 8 and at batch 256, reporting to a
+// counting sink. Nothing joins or leaves, so the engine visits no
+// sequence: the two batch sizes should cost about the same.
+func BenchmarkEngineDecodeBatch(b *testing.B) {
+	for _, batch := range []int{8, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			clock := simclock.New()
+			var s countingSink
+			eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &s)
+			for i := 0; i < batch; i++ {
+				eng.Submit(workload.Request{InputTokens: 64, OutputTokens: 1 << 40})
+			}
+			for len(eng.active) < batch || eng.iter < 4 {
+				clock.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := eng.iter
+			for eng.iter-start < b.N {
+				clock.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.iter-start), "ns/iter")
+			b.ReportMetric(float64(len(eng.active)), "batch")
+		})
+	}
 }
 
 // countingSink counts what an engine reports, one interface call per

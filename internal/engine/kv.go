@@ -273,8 +273,10 @@ func (e *Engine) rollbackHead(q *fifo[*seqState]) bool {
 }
 
 // removeActive splices index i out of the active batch, preserving order
-// (oldest first — the preemption policy depends on it).
+// (oldest first — the preemption policy depends on it), and unlinks the
+// sequence.
 func (e *Engine) removeActive(i int) {
+	e.unlink(e.active[i])
 	copy(e.active[i:], e.active[i+1:])
 	e.active[len(e.active)-1] = nil
 	e.active = e.active[:len(e.active)-1]
@@ -379,7 +381,7 @@ func (e *Engine) admitQueue(q *fifo[*seqState], budget *int, steal *fifo[*seqSta
 		*budget -= chunk
 		if st.prefillLeft == 0 {
 			e.maybeInsertPrefix(st)
-			e.active = append(e.active, st)
+			e.join(st)
 			q.pop()
 		}
 	}
@@ -387,23 +389,25 @@ func (e *Engine) admitQueue(q *fifo[*seqState], budget *int, steal *fifo[*seqSta
 }
 
 // reserveDecode guarantees every active sequence a block for the token it
-// produces this iteration. Under pressure it evicts unreferenced prefix
-// entries first, then preempts the youngest active sequences; a sequence
-// whose next token can never fit the whole pool is rejected. The loop
+// produces this iteration. Only a sequence whose next token crosses a
+// block boundary needs one, and the reserve calendar files exactly those
+// under this iteration, in batch order. Under pressure it evicts
+// unreferenced prefix entries first, then preempts the youngest active
+// sequences; a sequence whose next token can never fit the whole pool is
+// rejected. The loop
 // terminates because every failed allocation reclaims a queue head's
 // partial admission or removes a sequence from the batch (possibly the
 // needy one itself, which then resumes via the preempted queue once
 // blocks free up).
+//
+//dynamolint:steadystate
 func (e *Engine) reserveDecode() {
-	for i := 0; i < len(e.active); i++ {
-		st := e.active[i]
-		need := blocksFor(st.ctx+1-st.prefixTokens, e.kv.BlockTokens)
-		if need <= st.kvBlocks {
-			continue
-		}
+	for st := e.needs.due(e.iter); st != nil; st = e.needs.due(e.iter) {
+		// Due now: its blocks hold its context exactly, so this token
+		// takes one more.
+		need := st.kvBlocks + 1
 		if need > e.kvBlocksCap {
-			e.removeActive(i)
-			i--
+			e.removeActive(e.activeIndex(st))
 			e.rejectSeq(st)
 			continue
 		}
@@ -422,11 +426,32 @@ func (e *Engine) reserveDecode() {
 			}
 		}
 		if selfGone {
-			i--
 			continue
 		}
 		st.kvBlocks = need
+		e.needs.drop(st)
+		st.needIter += e.kv.BlockTokens
+		e.needs.add(st)
 	}
+}
+
+// nextNeed is the iteration whose token first overflows an active
+// sequence's blocks: the one at which its context minus its shared
+// prefix reaches kvBlocks*BlockTokens.
+//
+//dynamolint:steadystate
+func (e *Engine) nextNeed(st *seqState) int {
+	return st.joinIter + st.kvBlocks*e.kv.BlockTokens + st.prefixTokens - st.ctx
+}
+
+// activeIndex is st's position in the active batch.
+func (e *Engine) activeIndex(st *seqState) int {
+	for i, a := range e.active {
+		if a == st {
+			return i
+		}
+	}
+	panic("engine: sequence not in the active batch")
 }
 
 // clearPrefix drops the whole prefix cache, resident and spilled entries

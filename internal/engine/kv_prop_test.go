@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
+	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
 )
@@ -105,6 +107,177 @@ func checkKVConservation(t *testing.T, e *Engine) {
 		checkSeq(st)
 	}
 	checkTierCounters(t, e)
+	checkBatchState(t, e)
+}
+
+// checkBatchState recounts the active batch's incremental state from the
+// active slice and compares it with what the engine keeps: each
+// sequence's current produced and ctx, Σctx, the per-class counts, the
+// joiner suffix, the tagged list, the exit heap down to its head, and
+// under block KV the reserve calendar.
+func checkBatchState(t *testing.T, e *Engine) {
+	t.Helper()
+	var classN [workload.NumClasses]int
+	var tagged []*seqState
+	var nextExit, nextNeed *seqState
+	ctx, joined := 0, 0
+	for i, st := range e.active {
+		if i > 0 && st.joinNo <= e.active[i-1].joinNo || st.joinNo >= e.joins {
+			t.Fatalf("t=%v: active[%d] has join number %d after %d (%d joins so far)",
+				e.clock.Now(), i, st.joinNo, e.active[max(i-1, 0)].joinNo, e.joins)
+		}
+		produced, c := e.producedOf(st), st.ctx+e.iter-st.joinIter
+		// However the sequence got here (prefill, prefix hit, recompute,
+		// swap-in, handoff), its context is its prompt plus its tokens.
+		if c != st.req.InputTokens+produced {
+			t.Fatalf("t=%v: active[%d] has ctx %d, want %d prompt + %d produced",
+				e.clock.Now(), i, c, st.req.InputTokens, produced)
+		}
+		// It leaves once it owes no tokens, never before producing one;
+		// on a prefill-only engine, right after its first.
+		exit := e.iter + max(1, st.req.OutputTokens-produced)
+		if e.kv.PrefillOnly && st.produced == 0 {
+			exit = st.joinIter + 1
+		}
+		if st.exitIter != exit {
+			t.Fatalf("t=%v: active[%d] exits at iteration %d, want %d (iter %d, produced %d of %d)",
+				e.clock.Now(), i, st.exitIter, exit, e.iter, produced, st.req.OutputTokens)
+		}
+		if k := st.exitIdx; k >= len(e.exits) || e.exits[k] != st {
+			t.Fatalf("t=%v: active[%d] missing from its exit-heap slot %d", e.clock.Now(), i, st.exitIdx)
+		}
+		if nextExit == nil || exit < nextExit.exitIter {
+			nextExit = st
+		}
+		if e.kvBlocksCap > 0 {
+			// The first iteration whose token overflows the held blocks:
+			// the one where the context minus the shared prefix fills
+			// kvBlocks whole blocks. A reservation is never missed, nor
+			// due further out than one block's worth of tokens.
+			need := e.iter + st.kvBlocks*e.kv.BlockTokens - (c - st.prefixTokens)
+			if st.needIter != need || need < e.iter || need > e.iter+e.kv.BlockTokens {
+				t.Fatalf("t=%v: active[%d] needs a block at iteration %d, want %d (iter %d, ctx %d, prefix %d, %d blocks)",
+					e.clock.Now(), i, st.needIter, need, e.iter, c, st.prefixTokens, st.kvBlocks)
+			}
+			if !slices.Contains(slotList(e.needs, need), st) {
+				t.Fatalf("t=%v: active[%d] missing from its reserve slot", e.clock.Now(), i)
+			}
+			if nextNeed == nil && need == e.iter {
+				nextNeed = st
+			}
+		}
+		ctx += c
+		classN[st.cls]++
+		switch {
+		case st.joinIter == e.iter:
+			joined++
+		case joined > 0:
+			t.Fatalf("t=%v: active[%d] joined before a sequence ahead of it", e.clock.Now(), i)
+		}
+		if st.req.Tag != 0 {
+			tagged = append(tagged, st)
+		}
+	}
+	if want := e.ctxBase + len(e.active)*e.iter; ctx != want {
+		t.Fatalf("t=%v: batch context recounts to %d, engine derives %d", e.clock.Now(), ctx, want)
+	}
+	if classN != e.classN {
+		t.Fatalf("t=%v: class counts recount to %v, engine keeps %v", e.clock.Now(), classN, e.classN)
+	}
+	if joined != e.joined {
+		t.Fatalf("t=%v: %d sequences joined this iteration, engine counts %d", e.clock.Now(), joined, e.joined)
+	}
+	if !slices.Equal(tagged, e.tagged) {
+		t.Fatalf("t=%v: tagged list holds %d sequences, active batch %d", e.clock.Now(), len(e.tagged), len(tagged))
+	}
+	// The exit heap holds the batch and nothing stale, in heap order.
+	if len(e.exits) != len(e.active) {
+		t.Fatalf("t=%v: exit heap holds %d entries for %d active sequences", e.clock.Now(), len(e.exits), len(e.active))
+	}
+	for i, st := range e.exits {
+		if st.exitIdx != i || i > 0 && e.exits.Less(i, (i-1)/2) {
+			t.Fatalf("t=%v: exit heap broken at slot %d", e.clock.Now(), i)
+		}
+	}
+	if nextExit != nil && e.exits[0] != nextExit {
+		t.Fatalf("t=%v: exit heap head leaves at %d (join %d), recount says %d (join %d)",
+			e.clock.Now(), e.exits[0].exitIter, e.exits[0].joinNo, nextExit.exitIter, nextExit.joinNo)
+	}
+	if e.kvBlocksCap == 0 {
+		return
+	}
+	// The reserve calendar files the batch and nothing stale, each slot
+	// in join order, and its due head is the batch's first needy sequence.
+	filed := 0
+	for i := range e.needs {
+		slot := slotList(e.needs, i)
+		for j, st := range slot {
+			if st.needIter&(len(e.needs)-1) != i || j > 0 && slot[j-1].joinNo >= st.joinNo {
+				t.Fatalf("t=%v: reserve slot %d out of order at %d", e.clock.Now(), i, j)
+			}
+		}
+		filed += len(slot)
+	}
+	if filed != len(e.active) {
+		t.Fatalf("t=%v: reserve calendar files %d entries for %d active sequences", e.clock.Now(), filed, len(e.active))
+	}
+	if got := e.needs.due(e.iter); got != nextNeed {
+		t.Fatalf("t=%v: reserve calendar's due head is %p, recount says %p", e.clock.Now(), got, nextNeed)
+	}
+}
+
+// slotList is the reserve calendar's list for key i, as a slice.
+func slotList(r needRing, i int) []*seqState {
+	var s []*seqState
+	for st := r[i&(len(r)-1)]; st != nil; st = st.needNext {
+		s = append(s, st)
+	}
+	return s
+}
+
+// ledger is a Sink that checks each tagged request's lifecycle as the
+// engine reports it: Token's produced counts up by one from 1, Done
+// comes once, right after the request's last token, and nothing follows
+// a Done or a Reject. A request drained for resubmission (restart)
+// starts its count over; the tokens it had are kept in discarded.
+type ledger struct {
+	pooledSink
+	t         *testing.T
+	produced  map[uint64]int
+	closed    map[uint64]bool
+	discarded int
+}
+
+func newLedger(t *testing.T) *ledger {
+	return &ledger{t: t, produced: map[uint64]int{}, closed: map[uint64]bool{}}
+}
+
+func (l *ledger) Token(req *workload.Request, produced int, now simclock.Time) {
+	l.t.Helper()
+	if l.closed[req.Tag] {
+		l.t.Fatalf("t=%v: request %d reports token %d after it closed", now, req.Tag, produced)
+	}
+	if want := l.produced[req.Tag] + 1; produced != want {
+		l.t.Fatalf("t=%v: request %d reports token %d, want %d", now, req.Tag, produced, want)
+	}
+	l.produced[req.Tag] = produced
+}
+
+func (l *ledger) Done(req *workload.Request) {
+	l.t.Helper()
+	if l.closed[req.Tag] || l.produced[req.Tag] != req.OutputTokens {
+		l.t.Fatalf("t=%v: request %d done after %d of %d tokens (closed before: %v)",
+			req.Finish, req.Tag, l.produced[req.Tag], req.OutputTokens, l.closed[req.Tag])
+	}
+	l.closed[req.Tag] = true
+}
+
+func (l *ledger) Reject(req *workload.Request) { l.closed[req.Tag] = true }
+
+// restart books a drained request's tokens as discarded.
+func (l *ledger) restart(tag uint64) {
+	l.discarded += l.produced[tag]
+	l.produced[tag] = 0
 }
 
 // checkTierCounters asserts the swap-counter algebra that holds at every
@@ -121,7 +294,8 @@ func checkTierCounters(t *testing.T, e *Engine) {
 // alternate between two prompt groups in a tight burst, so followers
 // arrive while the published prefix is still cached (an unreferenced
 // entry is evicted the moment the pool saturates); the tail is ungrouped
-// churn that drives the pool into preemption.
+// churn that drives the pool into preemption. Every request is tagged
+// (i+1), so a ledger can follow each one's tokens.
 func kvPropReqs(n int, seed uint64) []workload.Request {
 	rng := simclock.NewRNG(seed)
 	reqs := make([]workload.Request, n)
@@ -132,6 +306,7 @@ func kvPropReqs(n int, seed uint64) []workload.Request {
 			Arrival:      at,
 			InputTokens:  32 + rng.Intn(600),
 			OutputTokens: 2 + rng.Intn(100),
+			Tag:          uint64(i + 1),
 		}
 		if i < 12 {
 			g := uint64(1 + i%2)
@@ -147,7 +322,8 @@ func kvPropReqs(n int, seed uint64) []workload.Request {
 // active, and after the drain nothing is held at all.
 func TestKVPropConservation(t *testing.T) {
 	clk := simclock.New()
-	eng := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 64, PrefixCache: true}, clk, nil)
+	led := newLedger(t)
+	eng := New(cfg70(model.TP4, 1600), KVConfig{BlockTokens: 16, Blocks: 64, PrefixCache: true}, clk, led)
 	reqs := kvPropReqs(80, 17)
 	schedule(clk, eng, reqs)
 	// The check rides a fine periodic event: engine state only mutates
@@ -161,9 +337,9 @@ func TestKVPropConservation(t *testing.T) {
 	}
 
 	checkKVConservation(t, eng)
-	if eng.Completed+eng.KVRejected != len(reqs) {
-		t.Fatalf("requests lost: %d completed + %d rejected of %d",
-			eng.Completed, eng.KVRejected, len(reqs))
+	if eng.Completed+eng.KVRejected != len(reqs) || len(led.closed) != len(reqs) {
+		t.Fatalf("requests lost: %d completed + %d rejected of %d (%d closed)",
+			eng.Completed, eng.KVRejected, len(reqs), len(led.closed))
 	}
 	if eng.QueueLen() != 0 {
 		t.Fatalf("queue not drained: %d", eng.QueueLen())
@@ -293,7 +469,8 @@ func kvTierSlowCfg(tierBlocks int) KVConfig {
 func TestKVTierPropConservation(t *testing.T) {
 	for _, tierBlocks := range []int{1, 4, 16, 256} {
 		clk := simclock.New()
-		eng := New(cfg70(model.TP4, 1600), kvTierCfg(tierBlocks), clk, nil)
+		led := newLedger(t)
+		eng := New(cfg70(model.TP4, 1600), kvTierCfg(tierBlocks), clk, led)
 		reqs := kvPropReqs(80, 17)
 		schedule(clk, eng, reqs)
 		cancel := clk.Every(0.01, func() { checkKVConservation(t, eng) })
@@ -303,9 +480,9 @@ func TestKVTierPropConservation(t *testing.T) {
 		}
 
 		checkKVConservation(t, eng)
-		if eng.Completed+eng.KVRejected != len(reqs) {
-			t.Fatalf("tier %d: requests lost: %d completed + %d rejected of %d",
-				tierBlocks, eng.Completed, eng.KVRejected, len(reqs))
+		if eng.Completed+eng.KVRejected != len(reqs) || len(led.closed) != len(reqs) {
+			t.Fatalf("tier %d: requests lost: %d completed + %d rejected of %d (%d closed)",
+				tierBlocks, eng.Completed, eng.KVRejected, len(reqs), len(led.closed))
 		}
 		if tierBlocks >= 16 && eng.KVSwapOuts == 0 {
 			t.Errorf("tier %d: swap-always run never swapped; tier not exercised", tierBlocks)
@@ -459,4 +636,54 @@ func TestKVPropDisaggHandoff(t *testing.T) {
 	if rejectedTokens := total - (pre.TokensOut + dec.TokensOut); dec.KVRejected == 0 && rejectedTokens != 0 {
 		t.Errorf("token conservation across handoff: %d produced of %d", pre.TokensOut+dec.TokensOut, total)
 	}
+}
+
+// TestBatchStateTokenKVSoak: under token-count KV, with every request
+// tagged, a freeze, and the batch drained and resubmitted twice mid-run
+// (a re-shard's drain-and-migrate, one of them against a smaller TP),
+// the engine's incremental batch state matches a recount after every
+// clock event, each request's tokens count up without a gap or repeat,
+// and the tokens out are every request's output plus what the drains
+// discarded.
+func TestBatchStateTokenKVSoak(t *testing.T) {
+	clk := simclock.New()
+	led := newLedger(t)
+	eng := New(cfg70(model.TP8, 1600), KVConfig{}, clk, led)
+	reqs := kvPropReqs(300, 5)
+	schedule(clk, eng, reqs)
+	migrate := func(cfg perfmodel.Config) {
+		var drained []workload.Request
+		eng.Drain(func(r workload.Request) { drained = append(drained, r) })
+		if len(drained) == 0 {
+			t.Fatalf("t=%v: drain found nothing to migrate", clk.Now())
+		}
+		eng.Reconfigure(cfg)
+		for _, r := range drained {
+			led.restart(r.Tag)
+			eng.Submit(r)
+		}
+	}
+	clk.At(8, func() { migrate(cfg70(model.TP4, 1600)) })
+	clk.At(15, func() { eng.Freeze(16) })
+	clk.At(20.0003, func() { migrate(cfg70(model.TP8, 1600)) })
+	events := 0
+	for clk.Step() {
+		checkBatchState(t, eng)
+		events++
+	}
+
+	if eng.Completed != len(reqs) || len(led.closed) != len(reqs) {
+		t.Fatalf("completed %d of %d (%d closed)", eng.Completed, len(reqs), len(led.closed))
+	}
+	want := led.discarded
+	for _, r := range reqs {
+		want += r.OutputTokens
+	}
+	if eng.TokensOut != want {
+		t.Errorf("%d tokens out, want %d outputs + %d discarded by drains", eng.TokensOut, want-led.discarded, led.discarded)
+	}
+	if led.discarded == 0 || eng.kvTokens != 0 {
+		t.Errorf("drains discarded %d tokens; %v KV tokens resident after the run", led.discarded, eng.kvTokens)
+	}
+	t.Logf("%d clock events audited", events)
 }

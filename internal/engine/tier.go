@@ -180,7 +180,7 @@ func (e *Engine) tierReclaim(need int) bool {
 //dynamolint:steadystate
 func (e *Engine) flushSwapReady() {
 	for i, st := range e.swapReady {
-		e.active = append(e.active, st)
+		e.join(st)
 		e.swapReady[i] = nil
 	}
 	e.swapReady = e.swapReady[:0]

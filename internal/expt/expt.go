@@ -598,9 +598,8 @@ func serversFor(tr trace.Trace) int {
 
 // Fig16Result holds the week-long carbon comparison.
 type Fig16Result struct {
-	Baseline, Dynamo             *core.Result
-	BaselineKg, DynamoKg         float64
-	BaselineSeries, DynamoSeries *metrics.Series
+	Baseline, Dynamo     *core.Result
+	BaselineKg, DynamoKg float64
 }
 
 // Fig16 convolves the week-long Conversation energy with the CAISO-like
@@ -608,18 +607,15 @@ type Fig16Result struct {
 func (c Config) Fig16() Fig16Result {
 	var res Fig16Result
 	res.Baseline, res.Dynamo = c.conversationWeek()
-	carbonize := func(r *core.Result) (*energy.CarbonMeter, float64) {
+	carbonize := func(r *core.Result) float64 {
 		m := energy.NewCarbonMeter(energy.CAISO)
 		for _, p := range r.EnergySeries.Points() {
 			m.AddEnergy(simclock.Time(p.Time), p.Value)
 		}
-		return m, m.Kg()
+		return m.Kg()
 	}
-	var mB, mD *energy.CarbonMeter
-	mB, res.BaselineKg = carbonize(res.Baseline)
-	mD, res.DynamoKg = carbonize(res.Dynamo)
-	res.BaselineSeries = mB.HourlySeries()
-	res.DynamoSeries = mD.HourlySeries()
+	res.BaselineKg = carbonize(res.Baseline)
+	res.DynamoKg = carbonize(res.Dynamo)
 	return res
 }
 

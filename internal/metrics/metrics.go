@@ -307,27 +307,57 @@ func (d *Dist) Percentile(p float64) float64 {
 // infinity, and both infinities make it NaN). The division is O(accWords),
 // so Mean belongs on report paths, not per sample.
 func (d *Dist) Mean() float64 {
-	switch {
-	case d.n == 0:
+	if d.n == 0 {
 		return 0
-	case d.posInf > 0 && d.negInf > 0:
-		return math.NaN()
-	case d.posInf > 0:
-		return math.Inf(1)
-	case d.negInf > 0:
-		return math.Inf(-1)
+	}
+	if v, ok := d.infinite(); ok {
+		return v
 	}
 	// Divide |sum| * 2^64 by n: the 64 extra fraction bits put the
 	// rounding bit of every float64 result, subnormals included, inside
 	// the quotient, and the remainder is the rest of the sticky bit.
-	var q [accWords + 1]uint64
-	copy(q[1:], d.sum[:])
-	neg := negate(q[1:])
+	q, neg := d.scaledSum()
 	var r uint64
 	for i := len(q) - 1; i >= 0; i-- {
 		q[i], r = bits.Div64(r, q[i], uint64(d.n))
 	}
-	m := roundQuotient(q[:], r != 0)
+	return signed(roundQuotient(q[:], r != 0), neg)
+}
+
+// Sum returns the sum of the samples, or 0 when empty: the exact sum,
+// correctly rounded once (a sum beyond the float64 range rounds to an
+// infinity; infinite samples give Mean's special values).
+func (d *Dist) Sum() float64 {
+	if v, ok := d.infinite(); ok {
+		return v
+	}
+	q, neg := d.scaledSum()
+	return signed(roundQuotient(q[:], false), neg)
+}
+
+// infinite reports the value infinite samples force on Mean and Sum: an
+// infinity, or NaN when both are present.
+func (d *Dist) infinite() (float64, bool) {
+	switch {
+	case d.posInf > 0 && d.negInf > 0:
+		return math.NaN(), true
+	case d.posInf > 0:
+		return math.Inf(1), true
+	case d.negInf > 0:
+		return math.Inf(-1), true
+	}
+	return 0, false
+}
+
+// scaledSum returns |sum| * 2^64, the scale roundQuotient reads, and
+// whether the sum is negative.
+func (d *Dist) scaledSum() (q [accWords + 1]uint64, neg bool) {
+	copy(q[1:], d.sum[:])
+	return q, negate(q[1:])
+}
+
+// signed gives m the sign neg says.
+func signed(m float64, neg bool) float64 {
 	if neg {
 		return -m
 	}
@@ -347,9 +377,9 @@ func negate(x []uint64) bool {
 	return true
 }
 
-// roundQuotient returns x*2^(-1074-64), Mean's quotient, correctly
-// rounded to a float64 (ties to even); sticky marks a non-zero remainder
-// below x's lowest bit.
+// roundQuotient returns x*2^(-1074-64) (Mean's quotient or Sum's scaled
+// sum) correctly rounded to a float64 (ties to even); sticky marks a
+// non-zero remainder below x's lowest bit.
 func roundQuotient(x []uint64, sticky bool) float64 {
 	top := len(x) - 1
 	for top >= 0 && x[top] == 0 {

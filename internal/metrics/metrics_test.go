@@ -534,6 +534,48 @@ func TestSumAndMeanMatchBigFloat(t *testing.T) {
 		if got := d.Mean(); math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("trial %d: Mean = %v (%#x), want %v (%#x)", trial, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
+		wantSum := want
+		if !posInf && !negInf {
+			wantSum, _ = ref.Float64() // rounds to nearest even, past the range to ±Inf
+			if wantSum == 0 {
+				wantSum = 0
+			}
+		}
+		if got := d.Sum(); math.Float64bits(got) != math.Float64bits(wantSum) && !(math.IsNaN(got) && math.IsNaN(wantSum)) {
+			t.Fatalf("trial %d: Sum = %v (%#x), want %v (%#x)", trial, got, math.Float64bits(got), wantSum, math.Float64bits(wantSum))
+		}
+	}
+}
+
+// Sum's special values: the exact sum rounds once, so a sum past the
+// float64 range is an infinity and a tie at the subnormal floor rounds
+// to even, and infinite samples act as in Mean.
+func TestSumSpecialValues(t *testing.T) {
+	for _, tc := range []struct {
+		vals []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{math.Copysign(0, -1)}, 0},
+		{[]float64{-1, 1}, 0},
+		{[]float64{0.1, 0.2}, 0.30000000000000004},
+		{[]float64{1, 1e-16, 1e-16}, 1.0000000000000002}, // an ordered float sum gives 1
+		{[]float64{-3, -5}, -8},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+		{[]float64{-math.MaxFloat64, -math.MaxFloat64}, math.Inf(-1)},
+		{[]float64{math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64}, math.MaxFloat64},
+		{[]float64{1, math.Inf(1)}, math.Inf(1)},
+		{[]float64{1, math.Inf(-1)}, math.Inf(-1)},
+		{[]float64{math.Inf(1), math.Inf(-1)}, math.NaN()},
+	} {
+		var d Dist
+		for _, v := range tc.vals {
+			d.Add(v)
+		}
+		got := d.Sum()
+		if math.Float64bits(got) != math.Float64bits(tc.want) && !(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("Sum%v = %v, want %v", tc.vals, got, tc.want)
+		}
 	}
 }
 

@@ -248,15 +248,9 @@ type Steady struct {
 	ChunkIterTime float64
 	// Batch is the equilibrium number of resident decode sequences.
 	Batch float64
-	// Rho is the bottleneck utilization in (0, 1) for feasible points:
-	// the max of compute, KV-bandwidth, and prefill-channel utilization.
-	Rho float64
 	// Util is the effective SM utilization while busy (includes the
 	// recompute waste that appears near saturation).
 	Util float64
-	// BusyFrac is the fraction of wall time the engine is executing
-	// iterations (below 1 only at low load).
-	BusyFrac float64
 	// TTFTMean and TTFTP99 are the modeled time-to-first-token.
 	TTFTMean, TTFTP99 float64
 	// TBTMean and TBTP99 are the modeled time-between-tokens.
@@ -324,7 +318,6 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 
 	if alpha >= 1 || beta >= 1 {
 		st.Feasible = false
-		st.Rho = math.Max(alpha, beta)
 		return st
 	}
 
@@ -384,7 +377,6 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 	st.TTFTP99 = base*1.1 + 3*wait
 
 	rho := math.Max(math.Max(alpha, beta), rhoPf)
-	st.Rho = rho
 	if rho > maxRho {
 		st.Feasible = false
 	}
@@ -405,7 +397,6 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 	waste := 1 + wasteCoeff*math.Pow(rho, wasteExp)
 	util := math.Min(1, mean.Util*waste)
 	st.Util = util
-	st.BusyFrac = busy
 	st.PowerPerGPU = gpu.H100.PowerShared(cfg.Freq, busy, util)
 	st.Power = st.PowerPerGPU * float64(cfg.GPUs())
 	st.EnergyPerRequest = st.Power / lambda

@@ -120,6 +120,6 @@ func writeSummaryRows(w io.Writer, name string, labels string, d *metrics.Dist) 
 	if labels != "" {
 		suffix = "{" + labels + "}"
 	}
-	fmt.Fprintf(w, "dynamollm_%s_sum%s %g\n", name, suffix, d.Mean()*float64(d.N()))
+	fmt.Fprintf(w, "dynamollm_%s_sum%s %g\n", name, suffix, d.Sum())
 	fmt.Fprintf(w, "dynamollm_%s_count%s %d\n", name, suffix, d.N())
 }

@@ -32,6 +32,7 @@ runs=(
 	"-quick -peak 5 -fidelity event scenario flashcrowd"
 	"-quick -peak 5 -kv-tier cpu scenario tier-thrash"
 	"-quick -peak 5 -disagg scenario flashcrowd"
+	"-quick -jobs 1 -fidelity event fig6"
 )
 fail=0
 for args in "${runs[@]}"; do
