@@ -84,6 +84,9 @@ func TestCarbonMeter(t *testing.T) {
 	if math.Abs(m.Kg()-want/1000) > 1e-12 {
 		t.Errorf("kg = %v, want %v", m.Kg(), want/1000)
 	}
+	if len(m.HourlySeries().Points()) != 1 {
+		t.Error("hourly series missing bucket")
+	}
 }
 
 func TestCostBill(t *testing.T) {

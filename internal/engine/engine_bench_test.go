@@ -31,29 +31,41 @@ func BenchmarkEngineSoakSink(b *testing.B) {
 
 // BenchmarkEngineDecodeBatch times one steady decode iteration (its start
 // and end events, ns/iter) at batch 8 and at batch 256, reporting to a
-// counting sink. Nothing joins or leaves, so the engine visits no
-// sequence: the two batch sizes should cost about the same.
+// counting sink. Nothing joins or leaves, so under token KV the engine
+// visits no sequence and the two batch sizes should cost about the same.
+// Under block KV (16-token blocks, a pool too large to fill) it also
+// visits each sequence once every 16 iterations, when its next token
+// needs a new block.
 func BenchmarkEngineDecodeBatch(b *testing.B) {
-	for _, batch := range []int{8, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			clock := simclock.New()
-			var s countingSink
-			eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &s)
-			for i := 0; i < batch; i++ {
-				eng.Submit(workload.Request{InputTokens: 64, OutputTokens: 1 << 40})
-			}
-			for len(eng.active) < batch || eng.iter < 4 {
-				clock.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := eng.iter
-			for eng.iter-start < b.N {
-				clock.Step()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.iter-start), "ns/iter")
-			b.ReportMetric(float64(len(eng.active)), "batch")
-		})
+	kvs := []struct {
+		name string
+		kv   KVConfig
+	}{
+		{"tokens", KVConfig{}},
+		{"blocks", KVConfig{BlockTokens: 16, Blocks: 1 << 40}},
+	}
+	for _, kv := range kvs {
+		for _, batch := range []int{8, 256} {
+			b.Run(fmt.Sprintf("kv=%s/batch=%d", kv.name, batch), func(b *testing.B) {
+				clock := simclock.New()
+				var s countingSink
+				eng := New(cfg70(model.TP8, gpu.MaxFreq), kv.kv, clock, &s)
+				for i := 0; i < batch; i++ {
+					eng.Submit(workload.Request{InputTokens: 64, OutputTokens: 1 << 40})
+				}
+				for len(eng.active) < batch || eng.iter < 4 {
+					clock.Step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := eng.iter
+				for eng.iter-start < b.N {
+					clock.Step()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.iter-start), "ns/iter")
+				b.ReportMetric(float64(len(eng.active)), "batch")
+			})
+		}
 	}
 }
 

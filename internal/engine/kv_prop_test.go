@@ -188,7 +188,7 @@ func checkBatchState(t *testing.T, e *Engine) {
 		t.Fatalf("t=%v: %d sequences joined this iteration, engine counts %d", e.clock.Now(), joined, e.joined)
 	}
 	if !slices.Equal(tagged, e.tagged) {
-		t.Fatalf("t=%v: tagged list holds %d sequences, active batch %d", e.clock.Now(), len(e.tagged), len(tagged))
+		t.Fatalf("t=%v: tagged list holds %d sequences, the batch recounts %d tagged (of %d) in another order or set", e.clock.Now(), len(e.tagged), len(tagged), len(e.active))
 	}
 	// The exit heap holds the batch and nothing stale, in heap order.
 	if len(e.exits) != len(e.active) {
@@ -240,11 +240,14 @@ func slotList(r needRing, i int) []*seqState {
 // comes once, right after the request's last token, and nothing follows
 // a Done or a Reject. A request drained for resubmission (restart)
 // starts its count over; the tokens it had are kept in discarded.
+// Untagged requests get no Token calls; their Done and Reject calls
+// only count towards closedN, which counts every request closed.
 type ledger struct {
 	pooledSink
 	t         *testing.T
 	produced  map[uint64]int
 	closed    map[uint64]bool
+	closedN   int
 	discarded int
 }
 
@@ -265,6 +268,10 @@ func (l *ledger) Token(req *workload.Request, produced int, now simclock.Time) {
 
 func (l *ledger) Done(req *workload.Request) {
 	l.t.Helper()
+	l.closedN++
+	if req.Tag == 0 {
+		return
+	}
 	if l.closed[req.Tag] || l.produced[req.Tag] != req.OutputTokens {
 		l.t.Fatalf("t=%v: request %d done after %d of %d tokens (closed before: %v)",
 			req.Finish, req.Tag, l.produced[req.Tag], req.OutputTokens, l.closed[req.Tag])
@@ -272,7 +279,12 @@ func (l *ledger) Done(req *workload.Request) {
 	l.closed[req.Tag] = true
 }
 
-func (l *ledger) Reject(req *workload.Request) { l.closed[req.Tag] = true }
+func (l *ledger) Reject(req *workload.Request) {
+	l.closedN++
+	if req.Tag != 0 {
+		l.closed[req.Tag] = true
+	}
+}
 
 // restart books a drained request's tokens as discarded.
 func (l *ledger) restart(tag uint64) {
@@ -294,8 +306,9 @@ func checkTierCounters(t *testing.T, e *Engine) {
 // alternate between two prompt groups in a tight burst, so followers
 // arrive while the published prefix is still cached (an unreferenced
 // entry is evicted the moment the pool saturates); the tail is ungrouped
-// churn that drives the pool into preemption. Every request is tagged
-// (i+1), so a ledger can follow each one's tokens.
+// churn that drives the pool into preemption. Two requests in three are
+// tagged (i+1), so a ledger can follow their tokens while the batch's
+// tagged list is a proper subset of it.
 func kvPropReqs(n int, seed uint64) []workload.Request {
 	rng := simclock.NewRNG(seed)
 	reqs := make([]workload.Request, n)
@@ -306,7 +319,9 @@ func kvPropReqs(n int, seed uint64) []workload.Request {
 			Arrival:      at,
 			InputTokens:  32 + rng.Intn(600),
 			OutputTokens: 2 + rng.Intn(100),
-			Tag:          uint64(i + 1),
+		}
+		if i%3 != 0 {
+			reqs[i].Tag = uint64(i + 1)
 		}
 		if i < 12 {
 			g := uint64(1 + i%2)
@@ -337,9 +352,9 @@ func TestKVPropConservation(t *testing.T) {
 	}
 
 	checkKVConservation(t, eng)
-	if eng.Completed+eng.KVRejected != len(reqs) || len(led.closed) != len(reqs) {
+	if eng.Completed+eng.KVRejected != len(reqs) || led.closedN != len(reqs) {
 		t.Fatalf("requests lost: %d completed + %d rejected of %d (%d closed)",
-			eng.Completed, eng.KVRejected, len(reqs), len(led.closed))
+			eng.Completed, eng.KVRejected, len(reqs), led.closedN)
 	}
 	if eng.QueueLen() != 0 {
 		t.Fatalf("queue not drained: %d", eng.QueueLen())
@@ -480,9 +495,9 @@ func TestKVTierPropConservation(t *testing.T) {
 		}
 
 		checkKVConservation(t, eng)
-		if eng.Completed+eng.KVRejected != len(reqs) || len(led.closed) != len(reqs) {
+		if eng.Completed+eng.KVRejected != len(reqs) || led.closedN != len(reqs) {
 			t.Fatalf("tier %d: requests lost: %d completed + %d rejected of %d (%d closed)",
-				tierBlocks, eng.Completed, eng.KVRejected, len(reqs), len(led.closed))
+				tierBlocks, eng.Completed, eng.KVRejected, len(reqs), led.closedN)
 		}
 		if tierBlocks >= 16 && eng.KVSwapOuts == 0 {
 			t.Errorf("tier %d: swap-always run never swapped; tier not exercised", tierBlocks)
@@ -638,13 +653,13 @@ func TestKVPropDisaggHandoff(t *testing.T) {
 	}
 }
 
-// TestBatchStateTokenKVSoak: under token-count KV, with every request
-// tagged, a freeze, and the batch drained and resubmitted twice mid-run
-// (a re-shard's drain-and-migrate, one of them against a smaller TP),
-// the engine's incremental batch state matches a recount after every
-// clock event, each request's tokens count up without a gap or repeat,
-// and the tokens out are every request's output plus what the drains
-// discarded.
+// TestBatchStateTokenKVSoak: under token-count KV, with two requests in
+// three tagged, a freeze, and the batch drained and resubmitted twice
+// mid-run (a re-shard's drain-and-migrate, one of them against a smaller
+// TP), the engine's incremental batch state matches a recount after
+// every clock event, each tagged request's tokens count up without a gap
+// or repeat, and the tokens out are every request's output plus what the
+// drains discarded.
 func TestBatchStateTokenKVSoak(t *testing.T) {
 	clk := simclock.New()
 	led := newLedger(t)
@@ -652,6 +667,14 @@ func TestBatchStateTokenKVSoak(t *testing.T) {
 	reqs := kvPropReqs(300, 5)
 	schedule(clk, eng, reqs)
 	migrate := func(cfg perfmodel.Config) {
+		// Token KV never takes a sequence out of the batch before it
+		// completes, so only the active batch holds tokens to discard;
+		// the ledger knows the tagged ones', the untagged are counted here.
+		for _, st := range eng.active {
+			if st.req.Tag == 0 {
+				led.discarded += eng.producedOf(st)
+			}
+		}
 		var drained []workload.Request
 		eng.Drain(func(r workload.Request) { drained = append(drained, r) })
 		if len(drained) == 0 {
@@ -666,14 +689,20 @@ func TestBatchStateTokenKVSoak(t *testing.T) {
 	clk.At(8, func() { migrate(cfg70(model.TP4, 1600)) })
 	clk.At(15, func() { eng.Freeze(16) })
 	clk.At(20.0003, func() { migrate(cfg70(model.TP8, 1600)) })
-	events := 0
+	events, mixed := 0, 0
 	for clk.Step() {
 		checkBatchState(t, eng)
 		events++
+		if n := len(eng.tagged); n > 0 && n < len(eng.active) {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no audit saw a batch mixing tagged and untagged sequences")
 	}
 
-	if eng.Completed != len(reqs) || len(led.closed) != len(reqs) {
-		t.Fatalf("completed %d of %d (%d closed)", eng.Completed, len(reqs), len(led.closed))
+	if eng.Completed != len(reqs) || led.closedN != len(reqs) {
+		t.Fatalf("completed %d of %d (%d closed)", eng.Completed, len(reqs), led.closedN)
 	}
 	want := led.discarded
 	for _, r := range reqs {
@@ -685,5 +714,5 @@ func TestBatchStateTokenKVSoak(t *testing.T) {
 	if led.discarded == 0 || eng.kvTokens != 0 {
 		t.Errorf("drains discarded %d tokens; %v KV tokens resident after the run", led.discarded, eng.kvTokens)
 	}
-	t.Logf("%d clock events audited", events)
+	t.Logf("%d clock events audited, %d of them on a mixed batch", events, mixed)
 }
