@@ -721,10 +721,11 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 // still reach the Result and observer in ID order. Under disaggregation
 // a pool group shares one clock: stepping its lowest-ID engine runs the
 // whole group, and the other engines hold their tail until the loop
-// reaches them, so buffering is bounded per group, not per engine. The drain is serial whatever StepJobs says: draining
-// in parallel would mean buffering ahead of the ID-order merge. Each
-// engine's meter closes at its own last event — trailing idle time past
-// an engine's final iteration is not billed.
+// reaches them, so buffering is bounded per group, not per engine. The
+// drain is serial whatever StepJobs says: draining in parallel would
+// mean buffering ahead of the ID-order merge. Each engine's meter closes
+// at its own last event — trailing idle time past an engine's final
+// iteration is not billed.
 func (b *eventBackend) Finish(end simclock.Time) {
 	b.deliver(simclock.Time(math.Inf(1)))
 	for _, ie := range b.engines {

@@ -106,7 +106,7 @@ func TestSteadyDecodeOneRecordPerIteration(t *testing.T) {
 	const seqs = 32
 	for i := range seqs {
 		// Tagged, so every token reaches iterSink.Token.
-		ie.eng.Submit(workload.Request{ID: uint64(i + 1), Tag: uint64(i + 1), InputTokens: 256, OutputTokens: 1000})
+		ie.eng.Submit(workload.Request{Tag: uint64(i + 1), InputTokens: 256, OutputTokens: 1000})
 	}
 	b := mergeOnlyBackend(ie)
 

@@ -571,12 +571,9 @@ type simulation struct {
 	// injected is the live-injection queue (Live.Inject): arrivals
 	// inserted after the run started, kept time-sorted and merged with
 	// the base trace at consumption so neither stream is ever memmoved.
-	// injIdx is its consumption cursor; arrivals numbers requests across
-	// both streams (for a pure-trace run it equals idx, so batch IDs are
-	// unchanged).
+	// injIdx is its consumption cursor.
 	injected []trace.Entry
 	injIdx   int
-	arrivals uint64
 
 	// assigns is indexed by Instance.ID (IDs are dense: handed out
 	// sequentially and never reused, so the slice grows with the total
@@ -753,10 +750,8 @@ func (sm *simulation) step(tick int) {
 		if !ok {
 			break
 		}
-		sm.arrivals++
 		res.Requests++ // counted once per request, at first arrival
 		sm.reqs = append(sm.reqs, workload.Request{
-			ID:           sm.arrivals,
 			Tag:          e.Tag,
 			PromptGroup:  e.PromptGroup,
 			Arrival:      e.At,

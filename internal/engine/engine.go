@@ -786,7 +786,7 @@ const MeasureSeconds = 240
 //
 //dynamolint:api measured profiling: tests cross-validate the fluid profile against it, and planning from measured profiles (ROADMAP) will call it
 func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloScale float64) profile.Observation {
-	obs := profile.Observation{Lambda: lambda}
+	var obs profile.Observation
 	if !cfg.Feasible() || lambda <= 0 {
 		obs.Feasible = cfg.Feasible()
 		obs.Power = gpu.H100.IdlePower * float64(cfg.GPUs())

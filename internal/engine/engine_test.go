@@ -152,7 +152,7 @@ func TestSinkDone(t *testing.T) {
 	var rec recorder
 	eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
 	for i := 0; i < 3; i++ {
-		eng.Submit(workload.Request{ID: uint64(i + 1), InputTokens: 64, OutputTokens: 5})
+		eng.Submit(workload.Request{Tag: uint64(i + 1), InputTokens: 64, OutputTokens: 5})
 	}
 	for clock.Step() {
 	}
@@ -160,8 +160,8 @@ func TestSinkDone(t *testing.T) {
 		t.Fatalf("Done fired %d times, want 3", len(rec.done))
 	}
 	for i, r := range rec.done {
-		if r.ID != uint64(i+1) || r.Finish < r.FirstToken || r.FirstToken <= 0 {
-			t.Errorf("completion %d = %+v, want ID %d with its timestamps set", i, r, i+1)
+		if r.Tag != uint64(i+1) || r.Finish < r.FirstToken || r.FirstToken <= 0 {
+			t.Errorf("completion %d = %+v, want tag %d with its timestamps set", i, r, i+1)
 		}
 	}
 }
@@ -174,10 +174,10 @@ func TestSubmitCopiesRequest(t *testing.T) {
 		clock := simclock.New()
 		var rec recorder
 		eng := New(cfg70(model.TP8, gpu.MaxFreq), KVConfig{}, clock, &rec)
-		req := &workload.Request{ID: 7, Tag: 3, Arrival: 0, InputTokens: 300, OutputTokens: 12}
+		req := &workload.Request{Tag: 3, Arrival: 0, InputTokens: 300, OutputTokens: 12}
 		eng.Submit(*req)
 		if mutate {
-			*req = workload.Request{ID: 99, Tag: 0, Arrival: 5, InputTokens: 4000, OutputTokens: 1, FirstToken: 1, Finish: 2}
+			*req = workload.Request{Tag: 0, Arrival: 5, InputTokens: 4000, OutputTokens: 1, FirstToken: 1, Finish: 2}
 		}
 		for clock.Step() {
 		}
@@ -380,7 +380,7 @@ func TestTBTReportsMatchTokenGaps(t *testing.T) {
 			at := 0.0
 			for i := range reqs {
 				at += rng.Exp(4)
-				reqs[i] = workload.Request{ID: uint64(i + 1), Tag: uint64(i + 1), Arrival: simclock.Time(at),
+				reqs[i] = workload.Request{Tag: uint64(i + 1), Arrival: simclock.Time(at),
 					InputTokens: 64 + rng.Intn(4000), OutputTokens: 2 + rng.Intn(600)}
 			}
 			schedule(clock, eng, reqs)

@@ -391,7 +391,6 @@ func (c Config) ClusterHour() []SystemRun {
 // Fig11Row is one accuracy level's outcome.
 type Fig11Row struct {
 	Label     string
-	Accuracy  float64
 	EnergyKWh float64
 	TTFTMean  float64
 }
@@ -420,7 +419,6 @@ func (c Config) Fig11() []Fig11Row {
 		res := core.RunWithRepo(tr, opts, repo)
 		return Fig11Row{
 			Label:     sp.label,
-			Accuracy:  sp.acc,
 			EnergyKWh: res.EnergyKWh(),
 			TTFTMean:  res.TTFT.Mean(),
 		}
@@ -432,7 +430,6 @@ func (c Config) Fig11() []Fig11Row {
 // Fig12Level is one load level's six-system comparison.
 type Fig12Level struct {
 	Label   string
-	Factor  float64 // fraction of PeakRPS
 	Systems []SystemRun
 }
 
@@ -455,7 +452,7 @@ func (c Config) Fig12() []Fig12Level {
 	groups := c.gridRuns(jobs, len(levels))
 	out := make([]Fig12Level, len(levels))
 	for i, lv := range levels {
-		out[i] = Fig12Level{Label: lv.label, Factor: lv.factor, Systems: groups[i]}
+		out[i] = Fig12Level{Label: lv.label, Systems: groups[i]}
 	}
 	return out
 }

@@ -260,9 +260,9 @@ func RenderFig10(runs []SystemRun) string {
 	return b.String()
 }
 
-type point = struct{ Time, Value float64 }
-
-func bin(pts []metrics.Point, width float64) []point {
+// bin averages pts over consecutive windows of width seconds, in time
+// order, skipping empty windows.
+func bin(pts []metrics.Point, width float64) []float64 {
 	agg := map[int][2]float64{}
 	var keys []int
 	for _, p := range pts {
@@ -275,18 +275,18 @@ func bin(pts []metrics.Point, width float64) []point {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	out := make([]point, 0, len(keys))
+	out := make([]float64, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, point{Time: float64(k) * width, Value: agg[k][0] / agg[k][1]})
+		out = append(out, agg[k][0]/agg[k][1])
 	}
 	return out
 }
 
-func seriesLine(label string, pts []point, scale float64) string {
+func seriesLine(label string, means []float64, scale float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %-14s", label)
-	for _, p := range pts {
-		fmt.Fprintf(&b, " %6.2f", p.Value*scale)
+	for _, v := range means {
+		fmt.Fprintf(&b, " %6.2f", v*scale)
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -360,12 +360,11 @@ func RenderFig15(runs []SystemRun) string {
 	var b strings.Builder
 	b.WriteString("Fig 15: energy per 30-min interval over one day (kWh)\n")
 	for _, r := range runs {
-		pts := bin(r.Result.EnergySeries.Points(), 1800)
 		// EnergySeries accumulates J per 5-min bucket; binning averages,
 		// so scale back to per-interval kWh (6 buckets per 30 min).
 		fmt.Fprintf(&b, "  %-11s", r.Name)
-		for _, p := range pts {
-			fmt.Fprintf(&b, " %5.1f", p.Value*6/3.6e6)
+		for _, v := range bin(r.Result.EnergySeries.Points(), 1800) {
+			fmt.Fprintf(&b, " %5.1f", v*6/3.6e6)
 		}
 		b.WriteString("\n")
 	}

@@ -72,7 +72,6 @@ func (f Freq) String() string {
 // clock therefore sits near the knee (~1.2 GHz on H100), exactly where the
 // paper's heatmaps bottom out.
 type Spec struct {
-	Name string
 	// IdlePower is drawn whenever the GPU is powered on, independent of
 	// frequency and load (HBM refresh, fans share, leakage at idle rail).
 	IdlePower float64
@@ -97,7 +96,6 @@ type Spec struct {
 
 // H100 is the SKU used throughout the paper (DGX H100, 700 W boards).
 var H100 = Spec{
-	Name:           "h100-sxm",
 	IdlePower:      85,
 	BusyFloorPower: 25,
 	LeakPower:      110,

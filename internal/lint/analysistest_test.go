@@ -68,7 +68,7 @@ func loadTestPackage(t *testing.T, dir, path string) *Package {
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", path, err)
 	}
-	return &Package{Path: path, Dir: abs, Fset: fset, Files: files, Pkg: tpkg, Info: info}
+	return &Package{Path: path, Fset: fset, Files: files, Pkg: tpkg, Info: info}
 }
 
 // expectation is one // want `regex` assertion at a source line.

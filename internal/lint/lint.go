@@ -17,7 +17,7 @@
 //   - prodcaller: every package-level name, method and struct field
 //     needs a non-test use somewhere in the module (exported names
 //     under internal/, unexported names anywhere) or a
-//     //dynamolint:api waiver.
+//     //dynamolint:api waiver; a field is used only where it is read.
 //
 // The suite is intentionally built on the standard library's go/ast +
 // go/types only (see load.go): the module has zero external

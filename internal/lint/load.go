@@ -17,7 +17,6 @@ import (
 // A Package is one type-checked package of the module under analysis.
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, file-name order
 	Pkg   *types.Package
@@ -125,7 +124,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Pkg: tpkg, Info: info}
+	p := &Package{Path: path, Fset: l.fset, Files: files, Pkg: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

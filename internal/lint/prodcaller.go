@@ -12,7 +12,9 @@ import (
 // non-test use somewhere in the module outside its own declaration, or
 // carry //dynamolint:api <reason>. It checks exported names under
 // internal/ and unexported names anywhere; exported names elsewhere (the
-// root package's public facade, commands) are the module's surface.
+// root package's public facade, commands) are the module's surface. A
+// field is used only where it is read (see collectNode); a tagged
+// field counts as read by reflection.
 //
 // The use set always covers the whole module, the bench/ module included
 // (the loader walks into it), whatever subset of packages is analyzed;
@@ -61,6 +63,9 @@ func collectUses(module string, pkgs []*Package) *useSet {
 		}
 		for _, tv := range pkg.Info.Types {
 			u.addType(tv.Type)
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				u.readAll(m.Key())
+			}
 		}
 		for _, imp := range pkg.Pkg.Imports() {
 			if !inModule(imp.Path(), module) {
@@ -101,11 +106,44 @@ func (u *useSet) collectDecl(info *types.Info, decl ast.Decl) {
 	}
 }
 
+// collectNode records the uses in node. A struct field counts as used
+// only where it is read. Writes are not uses: the target of =, op= or
+// ++/-- (through index, paren and *), a composite-literal key or
+// position, the x.f in x.f = append(x.f, ...), and the field a discarded
+// call to a module-declared pointer-receiver method is made on.
+// Comparing a struct (==, !=, a switch tag), using it as a map key, or
+// passing it as an interface argument reads every field it holds.
 func (u *useSet) collectNode(info *types.Info, self map[types.Object]bool, node ast.Node) {
+	writes := map[*ast.Ident]bool{}
+	write := func(e ast.Expr) {
+		if id := fieldTarget(info, e); id != nil {
+			writes[id] = true
+		}
+	}
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				write(lhs)
+				if len(n.Rhs) == len(n.Lhs) {
+					write(appendedTo(info, n.Rhs[i], lhs))
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && u.mutates(info, sel) {
+					write(sel.X)
+				}
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				v, ok := info.Uses[id].(*types.Var)
+				writes[id] = ok && v.IsField()
+			}
 		case *ast.Ident:
-			if obj := origin(info.Uses[n]); obj != nil && !self[obj] {
+			if obj := origin(info.Uses[n]); obj != nil && !self[obj] && (!writes[n] || u.inBench(obj)) {
 				u.mark(obj)
 			}
 		case *ast.SelectorExpr:
@@ -114,6 +152,16 @@ func (u *useSet) collectNode(info *types.Info, self map[types.Object]bool, node 
 			}
 		case *ast.CompositeLit:
 			u.markPositional(info, n)
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				u.readAll(info.TypeOf(n.X))
+			}
+		case *ast.SwitchStmt:
+			if n.Tag != nil {
+				u.readAll(info.TypeOf(n.Tag))
+			}
+		case *ast.CallExpr:
+			u.markBoxed(info, n)
 		}
 		return true
 	})
@@ -123,6 +171,93 @@ func (u *useSet) mark(obj types.Object) {
 	if pkg := obj.Pkg(); pkg != nil && inModule(pkg.Path(), u.module) {
 		u.used[obj] = true
 	}
+}
+
+// inBench reports whether obj is declared in the bench/ module, whose
+// fields keep the any-reference rule: a benchmark sink is written and
+// never read.
+func (u *useSet) inBench(obj types.Object) bool {
+	return inModule(obj.Pkg().Path(), u.module+"/bench")
+}
+
+// readAll counts every field a value of type t holds as read, nested
+// struct and array fields included.
+func (u *useSet) readAll(t types.Type) {
+	switch t := t.Underlying().(type) {
+	case *types.Array:
+		u.readAll(t.Elem())
+	case *types.Struct:
+		for i := range t.NumFields() {
+			u.mark(t.Field(i).Origin())
+			u.readAll(t.Field(i).Type())
+		}
+	}
+}
+
+// markBoxed reads every field of a value passed as an interface
+// argument: hashing, comparison and reflection (a sync.Map key, a fmt
+// operand) see all of it.
+func (u *useSet) markBoxed(info *types.Info, call *ast.CallExpr) {
+	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
+	if !ok || info.Types[call.Fun].IsType() {
+		return
+	}
+	last := sig.Params().Len() - 1
+	for i, arg := range call.Args {
+		pt := sig.Params().At(min(i, last)).Type()
+		if sig.Variadic() && i >= last && !call.Ellipsis.IsValid() {
+			pt = pt.(*types.Slice).Elem()
+		}
+		if types.IsInterface(pt) {
+			u.readAll(info.TypeOf(arg))
+		}
+	}
+}
+
+// mutates reports whether sel is a method declared in the module with a
+// pointer receiver; a discarded call to it counts as a write of sel.X.
+// Methods of outside packages (mu.Lock, once.Do) stay reads.
+func (u *useSet) mutates(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal || s.Obj().Pkg() == nil || !inModule(s.Obj().Pkg().Path(), u.module) {
+		return false
+	}
+	_, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
+}
+
+// fieldTarget is the field selector an assignment to e writes, looking
+// through parens, index and *; nil when e writes no field.
+func fieldTarget(info *types.Info, e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
+				return x.Sel
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+}
+
+// appendedTo is the first argument of e when e is append(dst, ...) with
+// dst spelled as that argument; nil otherwise.
+func appendedTo(info *types.Info, e, dst ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 || types.ExprString(call.Args[0]) != types.ExprString(dst) {
+		return nil
+	}
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+		return call.Args[0]
+	}
+	return nil
 }
 
 // markPath counts a promoted selection as a use of every embedded field
@@ -140,7 +275,8 @@ func (u *useSet) markPath(sel *types.Selection) {
 	}
 }
 
-// markPositional counts every field of an unkeyed struct literal.
+// markPositional counts an unkeyed struct literal as a write of every
+// field, which uses only bench/ fields.
 func (u *useSet) markPositional(info *types.Info, lit *ast.CompositeLit) {
 	if len(lit.Elts) == 0 {
 		return
@@ -154,7 +290,9 @@ func (u *useSet) markPositional(info *types.Info, lit *ast.CompositeLit) {
 	}
 	if st, ok := deref(tv.Type).Underlying().(*types.Struct); ok {
 		for i := 0; i < st.NumFields(); i++ {
-			u.mark(st.Field(i).Origin())
+			if f := st.Field(i).Origin(); u.inBench(f) {
+				u.mark(f)
+			}
 		}
 	}
 }
@@ -299,7 +437,7 @@ func checkProdcaller(pass *Pass, u *useSet) {
 						if _, ok := s.Type.(*ast.StructType); ok {
 							st := obj.Type().Underlying().(*types.Struct)
 							for i := 0; i < st.NumFields(); i++ {
-								if st.Field(i).Embedded() && u.embedsUsed(obj.Type(), i) {
+								if st.Tag(i) != "" || st.Field(i).Embedded() && u.embedsUsed(obj.Type(), i) {
 									continue
 								}
 								check("field", s.Name.Name+"."+st.Field(i).Name(), st.Field(i))

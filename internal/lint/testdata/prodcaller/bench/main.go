@@ -3,4 +3,13 @@ package main
 
 import "example.com/internal/a"
 
-func main() { a.BenchOnly() }
+// speedRef's sink is written and never read: bench/ fields keep the
+// any-reference rule.
+type speedRef struct{ sink int }
+
+var ref speedRef
+
+func main() {
+	a.BenchOnly()
+	ref.sink++
+}

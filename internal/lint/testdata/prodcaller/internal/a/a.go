@@ -7,7 +7,9 @@ import "fmt"
 func Used() int {
 	var o Outer
 	fmt.Fprint(Sink{}, o.Promoted)
-	return total(Thing{}) + total(wrapped{}) + helper() + derived
+	write(&Writes{}, &Counter{})
+	read()
+	return total(&Thing{}) + total(wrapped{}) + helper() + derived
 }
 
 // base is used only by its neighbour in the same var group.

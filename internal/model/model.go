@@ -48,8 +48,6 @@ type Model struct {
 	ActiveParams float64
 	// Layers is the number of transformer layers (pipeline/shard unit).
 	Layers int
-	// HiddenDim is the model width; attention and MLP compute scale with it.
-	HiddenDim int
 	// WeightBytes is the on-GPU weight footprint in bytes at FP16.
 	WeightBytes float64
 	// KVBytesPerToken is the KV-cache footprint of one token in bytes
@@ -73,13 +71,12 @@ const (
 
 // define builds a model, deriving footprint and MinTP from the raw
 // architecture numbers.
-func define(name string, params, activeParams float64, layers, hiddenDim, kvHeads, headDim int) *Model {
+func define(name string, params, activeParams float64, layers, kvHeads, headDim int) *Model {
 	m := &Model{
 		Name:         name,
 		Params:       params,
 		ActiveParams: activeParams,
 		Layers:       layers,
-		HiddenDim:    hiddenDim,
 		WeightBytes:  params * bytesPerParam,
 	}
 	// KV cache: 2 (K and V) × layers × kvHeads × headDim × bytes.
@@ -100,12 +97,12 @@ func define(name string, params, activeParams float64, layers, hiddenDim, kvHead
 // The catalog. Architecture numbers follow the public model cards; MoE
 // models list total and active (top-2 experts) parameters.
 var (
-	Llama2_13B  = define("llama2-13b", 13e9, 13e9, 40, 5120, 40, 128)
-	Llama2_70B  = define("llama2-70b", 68.5e9, 68.5e9, 80, 8192, 8, 128)
-	Llama3_70B  = define("llama3-70b", 70e9, 70e9, 80, 8192, 8, 128)
-	Mixtral8x7B = define("mixtral-8x7b", 47e9, 13e9, 32, 4096, 8, 128)
-	Mixtral22B  = define("mixtral-8x22b", 141e9, 39e9, 56, 6144, 8, 128)
-	Falcon180B  = define("falcon-180b", 180e9, 180e9, 80, 14848, 8, 64)
+	Llama2_13B  = define("llama2-13b", 13e9, 13e9, 40, 40, 128)
+	Llama2_70B  = define("llama2-70b", 68.5e9, 68.5e9, 80, 8, 128)
+	Llama3_70B  = define("llama3-70b", 70e9, 70e9, 80, 8, 128)
+	Mixtral8x7B = define("mixtral-8x7b", 47e9, 13e9, 32, 8, 128)
+	Mixtral22B  = define("mixtral-8x22b", 141e9, 39e9, 56, 8, 128)
+	Falcon180B  = define("falcon-180b", 180e9, 180e9, 80, 8, 64)
 )
 
 // catalog lists the known models, sorted by name.

@@ -164,8 +164,6 @@ type IterResult struct {
 	Time float64
 	// Util is the effective SM utilization for the power model.
 	Util float64
-	// MemoryBound reports whether the memory roofline dominated.
-	MemoryBound bool
 }
 
 // Iter evaluates one engine iteration under the configuration.
@@ -187,7 +185,7 @@ func (c Config) Iter(b Batch) IterResult {
 		busyComp := math.Min(tComp, body)
 		util = (busyComp + StallUtilWeight*(body-busyComp)) / t
 	}
-	return IterResult{Time: t, Util: util, MemoryBound: tMem > tComp}
+	return IterResult{Time: t, Util: util}
 }
 
 // IsolatedPrefill returns the time to prefill n prompt tokens on an
@@ -238,19 +236,11 @@ func ReferenceConfig(m *model.Model) Config {
 // (discrete-time simulator) counterpart of the event-level engine and the
 // basis of the profile tables.
 type Steady struct {
-	Config Config
-	// ArrivalRate is requests/second offered.
-	ArrivalRate float64
 	// IterTime is the equilibrium mean iteration latency (the mean TBT).
 	IterTime float64
 	// ChunkIterTime is the latency of an iteration carrying a full
 	// prefill chunk; it governs the TBT tail.
 	ChunkIterTime float64
-	// Batch is the equilibrium number of resident decode sequences.
-	Batch float64
-	// Util is the effective SM utilization while busy (includes the
-	// recompute waste that appears near saturation).
-	Util float64
 	// TTFTMean and TTFTP99 are the modeled time-to-first-token.
 	TTFTMean, TTFTP99 float64
 	// TBTMean and TBTP99 are the modeled time-between-tokens.
@@ -294,7 +284,7 @@ const (
 // fixed point that is linear in tIter on each roofline branch; the TBT tail
 // is governed by iterations carrying a full chunk.
 func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
-	st := Steady{Config: cfg, ArrivalRate: lambda, Feasible: true}
+	st := Steady{Feasible: true}
 	if !cfg.Feasible() {
 		st.Feasible = false
 		return st
@@ -332,7 +322,6 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 	}
 	batch := lambda * out * tIter
 	st.IterTime = tIter
-	st.Batch = batch
 	st.TBTMean = tIter
 
 	// KV capacity: the resident context must fit.
@@ -395,9 +384,8 @@ func SteadyState(cfg Config, lambda float64, inTokens, outTokens int) Steady {
 		ContextTokens: math.Max(batch, 1) * avgCtx,
 	})
 	waste := 1 + wasteCoeff*math.Pow(rho, wasteExp)
-	util := math.Min(1, mean.Util*waste)
-	st.Util = util
-	st.PowerPerGPU = gpu.H100.PowerShared(cfg.Freq, busy, util)
+	// The power model clamps the inflated utilization to 1.
+	st.PowerPerGPU = gpu.H100.PowerShared(cfg.Freq, busy, mean.Util*waste)
 	st.Power = st.PowerPerGPU * float64(cfg.GPUs())
 	st.EnergyPerRequest = st.Power / lambda
 	return st

@@ -306,7 +306,7 @@ func TestSteadyStateInvariants(t *testing.T) {
 			return false
 		}
 		if st.Feasible {
-			if st.IterTime <= 0 || st.Batch < 0 {
+			if st.IterTime <= 0 {
 				return false
 			}
 			if st.TBTP99 < st.TBTMean-1e-12 {
@@ -315,7 +315,11 @@ func TestSteadyStateInvariants(t *testing.T) {
 			if st.TTFTP99 < 0 {
 				return false
 			}
-			if st.Util < 0 || st.Util > 1 {
+			// Utilization and batch feed only the power: a loaded
+			// instance draws more than idle (a utilization at or below
+			// 0 reads exactly idle) and at most full utilization at its
+			// frequency.
+			if st.PowerPerGPU <= gpu.H100.IdlePower || st.PowerPerGPU > gpu.H100.Power(freq, 1) {
 				return false
 			}
 		}

@@ -35,10 +35,10 @@ func (k Key) String() string {
 // Observation is one measured operating point, produced either analytically
 // (fluid model) or by running the engine simulator at the load.
 type Observation struct {
-	Lambda   float64 // requests/second
-	Power    float64 // average instance watts
-	TTFTP99  float64
-	TBTP99   float64
+	Power   float64 // average instance watts
+	TTFTP99 float64
+	TBTP99  float64
+	//dynamolint:api engine.Measure's saturation verdict, which planning from measured profiles (ROADMAP item 4) will read
 	Feasible bool
 }
 
@@ -52,7 +52,6 @@ type Measurer func(cfg perfmodel.Config, lambda float64, inTokens, outTokens int
 func AnalyticMeasurer(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, _ float64) Observation {
 	st := perfmodel.SteadyState(cfg, lambda, inTokens, outTokens)
 	return Observation{
-		Lambda:   lambda,
 		Power:    st.Power,
 		TTFTP99:  st.TTFTP99,
 		TBTP99:   st.TBTP99,
@@ -69,8 +68,8 @@ type Entry struct {
 	// Power maps req/s to average instance watts.
 	Power *interp.Table
 	// TTFTP99 and TBTP99 map req/s to tail latencies in seconds.
-	TTFTP99 *interp.Table
-	TBTP99  *interp.Table
+	//dynamolint:api the latency curves engine.Measure measures, which planning from measured profiles (ROADMAP item 4) will read
+	TTFTP99, TBTP99 *interp.Table
 	// IdlePower is the instance's power at zero load (all GPUs idle).
 	IdlePower float64
 }
@@ -92,11 +91,7 @@ func (e *Entry) Feasible(lambda float64) bool {
 // Profile holds the complete characterization of one model under one SLO
 // scale: all classes, parallelisms, and ladder frequencies.
 type Profile struct {
-	Model    *model.Model
-	SLOScale float64
-	entries  map[Key]*Entry
-	// RepLengths records the representative lengths used per class.
-	RepLengths map[workload.Class][2]int
+	entries map[Key]*Entry
 }
 
 // loadFractions are the load levels profiled per configuration, as
@@ -115,15 +110,9 @@ func Build(m *model.Model, sloScale float64, measure Measurer) *Profile {
 	if sloScale < 1 {
 		sloScale = 1
 	}
-	p := &Profile{
-		Model:      m,
-		SLOScale:   sloScale,
-		entries:    make(map[Key]*Entry),
-		RepLengths: make(map[workload.Class][2]int),
-	}
+	p := &Profile{entries: make(map[Key]*Entry)}
 	for _, cls := range workload.AllClasses {
 		in, out := workload.RepresentativeLengths(cls)
-		p.RepLengths[cls] = [2]int{in, out}
 		for _, tp := range model.TPChoices {
 			for _, f := range gpu.Ladder() {
 				key := Key{Class: cls, TP: tp, Freq: f}
@@ -249,7 +238,7 @@ type Repository struct {
 	// Hits and Misses count cache behaviour (observable for tests). A miss
 	// is counted per key, not per caller: concurrent Gets for a key being
 	// built all block on the same build and the first counts the miss.
-	Hits, Misses int
+	Hits, Misses int //dynamolint:api test probes: TestWeekRunsSimulatedOnce and the repository tests prove the caches hit through them
 }
 
 type repoKey struct {

@@ -121,21 +121,22 @@ func CanonicalLayout(c Config) Layout {
 
 // Move is one slice transfer.
 type Move struct {
-	Src, Dst, Slice int
+	Src, Dst, Slice int //dynamolint:api the schedule the reshard tests replay to check TimeUnits and the target layout
 }
 
-// Plan is a complete re-sharding schedule.
+// Plan is a complete re-sharding schedule. Only TimeUnits feeds the
+// simulation; the rest is the schedule the reshard tests check it against.
 type Plan struct {
-	Target Config
+	Target Config //dynamolint:api checked by the reshard tests
 	// RoleGPU maps each target role (flattened across instances in
 	// canonical order) to its physical GPU.
-	RoleGPU []int
-	Moves   []Move
+	RoleGPU []int  //dynamolint:api checked by the reshard tests
+	Moves   []Move //dynamolint:api checked by the reshard tests
 	// TimeUnits is the makespan in units of T (the time to move one
 	// slice over one NVLink pair); distinct pairs run in parallel.
 	TimeUnits int
 	// SlicesMoved is the total data volume in slices.
-	SlicesMoved int
+	SlicesMoved int //dynamolint:api checked by the reshard tests
 }
 
 // TransferSeconds returns the wall-clock makespan for a given model.

@@ -142,7 +142,6 @@ type Accepted struct {
 // simulation behind a slow reader); Done always delivers exactly one
 // Completion and is buffered, so an abandoned waiter leaks nothing.
 type Waiter struct {
-	Tag    uint64
 	Tokens <-chan TokenEvent
 	Done   <-chan Completion
 
@@ -349,7 +348,6 @@ func (s *Session) Inject(inTokens, outTokens int, wait bool) (Accepted, *Waiter,
 	var w *Waiter
 	if wait {
 		w = &Waiter{
-			Tag:    tag,
 			tokens: make(chan TokenEvent, 64),
 			done:   make(chan Completion, 1),
 		}

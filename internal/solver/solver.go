@@ -32,7 +32,6 @@ type Group struct {
 	TP        model.TP
 	Count     int
 	Freq      gpu.Freq
-	LoadEach  float64 // req/s per instance
 	PowerEach float64 // watts per instance
 }
 
@@ -269,7 +268,6 @@ func bestGroupFreq(p *profile.Profile, cls workload.Class, tp model.TP, count in
 			TP:        tp,
 			Count:     count,
 			Freq:      f,
-			LoadEach:  loadEach,
 			PowerEach: e.Power.At(loadEach),
 		}, true
 	}

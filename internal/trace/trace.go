@@ -87,9 +87,8 @@ func (s Service) String() string {
 
 // Profile holds the statistical shape of a service's workload.
 type Profile struct {
-	Service Service
-	// PeakOverAvg and PeakOverValley pin the diurnal dynamic range.
-	PeakOverAvg, PeakOverValley float64
+	// PeakOverValley pins the diurnal dynamic range.
+	PeakOverValley float64
 	// WeekendFactor scales weekend load relative to weekdays.
 	WeekendFactor float64
 	// BaseClassWeights is the midweek average popularity of each class.
@@ -103,8 +102,6 @@ type Profile struct {
 // Coding is input-heavy (MS/LS/LM prominent).
 var profiles = map[Service]Profile{
 	Conversation: {
-		Service:        Conversation,
-		PeakOverAvg:    1.7,
 		PeakOverValley: 3.3,
 		WeekendFactor:  0.85,
 		BaseClassWeights: [workload.NumClasses]float64{
@@ -114,8 +111,6 @@ var profiles = map[Service]Profile{
 		DriftAmp: 0.35,
 	},
 	Coding: {
-		Service:        Coding,
-		PeakOverAvg:    2.8,
 		PeakOverValley: 34.6,
 		WeekendFactor:  0.25,
 		BaseClassWeights: [workload.NumClasses]float64{

@@ -164,7 +164,6 @@ func RepresentativeLengths(c Class) (in, out int) {
 
 // Request is one inference query.
 type Request struct {
-	ID           uint64
 	Arrival      simclock.Time
 	InputTokens  int
 	OutputTokens int // true output length (unknown to the system on arrival)

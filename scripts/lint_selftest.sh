@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Self-test for the dynamolint gate: inject two violations into
+# Self-test for the dynamolint gate: inject three violations into
 # internal/core, one at a time, and assert the linter rejects each with
 # the right diagnostic:
 #   - a time.Now() read in a sim-deterministic package (detrand);
-#   - an exported func whose only caller is a _test.go file (prodcaller).
+#   - an exported func whose only caller is a _test.go file (prodcaller);
+#   - a field that non-test code assigns and only a test reads
+#     (prodcaller).
 # This guards the gate itself against silently rotting into a no-op
 # (package-classification drift, analyzer registration typo, exit-code
 # regression) — a lint suite that cannot fail is not a gate.
@@ -13,7 +15,9 @@ cd "$(dirname "$0")/.."
 viol=internal/core/zz_lint_selftest_violation.go
 probe=internal/core/zz_lint_selftest_probe.go
 probetest=internal/core/zz_lint_selftest_probe_test.go
-trap 'rm -f "$viol" "$probe" "$probetest"' EXIT
+state=internal/core/zz_lint_selftest_state.go
+statetest=internal/core/zz_lint_selftest_state_test.go
+trap 'rm -f "$viol" "$probe" "$probetest" "$state" "$statetest"' EXIT
 
 # expect_reject <what> <diagnostic regex> <probe file>: dynamolint over
 # internal/core must exit 1 with a matching diagnostic.
@@ -63,3 +67,26 @@ func TestZZLintSelftestProbe(t *testing.T) { _ = ZZLintSelftestProbe() }
 GO
 expect_reject "an exported func with only a test caller" \
     'func ZZLintSelftestProbe has no non-test use.*(prodcaller)' zz_lint_selftest_probe
+rm -f "$probe" "$probetest"
+
+cat > "$state" <<'GO'
+package core
+
+// zzLintSelftestState exists only while scripts/lint_selftest.sh runs;
+// non-test code only assigns its field, so dynamolint (prodcaller) must
+// reject it.
+type zzLintSelftestState struct{ written int }
+
+var zzLintSelftest zzLintSelftestState
+
+func init() { zzLintSelftest.written = 1 }
+GO
+cat > "$statetest" <<'GO'
+package core
+
+import "testing"
+
+func TestZZLintSelftestState(t *testing.T) { _ = zzLintSelftest.written }
+GO
+expect_reject "a field that only a test reads" \
+    'field zzLintSelftestState.written has no non-test use.*(prodcaller)' zz_lint_selftest_state
