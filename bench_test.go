@@ -13,6 +13,7 @@ import (
 
 	"dynamollm/internal/core"
 	"dynamollm/internal/expt"
+	"dynamollm/internal/model"
 	"dynamollm/internal/profile"
 	"dynamollm/internal/workload"
 )
@@ -54,14 +55,14 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := expt.TableII()
-		b.ReportMetric(tab[2000][4][1200].WhPer10, "MM-TP4-1.2GHz-Wh/10req")
+		b.ReportMetric(tab[2000][model.TP4.Slot()][1200].WhPer10, "MM-TP4-1.2GHz-Wh/10req")
 	}
 }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := expt.TableIII()
-		b.ReportMetric(tab["llama2-13b"][2][1200].WhPer10, "13B-TP2-1.2GHz-Wh/10req")
+		b.ReportMetric(tab["llama2-13b"][model.TP2.Slot()][1200].WhPer10, "13B-TP2-1.2GHz-Wh/10req")
 	}
 }
 

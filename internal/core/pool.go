@@ -507,19 +507,17 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 		}
 	}
 
-	// Desired counts per TP.
-	want := map[model.TP]int{}
+	// Desired and current instance counts, indexed by model.TP.Slot.
+	var want, cur [len(model.TPChoices)]int
 	for _, g := range assignment.Groups {
-		want[g.TP] += g.Count
+		want[g.TP.Slot()] += g.Count
 	}
-
-	cur := map[model.TP]int{}
 	for _, in := range p.Instances {
 		if in.state != stateOff {
-			cur[in.TP]++
+			cur[in.TP.Slot()]++
 		}
 	}
-	if sameCounts(cur, want) {
+	if cur == want {
 		return 0
 	}
 
@@ -539,8 +537,8 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 	if curOK && curCap >= demand {
 		if priceAware {
 			curGPUs := 0
-			for _, tp := range model.TPChoices {
-				curGPUs += cur[tp] * tp.GPUs()
+			for i, tp := range model.TPChoices {
+				curGPUs += cur[i] * tp.GPUs()
 			}
 			curHourly := float64(curGPUs)*weights.GPUHourUSD + curPower/1000*weights.EnergyUSDPerKWh
 			if curHourly <= weights.HourlyUSD(assignment)*hysteresis {
@@ -562,39 +560,41 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 	// Reconcile by GPU inventory: surplus instances donate their GPUs to
 	// under-represented degrees. A TP8 donor converting to TP2 spawns up
 	// to four TP2 instances; four TP2 donors merge into one TP8.
-	surplus := map[model.TP]int{}
-	deficit := map[model.TP]int{}
-	for _, tp := range model.TPChoices {
-		switch d := cur[tp] - want[tp]; {
+	var surplus, deficit [len(model.TPChoices)]int
+	for i := range model.TPChoices {
+		switch d := cur[i] - want[i]; {
 		case d > 0:
-			surplus[tp] = d
+			surplus[i] = d
 		case d < 0:
-			deficit[tp] = -d
+			deficit[i] = -d
 		}
 	}
 
 	takeDonor := func() *Instance {
-		// Prefer donating from the degree with the most surplus.
-		var bestTP model.TP
-		for _, tp := range model.TPChoices {
-			if surplus[tp] > surplus[bestTP] {
-				bestTP = tp
+		// Prefer donating from the degree with the most surplus, the
+		// smallest such degree on a tie.
+		best := 0
+		for i := range surplus {
+			if surplus[i] > surplus[best] {
+				best = i
 			}
 		}
-		if surplus[bestTP] == 0 {
+		if surplus[best] == 0 {
 			return nil
 		}
-		in := p.findInstance(bestTP)
+		in := p.findInstance(model.TPChoices[best])
 		if in == nil {
-			surplus[bestTP] = 0
+			surplus[best] = 0
 			return nil
 		}
-		surplus[bestTP]--
+		surplus[best]--
 		return in
 	}
 
-	for _, to := range []model.TP{model.TP8, model.TP4, model.TP2} {
-		for deficit[to] > 0 && budget > 0 {
+	// Grow the largest degrees first.
+	for ti := len(model.TPChoices) - 1; ti >= 0; ti-- {
+		to := model.TPChoices[ti]
+		for deficit[ti] > 0 && budget > 0 {
 			donor := takeDonor()
 			if donor == nil {
 				budget = 0
@@ -605,7 +605,7 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 			// outage would stall the whole request type. Wait for the
 			// next epoch when a sibling can cover.
 			if len(p.activeInstances(now)) <= 1 && transitionHasDowntime(sm.opts.Model, donor.TP, to) {
-				surplus[donor.TP]++ // put the donor back
+				surplus[donor.TP.Slot()]++ // put the donor back
 				budget = 0
 				break
 			}
@@ -613,13 +613,13 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 			// Convert the donor itself.
 			applyReshard(sm, now, donor, to)
 			donor.Pool = p.Index
-			deficit[to]--
+			deficit[ti]--
 			touched++
 			budget--
 			freed -= to.GPUs()
 			// Spare GPUs from a large donor become additional small
 			// instances (they inherit the donor's transition window).
-			for freed >= to.GPUs() && deficit[to] > 0 {
+			for freed >= to.GPUs() && deficit[ti] > 0 {
 				extra := newInstance(sm.nextInstanceID(), p.Index, to, sm.opts.ReducedOverheads)
 				extra.mixIn, extra.mixOut = poolRepLengths(p)
 				extra.state = donor.state
@@ -627,7 +627,7 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 				extra.throughputFactor = 0 // new shards must arrive first
 				p.Instances = append(p.Instances, extra)
 				freed -= to.GPUs()
-				deficit[to]--
+				deficit[ti]--
 				touched++
 			}
 			// A small donor converting up consumes sibling donors' GPUs.
@@ -645,15 +645,15 @@ func (p *Pool) reshardPool(sm *simulation, now simclock.Time, rate float64) int 
 	}
 	// Remaining pure surplus (nothing needs growth): park, but keep the
 	// pool alive with at least one instance.
-	for _, tp := range model.TPChoices {
-		for surplus[tp] > 0 && budget > 0 && p.liveCount() > 1 {
+	for i, tp := range model.TPChoices {
+		for surplus[i] > 0 && budget > 0 && p.liveCount() > 1 {
 			in := p.findInstance(tp)
 			if in == nil {
 				break
 			}
 			in.state = stateOff
 			sm.backend.Retire(in, now, true)
-			surplus[tp]--
+			surplus[i]--
 			touched++
 			budget--
 		}
@@ -692,33 +692,25 @@ func (p *Pool) liveCount() int {
 	return n
 }
 
-// priceCounts prices an existing instance-count mix at fair-share load with
-// per-group optimal frequencies; ok=false when the mix cannot serve the
-// demand at all.
-func priceCounts(sm *simulation, cls workload.Class, counts map[model.TP]int, demand float64) (power, capacity float64, ok bool) {
-	total := 0
-	//dynamolint:order-independent exact integer sum; addition order cannot change it
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
-		return 0, 0, false
-	}
+// priceCounts prices an existing instance-count mix (indexed by
+// model.TP.Slot) at fair-share load with per-group optimal frequencies;
+// ok=false when the mix cannot serve the demand at all.
+func priceCounts(sm *simulation, cls workload.Class, counts [len(model.TPChoices)]int, demand float64) (power, capacity float64, ok bool) {
 	// Capacity at max frequency.
-	for _, tp := range model.TPChoices {
-		if counts[tp] == 0 {
+	for i, tp := range model.TPChoices {
+		if counts[i] == 0 {
 			continue
 		}
 		e := sm.prof.Entry(profile.Key{Class: cls, TP: tp, Freq: gpu.MaxFreq})
 		if e != nil {
-			capacity += e.MaxLoad * float64(counts[tp])
+			capacity += e.MaxLoad * float64(counts[i])
 		}
 	}
 	if capacity <= 0 {
 		return 0, 0, false
 	}
-	for _, tp := range model.TPChoices {
-		n := counts[tp]
+	for i, tp := range model.TPChoices {
+		n := counts[i]
 		if n == 0 {
 			continue
 		}
@@ -743,15 +735,6 @@ func priceCounts(sm *simulation, cls workload.Class, counts map[model.TP]int, de
 		power += best * float64(n)
 	}
 	return power, capacity, true
-}
-
-func sameCounts(a, b map[model.TP]int) bool {
-	for _, tp := range model.TPChoices {
-		if a[tp] != b[tp] {
-			return false
-		}
-	}
-	return true
 }
 
 func (p *Pool) findInstance(tp model.TP) *Instance {

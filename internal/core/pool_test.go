@@ -36,23 +36,27 @@ func TestTransitionHasDowntime(t *testing.T) {
 
 func TestPriceCountsFeasibility(t *testing.T) {
 	sm := emptyState(t, DynamoLLM())
+	mix := func(tp model.TP, n int) (counts [len(model.TPChoices)]int) {
+		counts[tp.Slot()] = n
+		return counts
+	}
 	// A TP2-only mix cannot serve MM at medium load (Table I): per-pair
 	// fair share of 3 req/s exceeds a TP2 instance's SLO capacity.
-	_, _, ok := priceCounts(sm, workload.MM, map[model.TP]int{model.TP2: 2}, 6.0)
+	_, _, ok := priceCounts(sm, workload.MM, mix(model.TP2, 2), 6.0)
 	if ok {
 		t.Error("TP2-only mix should be infeasible for 6 req/s of MM")
 	}
-	power, cap, ok := priceCounts(sm, workload.MM, map[model.TP]int{model.TP4: 2}, 3.0)
+	power, cap, ok := priceCounts(sm, workload.MM, mix(model.TP4, 2), 3.0)
 	if !ok || cap < 3.0 || power <= 0 {
 		t.Errorf("TP4x2 pricing: power=%v cap=%v ok=%v", power, cap, ok)
 	}
 	// More instances at the same demand cannot price cheaper per the
 	// whole group than needed capacity... but must raise capacity.
-	_, cap4, _ := priceCounts(sm, workload.MM, map[model.TP]int{model.TP4: 4}, 3.0)
+	_, cap4, _ := priceCounts(sm, workload.MM, mix(model.TP4, 4), 3.0)
 	if cap4 <= cap {
 		t.Error("doubling instances should raise capacity")
 	}
-	if _, _, ok := priceCounts(sm, workload.MM, map[model.TP]int{}, 1); ok {
+	if _, _, ok := priceCounts(sm, workload.MM, [len(model.TPChoices)]int{}, 1); ok {
 		t.Error("empty mix should be infeasible")
 	}
 }

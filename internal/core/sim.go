@@ -106,13 +106,16 @@ type Result struct {
 	GPUPowerW     *metrics.Dist
 
 	// Frequency over time (Fig. 9): cluster-wide and per tracked pool.
+	// The per-class arrays are nil outside the tracked classes.
 	FreqSeries     *metrics.Series
-	PoolFreqSeries map[workload.Class]*metrics.Series
+	PoolFreqSeries [workload.NumClasses]*metrics.Series
 
-	// Sharding over time (Fig. 10): GPUs per TP degree, cluster and pools.
-	ShardSeries     map[model.TP]*metrics.Series
-	PoolShardSeries map[workload.Class]map[model.TP]*metrics.Series
-	PoolLoadSeries  map[workload.Class]*metrics.Series
+	// Sharding over time (Fig. 10): GPUs per TP degree (indexed by
+	// model.TP.Slot), cluster and tracked pools, and each tracked pool's
+	// arrival rate.
+	ShardSeries     [len(model.TPChoices)]*metrics.Series
+	PoolShardSeries [workload.NumClasses][len(model.TPChoices)]*metrics.Series
+	PoolLoadSeries  [workload.NumClasses]*metrics.Series
 
 	// Energy over time (Fig. 15): joules per 5-minute bucket.
 	EnergySeries *metrics.Series
@@ -456,28 +459,23 @@ func newState(tr trace.Trace, opts Options, repo *profile.Repository, loop bool)
 	sm.failedGPUs = make([]int, len(sm.pools))
 
 	res := &Result{
-		Opts:            opts,
-		TTFT:            metrics.NewDist(),
-		TBT:             metrics.NewDist(),
-		ClusterPowerW:   metrics.NewDist(),
-		GPUPowerW:       metrics.NewDist(),
-		FreqSeries:      metrics.NewSeries(simclock.Minute),
-		PoolFreqSeries:  map[workload.Class]*metrics.Series{},
-		ShardSeries:     map[model.TP]*metrics.Series{},
-		PoolShardSeries: map[workload.Class]map[model.TP]*metrics.Series{},
-		PoolLoadSeries:  map[workload.Class]*metrics.Series{},
-		EnergySeries:    metrics.NewSeries(5 * simclock.Minute),
+		Opts:          opts,
+		TTFT:          metrics.NewDist(),
+		TBT:           metrics.NewDist(),
+		ClusterPowerW: metrics.NewDist(),
+		GPUPowerW:     metrics.NewDist(),
+		FreqSeries:    metrics.NewSeries(simclock.Minute),
+		EnergySeries:  metrics.NewSeries(5 * simclock.Minute),
 	}
 	for _, cls := range trackedClasses {
 		res.PoolFreqSeries[cls] = metrics.NewSeries(simclock.Minute)
-		res.PoolShardSeries[cls] = map[model.TP]*metrics.Series{}
 		res.PoolLoadSeries[cls] = metrics.NewSeries(simclock.Minute)
-		for _, tp := range model.TPChoices {
-			res.PoolShardSeries[cls][tp] = metrics.NewSeries(simclock.Minute)
+		for i := range model.TPChoices {
+			res.PoolShardSeries[cls][i] = metrics.NewSeries(simclock.Minute)
 		}
 	}
-	for _, tp := range model.TPChoices {
-		res.ShardSeries[tp] = metrics.NewSeries(simclock.Minute)
+	for i := range model.TPChoices {
+		res.ShardSeries[i] = metrics.NewSeries(simclock.Minute)
 	}
 	if opts.Fidelity == FidelityEvent {
 		for i := range res.ClassTTFT {
@@ -623,25 +621,10 @@ func (sm *simulation) reserve() {
 	sm.assigns = make([]assign, 64)
 
 	res := sm.res
-	series := []*metrics.Series{res.FreqSeries, res.EnergySeries}
-	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
-	for _, s := range res.PoolFreqSeries {
-		series = append(series, s)
-	}
-	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
-	for _, s := range res.PoolLoadSeries {
-		series = append(series, s)
-	}
-	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
-	for _, s := range res.ShardSeries {
-		series = append(series, s)
-	}
-	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
-	for _, byTP := range res.PoolShardSeries {
-		//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
-		for _, s := range byTP {
-			series = append(series, s)
-		}
+	series := append([]*metrics.Series{res.FreqSeries, res.EnergySeries}, res.ShardSeries[:]...)
+	for _, cls := range trackedClasses {
+		series = append(series, res.PoolFreqSeries[cls], res.PoolLoadSeries[cls])
+		series = append(series, res.PoolShardSeries[cls][:]...)
 	}
 	for _, s := range series {
 		s.Reserve(res.Duration)
@@ -1001,7 +984,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 	clusterPower := 0.0
 	var freqNum, freqDen float64
 	for _, p := range sm.pools {
-		var poolGPUs [3]float64 // indexed by tpIdx over model.TPChoices
+		var poolGPUs [len(model.TPChoices)]float64 // indexed by model.TP.Slot
 		var pFreqNum, pFreqDen float64
 		for _, in := range p.Instances {
 			if in.state == stateOff {
@@ -1034,7 +1017,7 @@ func (sm *simulation) accountTick(now simclock.Time) {
 			res.GPUSeconds += float64(in.TP.GPUs()) * opts.Tick
 			perGPU := watts / float64(in.TP.GPUs())
 			res.GPUPowerW.Add(perGPU)
-			poolGPUs[tpIdx(in.TP)] += float64(in.TP.GPUs())
+			poolGPUs[in.TP.Slot()] += float64(in.TP.GPUs())
 			pFreqNum += float64(in.effFreq()) * float64(in.TP.GPUs())
 			pFreqDen += float64(in.TP.GPUs())
 
@@ -1048,14 +1031,14 @@ func (sm *simulation) accountTick(now simclock.Time) {
 				if pFreqDen > 0 {
 					res.PoolFreqSeries[cls].Observe(float64(now), pFreqNum/pFreqDen, pFreqDen)
 				}
-				for ti, tp := range model.TPChoices {
-					res.PoolShardSeries[cls][tp].Observe(float64(now), poolGPUs[ti], 1)
+				for i, s := range res.PoolShardSeries[cls] {
+					s.Observe(float64(now), poolGPUs[i], 1)
 				}
 				res.PoolLoadSeries[cls].Observe(float64(now), float64(p.arrivalsThisTick)/opts.Tick, 1)
 			}
 		}
-		for ti, tp := range model.TPChoices {
-			res.ShardSeries[tp].Observe(float64(now), poolGPUs[ti], 1)
+		for i, s := range res.ShardSeries {
+			s.Observe(float64(now), poolGPUs[i], 1)
 		}
 		freqNum += pFreqNum
 		freqDen += pFreqDen
@@ -1109,30 +1092,6 @@ func (sm *simulation) finish() {
 		}
 	}
 	sm.curTick = 0
-}
-
-// tpChoiceIdx maps a TP degree to its index in model.TPChoices for
-// array-indexed per-tick accumulators ([len(model.TPChoices)]float64).
-var tpChoiceIdx = func() [model.TP8 + 1]int8 {
-	var m [model.TP8 + 1]int8
-	for i := range m {
-		m[i] = -1
-	}
-	for i, tp := range model.TPChoices {
-		m[tp] = int8(i)
-	}
-	return m
-}()
-
-// tpIdx resolves an instance's TP to its TPChoices slot; a TP outside the
-// controller knob space would silently corrupt the shard series, so it
-// fails loudly instead.
-func tpIdx(tp model.TP) int {
-	i := tpChoiceIdx[tp]
-	if i < 0 {
-		panic("core: instance TP outside model.TPChoices")
-	}
-	return int(i)
 }
 
 // compactPools removes stateOff instances from every pool. Scale-in and

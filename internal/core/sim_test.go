@@ -154,7 +154,7 @@ func TestShardingDiversifies(t *testing.T) {
 	}
 	small := 0.0
 	for _, tp := range []model.TP{model.TP2, model.TP4} {
-		for _, pt := range res.ShardSeries[tp].Points() {
+		for _, pt := range res.ShardSeries[tp.Slot()].Points() {
 			small += pt.Value
 		}
 	}

@@ -88,10 +88,14 @@ type Cell struct {
 	WhPer10 float64
 }
 
+// Grid is one row of Tables I-III: a cell per parallelism, indexed by
+// model.TP.Slot, and coarse-ladder frequency.
+type Grid [len(model.TPChoices)]map[gpu.Freq]Cell
+
 // TableI characterizes Llama2-70B across classes, parallelisms, and
 // frequencies at medium load.
-func TableI() map[workload.Class]map[model.TP]map[gpu.Freq]Cell {
-	out := map[workload.Class]map[model.TP]map[gpu.Freq]Cell{}
+func TableI() [workload.NumClasses]Grid {
+	var out [workload.NumClasses]Grid
 	for _, cls := range workload.AllClasses {
 		out[cls] = characterize(model.Llama2_70B, cls, mediumTotalTPS, false)
 	}
@@ -100,18 +104,18 @@ func TableI() map[workload.Class]map[model.TP]map[gpu.Freq]Cell {
 
 // characterize fills one class's TPxFreq grid. promptTPS selects Table II's
 // prompt-token load basis.
-func characterize(m *model.Model, cls workload.Class, tps float64, promptTPS bool) map[model.TP]map[gpu.Freq]Cell {
+func characterize(m *model.Model, cls workload.Class, tps float64, promptTPS bool) Grid {
 	in, out := workload.RepresentativeLengths(cls)
 	lambda := tps / float64(in+out)
 	if promptTPS {
 		lambda = tps / float64(in)
 	}
-	grid := map[model.TP]map[gpu.Freq]Cell{}
-	for _, tp := range model.TPChoices {
-		grid[tp] = map[gpu.Freq]Cell{}
+	var grid Grid
+	for i, tp := range model.TPChoices {
+		grid[i] = map[gpu.Freq]Cell{}
 		for _, f := range gpu.CoarseLadder() {
 			st := perfmodel.SteadyState(perfmodel.Config{Model: m, TP: tp, Freq: f}, lambda, in, out)
-			grid[tp][f] = Cell{
+			grid[i][f] = Cell{
 				Feasible: st.MeetsSLO(cls, 1),
 				WhPer10:  energy.Wh(st.EnergyPerRequest) * 10,
 			}
@@ -126,8 +130,8 @@ func characterize(m *model.Model, cls workload.Class, tps float64, promptTPS boo
 var TableIILoads = []float64{650, 2000, 4000}
 
 // TableII characterizes MM requests across load levels (prompt TPS basis).
-func TableII() map[float64]map[model.TP]map[gpu.Freq]Cell {
-	out := map[float64]map[model.TP]map[gpu.Freq]Cell{}
+func TableII() map[float64]Grid {
+	out := map[float64]Grid{}
 	for _, tps := range TableIILoads {
 		out[tps] = characterize(model.Llama2_70B, workload.MM, tps, true)
 	}
@@ -137,8 +141,8 @@ func TableII() map[float64]map[model.TP]map[gpu.Freq]Cell {
 // --- Table III -----------------------------------------------------------------
 
 // TableIII characterizes MM requests across the model catalog.
-func TableIII() map[string]map[model.TP]map[gpu.Freq]Cell {
-	out := map[string]map[model.TP]map[gpu.Freq]Cell{}
+func TableIII() map[string]Grid {
+	out := map[string]Grid{}
 	for _, m := range model.All() {
 		out[m.Name] = characterize(m, workload.MM, mediumTotalTPS, false)
 	}
@@ -574,17 +578,17 @@ func (c Config) conversationWeek() (base, dyn *core.Result) {
 // serversFor sizes the static fleet for a trace: its peak 30-minute demand
 // divided by a mixed-instance capacity, padded for bursts.
 func serversFor(tr trace.Trace) int {
-	peak := 0.0
-	buckets := map[int]float64{}
+	// Traces are time-ordered, so each window's arrivals are one run of
+	// consecutive entries.
+	most, run, cur := 0, 0, -1
 	for _, e := range tr {
-		buckets[int(float64(e.At)/1800)]++
-	}
-	//dynamolint:order-independent max over values; comparison order cannot change the max
-	for _, n := range buckets {
-		if r := n / 1800; r > peak {
-			peak = r
+		if k := int(float64(e.At) / 1800); k != cur {
+			run, cur = 0, k
 		}
+		run++
+		most = max(most, run)
 	}
+	peak := float64(most) / 1800
 	const mixedCapacityRPS = 4.0
 	n := int(peak/mixedCapacityRPS*1.25) + 1
 	if n < 3 {

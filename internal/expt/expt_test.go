@@ -21,11 +21,11 @@ func TestTableIShapes(t *testing.T) {
 	tab := TableI()
 	// SS feasible at TP2; LL not; every class has at least one feasible
 	// configuration.
-	if !tab[workload.SS][model.TP2][1200].Feasible {
+	if !tab[workload.SS][model.TP2.Slot()][1200].Feasible {
 		t.Error("SS/TP2/1.2 should be feasible")
 	}
 	for _, f := range gpu.CoarseLadder() {
-		if tab[workload.LL][model.TP2][f].Feasible {
+		if tab[workload.LL][model.TP2.Slot()][f].Feasible {
 			t.Errorf("LL/TP2/%v should be infeasible", f)
 		}
 	}
@@ -33,9 +33,9 @@ func TestTableIShapes(t *testing.T) {
 		any := false
 		for _, tp := range model.TPChoices {
 			for _, f := range gpu.CoarseLadder() {
-				if tab[cls][tp][f].Feasible {
+				if tab[cls][tp.Slot()][f].Feasible {
 					any = true
-					if tab[cls][tp][f].WhPer10 <= 0 {
+					if tab[cls][tp.Slot()][f].WhPer10 <= 0 {
 						t.Errorf("%v/%v/%v: non-positive energy", cls, tp, f)
 					}
 				}
@@ -56,7 +56,7 @@ func TestTableIILoadDirection(t *testing.T) {
 	// Feasible cells only shrink as load rises (per TP/freq).
 	for _, tp := range model.TPChoices {
 		for _, f := range gpu.CoarseLadder() {
-			if !tab[650][tp][f].Feasible && tab[4000][tp][f].Feasible {
+			if !tab[650][tp.Slot()][f].Feasible && tab[4000][tp.Slot()][f].Feasible {
 				t.Errorf("%v/%v feasible at high load but not low", tp, f)
 			}
 		}
@@ -71,12 +71,12 @@ func TestTableIIIBigModelsNeedTP8(t *testing.T) {
 	for _, name := range []string{"mixtral-8x22b", "falcon-180b"} {
 		for _, tp := range []model.TP{model.TP2, model.TP4} {
 			for _, f := range gpu.CoarseLadder() {
-				if tab[name][tp][f].Feasible {
+				if tab[name][tp.Slot()][f].Feasible {
 					t.Errorf("%s/%v/%v should be infeasible", name, tp, f)
 				}
 			}
 		}
-		if !tab[name][model.TP8][gpu.MaxFreq].Feasible {
+		if !tab[name][model.TP8.Slot()][gpu.MaxFreq].Feasible {
 			t.Errorf("%s/TP8/max should be feasible", name)
 		}
 	}

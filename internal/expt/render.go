@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dynamollm/internal/core"
@@ -45,19 +44,19 @@ func gridHeader(b *strings.Builder) {
 	b.WriteString("\n")
 }
 
-func gridRow(b *strings.Builder, label string, row map[model.TP]map[gpu.Freq]Cell) {
+func gridRow(b *strings.Builder, label string, row Grid) {
 	fmt.Fprintf(b, "%-14s", label)
-	for _, tp := range model.TPChoices {
+	for _, cells := range row {
 		b.WriteString("| ")
 		for _, f := range gpu.CoarseLadder() {
-			b.WriteString(cellString(row[tp][f]) + " ")
+			b.WriteString(cellString(cells[f]) + " ")
 		}
 	}
 	b.WriteString("\n")
 }
 
 // RenderTableI formats the Table I heat map.
-func RenderTableI(t map[workload.Class]map[model.TP]map[gpu.Freq]Cell) string {
+func RenderTableI(t [workload.NumClasses]Grid) string {
 	var b strings.Builder
 	b.WriteString("Table I: energy (Wh per 10 requests), Llama2-70B at 2K total TPS; -- = SLO violated\n")
 	gridHeader(&b)
@@ -68,7 +67,7 @@ func RenderTableI(t map[workload.Class]map[model.TP]map[gpu.Freq]Cell) string {
 }
 
 // RenderTableII formats the load sweep.
-func RenderTableII(t map[float64]map[model.TP]map[gpu.Freq]Cell) string {
+func RenderTableII(t map[float64]Grid) string {
 	var b strings.Builder
 	b.WriteString("Table II: energy (Wh per 10 requests), Llama2-70B MM requests; -- = SLO violated\n")
 	gridHeader(&b)
@@ -80,7 +79,7 @@ func RenderTableII(t map[float64]map[model.TP]map[gpu.Freq]Cell) string {
 }
 
 // RenderTableIII formats the model sweep.
-func RenderTableIII(t map[string]map[model.TP]map[gpu.Freq]Cell) string {
+func RenderTableIII(t map[string]Grid) string {
 	var b strings.Builder
 	b.WriteString("Table III: energy (Wh per 10 requests), MM requests at 2K total TPS; -- = infeasible\n")
 	gridHeader(&b)
@@ -230,7 +229,7 @@ func RenderFig9(runs []SystemRun) string {
 	if dyn := systemResult(runs, "dynamollm"); dyn != nil {
 		b.WriteString(seriesLine("total", bin(dyn.FreqSeries.Points(), 300), 0.001))
 		for _, cls := range []workload.Class{workload.SL, workload.LL} {
-			if s, ok := dyn.PoolFreqSeries[cls]; ok {
+			if s := dyn.PoolFreqSeries[cls]; s != nil {
 				b.WriteString(seriesLine(cls.String(), bin(s.Points(), 300), 0.001))
 			}
 		}
@@ -243,16 +242,16 @@ func RenderFig10(runs []SystemRun) string {
 	var b strings.Builder
 	b.WriteString("Fig 10: DynamoLLM GPUs per sharding over the hour (5-min bins)\n")
 	if dyn := systemResult(runs, "dynamollm"); dyn != nil {
-		for _, tp := range model.TPChoices {
-			b.WriteString(seriesLine("total-"+tp.String(), bin(dyn.ShardSeries[tp].Points(), 300), 1))
+		for i, tp := range model.TPChoices {
+			b.WriteString(seriesLine("total-"+tp.String(), bin(dyn.ShardSeries[i].Points(), 300), 1))
 		}
 		for _, cls := range []workload.Class{workload.SL, workload.ML, workload.LL} {
-			for _, tp := range model.TPChoices {
-				if m, ok := dyn.PoolShardSeries[cls]; ok {
-					b.WriteString(seriesLine(cls.String()+"-"+tp.String(), bin(m[tp].Points(), 300), 1))
+			for i, tp := range model.TPChoices {
+				if s := dyn.PoolShardSeries[cls][i]; s != nil {
+					b.WriteString(seriesLine(cls.String()+"-"+tp.String(), bin(s.Points(), 300), 1))
 				}
 			}
-			if s, ok := dyn.PoolLoadSeries[cls]; ok {
+			if s := dyn.PoolLoadSeries[cls]; s != nil {
 				b.WriteString(seriesLine(cls.String()+"-load(rps)", bin(s.Points(), 300), 1))
 			}
 		}
@@ -260,24 +259,24 @@ func RenderFig10(runs []SystemRun) string {
 	return b.String()
 }
 
-// bin averages pts over consecutive windows of width seconds, in time
-// order, skipping empty windows.
+// bin averages time-ordered pts over consecutive windows of width
+// seconds, skipping empty windows.
 func bin(pts []metrics.Point, width float64) []float64 {
-	agg := map[int][2]float64{}
-	var keys []int
+	var out []float64
+	var sum, n float64
+	cur := -1
 	for _, p := range pts {
-		k := int(p.Time / width)
-		v := agg[k]
-		agg[k] = [2]float64{v[0] + p.Value, v[1] + 1}
+		if k := int(p.Time / width); k != cur {
+			if n > 0 {
+				out = append(out, sum/n)
+			}
+			sum, n, cur = 0, 0, k
+		}
+		sum += p.Value
+		n++
 	}
-	//dynamolint:order-independent keys are collected then sorted before any ordered use
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]float64, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, agg[k][0]/agg[k][1])
+	if n > 0 {
+		out = append(out, sum/n)
 	}
 	return out
 }

@@ -29,10 +29,24 @@ const (
 // paper's knob space is {2, 4, 8}; the solver uses TPChoices.
 var AllTP = []TP{TP1, TP2, TP4, TP8}
 
-// TPChoices is the knob space used by the paper's controllers.
-var TPChoices = []TP{TP2, TP4, TP8}
+// TPChoices is the knob space used by the paper's controllers, in
+// increasing order. A degree's index here is its Slot: per-TP state is an
+// array of len(TPChoices) indexed by Slot, and slot order is ascending TP.
+var TPChoices = [...]TP{TP2, TP4, TP8}
 
 func (t TP) String() string { return fmt.Sprintf("TP%d", int(t)) }
+
+// Slot returns the degree's index in TPChoices. A degree outside the
+// controllers' knob space would silently corrupt per-TP state, so it
+// panics instead.
+func (t TP) Slot() int {
+	for i, c := range TPChoices {
+		if c == t {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("model: %v outside TPChoices", t))
+}
 
 // GPUs returns the GPU count as an int.
 func (t TP) GPUs() int { return int(t) }

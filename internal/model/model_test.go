@@ -124,3 +124,22 @@ func TestKVBytesPerTokenGQA(t *testing.T) {
 		t.Errorf("llama2-70b KV bytes/token = %v, want 327680", got)
 	}
 }
+
+// TestTPSlot: Slot inverts TPChoices, so slot order is ascending TP, and a
+// degree outside the knob space panics.
+func TestTPSlot(t *testing.T) {
+	for i, tp := range TPChoices {
+		if got := tp.Slot(); got != i {
+			t.Errorf("%v.Slot() = %d, want %d", tp, got, i)
+		}
+		if i > 0 && tp <= TPChoices[i-1] {
+			t.Errorf("TPChoices not ascending at %d: %v", i, TPChoices)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TP1.Slot() did not panic")
+		}
+	}()
+	TP1.Slot()
+}

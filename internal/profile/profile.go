@@ -100,9 +100,9 @@ type Profile struct {
 // them (§IV-A).
 var loadFractions = []float64{0.05, 0.2, 0.4, 0.6, 0.8, 0.95}
 
-// Build characterizes a model with the given measurer (nil = analytic).
-// Frequencies profiled are the coarse ladder plus the full ladder if
-// fullLadder is set (the paper profiles 800-1980 MHz in 200 MHz steps).
+// Build characterizes a model with the given measurer (nil = analytic)
+// for every class, every degree of model.TPChoices and every frequency of
+// gpu.Ladder() (the paper profiles 800-1980 MHz in 200 MHz steps).
 func Build(m *model.Model, sloScale float64, measure Measurer) *Profile {
 	if measure == nil {
 		measure = AnalyticMeasurer

@@ -78,7 +78,7 @@ func (c Config) String() string {
 		return "idle"
 	}
 	// Collapse repeats: {TP2,TP2,TP2,TP2} -> "4TP2".
-	counts := map[model.TP]int{}
+	var counts [model.TP8 + 1]int
 	for _, tp := range c {
 		counts[tp]++
 	}
@@ -215,7 +215,7 @@ func PlanReshard(current Layout, target Config) Plan {
 
 	// Stage 2 — source selection: balance fetches across replicas to
 	// minimize the per-pair maximum.
-	pairLoad := map[[2]int]int{}
+	var pairLoad [gpu.ServerGPUs][gpu.ServerGPUs]int // fetches per (src, dst)
 	var moves []Move
 	for r, g := range roleGPU {
 		missing := roles[r] &^ current[g]
@@ -229,22 +229,21 @@ func PlanReshard(current Layout, target Config) Plan {
 				if cand == g || !current[cand].Has(s) {
 					continue
 				}
-				if l := pairLoad[[2]int{cand, g}]; l < bestLoad {
+				if l := pairLoad[cand][g]; l < bestLoad {
 					bestLoad, src = l, cand
 				}
 			}
 			if src < 0 {
 				panic(fmt.Sprintf("reshard: slice %d not present on any GPU", s))
 			}
-			pairLoad[[2]int{src, g}]++
+			pairLoad[src][g]++
 			moves = append(moves, Move{Src: src, Dst: g, Slice: s})
 		}
 	}
 	makespan := 0
-	//dynamolint:order-independent max over values; comparison order cannot change the max
-	for _, l := range pairLoad {
-		if l > makespan {
-			makespan = l
+	for _, row := range pairLoad {
+		for _, l := range row {
+			makespan = max(makespan, l)
 		}
 	}
 	return Plan{

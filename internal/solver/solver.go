@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
@@ -129,6 +128,9 @@ func solveScored(p *profile.Profile, cls workload.Class, totalGPUs int, lambda f
 
 	best := Assignment{PowerW: math.Inf(1)}
 	bestScore := math.Inf(1)
+	// Candidates fill one groups buffer; a new best keeps it and the
+	// search moves on to a fresh one.
+	buf := make([]Group, 0, len(model.TPChoices))
 	n2max := totalGPUs / 2
 	for n2 := 0; n2 <= n2max; n2++ {
 		for n4 := 0; n4*4 <= totalGPUs-n2*2; n4++ {
@@ -136,11 +138,11 @@ func solveScored(p *profile.Profile, cls workload.Class, totalGPUs int, lambda f
 				if n2+n4+n8 == 0 {
 					continue
 				}
-				counts := map[model.TP]int{model.TP2: n2, model.TP4: n4, model.TP8: n8}
-				a, ok := evaluate(p, cls, counts, lambda, opts)
+				a, ok := evaluate(p, cls, [...]int{n2, n4, n8}, lambda, opts, buf)
 				if ok {
 					if s := score(a); s < bestScore-1e-9 {
 						best, bestScore = a, s
+						buf = make([]Group, 0, len(model.TPChoices))
 					}
 				}
 			}
@@ -152,39 +154,33 @@ func solveScored(p *profile.Profile, cls workload.Class, totalGPUs int, lambda f
 	return best, nil
 }
 
-func activeGroups(counts map[model.TP]int) []model.TP {
-	var tps []model.TP
-	for _, tp := range model.TPChoices {
-		if counts[tp] > 0 {
-			tps = append(tps, tp)
+// evaluate prices one instance-count vector, indexed by model.TP.Slot:
+// split the load, choose frequencies, and sum power. The assignment's
+// groups are appended to buf[:0] in ascending TP. Reports ok=false when
+// the vector cannot cover the load within the SLO.
+func evaluate(p *profile.Profile, cls workload.Class, counts [len(model.TPChoices)]int, lambda float64, opts Options, buf []Group) (Assignment, bool) {
+	active := 0
+	for _, n := range counts {
+		if n > 0 {
+			active++
 		}
 	}
-	return tps
-}
-
-// evaluate prices one instance-count vector: split the load, choose
-// frequencies, and sum power. Reports ok=false when the vector cannot
-// cover the load within the SLO.
-func evaluate(p *profile.Profile, cls workload.Class, counts map[model.TP]int, lambda float64, opts Options) (Assignment, bool) {
-	tps := activeGroups(counts)
 
 	// Per-group capacity at the most permissive frequency.
-	capEach := map[model.TP]float64{}
-	for _, tp := range tps {
-		f := gpu.MaxFreq
-		if opts.FixedFreq != 0 {
-			f = opts.FixedFreq
-		}
-		e := p.Entry(profile.Key{Class: cls, TP: tp, Freq: f})
-		if e == nil || e.MaxLoad <= 0 {
-			capEach[tp] = 0
+	f := gpu.MaxFreq
+	if opts.FixedFreq != 0 {
+		f = opts.FixedFreq
+	}
+	var capEach [len(model.TPChoices)]float64
+	total := 0.0
+	for i, tp := range model.TPChoices {
+		if counts[i] == 0 {
 			continue
 		}
-		capEach[tp] = e.MaxLoad
-	}
-	total := 0.0
-	for _, tp := range tps {
-		total += capEach[tp] * float64(counts[tp])
+		if e := p.Entry(profile.Key{Class: cls, TP: tp, Freq: f}); e != nil && e.MaxLoad > 0 {
+			capEach[i] = e.MaxLoad
+		}
+		total += capEach[i] * float64(counts[i])
 	}
 	if total < lambda {
 		return Assignment{}, false
@@ -193,20 +189,24 @@ func evaluate(p *profile.Profile, cls workload.Class, counts map[model.TP]int, l
 	// Initial split: proportional to group capacity; then refine by
 	// moving load between groups while power improves (the continuous
 	// L_TPi dimension of the MILP).
-	share := map[model.TP]float64{}
-	for _, tp := range tps {
-		share[tp] = capEach[tp] * float64(counts[tp]) / total * lambda
+	var share [len(model.TPChoices)]float64
+	for i := range counts {
+		if counts[i] > 0 {
+			share[i] = capEach[i] * float64(counts[i]) / total * lambda
+		}
 	}
-	price := func(split map[model.TP]float64) (float64, map[model.TP]Group, bool) {
+	price := func(split [len(model.TPChoices)]float64) (float64, [len(model.TPChoices)]Group, bool) {
 		sum := 0.0
-		groups := map[model.TP]Group{}
-		for _, tp := range tps {
-			loadEach := split[tp] / float64(counts[tp])
-			g, ok := bestGroupFreq(p, cls, tp, counts[tp], loadEach, opts)
-			if !ok {
-				return 0, nil, false
+		var groups [len(model.TPChoices)]Group
+		for i, tp := range model.TPChoices {
+			if counts[i] == 0 {
+				continue
 			}
-			groups[tp] = g
+			g, ok := bestGroupFreq(p, cls, tp, counts[i], split[i]/float64(counts[i]), opts)
+			if !ok {
+				return 0, groups, false
+			}
+			groups[i] = g
 			sum += g.PowerEach * float64(g.Count)
 		}
 		return sum, groups, true
@@ -216,24 +216,20 @@ func evaluate(p *profile.Profile, cls workload.Class, counts map[model.TP]int, l
 	if !ok {
 		return Assignment{}, false
 	}
-	if len(tps) > 1 {
+	if active > 1 {
 		// Coordinate-descent refinement on the load split.
 		step := lambda / 8
 		for iter := 0; iter < 24 && step > lambda/512; iter++ {
 			improved := false
-			for _, from := range tps {
-				for _, to := range tps {
-					if from == to || share[from] < step {
+			for from := range counts {
+				for to := range counts {
+					if counts[from] == 0 || counts[to] == 0 || from == to || share[from] < step {
 						continue
 					}
 					if share[to]+step > capEach[to]*float64(counts[to]) {
 						continue
 					}
-					trial := map[model.TP]float64{}
-					//dynamolint:order-independent map-to-map rebuild; the result is keyed, not ordered
-					for k, v := range share {
-						trial[k] = v
-					}
+					trial := share
 					trial[from] -= step
 					trial[to] += step
 					if w, g, ok := price(trial); ok && w < bestPower-1e-9 {
@@ -248,11 +244,12 @@ func evaluate(p *profile.Profile, cls workload.Class, counts map[model.TP]int, l
 		}
 	}
 
-	a := Assignment{PowerW: bestPower}
-	for _, tp := range tps {
-		a.Groups = append(a.Groups, bestGroups[tp])
+	a := Assignment{Groups: buf[:0], PowerW: bestPower}
+	for i, g := range bestGroups {
+		if counts[i] > 0 {
+			a.Groups = append(a.Groups, g)
+		}
 	}
-	sort.Slice(a.Groups, func(i, j int) bool { return a.Groups[i].TP < a.Groups[j].TP })
 	return a, true
 }
 

@@ -303,3 +303,21 @@ func TestSolveCostInfeasible(t *testing.T) {
 		t.Error("expected infeasible")
 	}
 }
+
+// TestSolveShardingAllocs: an instance-count vector is an array, so the
+// enumeration allocates only the groups of each new best, not maps per
+// candidate and per refinement trial.
+func TestSolveShardingAllocs(t *testing.T) {
+	p := p70(t)
+	for _, cls := range workload.AllClasses {
+		lambda := lambdaFor(cls, 4000)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := SolveSharding(p, cls, 16, lambda); err != nil {
+				t.Fatalf("%v: %v", cls, err)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("%v: SolveSharding at 16 GPUs made %.0f allocations per call, want <= 32", cls, allocs)
+		}
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dynamollm/internal/order"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
 )
@@ -296,30 +295,20 @@ func (tr Trace) Summarize() Stats {
 	if len(tr) == 0 {
 		return st
 	}
-	hourly := map[int]float64{}
 	for _, e := range tr {
 		st.TotalTokens += float64(e.InputTokens + e.OutputTokens)
 		st.ClassShare[e.Class()]++
-		hourly[int(float64(e.At)/3600)] += float64(e.InputTokens + e.OutputTokens)
 	}
 	for i := range st.ClassShare {
 		st.ClassShare[i] /= float64(st.Requests)
 	}
-	// Sorted keys: the float sum below rounds differently per visit
-	// order, so a bare map range would leak map randomization into
-	// PeakOverAvg.
-	peak, valley, sum := 0.0, math.Inf(1), 0.0
-	for _, k := range order.Keys(hourly) {
-		v := hourly[k]
-		if v > peak {
-			peak = v
-		}
-		if v < valley {
-			valley = v
-		}
+	peak, valley, sum, hours := 0.0, math.Inf(1), 0.0, 0
+	tr.tokenBuckets(3600, func(_ int, v float64) {
+		peak, valley = max(peak, v), min(valley, v)
 		sum += v
-	}
-	avg := sum / float64(len(hourly))
+		hours++
+	})
+	avg := sum / float64(hours)
 	if avg > 0 {
 		st.PeakOverAvg = peak / avg
 	}
@@ -332,17 +321,30 @@ func (tr Trace) Summarize() Stats {
 // TokenRate returns the total token throughput (tokens/s) of the trace
 // bucketed at the given width, for the Fig. 2 load curves.
 func (tr Trace) TokenRate(bucketSeconds float64) []struct{ Time, TPS float64 } {
-	buckets := map[int]float64{}
-	for _, e := range tr {
-		buckets[int(float64(e.At)/bucketSeconds)] += float64(e.InputTokens + e.OutputTokens)
-	}
-	keys := order.Keys(buckets)
-	out := make([]struct{ Time, TPS float64 }, len(keys))
-	for i, k := range keys {
-		out[i].Time = float64(k) * bucketSeconds
-		out[i].TPS = buckets[k] / bucketSeconds
-	}
+	var out []struct{ Time, TPS float64 }
+	tr.tokenBuckets(bucketSeconds, func(k int, v float64) {
+		out = append(out, struct{ Time, TPS float64 }{float64(k) * bucketSeconds, v / bucketSeconds})
+	})
 	return out
+}
+
+// tokenBuckets calls fn, in time order, with the index and summed input
+// plus output tokens of every non-empty bucket of the given width. The
+// trace is time-ordered, so each bucket is one run of consecutive entries.
+func (tr Trace) tokenBuckets(width float64, fn func(k int, tokens float64)) {
+	cur, sum := -1, 0.0
+	for _, e := range tr {
+		if k := int(float64(e.At) / width); k != cur {
+			if cur >= 0 {
+				fn(cur, sum)
+			}
+			cur, sum = k, 0
+		}
+		sum += float64(e.InputTokens + e.OutputTokens)
+	}
+	if cur >= 0 {
+		fn(cur, sum)
+	}
 }
 
 // Window returns the sub-trace within [from, to), time-shifted so the first

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Self-test for the dynamolint gate: inject three violations into
+# Self-test for the dynamolint gate: inject four violations into
 # internal/core, one at a time, and assert the linter rejects each with
 # the right diagnostic:
 #   - a time.Now() read in a sim-deterministic package (detrand);
+#   - an unwaived range over a map in a sim-deterministic package
+#     (detrand);
 #   - an exported func whose only caller is a _test.go file (prodcaller);
 #   - a field that non-test code assigns and only a test reads
 #     (prodcaller).
@@ -13,11 +15,12 @@ set -u
 cd "$(dirname "$0")/.."
 
 viol=internal/core/zz_lint_selftest_violation.go
+maprange=internal/core/zz_lint_selftest_maprange.go
 probe=internal/core/zz_lint_selftest_probe.go
 probetest=internal/core/zz_lint_selftest_probe_test.go
 state=internal/core/zz_lint_selftest_state.go
 statetest=internal/core/zz_lint_selftest_state_test.go
-trap 'rm -f "$viol" "$probe" "$probetest" "$state" "$statetest"' EXIT
+trap 'rm -f "$viol" "$maprange" "$probe" "$probetest" "$state" "$statetest"' EXIT
 
 # expect_reject <what> <diagnostic regex> <probe file>: dynamolint over
 # internal/core must exit 1 with a matching diagnostic.
@@ -50,6 +53,23 @@ func zzLintSelftestViolation() time.Time { return time.Now() }
 GO
 expect_reject "a time.Now() in internal/core" 'time\.Now in sim-deterministic package' zz_lint_selftest_violation
 rm -f "$viol"
+
+cat > "$maprange" <<'GO'
+package core
+
+// zzLintSelftestMapRange exists only while scripts/lint_selftest.sh
+// runs; its map range carries no waiver, so dynamolint (detrand) must
+// reject it.
+func zzLintSelftestMapRange(m map[int]float64) (sum float64) {
+	for _, v := range m {
+		sum += v
+	}
+	return sum
+}
+GO
+expect_reject "an unwaived map range in internal/core" \
+    'map iteration order is random in sim-deterministic package' zz_lint_selftest_maprange
+rm -f "$maprange"
 
 cat > "$probe" <<'GO'
 package core
