@@ -983,8 +983,9 @@ func (sm *simulation) accountTick(now simclock.Time) {
 	// energy, and sample latencies.
 	clusterPower := 0.0
 	var freqNum, freqDen float64
+	var clusterGPUs [len(model.TPChoices)]float64 // indexed by model.TP.Slot
 	for _, p := range sm.pools {
-		var poolGPUs [len(model.TPChoices)]float64 // indexed by model.TP.Slot
+		var poolGPUs [len(model.TPChoices)]float64
 		var pFreqNum, pFreqDen float64
 		for _, in := range p.Instances {
 			if in.state == stateOff {
@@ -1037,8 +1038,8 @@ func (sm *simulation) accountTick(now simclock.Time) {
 				res.PoolLoadSeries[cls].Observe(float64(now), float64(p.arrivalsThisTick)/opts.Tick, 1)
 			}
 		}
-		for i, s := range res.ShardSeries {
-			s.Observe(float64(now), poolGPUs[i], 1)
+		for i, n := range poolGPUs {
+			clusterGPUs[i] += n
 		}
 		freqNum += pFreqNum
 		freqDen += pFreqDen
@@ -1057,6 +1058,9 @@ func (sm *simulation) accountTick(now simclock.Time) {
 	res.ClusterPowerW.Add(clusterPower)
 	if freqDen > 0 {
 		res.FreqSeries.Observe(float64(now), freqNum/freqDen, 1)
+	}
+	for i, s := range res.ShardSeries {
+		s.Observe(float64(now), clusterGPUs[i], 1)
 	}
 }
 

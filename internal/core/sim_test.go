@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +161,34 @@ func TestShardingDiversifies(t *testing.T) {
 	}
 	if small == 0 {
 		t.Error("no GPUs ever ran at TP2/TP4 under ScaleShard")
+	}
+}
+
+// TestShardSeriesIsClusterTotal: Fig. 10's total-TP* series holds the
+// cluster's GPUs per TP degree each tick, so integrating every degree's
+// series over time gives back the run's GPU-seconds.
+func TestShardSeriesIsClusterTotal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster simulation")
+	}
+	res := runSystem(t, "dynamollm")
+	tick, width := res.Opts.Tick, res.ShardSeries[0].Width
+	var ticksIn []float64 // ticks observed per series bucket
+	for k := 0; k < int(res.Duration/tick); k++ {
+		b := int(math.Floor(float64(k) * tick / width))
+		for len(ticksIn) <= b {
+			ticksIn = append(ticksIn, 0)
+		}
+		ticksIn[b]++
+	}
+	gpuSeconds := 0.0
+	for _, s := range res.ShardSeries {
+		for _, pt := range s.Points() {
+			gpuSeconds += pt.Value * ticksIn[int(pt.Time/width)] * tick
+		}
+	}
+	if math.Abs(gpuSeconds-res.GPUSeconds) > 1e-9*res.GPUSeconds {
+		t.Errorf("shard series integrate to %.6f GPU-s, run used %.6f", gpuSeconds, res.GPUSeconds)
 	}
 }
 
