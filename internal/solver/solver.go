@@ -39,7 +39,7 @@ func (g Group) GPUs() int { return g.Count * g.TP.GPUs() }
 
 // Assignment is a solved configuration.
 type Assignment struct {
-	Groups []Group
+	Groups []Group // one per TP degree in use, in ascending TP
 	// PowerW is the summed average power (the energy rate being
 	// minimized; energy over an epoch is PowerW x epoch).
 	PowerW float64
