@@ -16,11 +16,12 @@ BENCHTIME ?= 1x
 COUNT ?= 1
 
 # Benchmarks the regression gate times: the steady-state engine (soak and
-# per-iteration decode), tick-loop, fleet-stepping, and block-KV paths.
+# per-iteration decode), its event clock, tick-loop, fleet-stepping, and
+# block-KV paths.
 # The macro table/figure benchmarks stay in bench/bench-json as
 # one-iteration smoke — they re-run whole experiment fixtures per
 # iteration and carry too much noise to gate at 10%.
-GATEBENCH ?= TickLoop|EventFleet|LiveAdvanceTick|EngineSoak|EngineKV|EngineDecodeBatch
+GATEBENCH ?= TickLoop|EventFleet|LiveAdvanceTick|EngineSoak|EngineKV|EngineDecodeBatch|ClockTick
 
 # Committed baseline the perf-regression gate compares against.
 BASE ?= 10

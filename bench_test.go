@@ -9,6 +9,7 @@
 package dynamollm
 
 import (
+	"slices"
 	"testing"
 
 	"dynamollm/internal/core"
@@ -55,14 +56,14 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := expt.TableII()
-		b.ReportMetric(tab[2000][model.TP4.Slot()][1200].WhPer10, "MM-TP4-1.2GHz-Wh/10req")
+		b.ReportMetric(tab[slices.Index(expt.TableIILoads[:], 2000)][model.TP4.Slot()][1200].WhPer10, "MM-TP4-1.2GHz-Wh/10req")
 	}
 }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := expt.TableIII()
-		b.ReportMetric(tab["llama2-13b"][model.TP2.Slot()][1200].WhPer10, "13B-TP2-1.2GHz-Wh/10req")
+		b.ReportMetric(tab[slices.Index(expt.TableIIIModels[:], model.Llama2_13B)][model.TP2.Slot()][1200].WhPer10, "13B-TP2-1.2GHz-Wh/10req")
 	}
 }
 

@@ -718,7 +718,11 @@ func (b *eventBackend) Reconfigure(in *Instance, now simclock.Time) {
 // through the per-tick merge: merge the engine's buffers, step its clock
 // by one event, repeat until the agenda is empty. The buffers thus hold
 // at most one event's output, and completions, token events and retries
-// still reach the Result and observer in ID order. Under disaggregation
+// still reach the Result and observer in ID order. An iteration's end
+// event may start the next iteration inline, so one merge can hold the
+// end's reports and the start's Reject reports; a start reports nothing
+// else, and mergeEngine replays fails last, so the merged order is that
+// of two merges. Under disaggregation
 // a pool group shares one clock: stepping its lowest-ID engine runs the
 // whole group, and the other engines hold their tail until the loop
 // reaches them, so buffering is bounded per group, not per engine. The

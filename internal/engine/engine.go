@@ -476,11 +476,16 @@ func (e *Engine) WaitingLen() int {
 	return e.waiting.len() + e.preempted.len() + e.spilled.len() + len(e.swapReady)
 }
 
+// hasWork reports whether an iteration would find anything to run.
+//
+//dynamolint:steadystate
+func (e *Engine) hasWork() bool { return e.WaitingLen() > 0 || len(e.active) > 0 }
+
 // kick schedules the next iteration if the engine is idle and has work.
 //
 //dynamolint:steadystate
 func (e *Engine) kick() {
-	if e.running || (e.WaitingLen() == 0 && len(e.active) == 0) {
+	if e.running || !e.hasWork() {
 		return
 	}
 	e.running = true
@@ -659,7 +664,8 @@ func (e *Engine) unlink(st *seqState) {
 }
 
 // finishIteration produces the in-flight iteration's tokens, retires the
-// sequences that complete or hand off, and schedules the next iteration.
+// sequences that complete or hand off, and starts or schedules the next
+// iteration.
 // Every active sequence gains one token, which the iteration counter and
 // the batch totals account for at once; the sequences visited one by one
 // are only this iteration's joiners (first tokens and lone gaps), the
@@ -740,6 +746,14 @@ func (e *Engine) finishIteration() {
 				e.sink.ObserveTBT(workload.Class(c), float64(end-prev), k)
 			}
 		}
+	}
+	// The next iteration starts at end unless a freeze holds it. Its
+	// scheduled start would be the clock's next event unless something
+	// else is due at end, such as an arrival, or an event a sink call
+	// above put on a shared clock; then it runs here, in the same order.
+	if e.hasWork() && e.frozenUntil <= end && !e.clock.Due(end) {
+		e.iterate()
+		return
 	}
 	e.running = false
 	e.kick()

@@ -29,9 +29,9 @@ func BenchmarkEngineSoakSink(b *testing.B) {
 	b.ReportMetric(float64(s.tbtReports)/float64(b.N), "tbt-reports")
 }
 
-// BenchmarkEngineDecodeBatch times one steady decode iteration (its start
-// and end events, ns/iter) at batch 8 and at batch 256, reporting to a
-// counting sink. Nothing joins or leaves, so under token KV the engine
+// BenchmarkEngineDecodeBatch times one steady decode iteration (ns/iter:
+// one clock event, whose end starts the next iteration inline) at batch 8
+// and at batch 256, reporting to a counting sink. Nothing joins or leaves, so under token KV the engine
 // visits no sequence and the two batch sizes should cost about the same.
 // Under block KV (16-token blocks, a pool too large to fill) it also
 // visits each sequence once every 16 iterations, when its next token

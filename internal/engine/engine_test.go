@@ -147,6 +147,69 @@ func TestFreezeDelaysWork(t *testing.T) {
 	}
 }
 
+// TestInlineIterationStart: an iteration that ends with work left starts
+// the next one in the same clock event only when its scheduled start
+// would be the clock's next event. r0 decodes for four iterations; a
+// callback inside the first schedules r1's arrival at that iteration's
+// end instant, after the end event, or freezes the engine past it.
+func TestInlineIterationStart(t *testing.T) {
+	cfg := cfg70(model.TP8, gpu.MaxFreq)
+	r0 := workload.Request{Tag: 1, InputTokens: 256, OutputTokens: 4}
+	run := func(setup func(*simclock.Clock, *Engine)) (*recorder, *Engine) {
+		clock := simclock.New()
+		rec := &recorder{}
+		eng := New(cfg, KVConfig{}, clock, rec)
+		eng.Submit(r0)
+		setup(clock, eng)
+		for clock.Step() {
+		}
+		return rec, eng
+	}
+	// during runs fn inside r0's first iteration, once its end event is
+	// on the clock.
+	during := func(fn func(*simclock.Clock, *Engine)) func(*simclock.Clock, *Engine) {
+		return func(clock *simclock.Clock, eng *Engine) { clock.At(0, func() { fn(clock, eng) }) }
+	}
+	// token is the time of a tagged request's n-th token.
+	token := func(rec *recorder, tag uint64, n int) simclock.Time {
+		for _, tk := range rec.tokens {
+			if tk.tag == tag && tk.produced == n {
+				return tk.at
+			}
+		}
+		t.Fatalf("request %d never produced token %d", tag, n)
+		return 0
+	}
+	probe, _ := run(func(*simclock.Clock, *Engine) {})
+	end1 := token(probe, r0.Tag, 1)
+
+	// r1 arrives at end1 and must be queued before the iteration starting
+	// at end1 begins, and join it, as when that start was a clock event
+	// of its own. The reference schedules r1's arrival before the end
+	// event, so it is queued first on either path.
+	r1 := workload.Request{Tag: 2, Arrival: end1, InputTokens: 256, OutputTokens: 3}
+	arrive := func(clock *simclock.Clock, eng *Engine) { clock.At(end1, func() { eng.Submit(r1) }) }
+	ref, refEng := run(arrive)
+	got, eng := run(during(arrive))
+	if token(ref, r1.Tag, 1) != token(ref, r0.Tag, 2) || refEng.iter != 4 {
+		t.Fatalf("reference: r1 did not join the iteration starting at end1 (%d iterations)", refEng.iter)
+	}
+	if got, want := token(got, r1.Tag, 1)-end1, token(ref, r1.Tag, 1)-end1; got != want || eng.iter != refEng.iter {
+		t.Fatalf("r1 arriving after the end event: TTFT %v over %d iterations, want %v over %d",
+			got, eng.iter, want, refEng.iter)
+	}
+
+	// A freeze past end1 holds the next iteration until it lifts.
+	const until = 1.0
+	if end1 >= until {
+		t.Fatalf("first iteration ends at %v, after the freeze", end1)
+	}
+	frozen, _ := run(during(func(_ *simclock.Clock, eng *Engine) { eng.Freeze(until) }))
+	if at := token(frozen, r0.Tag, 2); at <= until {
+		t.Fatalf("second token at %v, inside the freeze that lifts at %v", at, until)
+	}
+}
+
 func TestSinkDone(t *testing.T) {
 	clock := simclock.New()
 	var rec recorder
@@ -307,7 +370,8 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 }
 
 // TestEngineDecodeAllocationFree: once a long-output batch decodes
-// steadily, each clock event (an iteration start or end) reuses the
+// steadily, each clock event (an iteration's end, which starts the next
+// one inline) reuses the
 // pooled states, the active batch, the bound callbacks and the clock's
 // agenda, so stepping the clock allocates nothing.
 func TestEngineDecodeAllocationFree(t *testing.T) {

@@ -125,8 +125,8 @@ func mallocsDuring(f func()) uint64 {
 // preemption + prefix churn) may not allocate meaningfully more per
 // executed clock event than the legacy token-bucket path on the same
 // workload. The clock stores events by value, so the unavoidable alloc
-// floor is the per-arrival submission closure (one per request, a few
-// hundredths of an allocation per event); preemption churn multiplies
+// floor is the per-arrival submission closure (one per request, about a
+// tenth of an allocation per event); preemption churn multiplies
 // the event count but not the arrivals. With pooled seqStates, prefix
 // entries, and queues, the KV bookkeeping's steady-state contribution
 // must be zero, and any per-preemption, per-admission or per-event

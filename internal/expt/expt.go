@@ -126,25 +126,34 @@ func characterize(m *model.Model, cls workload.Class, tps float64, promptTPS boo
 
 // --- Table II ------------------------------------------------------------------
 
-// TableIILoads are the paper's prompt-token load levels.
-var TableIILoads = []float64{650, 2000, 4000}
+// TableIILoads are the paper's prompt-token load levels, in row order.
+var TableIILoads = [...]float64{650, 2000, 4000}
 
-// TableII characterizes MM requests across load levels (prompt TPS basis).
-func TableII() map[float64]Grid {
-	out := map[float64]Grid{}
-	for _, tps := range TableIILoads {
-		out[tps] = characterize(model.Llama2_70B, workload.MM, tps, true)
+// TableII characterizes MM requests across load levels (prompt TPS basis),
+// one Grid per entry of TableIILoads.
+func TableII() [len(TableIILoads)]Grid {
+	var out [len(TableIILoads)]Grid
+	for i, tps := range TableIILoads {
+		out[i] = characterize(model.Llama2_70B, workload.MM, tps, true)
 	}
 	return out
 }
 
 // --- Table III -----------------------------------------------------------------
 
-// TableIII characterizes MM requests across the model catalog.
-func TableIII() map[string]Grid {
-	out := map[string]Grid{}
-	for _, m := range model.All() {
-		out[m.Name] = characterize(m, workload.MM, mediumTotalTPS, false)
+// TableIIIModels is the model catalog in Table III's row order (the
+// catalog itself is sorted by name).
+var TableIIIModels = [...]*model.Model{
+	model.Llama2_13B, model.Mixtral8x7B, model.Llama2_70B,
+	model.Llama3_70B, model.Mixtral22B, model.Falcon180B,
+}
+
+// TableIII characterizes MM requests across the model catalog, one Grid
+// per entry of TableIIIModels.
+func TableIII() [len(TableIIIModels)]Grid {
+	var out [len(TableIIIModels)]Grid
+	for i, m := range TableIIIModels {
+		out[i] = characterize(m, workload.MM, mediumTotalTPS, false)
 	}
 	return out
 }
@@ -219,16 +228,18 @@ type Fig1Row struct {
 	Shares [workload.NumClasses]float64
 }
 
-// weekSummaries reduces each service's generated week trace (Coding,
-// then Conversation) to the per-day class mix (Fig. 1) and the hourly
+// weekServices are the services Figs. 1 and 2 show, in their order.
+var weekServices = [...]trace.Service{trace.Coding, trace.Conversation}
+
+// weekSummaries reduces each service's generated week trace, in
+// weekServices order, to the per-day class mix (Fig. 1) and the hourly
 // normalized token throughput (Fig. 2). Both services generate in
 // parallel, and each summary is memoized so the two figures share one
 // trace without holding it.
 func (c Config) weekSummaries() []weekSummary {
-	svcs := []trace.Service{trace.Coding, trace.Conversation}
-	return Collect(c.runner(), len(svcs), func(i int) weekSummary {
-		return memoized(c.memo(), c.key("week-summary", svcs[i], ""), func() weekSummary {
-			tr := c.WeekTrace(svcs[i])
+	return Collect(c.runner(), len(weekServices), func(i int) weekSummary {
+		return memoized(c.memo(), c.key("week-summary", weekServices[i], ""), func() weekSummary {
+			tr := c.WeekTrace(weekServices[i])
 			days := int(float64(tr[len(tr)-1].At)/86400) + 1
 			counts := make([][workload.NumClasses]float64, days)
 			totals := make([]float64, days)
@@ -262,16 +273,22 @@ func (c Config) weekSummaries() []weekSummary {
 	})
 }
 
-// Fig1 computes per-day request-type distributions for both services.
-func (c Config) Fig1() map[trace.Service][]Fig1Row {
-	s := c.weekSummaries()
-	return map[trace.Service][]Fig1Row{trace.Coding: s[0].fig1, trace.Conversation: s[1].fig1}
+// Fig1 computes per-day request-type distributions for both services, in
+// weekServices order.
+func (c Config) Fig1() (out [len(weekServices)][]Fig1Row) {
+	for i, s := range c.weekSummaries() {
+		out[i] = s.fig1
+	}
+	return out
 }
 
-// Fig2 returns hourly normalized token throughput for both services.
-func (c Config) Fig2() map[trace.Service][]metrics.Point {
-	s := c.weekSummaries()
-	return map[trace.Service][]metrics.Point{trace.Coding: s[0].fig2, trace.Conversation: s[1].fig2}
+// Fig2 returns hourly normalized token throughput for both services, in
+// weekServices order.
+func (c Config) Fig2() (out [len(weekServices)][]metrics.Point) {
+	for i, s := range c.weekSummaries() {
+		out[i] = s.fig2
+	}
+	return out
 }
 
 // --- Fig. 3 --------------------------------------------------------------------

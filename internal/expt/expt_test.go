@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,9 +55,10 @@ func TestTableIShapes(t *testing.T) {
 func TestTableIILoadDirection(t *testing.T) {
 	tab := TableII()
 	// Feasible cells only shrink as load rises (per TP/freq).
+	low, high := tab[0], tab[len(tab)-1]
 	for _, tp := range model.TPChoices {
 		for _, f := range gpu.CoarseLadder() {
-			if !tab[650][tp.Slot()][f].Feasible && tab[4000][tp.Slot()][f].Feasible {
+			if !low[tp.Slot()][f].Feasible && high[tp.Slot()][f].Feasible {
 				t.Errorf("%v/%v feasible at high load but not low", tp, f)
 			}
 		}
@@ -68,16 +70,17 @@ func TestTableIILoadDirection(t *testing.T) {
 
 func TestTableIIIBigModelsNeedTP8(t *testing.T) {
 	tab := TableIII()
-	for _, name := range []string{"mixtral-8x22b", "falcon-180b"} {
+	for _, big := range []*model.Model{model.Mixtral22B, model.Falcon180B} {
+		g := tab[slices.Index(TableIIIModels[:], big)]
 		for _, tp := range []model.TP{model.TP2, model.TP4} {
 			for _, f := range gpu.CoarseLadder() {
-				if tab[name][tp.Slot()][f].Feasible {
-					t.Errorf("%s/%v/%v should be infeasible", name, tp, f)
+				if g[tp.Slot()][f].Feasible {
+					t.Errorf("%s/%v/%v should be infeasible", big.Name, tp, f)
 				}
 			}
 		}
-		if !tab[name][model.TP8.Slot()][gpu.MaxFreq].Feasible {
-			t.Errorf("%s/TP8/max should be feasible", name)
+		if !g[model.TP8.Slot()][gpu.MaxFreq].Feasible {
+			t.Errorf("%s/TP8/max should be feasible", big.Name)
 		}
 	}
 	if RenderTableIII(tab) == "" {
@@ -115,7 +118,8 @@ func TestTableVIUnit(t *testing.T) {
 func TestFig1And2(t *testing.T) {
 	c := quickCfg()
 	f1 := c.Fig1()
-	for svc, rows := range f1 {
+	for i, rows := range f1 {
+		svc := weekServices[i]
 		if len(rows) < 2 {
 			t.Errorf("%v: too few days", svc)
 		}
@@ -130,7 +134,8 @@ func TestFig1And2(t *testing.T) {
 		}
 	}
 	f2 := c.Fig2()
-	for svc, pts := range f2 {
+	for i, pts := range f2 {
+		svc := weekServices[i]
 		peak := 0.0
 		for _, p := range pts {
 			if p.Value > peak {

@@ -8,7 +8,6 @@ import (
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
-	"dynamollm/internal/trace"
 	"dynamollm/internal/workload"
 )
 
@@ -66,26 +65,27 @@ func RenderTableI(t [workload.NumClasses]Grid) string {
 	return b.String()
 }
 
+// tableIILabels are Table II's row labels, beside TableIILoads.
+var tableIILabels = [len(TableIILoads)]string{"Low (650)", "Medium (2K)", "High (4K)"}
+
 // RenderTableII formats the load sweep.
-func RenderTableII(t map[float64]Grid) string {
+func RenderTableII(t [len(TableIILoads)]Grid) string {
 	var b strings.Builder
 	b.WriteString("Table II: energy (Wh per 10 requests), Llama2-70B MM requests; -- = SLO violated\n")
 	gridHeader(&b)
-	labels := map[float64]string{650: "Low (650)", 2000: "Medium (2K)", 4000: "High (4K)"}
-	for _, tps := range TableIILoads {
-		gridRow(&b, labels[tps], t[tps])
+	for i, label := range tableIILabels {
+		gridRow(&b, label, t[i])
 	}
 	return b.String()
 }
 
 // RenderTableIII formats the model sweep.
-func RenderTableIII(t map[string]Grid) string {
+func RenderTableIII(t [len(TableIIIModels)]Grid) string {
 	var b strings.Builder
 	b.WriteString("Table III: energy (Wh per 10 requests), MM requests at 2K total TPS; -- = infeasible\n")
 	gridHeader(&b)
-	order := []string{"llama2-13b", "mixtral-8x7b", "llama2-70b", "llama3-70b", "mixtral-8x22b", "falcon-180b"}
-	for _, name := range order {
-		gridRow(&b, name, t[name])
+	for i, m := range TableIIIModels {
+		gridRow(&b, m.Name, t[i])
 	}
 	return b.String()
 }
@@ -158,16 +158,16 @@ func reshardNames() []string {
 }
 
 // RenderFig1 formats daily class distributions.
-func RenderFig1(data map[trace.Service][]Fig1Row) string {
+func RenderFig1(data [len(weekServices)][]Fig1Row) string {
 	var b strings.Builder
 	b.WriteString("Fig 1: request-type distribution per day (% of requests)\n")
-	for _, svc := range []trace.Service{trace.Coding, trace.Conversation} {
+	for i, svc := range weekServices {
 		fmt.Fprintf(&b, "  %s:\n    day  ", svc)
 		for _, cls := range workload.AllClasses {
 			fmt.Fprintf(&b, "%5s", cls)
 		}
 		b.WriteString("\n")
-		for _, row := range data[svc] {
+		for _, row := range data[i] {
 			fmt.Fprintf(&b, "    %-5d", row.Day)
 			for _, cls := range workload.AllClasses {
 				fmt.Fprintf(&b, "%5.1f", row.Shares[cls]*100)
@@ -427,11 +427,11 @@ func RenderFig3(rows []Fig3Row) string {
 }
 
 // RenderFig2Series formats weekly normalized load.
-func RenderFig2Series(data map[trace.Service][]metrics.Point) string {
+func RenderFig2Series(data [len(weekServices)][]metrics.Point) string {
 	var b strings.Builder
 	b.WriteString("Fig 2: normalized load over the week (6-hour bins)\n")
-	for _, svc := range []trace.Service{trace.Coding, trace.Conversation} {
-		b.WriteString(seriesLine(svc.String(), bin(data[svc], 6*3600), 1))
+	for i, svc := range weekServices {
+		b.WriteString(seriesLine(svc.String(), bin(data[i], 6*3600), 1))
 	}
 	return b.String()
 }

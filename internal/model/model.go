@@ -8,7 +8,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 )
 
 // TP is a tensor-parallelism degree: the number of GPUs a single model
@@ -141,9 +140,6 @@ func Names() []string {
 	}
 	return names
 }
-
-// All returns the catalog models sorted by name.
-func All() []*Model { return slices.Clone(catalog) }
 
 // FeasibleTP reports whether the model can run at the given parallelism:
 // the per-GPU weight share must fit, and the degree must be at least MinTP.

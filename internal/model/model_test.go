@@ -67,7 +67,7 @@ func TestMixtral22BNeedsTP8(t *testing.T) {
 
 func TestFeasibleTPMonotonic(t *testing.T) {
 	// If a model fits at TPi it must fit at every larger degree.
-	for _, m := range All() {
+	for _, m := range catalog {
 		fits := false
 		for _, tp := range AllTP {
 			ok := m.FeasibleTP(tp)
@@ -83,7 +83,7 @@ func TestFeasibleTPMonotonic(t *testing.T) {
 }
 
 func TestKVCapacityPositiveAndIncreasing(t *testing.T) {
-	for _, m := range All() {
+	for _, m := range catalog {
 		prev := -1.0
 		for _, tp := range AllTP {
 			if !m.FeasibleTP(tp) {
@@ -102,7 +102,7 @@ func TestKVCapacityPositiveAndIncreasing(t *testing.T) {
 }
 
 func TestShardBytesHalves(t *testing.T) {
-	for _, m := range All() {
+	for _, m := range catalog {
 		if got, want := m.ShardBytes(TP8), m.ShardBytes(TP4)/2; got != want {
 			t.Errorf("%s: ShardBytes(TP8) = %v, want %v", m.Name, got, want)
 		}

@@ -1,12 +1,15 @@
 //dynamolint:wallclock Pacer is the one sanctioned bridge from wall-clock to virtual time
 
 // Package simclock provides a discrete-event simulation kernel: a virtual
-// clock, a priority event queue, and deterministic random-number streams.
+// clock, an event agenda, and deterministic random-number streams.
 //
 // All DynamoLLM experiments run against simulated time so that week-long
 // cluster traces execute in seconds of wall time. The kernel is intentionally
 // small: events are closures scheduled at absolute virtual times, executed in
-// time order (FIFO among equal times), and may schedule further events.
+// time order (FIFO among equal times), and may schedule further events. The
+// agenda is an in-order run, which takes every event scheduled at or after
+// the latest one already in it and fires it without sifting, plus a binary
+// min-heap for the events scheduled behind the run's tail.
 package simclock
 
 import (
@@ -51,10 +54,16 @@ func (a *event) before(b *event) bool {
 type Clock struct {
 	now Time
 	seq uint64
-	// events is the agenda: a binary min-heap under event.before. Events
-	// live in it by value, so once the backing array has grown to the
-	// peak agenda size scheduling allocates nothing.
-	events []event
+	// The agenda is two queues under event.before, and Step fires the
+	// earlier head. run[head:] is in (at, seq) order: At appends an event
+	// at or after the run's last time, and seq only grows; a drained run
+	// resets to empty (head == 0). heap is a binary min-heap holding every
+	// event scheduled behind the run's tail. Events live in both by value,
+	// so once the backing arrays have grown to the peak agenda size
+	// scheduling allocates nothing.
+	run  []event
+	head int
+	heap []event
 }
 
 // New returns a clock positioned at virtual time zero with an empty agenda.
@@ -76,9 +85,21 @@ func (c *Clock) At(t Time, fn func()) {
 	}
 	c.seq++
 	ev := event{at: t, seq: c.seq, fn: fn}
-	c.events = append(c.events, ev)
+	if n := len(c.run); n == 0 || t >= c.run[n-1].at {
+		if n == cap(c.run) && 2*c.head >= n {
+			// Full, and at least half consumed: slide the live part to
+			// the front instead of growing, so a run that keeps draining
+			// and refilling settles at twice its live size.
+			m := copy(c.run, c.run[c.head:])
+			clear(c.run[m:])
+			c.run, c.head = c.run[:m], 0
+		}
+		c.run = append(c.run, ev)
+		return
+	}
+	c.heap = append(c.heap, ev)
 	// Sift up: move parents down into the hole until ev fits.
-	h, i := c.events, len(c.events)-1
+	h, i := c.heap, len(c.heap)-1
 	for p := (i - 1) / 2; i > 0 && ev.before(&h[p]); p = (i - 1) / 2 {
 		h[i], i = h[p], p
 	}
@@ -116,16 +137,34 @@ func (c *Clock) Every(d Duration, fn func()) (cancel func()) {
 //
 //dynamolint:steadystate
 func (c *Clock) Step() bool {
-	n := len(c.events) - 1
-	if n < 0 {
+	var ev event
+	if c.head < len(c.run) && (len(c.heap) == 0 || c.run[c.head].before(&c.heap[0])) {
+		ev = c.run[c.head]
+		c.run[c.head] = event{} // drop the callback reference
+		if c.head++; c.head == len(c.run) {
+			c.run, c.head = c.run[:0], 0
+		}
+	} else if len(c.heap) > 0 {
+		ev = c.popHeap()
+	} else {
 		return false
 	}
-	ev, last := c.events[0], c.events[n]
-	c.events[n] = event{} // drop the callback reference
-	c.events = c.events[:n]
+	c.now = ev.at
+	ev.fn()
+	return true
+}
+
+// popHeap removes and returns the heap's earliest event.
+//
+//dynamolint:steadystate
+func (c *Clock) popHeap() event {
+	n := len(c.heap) - 1
+	ev, last := c.heap[0], c.heap[n]
+	c.heap[n] = event{} // drop the callback reference
+	c.heap = c.heap[:n]
 	// Sift down: move the smaller child up into the hole until the
 	// displaced last event fits.
-	h, i := c.events, 0
+	h, i := c.heap, 0
 	for m := 1; m < n; m = 2*i + 1 {
 		if m+1 < n && h[m+1].before(&h[m]) {
 			m++
@@ -138,16 +177,21 @@ func (c *Clock) Step() bool {
 	if n > 0 {
 		h[i] = last
 	}
-	c.now = ev.at
-	ev.fn()
-	return true
+	return ev
+}
+
+// Due reports whether any event is scheduled at or before t.
+//
+//dynamolint:steadystate
+func (c *Clock) Due(t Time) bool {
+	return c.head < len(c.run) && c.run[c.head].at <= t || len(c.heap) > 0 && c.heap[0].at <= t
 }
 
 // RunUntil executes events until the agenda is exhausted or the next event
 // lies strictly beyond t; the clock finishes positioned at t (or at the last
 // event time if that is later than t, which cannot happen by construction).
 func (c *Clock) RunUntil(t Time) {
-	for len(c.events) > 0 && c.events[0].at <= t {
+	for c.Due(t) {
 		c.Step()
 	}
 	if c.now < t {

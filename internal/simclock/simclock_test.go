@@ -71,8 +71,10 @@ func TestClockSchedulePastPanics(t *testing.T) {
 }
 
 // TestClockAgendaAllocationFree: events live in the agenda by value, so
-// once the backing array has grown, scheduling an already-bound callback
-// and firing it allocate nothing.
+// once the backing arrays have grown, scheduling an already-bound callback
+// and firing it allocate nothing — through the run alone, and through a
+// warm agenda whose events alternate between the run and the heap and
+// whose run compacts as it slides.
 func TestClockAgendaAllocationFree(t *testing.T) {
 	c := New()
 	var k counter
@@ -91,6 +93,41 @@ func TestClockAgendaAllocationFree(t *testing.T) {
 	}
 	if k == 0 {
 		t.Fatal("callback never fired")
+	}
+
+	// A standing agenda of 32 run events 8 apart: each pass appends one
+	// more to the run's tail, pushes one behind it onto the heap, and
+	// fires two, so the run slides and compacts at capacity.
+	for i := 1; i <= 32; i++ {
+		c.After(Duration(8*i), fire)
+	}
+	var heapPushes, compactions int
+	pass := func() {
+		head := c.head
+		c.After(8*32, fire)
+		if c.head == 0 && head > 0 {
+			compactions++
+		}
+		h := len(c.heap)
+		c.After(3, fire)
+		if len(c.heap) > h {
+			heapPushes++
+		}
+		c.Step()
+		c.Step()
+	}
+	for i := 0; i < 200; i++ { // warm: grow both arrays to their peak
+		pass()
+	}
+	heapPushes, compactions = 0, 0
+	if allocs := testing.AllocsPerRun(1000, pass); allocs != 0 {
+		t.Fatalf("a warm run+heap agenda allocates %v per pass, want 0", allocs)
+	}
+	if heapPushes == 0 {
+		t.Fatal("no event went to the heap: the agenda never alternated")
+	}
+	if compactions == 0 {
+		t.Fatal("the run never compacted")
 	}
 }
 
@@ -139,6 +176,75 @@ func TestClockOrderMatchesStableSort(t *testing.T) {
 	}
 	if len(log) < 800 {
 		t.Fatalf("only %d events scheduled: nesting too shallow to exercise the heap", len(log))
+	}
+}
+
+// TestClockRunAndHeapMatchStableSort checks the two-queue agenda against
+// the same reference over random schedules shaped to reach every path:
+// events scheduled from callbacks, mostly at or after the run's tail (run
+// appends that slide the run until it compacts at capacity) and sometimes
+// behind it (heap pushes), on a coarse time grid so that equal instants
+// land in both queues.
+func TestClockRunAndHeapMatchStableSort(t *testing.T) {
+	type entry struct {
+		id int
+		at Time
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := NewRNG(seed)
+		c := New()
+		var log []entry
+		var fired []int
+		var nested, heapPushes, splitTies, compactions int
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			id := len(log)
+			log = append(log, entry{id, at})
+			h, head := len(c.heap), c.head
+			c.At(at, func() {
+				fired = append(fired, id)
+				for n := rng.Intn(3); n > 0 && len(log) < 3000; n-- {
+					nested++
+					// Mostly ahead of the run's tail; one in four behind it.
+					d := Time(rng.Intn(4))
+					if rng.Intn(4) > 0 {
+						d += 24
+					}
+					schedule(c.Now() + d)
+				}
+			})
+			if len(c.heap) > h {
+				heapPushes++
+			}
+			if c.head == 0 && head > 0 {
+				compactions++
+			}
+		}
+		for i := 0; i < 40; i++ {
+			schedule(Time(rng.Intn(8)))
+		}
+		for {
+			if c.head < len(c.run) && len(c.heap) > 0 && c.run[c.head].at == c.heap[0].at {
+				splitTies++
+			}
+			if !c.Step() {
+				break
+			}
+		}
+		want := slices.Clone(log)
+		slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, scheduled %d", seed, len(fired), len(want))
+		}
+		for i, w := range want {
+			if fired[i] != w.id {
+				t.Fatalf("seed %d: firing %d: event %d, want %d (stable sort of the scheduling log)", seed, i, fired[i], w.id)
+			}
+		}
+		if nested == 0 || heapPushes == 0 || splitTies == 0 || compactions == 0 {
+			t.Fatalf("seed %d: schedule missed a path: %d nested, %d heap pushes, %d run/heap ties, %d compactions",
+				seed, nested, heapPushes, splitTies, compactions)
+		}
 	}
 }
 
@@ -306,4 +412,49 @@ func TestStepsCount(t *testing.T) {
 	if steps != 5 {
 		t.Fatalf("Step ran %d events, want 5", steps)
 	}
+}
+
+// tickChain is a self-rescheduling event chain, the shape of an engine's
+// iteration ends: each firing schedules the next a short step later,
+// until the tick boundary.
+type tickChain struct {
+	c        *Clock
+	step     Duration
+	end      Time
+	fire     func()
+	fired    int
+	arrivals counter
+}
+
+func (ch *tickChain) next() {
+	ch.fired++
+	if t := ch.c.Now() + Time(ch.step); t < ch.end {
+		ch.c.At(t, ch.fire)
+	}
+}
+
+// BenchmarkClockTick times the clock on an event-fidelity tick of one
+// engine (ns/event; one op is one tick): the tick's 256 arrivals go onto
+// the agenda up front in time order, as the cluster's deliver phase puts
+// them, then the clock runs to the tick boundary while a chain of
+// near-now events (iteration ends, one every 7 ms) fires between them.
+func BenchmarkClockTick(b *testing.B) {
+	const arrivals = 256
+	c := New()
+	ch := &tickChain{c: c, step: 0.007}
+	ch.fire = ch.next
+	arrive := ch.arrivals.inc
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := c.Now()
+		ch.end = base + 1
+		for j := 0; j < arrivals; j++ {
+			c.At(base+Time((float64(j)+0.5)/arrivals), arrive)
+		}
+		c.At(base, ch.fire)
+		c.RunUntil(ch.end)
+	}
+	events := int(ch.arrivals) + ch.fired
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
