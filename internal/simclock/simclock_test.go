@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -135,23 +136,40 @@ type counter int
 
 func (k *counter) inc() { *k++ }
 
-// TestClockOrderMatchesStableSort is the reference for the agenda heap:
-// with times drawn from a small set (many ties) and callbacks scheduling
-// nested events, the firing order must equal a stable sort of the
-// scheduling log by time — (at, seq) order, FIFO among equal times.
-func TestClockOrderMatchesStableSort(t *testing.T) {
-	type entry struct {
-		id int
-		at Time
+// checkStableOrder fails unless fired, the event ids in firing order,
+// equals a stable sort by time of the scheduling log, where log[id] is
+// the time event id was scheduled at: (at, seq) order, FIFO among equal
+// times.
+func checkStableOrder(t *testing.T, log []Time, fired []int) {
+	t.Helper()
+	want := make([]int, len(log))
+	for id := range want {
+		want[id] = id
 	}
+	slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(log[a], log[b]) })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, scheduled %d", len(fired), len(want))
+	}
+	for i, id := range want {
+		if fired[i] != id {
+			t.Fatalf("firing %d: event %d, want %d (stable sort of the scheduling log)", i, fired[i], id)
+		}
+	}
+}
+
+// TestClockOrderMatchesStableSort is the reference for the agenda: with
+// times drawn from a small set (many ties) and callbacks scheduling
+// nested events, the firing order must equal a stable sort of the
+// scheduling log by time.
+func TestClockOrderMatchesStableSort(t *testing.T) {
 	rng := NewRNG(17)
 	c := New()
-	var log []entry
+	var log []Time
 	var fired []int
 	var schedule func(at Time, depth int)
 	schedule = func(at Time, depth int) {
 		id := len(log)
-		log = append(log, entry{id, at})
+		log = append(log, at)
 		c.At(at, func() {
 			fired = append(fired, id)
 			for depth < 3 && rng.Intn(3) > 0 {
@@ -164,16 +182,7 @@ func TestClockOrderMatchesStableSort(t *testing.T) {
 	}
 	for c.Step() {
 	}
-	want := slices.Clone(log)
-	slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d events, scheduled %d", len(fired), len(want))
-	}
-	for i, w := range want {
-		if fired[i] != w.id {
-			t.Fatalf("firing %d: event %d, want %d (stable sort of the scheduling log)", i, fired[i], w.id)
-		}
-	}
+	checkStableOrder(t, log, fired)
 	if len(log) < 800 {
 		t.Fatalf("only %d events scheduled: nesting too shallow to exercise the heap", len(log))
 	}
@@ -186,65 +195,54 @@ func TestClockOrderMatchesStableSort(t *testing.T) {
 // behind it (heap pushes), on a coarse time grid so that equal instants
 // land in both queues.
 func TestClockRunAndHeapMatchStableSort(t *testing.T) {
-	type entry struct {
-		id int
-		at Time
-	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		rng := NewRNG(seed)
-		c := New()
-		var log []entry
-		var fired []int
-		var nested, heapPushes, splitTies, compactions int
-		var schedule func(at Time)
-		schedule = func(at Time) {
-			id := len(log)
-			log = append(log, entry{id, at})
-			h, head := len(c.heap), c.head
-			c.At(at, func() {
-				fired = append(fired, id)
-				for n := rng.Intn(3); n > 0 && len(log) < 3000; n-- {
-					nested++
-					// Mostly ahead of the run's tail; one in four behind it.
-					d := Time(rng.Intn(4))
-					if rng.Intn(4) > 0 {
-						d += 24
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := NewRNG(seed)
+			c := New()
+			var log []Time
+			var fired []int
+			var nested, heapPushes, splitTies, compactions int
+			var schedule func(at Time)
+			schedule = func(at Time) {
+				id := len(log)
+				log = append(log, at)
+				h, head := len(c.heap), c.head
+				c.At(at, func() {
+					fired = append(fired, id)
+					for n := rng.Intn(3); n > 0 && len(log) < 3000; n-- {
+						nested++
+						// Mostly ahead of the run's tail; one in four behind it.
+						d := Time(rng.Intn(4))
+						if rng.Intn(4) > 0 {
+							d += 24
+						}
+						schedule(c.Now() + d)
 					}
-					schedule(c.Now() + d)
+				})
+				if len(c.heap) > h {
+					heapPushes++
 				}
-			})
-			if len(c.heap) > h {
-				heapPushes++
+				if c.head == 0 && head > 0 {
+					compactions++
+				}
 			}
-			if c.head == 0 && head > 0 {
-				compactions++
+			for i := 0; i < 40; i++ {
+				schedule(Time(rng.Intn(8)))
 			}
-		}
-		for i := 0; i < 40; i++ {
-			schedule(Time(rng.Intn(8)))
-		}
-		for {
-			if c.head < len(c.run) && len(c.heap) > 0 && c.run[c.head].at == c.heap[0].at {
-				splitTies++
+			for {
+				if c.head < len(c.run) && len(c.heap) > 0 && c.run[c.head].at == c.heap[0].at {
+					splitTies++
+				}
+				if !c.Step() {
+					break
+				}
 			}
-			if !c.Step() {
-				break
+			checkStableOrder(t, log, fired)
+			if nested == 0 || heapPushes == 0 || splitTies == 0 || compactions == 0 {
+				t.Fatalf("schedule missed a path: %d nested, %d heap pushes, %d run/heap ties, %d compactions",
+					nested, heapPushes, splitTies, compactions)
 			}
-		}
-		want := slices.Clone(log)
-		slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
-		if len(fired) != len(want) {
-			t.Fatalf("seed %d: fired %d events, scheduled %d", seed, len(fired), len(want))
-		}
-		for i, w := range want {
-			if fired[i] != w.id {
-				t.Fatalf("seed %d: firing %d: event %d, want %d (stable sort of the scheduling log)", seed, i, fired[i], w.id)
-			}
-		}
-		if nested == 0 || heapPushes == 0 || splitTies == 0 || compactions == 0 {
-			t.Fatalf("seed %d: schedule missed a path: %d nested, %d heap pushes, %d run/heap ties, %d compactions",
-				seed, nested, heapPushes, splitTies, compactions)
-		}
+		})
 	}
 }
 
